@@ -4,8 +4,9 @@ Three subcommands: ``run`` executes a scenario file and prints the report,
 ``repl`` opens an interactive console on a live garage, and ``check`` runs a
 seeded random corpus through the invariant scanner.
 
-Exit codes: 0 success, 1 usage or input problems (unreadable file, grammar
-or config errors), 2 invariant violation (a bug, not an input problem).
+Exit codes: 0 success, 2 invariant violation (a bug, not an input problem),
+1 any other failure the package reports (unreadable file, grammar or config
+errors, a runaway schedule).
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import os
 import sys
 from typing import IO
 
-from .controller import ControllerMode, InvariantViolationError
-from .model import AutoparkError, InvalidConfigError, occupancy_count
+from .controller import InvariantViolationError
+from .model import AutoparkError, ms_from_s, occupancy_count
 from .report import FORMATS, format_report
 from .scenario import (
     GarageSession,
     Scenario,
-    ScenarioParseError,
     parse_event_line,
     parse_scenario,
     random_scenario,
@@ -93,10 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioParseError, InvalidConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AutoparkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -186,29 +183,26 @@ def _repl_command(session: GarageSession, line: str) -> bool:
     if words[0] == "help":
         print(_REPL_HELP, end="")
     elif words[0] == "tick":
-        seconds = float(words[1]) if len(words) > 1 else 1.0
-        session.run_until(session.sim.clock_ms + round(seconds * 1000))
+        step_ms = _argument(words, lambda text: ms_from_s(float(text)), 1000)
+        session.run_until(session.sim.clock_ms + step_ms)
         print(f"t={session.sim.clock_ms / 1000:.3f}s pending={session.sim.pending()}")
     elif words[0] == "run":
         session.run_until_idle()
         print(f"t={session.sim.clock_ms / 1000:.3f}s idle")
     elif words[0] == "report":
         fmt = words[1] if len(words) > 1 else "table"
+        if fmt not in FORMATS:
+            raise AutoparkError(f"unknown report format: {fmt!r}")
         print(format_report(session.build_report(), fmt), end="")
     elif words[0] == "trace":
-        count = int(words[1]) if len(words) > 1 else 10
+        count = _argument(words, int, 10)
         for entry_line in session.sim.trace[-count:]:
             print(entry_line)
     elif words[0] == "state":
         occupied, vacant = occupancy_count(session.garage)
         platform = session.fleet.platform
-        mode = (
-            "Halted"
-            if session.controller.mode is ControllerMode.HALTED
-            else "Normal"
-        )
         print(
-            f"t={session.sim.clock_ms / 1000:.3f}s mode={mode} "
+            f"t={session.sim.clock_ms / 1000:.3f}s mode={session.controller.mode.value} "
             f"occupied={occupied} vacant={vacant} "
             f"platform=floor:{platform.floor_pos} angle:{platform.angle_deg:g} "
             f"soc={session.power.battery.soc:.3f} pending={session.sim.pending()}"
@@ -220,3 +214,13 @@ def _repl_command(session: GarageSession, line: str) -> bool:
     else:
         print(f"unknown command: {words[0]} ('help' lists commands)")
     return True
+
+
+def _argument(words: list[str], convert, default):
+    """A console command's optional argument; one that does not convert is an input error."""
+    if len(words) < 2:
+        return default
+    try:
+        return convert(words[1])
+    except (ValueError, OverflowError):
+        raise AutoparkError(f"bad argument to {words[0]}: {words[1]!r}") from None

@@ -14,19 +14,20 @@ retrieval request, both captured on the millisecond clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import Callable
 
 from .devices import (
+    ELEVATOR_MOTOR,
     EXIT_BELT,
     ENTRANCE_BELT,
     PLATFORM_BELT,
+    ROTATOR,
     Action,
     BeltId,
     DeviceFleet,
-    parse_belt_id,
     read_length_sensors,
 )
 from .model import (
@@ -73,13 +74,16 @@ class StepKind(str, Enum):
 
 @dataclass(frozen=True)
 class Step:
-    """One motion in a program plus the long-held locks it runs under."""
+    """One motion in a program, the belts its car moves between, and the
+    long-held locks it runs under."""
 
     kind: StepKind
     gate: str | None = None
     belt: BeltId | None = None
     target: int | None = None  # floor or slot index
-    tag: str | None = None  # direction of the car over the belt
+    car_onto: BeltId | None = None  # the car moves onto this idle, empty belt at start
+    car_rides: bool = False  # the car must already sit on the belt this step runs
+    car_off: BeltId | None = None  # the car has left this belt when the step ends
     bay: str | None = None  # entrance/exit bay lock held during this step
     platform: bool = False  # platform lock held during this step
 
@@ -168,19 +172,15 @@ def compute_bill(entry_ms: int, exit_ms: int, rate_per_minute: Decimal) -> Decim
     return (rate_per_minute * minutes).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
 
 
-def _slot_belt(face: int) -> BeltId:
-    return BeltId("slot", face)
-
-
 def _parking_steps(slot: SlotAddress) -> list[Step]:
     return [
         Step(StepKind.OPEN_GATE, gate="entrance", bay="entrance"),
-        Step(StepKind.CONVEY, belt=ENTRANCE_BELT, tag="enter", bay="entrance"),
+        Step(StepKind.CONVEY, belt=ENTRANCE_BELT, car_onto=ENTRANCE_BELT, bay="entrance"),
         Step(StepKind.CLOSE_GATE, gate="entrance", bay="entrance"),
-        Step(StepKind.LOAD_PLATFORM, tag="board", platform=True),
+        Step(StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_off=ENTRANCE_BELT, platform=True),
         Step(StepKind.ELEVATE, target=slot.floor, platform=True),
         Step(StepKind.ROTATE, target=slot.slot, platform=True),
-        Step(StepKind.TRANSFER_TO_SLOT, belt=_slot_belt(slot.slot), tag="store", platform=True),
+        Step(StepKind.TRANSFER_TO_SLOT, belt=BeltId("slot", slot.slot), platform=True),
     ]
 
 
@@ -188,18 +188,18 @@ def _retrieval_steps(slot: SlotAddress) -> list[Step]:
     return [
         Step(StepKind.ELEVATE, target=slot.floor, platform=True),
         Step(StepKind.ROTATE, target=slot.slot, platform=True),
-        Step(StepKind.TRANSFER_FROM_SLOT, belt=_slot_belt(slot.slot), tag="fetch", platform=True),
+        Step(StepKind.TRANSFER_FROM_SLOT, belt=BeltId("slot", slot.slot), platform=True),
         Step(StepKind.ELEVATE, target=0, platform=True),
         Step(StepKind.ROTATE, target=0, platform=True),
-        Step(StepKind.LOAD_PLATFORM, tag="deposit", platform=True),
-        Step(StepKind.CONVEY, belt=EXIT_BELT, tag="stage"),
+        Step(StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_onto=EXIT_BELT, platform=True),
+        Step(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True),
     ]
 
 
 def _exit_steps() -> list[Step]:
     return [
         Step(StepKind.OPEN_GATE, gate="exit", bay="exit"),
-        Step(StepKind.CONVEY, belt=EXIT_BELT, tag="depart", bay="exit"),
+        Step(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True, car_off=EXIT_BELT, bay="exit"),
         Step(StepKind.CLOSE_GATE, gate="exit", bay="exit"),
     ]
 
@@ -209,6 +209,66 @@ def _homing_steps() -> list[Step]:
         Step(StepKind.ELEVATE, target=0, platform=True),
         Step(StepKind.ROTATE, target=0, platform=True),
     ]
+
+
+@dataclass(frozen=True)
+class Motion:
+    """What one step kind does with the hardware: the device it names in the
+    trace, whether that device and the motor power it needs are free, how it
+    starts, and what the slot it serves becomes when it ends."""
+
+    device: Callable[[DeviceFleet, Step], str]
+    ready: Callable[[DeviceFleet, Step], bool]
+    start: Callable[[DeviceFleet, Step, int], Action]
+    slot_after: SlotState | None = None
+
+
+def _gate(command: str) -> Motion:
+    return Motion(
+        lambda fleet, step: fleet.gates[step.gate].device_id,
+        lambda fleet, step: not fleet.gates[step.gate].busy,
+        lambda fleet, step, now_ms: fleet.gate_actuate(step.gate, command, now_ms),
+    )
+
+
+def _convey(slot_after: SlotState | None = None) -> Motion:
+    def ready(fleet: DeviceFleet, step: Step) -> bool:
+        belt = fleet.belt(step.belt)
+        return not (belt.busy or belt.faulted) and fleet.relays.available() >= 1
+
+    return Motion(
+        lambda fleet, step: fleet.belt(step.belt).device_id,
+        ready,
+        lambda fleet, step, now_ms: fleet.belt_start_convey(step.belt, now_ms),
+        slot_after,
+    )
+
+
+def _platform_ready(fleet: DeviceFleet, moves: bool, motors: int) -> bool:
+    """The platform is idle and, unless already in place, its motors can be powered."""
+    return not fleet.platform.busy and fleet.relays.available() >= (motors if moves else 0)
+
+
+MOTIONS: dict[StepKind, Motion] = {
+    StepKind.OPEN_GATE: _gate("open"),
+    StepKind.CLOSE_GATE: _gate("close"),
+    StepKind.CONVEY: _convey(),
+    StepKind.LOAD_PLATFORM: _convey(),
+    StepKind.ELEVATE: Motion(
+        lambda fleet, step: ELEVATOR_MOTOR,
+        lambda fleet, step: _platform_ready(fleet, fleet.platform.floor_pos != step.target, 1),
+        lambda fleet, step, now_ms: fleet.elevator_goto_floor(step.target, now_ms),
+    ),
+    StepKind.ROTATE: Motion(
+        lambda fleet, step: ROTATOR,
+        lambda fleet, step: _platform_ready(
+            fleet, fleet.platform.angle_deg != (step.target * fleet.config.slot_angle_deg) % 360.0, 2
+        ),
+        lambda fleet, step, now_ms: fleet.platform_rotate_to_slot(step.target, now_ms),
+    ),
+    StepKind.TRANSFER_TO_SLOT: _convey(SlotState.OCCUPIED),
+    StepKind.TRANSFER_FROM_SLOT: _convey(SlotState.VACANT),
+}
 
 
 class GarageController:
@@ -244,12 +304,16 @@ class GarageController:
         and queues the welcome message, in that order. The gate stays closed
         for every rejection.
         """
-        result = self._screen_arrival(vehicle)
-        if result is not None:
-            self._trace(f"t={now_ms} reject={result.reason} vehicle={vehicle.vehicle_id}")
-            self.arrivals.append(ArrivalRecord(now_ms, vehicle, False, None, result.reason))
-            return result
-        slot = allocate_slot(self.garage.slots, self.garage.next_ticket_id)
+        reason = self._screen_arrival(vehicle)
+        if reason is None:
+            try:
+                slot = allocate_slot(self.garage.slots, self.garage.next_ticket_id)
+            except NoVacancyError:
+                reason = "NoVacancy"
+        if reason is not None:
+            self._trace(f"t={now_ms} reject={reason} vehicle={vehicle.vehicle_id}")
+            self.arrivals.append(ArrivalRecord(now_ms, vehicle, False, None, reason))
+            return ArrivalResult(False, reason=reason)
         ticket = self.garage.issue_ticket(vehicle, slot, now_ms)
         self.history[ticket.ticket_id] = TicketHistory()
         self.arrivals.append(ArrivalRecord(now_ms, vehicle, True, ticket.ticket_id, None))
@@ -264,30 +328,23 @@ class GarageController:
         self._pump(now_ms)
         return ArrivalResult(True, ticket.ticket_id)
 
-    def _screen_arrival(self, vehicle: Vehicle) -> ArrivalResult | None:
+    def _screen_arrival(self, vehicle: Vehicle) -> str | None:
+        """The reason to turn the car away before looking for a slot, if any."""
         if self.mode is ControllerMode.HALTED:
-            return ArrivalResult(False, reason="Halted")
+            return "Halted"
         sensors = read_length_sensors(vehicle.length_mm, self.garage.config)
         if all(sensors):
-            return ArrivalResult(False, reason="TooLong")
+            return "TooLong"
         for ticket in self.garage.tickets.values():
             if ticket.is_active and ticket.vehicle.phone == vehicle.phone:
-                return ArrivalResult(False, reason="DuplicatePhone")
-        try:
-            probe = next(
-                addr
-                for addr in self.garage.slots.addresses()
-                if self.garage.slots.state_at(addr) is SlotState.VACANT
-            )
-        except StopIteration:
-            return ArrivalResult(False, reason="NoVacancy")
+                return "DuplicatePhone"
         return None
 
     def on_inbound_sms(self, phone: str, body: str, now_ms: int) -> list[RetrievalResult]:
         """Deliver a customer text to the modem, then poll and act on the inbox."""
         self.gateway.modem.receive(phone, body, now_ms)
         results = []
-        for message in self.gateway.poll_inbox(now_ms):
+        for message in self.gateway.poll_inbox():
             results.append(self.handle_retrieval_request(message.number, now_ms))
         return results
 
@@ -370,9 +427,15 @@ class GarageController:
         program = self._action_owner.pop(action_id, None)
         if program is None:
             raise UnknownActionError(f"no program owns action {action_id} ({device_id})")
-        action = self.fleet.complete_action(action_id)
+        self.fleet.complete_action(action_id)
         step = program.current
-        self._step_completed(program, step, now_ms)
+        if step.car_off is not None:
+            self.fleet.belt(step.car_off).occupant = None
+        slot_after = MOTIONS[step.kind].slot_after
+        if slot_after is not None:
+            ticket = self.garage.tickets[program.ticket_id]
+            owner = None if slot_after is SlotState.VACANT else ticket.ticket_id
+            self.garage.slots.set_cell(ticket.slot, slot_after, owner)
         if program.bay_name and program.idx == program.bay_last:
             self._bay_owner[program.bay_name] = None
         if step.platform and program.idx == program.platform_last:
@@ -390,10 +453,9 @@ class GarageController:
     def _request_step(self, program: Program, now_ms: int) -> None:
         if program.requested_idx < program.idx:
             program.requested_idx = program.idx
-            self._trace(
-                f"t={now_ms} act=request device={self._device_hint(program.current)} "
-                f"ticket={program.ticket_label}"
-            )
+            step = program.current
+            device = MOTIONS[step.kind].device(self.fleet, step)
+            self._trace(f"t={now_ms} act=request device={device} ticket={program.ticket_label}")
         if program not in self._wait_q:
             self._wait_q.append(program)
 
@@ -419,9 +481,12 @@ class GarageController:
             if self._platform_owner not in (None, program):
                 return False
             self._platform_owner = program
-        if not self._resources_free(program, step):
+        motion = MOTIONS[step.kind]
+        if not (self._car_can_move(program, step) and motion.ready(self.fleet, step)):
             return False
-        action = self._start_motion(program, step, now_ms)
+        action = motion.start(self.fleet, step, now_ms)
+        if step.car_onto is not None:
+            self.fleet.belt(step.car_onto).occupant = program.vehicle_id
         self._action_owner[action.action_id] = program
         self._trace(
             f"t={now_ms} act=start device={action.device_id} action={action.action_id} "
@@ -429,79 +494,12 @@ class GarageController:
         )
         return True
 
-    def _resources_free(self, program: Program, step: Step) -> bool:
-        fleet = self.fleet
-        if step.kind in (StepKind.OPEN_GATE, StepKind.CLOSE_GATE):
-            return not fleet.gates[step.gate].busy
-        if step.kind in (StepKind.CONVEY, StepKind.TRANSFER_TO_SLOT, StepKind.TRANSFER_FROM_SLOT):
-            belt = fleet.belt(step.belt)
-            if belt.busy or belt.faulted:
-                return False
-            if step.tag == "enter" and belt.occupant is not None:
-                return False
-            # stage/depart ride a belt this program's car must already sit on
-            if step.tag in ("stage", "depart") and belt.occupant != program.vehicle_id:
-                return False
-            return fleet.relays.available() >= 1
-        if step.kind is StepKind.LOAD_PLATFORM:
-            platform_belt = fleet.belt(PLATFORM_BELT)
-            if platform_belt.busy or platform_belt.faulted:
-                return False
-            if step.tag == "deposit":
-                exit_belt = fleet.belt(EXIT_BELT)
-                if exit_belt.busy or exit_belt.occupant is not None:
-                    return False
-            return fleet.relays.available() >= 1
-        if step.kind is StepKind.ELEVATE:
-            if fleet.platform.busy:
-                return False
-            needed = 0 if fleet.platform.floor_pos == step.target else 1
-            return fleet.relays.available() >= needed
-        if step.kind is StepKind.ROTATE:
-            if fleet.platform.busy:
-                return False
-            target_angle = (step.target * self.garage.config.slot_angle_deg) % 360.0
-            needed = 0 if fleet.platform.angle_deg == target_angle else 2
-            return fleet.relays.available() >= needed
-        raise AssertionError(f"unhandled step kind {step.kind}")
-
-    def _start_motion(self, program: Program, step: Step, now_ms: int) -> Action:
-        fleet = self.fleet
-        kin = self.garage.config.kinematics
-        if step.kind is StepKind.OPEN_GATE:
-            return fleet.gate_actuate(step.gate, "open", now_ms)
-        if step.kind is StepKind.CLOSE_GATE:
-            return fleet.gate_actuate(step.gate, "close", now_ms)
-        if step.kind is StepKind.CONVEY:
-            action = fleet.belt_start_convey(step.belt, now_ms)
-            if step.tag == "enter":
-                fleet.belt(step.belt).occupant = program.vehicle_id
-            return action
-        if step.kind is StepKind.LOAD_PLATFORM:
-            action = fleet.belt_start_convey(PLATFORM_BELT, now_ms, kin.platform_load_s)
-            if step.tag == "deposit":
-                fleet.belt(EXIT_BELT).occupant = program.vehicle_id
-            return action
-        if step.kind is StepKind.ELEVATE:
-            return fleet.elevator_goto_floor(step.target, now_ms)
-        if step.kind is StepKind.ROTATE:
-            return fleet.platform_rotate_to_slot(step.target, now_ms)
-        if step.kind in (StepKind.TRANSFER_TO_SLOT, StepKind.TRANSFER_FROM_SLOT):
-            return fleet.belt_start_convey(step.belt, now_ms)
-        raise AssertionError(f"unhandled step kind {step.kind}")
-
-    def _step_completed(self, program: Program, step: Step, now_ms: int) -> None:
-        fleet = self.fleet
-        if step.kind is StepKind.LOAD_PLATFORM and step.tag == "board":
-            fleet.belt(ENTRANCE_BELT).occupant = None
-        elif step.kind is StepKind.CONVEY and step.tag == "depart":
-            fleet.belt(EXIT_BELT).occupant = None
-        elif step.kind is StepKind.TRANSFER_TO_SLOT:
-            ticket = self.garage.tickets[program.ticket_id]
-            self.garage.slots.set_cell(ticket.slot, SlotState.OCCUPIED, ticket.ticket_id)
-        elif step.kind is StepKind.TRANSFER_FROM_SLOT:
-            ticket = self.garage.tickets[program.ticket_id]
-            self.garage.slots.set_cell(ticket.slot, SlotState.VACANT, None)
+    def _car_can_move(self, program: Program, step: Step) -> bool:
+        """The belt the car moves onto is idle and empty; the one it rides holds it."""
+        onto = self.fleet.belt(step.car_onto) if step.car_onto is not None else None
+        if onto is not None and (onto.busy or onto.occupant is not None):
+            return False
+        return not step.car_rides or self.fleet.belt(step.belt).occupant == program.vehicle_id
 
     def _finish_program(self, program: Program, now_ms: int) -> None:
         if program is self._homing:
@@ -547,17 +545,6 @@ class GarageController:
         self._trace(
             f"t={now_ms} sms=out kind={kind} number={ticket.vehicle.phone} ref={ref}"
         )
-
-    def _device_hint(self, step: Step) -> str:
-        if step.kind in (StepKind.OPEN_GATE, StepKind.CLOSE_GATE):
-            return f"gate:{step.gate}"
-        if step.kind is StepKind.LOAD_PLATFORM:
-            return f"belt:{PLATFORM_BELT}"
-        if step.kind is StepKind.ELEVATE:
-            return "elevator"
-        if step.kind is StepKind.ROTATE:
-            return "rotator"
-        return f"belt:{step.belt}"
 
 
 def check_invariants(controller: GarageController) -> None:

@@ -1,6 +1,6 @@
-"""Simulated hardware: stepper kinematics, conveyor belts, the lifting and
-rotating platform, the two gates, and the relay bank that limits how many
-motors may draw power at once.
+"""Simulated hardware: conveyor belts, the lifting and rotating platform,
+the two gates, and the relay bank that limits how many motors may draw power
+at once.
 
 Every motion is an Action with a fixed duration; completion is reported back
 through a scheduler callback so the event engine stays the single source of
@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .model import AutoparkError, GarageConfig, ms_from_s
-
-
-class NonIntegralStepsError(AutoparkError):
-    """The commanded angle is not a whole number of motor steps."""
 
 
 class PowerBudgetExceededError(AutoparkError):
@@ -37,41 +33,6 @@ class PlatformBusyError(AutoparkError):
 
 class GateBusyError(AutoparkError):
     """The gate is mid-swing."""
-
-
-@dataclass(frozen=True)
-class StepperSpec:
-    """Electrical and geometric rating of one stepper motor."""
-
-    step_angle_deg: float
-    step_rate_hz: float = 200.0
-    rated_power_w: float = 10.0
-
-
-def steps_for_angle(angle_deg: float, step_angle_deg: float) -> int:
-    """Whole motor steps for a commanded angle.
-
-    The angle must be an exact multiple of the step angle (within 1e-9 of a
-    whole step); anything else would leave the axis between detent positions.
-    """
-    if step_angle_deg <= 0:
-        raise ValueError("step_angle_deg must be > 0")
-    ratio = angle_deg / step_angle_deg
-    steps = round(ratio)
-    if abs(ratio - steps) > 1e-9:
-        raise NonIntegralStepsError(
-            f"{angle_deg} deg is not a whole number of {step_angle_deg} deg steps"
-        )
-    return steps
-
-
-def move_duration(steps: int, step_rate_hz: float) -> float:
-    """Travel time in seconds for a step count at a fixed rate, ms resolution."""
-    if step_rate_hz <= 0:
-        raise ValueError("step_rate_hz must be > 0")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    return round(steps * 1000 / step_rate_hz) / 1000
 
 
 def read_length_sensors(vehicle_length_mm: int, config: GarageConfig) -> tuple[bool, bool, bool]:
@@ -157,64 +118,65 @@ class RelayBank:
         return sum(self.powered.values())
 
 
+@dataclass(kw_only=True)
+class Device:
+    """What every moving device has: the action it is running, if any."""
+
+    action_id: int | None = None
+
+    @property
+    def busy(self) -> bool:
+        return self.action_id is not None
+
+
 @dataclass
-class Belt:
+class Belt(Device):
     belt_id: BeltId
-    action_id: int | None = None  # running action, if any
     occupant: str | None = None  # vehicle currently sitting on the belt
     faulted: bool = False
 
     @property
-    def busy(self) -> bool:
-        return self.action_id is not None
+    def device_id(self) -> str:
+        return f"belt:{self.belt_id}"
 
 
 @dataclass
-class PlatformState:
+class PlatformState(Device):
     """The shared lift-and-turn platform the whole garage funnels through."""
 
     floor_pos: int = 0
     angle_deg: float = 0.0  # always in [0, 360)
-    action_id: int | None = None
-
-    @property
-    def busy(self) -> bool:
-        return self.action_id is not None
 
 
 @dataclass
-class GateState:
+class GateState(Device):
     name: str  # entrance | exit
     angle_deg: float = 0.0  # 0 closed, 90 open
-    action_id: int | None = None
-    target_deg: float = 0.0
 
     @property
-    def busy(self) -> bool:
-        return self.action_id is not None
-
-    @property
-    def is_open(self) -> bool:
-        return self.angle_deg == 90.0 and not self.busy
+    def device_id(self) -> str:
+        return f"gate:{self.name}"
 
 
 @dataclass(frozen=True)
 class Action:
-    """One in-flight device motion and the motors it holds powered."""
+    """One in-flight device motion and the motors it holds powered.
+
+    ``device`` is the belt, platform or gate it moves; ``end_state`` is the
+    (attribute, value) that device takes when the motion completes, if any.
+    """
 
     action_id: int
     device_id: str
     op: str
-    started_ms: int
     duration_ms: int
     motors: tuple[str, ...]
-
-    @property
-    def done_ms(self) -> int:
-        return self.started_ms + self.duration_ms
+    device: Device = field(compare=False, repr=False)
+    end_state: tuple[str, float] | None = None
 
 
 ELEVATOR_MOTOR = "elevator"
+ROTATOR = "rotator"
 ROTATOR_MOTORS = ("rotator:a", "rotator:b")
 
 
@@ -225,8 +187,8 @@ class DeviceFleet:
     every started action; the caller is expected to feed the completion back
     into complete_action when that moment arrives.
 
-    Callers power motors through the relay bank before starting a motion
-    (zero-duration motions need no power); complete_action releases them.
+    Starting a motion powers its motors through the relay bank (zero-duration
+    motions need no power); complete_action releases them.
     """
 
     def __init__(
@@ -243,29 +205,32 @@ class DeviceFleet:
         }
         self.platform = PlatformState()
         self.gates = {"entrance": GateState("entrance"), "exit": GateState("exit")}
-        self.main_stepper = StepperSpec(config.kinematics.step_angle_main_deg)
-        self.gate_stepper = StepperSpec(config.kinematics.step_angle_gate_deg)
         self._next_action_id = 1
         self._active: dict[int, Action] = {}
 
     # -- internals ---------------------------------------------------------
 
     def _start(
-        self, device_id: str, op: str, now_ms: int, duration_ms: int, motors: tuple[str, ...]
+        self,
+        device: Device,
+        device_id: str,
+        op: str,
+        now_ms: int,
+        duration_ms: int,
+        motors: tuple[str, ...],
+        end_state: tuple[str, float] | None = None,
     ) -> Action:
         if duration_ms > 0:
             for motor in motors:
-                self.relays.request_power(motor, self.main_stepper.rated_power_w)
+                self.relays.request_power(motor)
         else:
             motors = ()
-        action = Action(self._next_action_id, device_id, op, now_ms, duration_ms, motors)
+        action = Action(self._next_action_id, device_id, op, duration_ms, motors, device, end_state)
         self._next_action_id += 1
         self._active[action.action_id] = action
-        self.schedule_done(action.done_ms, device_id, action.action_id)
+        device.action_id = action.action_id
+        self.schedule_done(now_ms + duration_ms, device_id, action.action_id)
         return action
-
-    def action(self, action_id: int) -> Action:
-        return self._active[action_id]
 
     def active_actions(self) -> list[Action]:
         return list(self._active.values())
@@ -275,19 +240,18 @@ class DeviceFleet:
     def belt(self, belt_id: BeltId) -> Belt:
         return self.belts[belt_id]
 
-    def belt_start_convey(self, belt_id: BeltId, now_ms: int, duration_s: float | None = None) -> Action:
-        """Run one conveyor for a full transit (or an explicit duration)."""
+    def belt_start_convey(self, belt_id: BeltId, now_ms: int) -> Action:
+        """Run one conveyor for its transit time; on the platform belt that is
+        the time to load a car onto the platform or off it."""
         belt = self.belts[belt_id]
         if belt.faulted:
             raise BeltFaultedError(f"belt {belt_id} is faulted")
         if belt.busy:
             raise BeltBusyError(f"belt {belt_id} is busy with action {belt.action_id}")
-        seconds = self.config.kinematics.belt_transit_s if duration_s is None else duration_s
-        action = self._start(
-            f"belt:{belt_id}", "convey", now_ms, ms_from_s(seconds), (f"belt:{belt_id}",)
-        )
-        belt.action_id = action.action_id
-        return action
+        kin = self.config.kinematics
+        seconds = kin.platform_load_s if belt_id == PLATFORM_BELT else kin.belt_transit_s
+        device_id = belt.device_id
+        return self._start(belt, device_id, "convey", now_ms, ms_from_s(seconds), (device_id,))
 
     def set_belt_fault(self, belt_id: BeltId, faulted: bool) -> None:
         self.belts[belt_id].faulted = faulted
@@ -302,13 +266,15 @@ class DeviceFleet:
             raise PlatformBusyError("platform is moving")
         travel = abs(target_floor - self.platform.floor_pos)
         duration_ms = ms_from_s(travel * self.config.kinematics.elevation_per_floor_s)
-        motors = (ELEVATOR_MOTOR,) if duration_ms else ()
-        action = self._start(
-            ELEVATOR_MOTOR, f"lift floor={target_floor} travel={travel}", now_ms, duration_ms, motors
+        return self._start(
+            self.platform,
+            ELEVATOR_MOTOR,
+            f"lift floor={target_floor} travel={travel}",
+            now_ms,
+            duration_ms,
+            (ELEVATOR_MOTOR,),
+            ("floor_pos", target_floor),
         )
-        self.platform.action_id = action.action_id
-        self._platform_target = ("floor", target_floor)
-        return action
 
     def platform_rotate_to_slot(self, slot_index: int, now_ms: int) -> Action:
         """Turn the platform to a slot face by the shortest arc, ties clockwise.
@@ -329,17 +295,15 @@ class DeviceFleet:
         else:
             direction, faces = "ccw", ccw_faces
         duration_ms = ms_from_s(faces * self.config.kinematics.rotation_per_slot_s)
-        motors = ROTATOR_MOTORS if duration_ms else ()
-        action = self._start(
-            "rotator",
+        return self._start(
+            self.platform,
+            ROTATOR,
             f"rotate slot={slot_index} dir={direction} faces={faces:g}",
             now_ms,
             duration_ms,
-            motors,
+            ROTATOR_MOTORS,
+            ("angle_deg", (slot_index * slot_angle) % 360.0),
         )
-        self.platform.action_id = action.action_id
-        self._platform_target = ("angle", (slot_index * slot_angle) % 360.0)
-        return action
 
     # -- gates -----------------------------------------------------------------
 
@@ -357,10 +321,9 @@ class DeviceFleet:
         duration_ms = 0 if gate.angle_deg == target else ms_from_s(
             self.config.kinematics.gate_actuation_s
         )
-        action = self._start(f"gate:{name}", command, now_ms, duration_ms, ())
-        gate.action_id = action.action_id
-        gate.target_deg = target
-        return action
+        return self._start(
+            gate, gate.device_id, command, now_ms, duration_ms, (), ("angle_deg", target)
+        )
 
     # -- completion --------------------------------------------------------------
 
@@ -369,24 +332,7 @@ class DeviceFleet:
         action = self._active.pop(action_id)
         for motor in action.motors:
             self.relays.release_power(motor)
-        device = action.device_id
-        if device.startswith("belt:"):
-            belt = self.belts[parse_belt_id(device.removeprefix("belt:"))]
-            belt.action_id = None
-        elif device == ELEVATOR_MOTOR:
-            kind, value = self._platform_target
-            assert kind == "floor"
-            self.platform.floor_pos = value
-            self.platform.action_id = None
-        elif device == "rotator":
-            kind, value = self._platform_target
-            assert kind == "angle"
-            self.platform.angle_deg = value
-            self.platform.action_id = None
-        elif device.startswith("gate:"):
-            gate = self.gates[device.removeprefix("gate:")]
-            gate.angle_deg = gate.target_deg
-            gate.action_id = None
-        else:
-            raise ValueError(f"unknown device: {device}")
+        action.device.action_id = None
+        if action.end_state is not None:
+            setattr(action.device, *action.end_state)
         return action

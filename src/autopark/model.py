@@ -10,7 +10,6 @@ Money is carried as Decimal to keep billing exact.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -35,10 +34,6 @@ class NegativeDurationError(AutoparkError):
 def ms_from_s(seconds: float) -> int:
     """Convert seconds to the internal integer-millisecond clock unit."""
     return round(seconds * MS_PER_SECOND)
-
-
-def s_from_ms(t_ms: int) -> float:
-    return t_ms / MS_PER_SECOND
 
 
 _PHONE_RE = re.compile(r"^\+?\d+$")

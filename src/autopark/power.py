@@ -13,17 +13,6 @@ from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
-class PvModuleSpec:
-    """Nameplate figures for the panel (standard 1000 W/m2 test conditions)."""
-
-    pm_w: float = 10.0
-    vmp_v: float = 18.0
-    imp_a: float = 0.56
-    voc_v: float = 21.24
-    isc_a: float = 0.61
-
-
-@dataclass(frozen=True)
 class PvMeasuredCurve:
     """Measured V-I anchor points, ordered by voltage, current non-increasing."""
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .controller import ArrivalRecord, GarageController, check_invariants
 from .devices import DeviceFleet, belt_roster, parse_belt_id
@@ -94,15 +96,6 @@ _GARAGE_KEYS = ("floors", "slots_per_floor", "max_vehicle_length_mm")
 _KINEMATIC_KEYS = tuple(f.name for f in fields(KinematicsConfig))
 _SETTINGS_KEYS = tuple(f.name for f in fields(SimSettings))
 
-_EVENT_FIELDS = {
-    "arrival": ("vehicle", "length_mm", "phone"),
-    "sms_in": ("phone", "body"),
-    "payment": ("ticket",),
-    "irradiance": ("w_per_m2",),
-    "fault": ("belt",),
-    "fault_cleared": (),
-}
-
 
 def _split_pairs(tokens: list[str], line_no: int) -> dict[str, str]:
     """key=value tokens; bare tokens extend the previous value with a space."""
@@ -122,11 +115,79 @@ def _split_pairs(tokens: list[str], line_no: int) -> dict[str, str]:
     return pairs
 
 
-def _number(pairs: dict[str, str], key: str, line_no: int, convert):
+def _field(pairs: dict[str, str], line_no: int, key: str, convert=str):
+    """The value of one key, converted; one that does not convert is a parse error."""
     try:
         return convert(pairs[key])
     except (ValueError, InvalidOperation) as exc:
         raise ScenarioParseError(line_no, f"bad value for {key}: {pairs[key]!r}") from exc
+
+
+class EventKind(NamedTuple):
+    """One scenario event kind: its line fields, how to build its payload from
+    them (a ValueError is a parse error), the field values the payload renders,
+    and the session's handler for it. The table key is the payload's kind."""
+
+    fields: tuple[str, ...]
+    build: Callable[[Callable[..., object], GarageConfig], Payload]
+    values: Callable[[Payload], tuple]
+    handle: Callable[[GarageSession, Payload, int], None]
+
+
+def _irradiance(field: Callable[..., object], config: GarageConfig) -> IrradianceChange:
+    w = field("w_per_m2", float)
+    if not 0 <= w <= 1000:
+        raise ValueError(f"w_per_m2 out of range [0, 1000]: {w:g}")
+    return IrradianceChange(w)
+
+
+def _fault(field: Callable[..., object], config: GarageConfig) -> BeltFault:
+    belt = parse_belt_id(field("belt"))
+    if belt not in belt_roster(config.slots_per_floor):
+        raise ValueError(f"no such belt: {field('belt')}")
+    return BeltFault(str(belt))
+
+
+EVENT_KINDS: dict[str, EventKind] = {
+    "arrival": EventKind(
+        ("vehicle", "length_mm", "phone"),
+        lambda field, config: Arrival(
+            Vehicle(field("vehicle"), field("length_mm", int), field("phone"))
+        ),
+        lambda p: (p.vehicle.vehicle_id, p.vehicle.length_mm, p.vehicle.phone),
+        lambda session, p, t: session.controller.handle_arrival(p.vehicle, t),
+    ),
+    "sms_in": EventKind(
+        ("phone", "body"),
+        lambda field, config: InboundSms(field("phone"), field("body")),
+        lambda p: (p.phone, p.body),
+        lambda session, p, t: session.controller.on_inbound_sms(p.phone, p.body, t),
+    ),
+    "payment": EventKind(
+        ("ticket",),
+        lambda field, config: PaymentConfirmed(field("ticket", int)),
+        lambda p: (p.ticket_id,),
+        lambda session, p, t: session.controller.handle_payment(p.ticket_id, t),
+    ),
+    "irradiance": EventKind(
+        ("w_per_m2",),
+        _irradiance,
+        lambda p: (p.w_per_m2,),
+        lambda session, p, t: session.power.set_irradiance(p.w_per_m2),
+    ),
+    "fault": EventKind(
+        ("belt",),
+        _fault,
+        lambda p: (p.belt_id,),
+        lambda session, p, t: session.controller.on_fault(parse_belt_id(p.belt_id), t),
+    ),
+    "fault_cleared": EventKind(
+        (),
+        lambda field, config: FaultCleared(),
+        lambda p: (),
+        lambda session, p, t: session.controller.on_fault_cleared(t),
+    ),
+}
 
 
 def parse_event_line(
@@ -137,46 +198,24 @@ def parse_event_line(
     if "t" not in pairs or "kind" not in pairs:
         raise ScenarioParseError(line_no, "event needs t= and kind=")
     kind = pairs.pop("kind")
-    t_s = _number(pairs, "t", line_no, float)
+    t_s = _field(pairs, line_no, "t", float)
     del pairs["t"]
     if t_s < 0:
         raise ScenarioParseError(line_no, "t must be >= 0")
     t_ms = round(t_s * 1000)
-    if kind not in _EVENT_FIELDS:
+    spec = EVENT_KINDS.get(kind)
+    if spec is None:
         raise ScenarioParseError(line_no, f"unknown event kind {kind!r}")
-    allowed = _EVENT_FIELDS[kind]
     for key in pairs:
-        if key not in allowed:
+        if key not in spec.fields:
             raise ScenarioParseError(line_no, f"unknown field {key!r} for kind={kind}")
-    for key in allowed:
+    for key in spec.fields:
         if key not in pairs:
             raise ScenarioParseError(line_no, f"kind={kind} needs {key}=")
-
-    if kind == "arrival":
-        length_mm = _number(pairs, "length_mm", line_no, int)
-        try:
-            vehicle = Vehicle(pairs["vehicle"], length_mm, pairs["phone"])
-        except ValueError as exc:
-            raise ScenarioParseError(line_no, str(exc)) from exc
-        return ScenarioEvent(t_ms, Arrival(vehicle))
-    if kind == "sms_in":
-        return ScenarioEvent(t_ms, InboundSms(pairs["phone"], pairs["body"]))
-    if kind == "payment":
-        return ScenarioEvent(t_ms, PaymentConfirmed(_number(pairs, "ticket", line_no, int)))
-    if kind == "irradiance":
-        w = _number(pairs, "w_per_m2", line_no, float)
-        if not 0 <= w <= 1000:
-            raise ScenarioParseError(line_no, f"w_per_m2 out of range [0, 1000]: {w:g}")
-        return ScenarioEvent(t_ms, IrradianceChange(w))
-    if kind == "fault":
-        try:
-            belt = parse_belt_id(pairs["belt"])
-        except ValueError as exc:
-            raise ScenarioParseError(line_no, str(exc)) from exc
-        if belt not in belt_roster(config.slots_per_floor):
-            raise ScenarioParseError(line_no, f"no such belt: {pairs['belt']}")
-        return ScenarioEvent(t_ms, BeltFault(str(belt)))
-    return ScenarioEvent(t_ms, FaultCleared())
+    try:
+        return ScenarioEvent(t_ms, spec.build(partial(_field, pairs, line_no), config))
+    except ValueError as exc:
+        raise ScenarioParseError(line_no, str(exc)) from exc
 
 
 def _build_config(
@@ -187,15 +226,15 @@ def _build_config(
     settings: dict = {}
     for key, raw in pairs.items():
         if key in _GARAGE_KEYS:
-            garage[key] = _number(pairs, key, line_no, int)
+            garage[key] = _field(pairs, line_no, key, int)
         elif key == "billing_rate_per_minute":
-            garage[key] = _number(pairs, key, line_no, Decimal)
+            garage[key] = _field(pairs, line_no, key, Decimal)
         elif key == "bus_voltage_v":
-            garage[key] = _number(pairs, key, line_no, float)
+            garage[key] = _field(pairs, line_no, key, float)
         elif key in _KINEMATIC_KEYS:
-            kin[key] = _number(pairs, key, line_no, float)
+            kin[key] = _field(pairs, line_no, key, float)
         elif key in _SETTINGS_KEYS:
-            settings[key] = _number(pairs, key, line_no, float)
+            settings[key] = _field(pairs, line_no, key, float)
         else:
             raise ScenarioParseError(line_no, f"unknown config key {key!r}")
     config = GarageConfig(**garage, kinematics=KinematicsConfig(**kin))
@@ -243,21 +282,9 @@ def _format_t(t_ms: int) -> str:
 
 def render_event(event: ScenarioEvent) -> str:
     p = event.payload
-    t = _format_t(event.t_ms)
-    if isinstance(p, Arrival):
-        v = p.vehicle
-        return f"t={t} kind=arrival vehicle={v.vehicle_id} length_mm={v.length_mm} phone={v.phone}"
-    if isinstance(p, InboundSms):
-        return f"t={t} kind=sms_in phone={p.phone} body={p.body}"
-    if isinstance(p, PaymentConfirmed):
-        return f"t={t} kind=payment ticket={p.ticket_id}"
-    if isinstance(p, IrradianceChange):
-        return f"t={t} kind=irradiance w_per_m2={p.w_per_m2!r}"
-    if isinstance(p, BeltFault):
-        return f"t={t} kind=fault belt={p.belt_id}"
-    if isinstance(p, FaultCleared):
-        return f"t={t} kind=fault_cleared"
-    raise AssertionError(f"unrenderable payload {p!r}")
+    spec = EVENT_KINDS[p.kind]
+    pairs = "".join([f" {key}={value}" for key, value in zip(spec.fields, spec.values(p))])
+    return f"t={_format_t(event.t_ms)} kind={p.kind}{pairs}"
 
 
 def render_scenario(scenario: Scenario) -> str:
@@ -335,23 +362,10 @@ class GarageSession:
 
     def _handle(self, event: SimEvent) -> None:
         p = event.payload
-        t = event.at_ms
-        if isinstance(p, Arrival):
-            self.controller.handle_arrival(p.vehicle, t)
-        elif isinstance(p, InboundSms):
-            self.controller.on_inbound_sms(p.phone, p.body, t)
-        elif isinstance(p, PaymentConfirmed):
-            self.controller.handle_payment(p.ticket_id, t)
-        elif isinstance(p, DeviceDone):
-            self.controller.on_device_done(p.device_id, p.action_id, t)
-        elif isinstance(p, IrradianceChange):
-            self.power.set_irradiance(p.w_per_m2)
-        elif isinstance(p, BeltFault):
-            self.controller.on_fault(parse_belt_id(p.belt_id), t)
-        elif isinstance(p, FaultCleared):
-            self.controller.on_fault_cleared(t)
+        if isinstance(p, DeviceDone):
+            self.controller.on_device_done(p.device_id, p.action_id, event.at_ms)
         else:
-            raise AssertionError(f"unhandled payload {p!r}")
+            EVENT_KINDS[p.kind].handle(self, p, event.at_ms)
         occupied, _ = occupancy_count(self.garage)
         self.occupancy_peak = max(self.occupancy_peak, occupied)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from random import Random
 
 from .model import (
     AutoparkError,
@@ -191,16 +190,15 @@ class SmsModem:
         self.text_mode = False
         self.log: list[str] = []
         self.storage: dict[int, SmsMessage] = {}
-        self.sent: list[SmsMessage] = []
         self._next_ref = 1
         self._next_index = 1
-        self._pending_number: str | None = None
+        self._awaiting_body = False
 
-    def exchange(self, line: str, now_ms: int = 0) -> list[str]:
+    def exchange(self, line: str) -> list[str]:
         """Feed one line (command, or message body after the prompt)."""
         self.log.append(f">> {_printable(line)}")
-        if self._pending_number is not None:
-            responses = self._finish_send(line, now_ms)
+        if self._awaiting_body:
+            responses = self._finish_send(line)
         else:
             responses = self._respond(line.rstrip("\r"))
         self.log.extend(f"<< {_printable(r)}" for r in responses)
@@ -221,10 +219,10 @@ class SmsModem:
         if command == "AT+CMGF=1":
             self.text_mode = True
             return ["OK"]
-        if match := re.match(r'^AT\+CMGS="([^"]*)"$', command):
+        if re.match(r'^AT\+CMGS="[^"]*"$', command):
             if not (self.registered and self.text_mode):
                 return ["ERROR"]
-            self._pending_number = match.group(1)
+            self._awaiting_body = True
             return [">"]
         if command == 'AT+CMGL="REC UNREAD"':
             if not (self.registered and self.text_mode):
@@ -245,12 +243,10 @@ class SmsModem:
             return ["OK"]
         return ["ERROR"]
 
-    def _finish_send(self, payload: str, now_ms: int) -> list[str]:
-        number = self._pending_number
-        self._pending_number = None
+    def _finish_send(self, payload: str) -> list[str]:
+        self._awaiting_body = False
         if not payload.endswith(CTRL_Z):
             return ["ERROR"]
-        self.sent.append(SmsMessage(number, payload[: -len(CTRL_Z)], now_ms))
         ref = self._next_ref
         self._next_ref += 1
         return [f"+CMGS: {ref}", "OK"]
@@ -258,25 +254,14 @@ class SmsModem:
 
 @dataclass
 class SmsNetwork:
-    """Carrier stand-in: delays deliveries, optionally drops some."""
+    """Carrier stand-in: delivers every message after a fixed delay."""
 
     delivery_delay_s: float = 1.0
-    drop_probability: float = 0.0
-    rng: Random | None = None
     delivered: list[SmsMessage] = field(default_factory=list)
-    dropped: int = 0
 
     def submit(self, number: str, body: str, now_ms: int) -> None:
-        if self.drop_probability > 0:
-            rng = self.rng if self.rng is not None else Random()
-            if rng.random() < self.drop_probability:
-                self.dropped += 1
-                return
         at = now_ms + ms_from_s(self.delivery_delay_s)
         self.delivered.append(SmsMessage(number, body, at))
-
-    def delivered_to(self, number: str) -> list[SmsMessage]:
-        return [m for m in self.delivered if m.number == number]
 
 
 class SmsGateway:
@@ -286,11 +271,9 @@ class SmsGateway:
         self,
         modem: SmsModem | None = None,
         network: SmsNetwork | None = None,
-        poll_interval_s: float = 2.0,
     ):
         self.modem = modem if modem is not None else SmsModem()
         self.network = network if network is not None else SmsNetwork()
-        self.poll_interval_s = poll_interval_s
         self._ready = False
 
     @property
@@ -311,10 +294,10 @@ class SmsGateway:
             raise NotRegisteredError("gateway is not initialized")
         if len(body) > MAX_BODY_CHARS:
             raise BodyTooLongError(f"{len(body)} chars exceeds {MAX_BODY_CHARS}")
-        responses = self._run(render_at(SendMessage(number)), now_ms)
+        responses = self._run(render_at(SendMessage(number)))
         if len(responses) != 1 or not isinstance(responses[0], Prompt):
             raise ModemError(f"expected send prompt, got {responses!r}")
-        responses = self._run(body + CTRL_Z, now_ms)
+        responses = self._run(body + CTRL_Z)
         if (
             len(responses) != 2
             or not isinstance(responses[0], MessageRef)
@@ -324,11 +307,11 @@ class SmsGateway:
         self.network.submit(number, body, now_ms)
         return responses[0].ref
 
-    def poll_inbox(self, now_ms: int = 0) -> list[SmsMessage]:
+    def poll_inbox(self) -> list[SmsMessage]:
         """Read and delete every pending inbound message, in arrival order."""
         if not self._ready:
             raise NotRegisteredError("gateway is not initialized")
-        raw = self.modem.exchange(render_at(ReadInbox()), now_ms)
+        raw = self.modem.exchange(render_at(ReadInbox()))
         entries: list[InboxEntry] = []
         i = 0
         while i < len(raw):
@@ -346,14 +329,14 @@ class SmsGateway:
             )
             i += 2
         for entry in entries:
-            responses = self._run(render_at(DeleteMessage(entry.index)), now_ms)
+            responses = self._run(render_at(DeleteMessage(entry.index)))
             if not responses or not isinstance(responses[-1], Ok):
                 raise ModemError(f"failed to delete message {entry.index}")
         return [SmsMessage(e.number, e.body, e.timestamp_ms) for e in entries]
 
-    def _run(self, line: str, now_ms: int = 0) -> list[ModemResponse]:
+    def _run(self, line: str) -> list[ModemResponse]:
         try:
-            return [parse_modem_line(r) for r in self.modem.exchange(line, now_ms)]
+            return [parse_modem_line(r) for r in self.modem.exchange(line)]
         except UnparseableLineError as exc:
             raise ModemError(str(exc)) from exc
 

@@ -6,6 +6,7 @@ import pytest
 
 from autopark import cli
 from autopark.controller import InvariantViolationError
+from autopark.model import AutoparkError
 from autopark.report import CSV_HEADER, parse_report
 
 SCENARIO = (
@@ -64,12 +65,20 @@ def test_missing_file_is_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_parse_error_is_exit_1(tmp_path, capsys):
+def test_parse_error_is_exit_1(tmp_path, scenario_file, capsys, monkeypatch):
     bad = tmp_path / "bad.scn"
     bad.write_text("t=0 kind=teleport\n", encoding="utf-8")
     assert cli.main(["run", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line 1" in err
+
+    # Any other package error, such as the engine's runaway guard, is exit 1 too.
+    def runaway(scenario, check=True):
+        raise AutoparkError("exceeded 1000000 events; runaway schedule?")
+
+    monkeypatch.setattr(cli, "run_scenario", runaway)
+    assert cli.main(["run", str(scenario_file)]) == 1
+    assert "error: exceeded 1000000 events" in capsys.readouterr().err
 
 
 def test_invariant_violation_is_exit_2(scenario_file, capsys, monkeypatch):
@@ -125,10 +134,10 @@ def test_repl_help_unknown_and_eof(capsys, monkeypatch):
 
 
 def test_repl_reports_errors_and_continues(capsys, monkeypatch):
-    script = "t=0 kind=teleport\nstate\nquit\n"
+    script = "t=0 kind=teleport\ntick abc\nreport bogus\ntrace x\nstate\nquit\n"
     assert _run_repl(monkeypatch, script) == 0
     out = capsys.readouterr().out
-    assert "error:" in out
+    assert out.count("error:") == 4
     assert "mode=Normal" in out
 
 

@@ -92,7 +92,7 @@ def test_full_cycle_retrieve_and_pay():
     assert ticket.phase is TicketPhase.CLOSED
     assert ticket.amount_due == Decimal("0.10")
     assert session.garage.slots.state_at(SlotAddress(0, 0)) is SlotState.VACANT
-    bodies = [m.body for m in session.network.delivered_to("+9745500001")]
+    bodies = [m.body for m in session.network.delivered if m.number == "+9745500001"]
     assert bodies == [
         "Parked at 00:00:05. Ticket 1. Reply to this number to retrieve your car.",
         "Retrieved at 00:02:00. Duration 2 min. Due: 0.10.",

@@ -9,15 +9,12 @@ from autopark.devices import (
     BeltId,
     DeviceFleet,
     GateBusyError,
-    NonIntegralStepsError,
     PlatformBusyError,
     PowerBudgetExceededError,
     RelayBank,
     belt_roster,
-    move_duration,
     parse_belt_id,
     read_length_sensors,
-    steps_for_angle,
 )
 from autopark.model import GarageConfig
 
@@ -28,25 +25,6 @@ def fleet():
     fleet = DeviceFleet(GarageConfig(), lambda at, dev, act: done.append((at, dev, act)))
     fleet.done = done
     return fleet
-
-
-# -- stepper math ------------------------------------------------------------
-
-
-def test_steps_for_quarter_turn():
-    assert steps_for_angle(90.0, 1.8) == 50
-    assert steps_for_angle(90.0, 7.5) == 12
-
-
-def test_steps_for_angle_requires_integral_count():
-    with pytest.raises(NonIntegralStepsError):
-        steps_for_angle(50.0, 1.8)
-
-
-def test_move_duration_from_step_rate():
-    assert move_duration(50, 200.0) == 0.25
-    assert move_duration(12, 200.0) == 0.06
-    assert move_duration(0, 200.0) == 0.0
 
 
 # -- entry sensors ------------------------------------------------------------
@@ -132,7 +110,7 @@ def test_convey_occupies_one_relay_for_transit_time(fleet):
 
 
 def test_platform_belt_uses_load_time(fleet):
-    action = fleet.belt_start_convey(PLATFORM_BELT, 0, 5.0)
+    action = fleet.belt_start_convey(PLATFORM_BELT, 0)
     assert action.duration_ms == 5_000
 
 
@@ -212,7 +190,8 @@ def test_gate_swing_takes_actuation_time(fleet):
     with pytest.raises(GateBusyError):
         fleet.gate_actuate("entrance", "close", 100)
     fleet.complete_action(action.action_id)
-    assert fleet.gates["entrance"].is_open
+    gate = fleet.gates["entrance"]
+    assert gate.angle_deg == 90.0 and not gate.busy
 
 
 def test_gate_never_draws_relay_power(fleet):

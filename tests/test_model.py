@@ -16,7 +16,6 @@ from autopark.model import (
     ms_from_s,
     new_garage,
     occupancy_count,
-    s_from_ms,
 )
 
 
@@ -65,7 +64,6 @@ def test_gear_ratio_restores_integral_pitch():
 
 def test_time_conversions_round_trip():
     assert ms_from_s(1.5) == 1500
-    assert s_from_ms(1500) == 1.5
     assert ms_from_s(0.0006) == 1
     assert ms_from_s(0.0015) == 2  # ties round to even
 

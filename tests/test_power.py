@@ -8,7 +8,6 @@ from autopark.power import (
     BatteryState,
     ChargeControllerSpec,
     PvMeasuredCurve,
-    PvModuleSpec,
     PowerSystem,
     power_tick,
     pv_current_at,
@@ -17,15 +16,6 @@ from autopark.power import (
 )
 
 BUS_CURRENT_FULL_SUN = 0.5611307189542484  # interpolated at 12 V
-
-
-def test_nameplate_defaults():
-    spec = PvModuleSpec()
-    assert spec.pm_w == 10.0
-    assert spec.vmp_v == 18.0
-    assert spec.voc_v == 21.24
-    assert spec.isc_a == 0.61
-    assert spec.imp_a == 0.56
 
 
 def test_measured_anchors_return_exactly():

@@ -1,11 +1,16 @@
 """Scenario text parsing, rendering, and end-to-end runs."""
 
+import string
 from decimal import Decimal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from autopark.devices import belt_roster
 from autopark.model import GarageConfig
 from autopark.scenario import (
+    EVENT_KINDS,
     Scenario,
     ScenarioParseError,
     SimSettings,
@@ -147,6 +152,32 @@ def test_render_event_round_trips():
     for line in lines:
         event = parse_event_line(line, config)
         assert render_event(event) == line
+
+
+# Canonical text for every field any event kind has, as render_event writes it.
+_T_TEXT = st.integers(0, 10**9).map(
+    lambda ms: f"{ms // 1000}.{ms % 1000:03d}".rstrip("0").rstrip(".")
+)
+_WORD = st.text(
+    st.characters(min_codepoint=33, max_codepoint=126, blacklist_characters="="), min_size=1
+)
+_FIELD_TEXT = {
+    "vehicle": st.text(string.ascii_letters + string.digits + "-_", min_size=1, max_size=12),
+    "length_mm": st.integers(1, 20_000).map(str),
+    "phone": st.from_regex(r"\+?[0-9]{1,15}", fullmatch=True),
+    "body": st.lists(_WORD, max_size=6).map(" ".join),
+    "ticket": st.integers(-(10**6), 10**9).map(str),
+    "w_per_m2": st.floats(0.0, 1000.0).map(repr),
+    "belt": st.sampled_from([str(belt) for belt in belt_roster(GarageConfig().slots_per_floor)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_KINDS))
+@given(data=st.data())
+def test_render_event_inverts_parse_for_every_kind(kind, data):
+    pairs = [f"{key}={data.draw(_FIELD_TEXT[key], label=key)}" for key in EVENT_KINDS[kind].fields]
+    line = " ".join([f"t={data.draw(_T_TEXT, label='t')}", f"kind={kind}", *pairs])
+    assert render_event(parse_event_line(line, GarageConfig())) == line
 
 
 def test_render_scenario_round_trips():
