@@ -120,7 +120,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     base = args.seed
     if base is None:
-        base = int(os.environ.get("AUTOPARK_SEED", "0"))
+        text = os.environ.get("AUTOPARK_SEED", "0")
+        try:
+            base = int(text)
+        except ValueError:
+            raise AutoparkError(f"AUTOPARK_SEED is not an integer: {text!r}") from None
     total_events = 0
     max_motors = 0
     for offset in range(args.count):
@@ -196,7 +200,10 @@ def _repl_command(session: GarageSession, line: str) -> bool:
         print(format_report(session.build_report(), fmt), end="")
     elif words[0] == "trace":
         count = _argument(words, int, 10)
-        for entry_line in session.sim.trace[-count:]:
+        if count < 0:
+            raise AutoparkError(f"bad argument to trace: {words[1]!r}")
+        trace = session.sim.trace
+        for entry_line in trace[max(len(trace) - count, 0):]:
             print(entry_line)
     elif words[0] == "state":
         occupied, vacant = occupancy_count(session.garage)

@@ -88,9 +88,13 @@ class Step:
     platform: bool = False  # platform lock held during this step
 
 
-@dataclass
+@dataclass(eq=False)
 class Program:
-    """A ticket's remaining motion sequence and its lock bookkeeping."""
+    """A ticket's remaining motion sequence and its lock bookkeeping.
+
+    Programs compare and hash by identity: the wait queue and the lock owners
+    track the program object, not its current field values.
+    """
 
     label: str  # parking | retrieval | exit | homing
     steps: list[Step]
@@ -159,8 +163,9 @@ class ArrivalRecord:
 
 def allocate_slot(slots: SlotMatrix, ticket_id: int) -> SlotAddress:
     """Reserve the first vacant cell scanning floors bottom-up, slots in order."""
-    for addr in slots.addresses():
-        if slots.state_at(addr) is SlotState.VACANT:
+    for floor, states in enumerate(slots._state):
+        if SlotState.VACANT in states:
+            addr = SlotAddress(floor, states.index(SlotState.VACANT))
             slots.set_cell(addr, SlotState.RESERVED, ticket_id)
             return addr
     raise NoVacancyError("no vacant slot")
@@ -288,7 +293,7 @@ class GarageController:
         self.history: dict[int, TicketHistory] = {}
         self.arrivals: list[ArrivalRecord] = []
         self._trace = trace if trace is not None else lambda line: None
-        self._wait_q: list[Program] = []
+        self._wait_q: dict[Program, None] = {}  # insertion-ordered: request order
         self._action_owner: dict[int, Program] = {}
         self._bay_owner: dict[str, Program | None] = {"entrance": None, "exit": None}
         self._platform_owner: Program | None = None
@@ -335,9 +340,8 @@ class GarageController:
         sensors = read_length_sensors(vehicle.length_mm, self.garage.config)
         if all(sensors):
             return "TooLong"
-        for ticket in self.garage.tickets.values():
-            if ticket.is_active and ticket.vehicle.phone == vehicle.phone:
-                return "DuplicatePhone"
+        if vehicle.phone in self.garage.active_by_phone:
+            return "DuplicatePhone"
         return None
 
     def on_inbound_sms(self, phone: str, body: str, now_ms: int) -> list[RetrievalResult]:
@@ -353,14 +357,7 @@ class GarageController:
         if self.mode is ControllerMode.HALTED:
             self._trace(f"t={now_ms} reject=Halted phone={phone}")
             return RetrievalResult("halted")
-        ticket = next(
-            (
-                t
-                for t in self.garage.tickets.values()
-                if t.is_active and t.vehicle.phone == phone
-            ),
-            None,
-        )
+        ticket = self.garage.active_by_phone.get(phone)
         if ticket is None or ticket.phase in (
             TicketPhase.AWAITING_ENTRY,
             TicketPhase.PARKING,
@@ -456,8 +453,7 @@ class GarageController:
             step = program.current
             device = MOTIONS[step.kind].device(self.fleet, step)
             self._trace(f"t={now_ms} act=request device={device} ticket={program.ticket_label}")
-        if program not in self._wait_q:
-            self._wait_q.append(program)
+        self._wait_q[program] = None
 
     def _pump(self, now_ms: int) -> None:
         """Serve the wait queue in request order; launches never free anything,
@@ -466,7 +462,7 @@ class GarageController:
             return
         for program in list(self._wait_q):
             if self._try_launch(program, now_ms):
-                self._wait_q.remove(program)
+                del self._wait_q[program]
 
     def _try_launch(self, program: Program, now_ms: int) -> bool:
         step = program.current
@@ -537,6 +533,9 @@ class GarageController:
     def _set_phase(self, ticket: ParkingTicket, phase: TicketPhase, now_ms: int) -> None:
         old = ticket.phase
         ticket.advance(phase)
+        if phase is TicketPhase.CLOSED:
+            del self.garage.active[ticket.ticket_id]
+            del self.garage.active_by_phone[ticket.vehicle.phone]
         self._trace(f"ticket={ticket.ticket_id} phase={old.value}->{phase.value} t={now_ms}")
 
     def _send_sms(self, kind: str, ticket: ParkingTicket, now_ms: int) -> None:
@@ -547,81 +546,105 @@ class GarageController:
         )
 
 
+_RESERVED_PHASES = (TicketPhase.AWAITING_ENTRY, TicketPhase.PARKING)
+_OCCUPIED_PHASES = (TicketPhase.PARKED, TicketPhase.RETRIEVING)
+_TIMED_PHASES = (TicketPhase.AWAITING_ENTRY, TicketPhase.PARKING, TicketPhase.PARKED)
+
+
 def check_invariants(controller: GarageController) -> None:
     """Structural scan run after every event dispatch.
 
-    Verifies the ticket/slot bijection, timer consistency, the conservation
-    count, the relay budget, belt exclusivity, and platform alignment.
+    Verifies the ticket/slot bijection, timer consistency, the cell counts,
+    the entry count, the relay budget, belt exclusivity, and platform
+    alignment, in time proportional to the cells plus the tickets not yet
+    closed.
+
+    One pass over the cells resolves each holder through ``garage.active``.
+    A held cell must be the own slot of an active ticket whose phase fits the
+    cell (reserved: AwaitingEntry or Parking; occupied: Parked or Retrieving),
+    and its timer must show that ticket's entry time unless the ticket is
+    Retrieving, when it must be stopped. A vacant cell names no ticket and
+    runs no timer. A ticket has one slot, so no ticket holds two cells. A
+    closed ticket has left ``active``, so a cell it still held fails as held
+    by a dead ticket, and an AwaitingPayment ticket holding a cell fails the
+    phase test: no pass over the closed tickets is needed. The pass counts
+    the tickets it found at their slots in a timed phase (AwaitingEntry,
+    Parking, Parked); every active ticket in a timed phase must be among them.
     """
     garage = controller.garage
     fleet = controller.fleet
     slots = garage.slots
+    active = garage.active
+    # Enum members are class-attribute lookups, several times dearer than a
+    # local in this loop.
+    VACANT, RESERVED, RETRIEVING = SlotState.VACANT, SlotState.RESERVED, TicketPhase.RETRIEVING
 
-    owners: dict[int, SlotAddress] = {}
-    for addr in slots.addresses():
-        state = slots.state_at(addr)
-        ticket_id = slots.ticket_at(addr)
-        if state is SlotState.VACANT:
-            continue
-        if ticket_id in owners:
-            raise InvariantViolationError(
-                f"ticket {ticket_id} owns both {owners[ticket_id]} and {addr}"
-            )
-        owners[ticket_id] = addr
-        ticket = garage.tickets.get(ticket_id)
-        if ticket is None or not ticket.is_active:
-            raise InvariantViolationError(f"cell {addr} held by dead ticket {ticket_id}")
-        allowed = (
-            (TicketPhase.AWAITING_ENTRY, TicketPhase.PARKING)
-            if state is SlotState.RESERVED
-            else (TicketPhase.PARKED, TicketPhase.RETRIEVING)
-        )
-        if ticket.phase not in allowed:
-            raise InvariantViolationError(
-                f"cell {addr} is {state.value} but ticket {ticket_id} is {ticket.phase.value}"
-            )
-
-    for ticket in garage.tickets.values():
-        owns = ticket.ticket_id in owners
-        if ticket.phase in (TicketPhase.AWAITING_ENTRY, TicketPhase.PARKING, TicketPhase.PARKED):
-            if not owns or owners[ticket.ticket_id] != ticket.slot:
+    reserved_cells = occupied_cells = timed_cells = 0
+    rows = zip(slots._state, slots._ticket, garage.timers._entry)
+    for floor, (states, owners, entries) in enumerate(rows):
+        for slot, (state, ticket_id, entry) in enumerate(zip(states, owners, entries)):
+            if state is VACANT:
+                if entry is not None:
+                    raise InvariantViolationError(f"stale timer at {SlotAddress(floor, slot)}")
+                if ticket_id is not None:
+                    raise InvariantViolationError(
+                        f"vacant cell {SlotAddress(floor, slot)} names ticket {ticket_id}"
+                    )
+                continue
+            ticket = active.get(ticket_id)
+            if ticket is None:
                 raise InvariantViolationError(
-                    f"ticket {ticket.ticket_id} ({ticket.phase.value}) does not hold its slot"
+                    f"cell {SlotAddress(floor, slot)} held by dead ticket {ticket_id}"
                 )
-        if ticket.phase in (TicketPhase.AWAITING_PAYMENT, TicketPhase.CLOSED) and owns:
-            raise InvariantViolationError(
-                f"ticket {ticket.ticket_id} ({ticket.phase.value}) still holds a cell"
-            )
+            home = ticket.slot
+            if home.floor != floor or home.slot != slot:
+                raise InvariantViolationError(
+                    f"ticket {ticket_id} holds {SlotAddress(floor, slot)} but its slot is {home}"
+                )
+            if state is RESERVED:
+                reserved_cells += 1
+                allowed = _RESERVED_PHASES
+            else:
+                occupied_cells += 1
+                allowed = _OCCUPIED_PHASES
+            phase = ticket.phase
+            if phase not in allowed:
+                raise InvariantViolationError(
+                    f"cell {home} is {state.value} but ticket {ticket_id} is {phase.value}"
+                )
+            if phase is RETRIEVING:
+                if entry is not None:
+                    raise InvariantViolationError(f"stale timer at {home}")
+            else:
+                timed_cells += 1
+                if entry != ticket.entry_ms:
+                    raise InvariantViolationError(f"timer at {home} should be {ticket.entry_ms}")
 
-    for addr in slots.addresses():
-        entry = garage.timers.entry_at(addr)
-        ticket_id = slots.ticket_at(addr)
-        ticket = garage.tickets.get(ticket_id) if ticket_id is not None else None
-        running = (
-            ticket is not None
-            and ticket.phase
-            in (TicketPhase.AWAITING_ENTRY, TicketPhase.PARKING, TicketPhase.PARKED)
+    if timed_cells != sum(ticket.phase in _TIMED_PHASES for ticket in active.values()):
+        lost = next(
+            ticket
+            for ticket in active.values()
+            if ticket.phase in _TIMED_PHASES and slots.ticket_at(ticket.slot) != ticket.ticket_id
         )
-        if running and entry != ticket.entry_ms:
-            raise InvariantViolationError(f"timer at {addr} should be {ticket.entry_ms}")
-        if not running and entry is not None:
-            raise InvariantViolationError(f"stale timer at {addr}")
-
+        raise InvariantViolationError(
+            f"ticket {lost.ticket_id} ({lost.phase.value}) does not hold its slot"
+        )
+    if len(garage.active_by_phone) != len(active):
+        raise InvariantViolationError(
+            f"{len(active)} active tickets but {len(garage.active_by_phone)} active phones"
+        )
+    cells = slots.floors * slots.slots_per_floor
+    tally = {
+        VACANT: cells - reserved_cells - occupied_cells,
+        RESERVED: reserved_cells,
+        SlotState.OCCUPIED: occupied_cells,
+    }
+    if slots.counts() != tally:
+        raise InvariantViolationError(f"cell counts {slots.counts()} != cells {tally}")
     if garage.vehicles_entered != len(garage.tickets):
         raise InvariantViolationError(
             f"entered {garage.vehicles_entered} != tickets {len(garage.tickets)}"
         )
-    counts = garage.phase_counts()
-    in_transit = (
-        counts[TicketPhase.AWAITING_ENTRY]
-        + counts[TicketPhase.PARKING]
-        + counts[TicketPhase.RETRIEVING]
-        + counts[TicketPhase.AWAITING_PAYMENT]
-    )
-    if in_transit + counts[TicketPhase.PARKED] + counts[TicketPhase.CLOSED] != (
-        garage.vehicles_entered
-    ):
-        raise InvariantViolationError("vehicle count does not split into transit/parked/exited")
 
     if len(fleet.relays.powered) > fleet.relays.budget:
         raise InvariantViolationError("relay budget exceeded")

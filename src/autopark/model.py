@@ -191,16 +191,13 @@ class ParkingTicket:
             raise ValueError(f"cannot move ticket from {self.phase} to {phase}")
         self.phase = phase
 
-    @property
-    def is_active(self) -> bool:
-        return self.phase is not TicketPhase.CLOSED
-
 
 class SlotMatrix:
     """Occupancy grid: every cell is vacant, reserved, or occupied.
 
     Reserved and occupied cells carry the owning ticket id; a ticket owns at
-    most one cell at any time.
+    most one cell at any time. The cells per state are counted as they are
+    set, so reading the counts costs nothing per cell.
     """
 
     def __init__(self, floors: int, slots_per_floor: int):
@@ -210,6 +207,8 @@ class SlotMatrix:
             [SlotState.VACANT] * slots_per_floor for _ in range(floors)
         ]
         self._ticket = [[None] * slots_per_floor for _ in range(floors)]
+        self._counts = {state: 0 for state in SlotState}
+        self._counts[SlotState.VACANT] = floors * slots_per_floor
 
     def state_at(self, addr: SlotAddress) -> SlotState:
         return self._state[addr.floor][addr.slot]
@@ -228,15 +227,14 @@ class SlotMatrix:
             raise ValueError("vacant cells carry no ticket")
         if state is not SlotState.VACANT and ticket_id is None:
             raise ValueError(f"{state.value} cells need a ticket id")
-        self._state[addr.floor][addr.slot] = state
+        row = self._state[addr.floor]
+        self._counts[row[addr.slot]] -= 1
+        self._counts[state] += 1
+        row[addr.slot] = state
         self._ticket[addr.floor][addr.slot] = ticket_id
 
     def counts(self) -> dict[SlotState, int]:
-        out = {state: 0 for state in SlotState}
-        for row in self._state:
-            for state in row:
-                out[state] += 1
-        return out
+        return dict(self._counts)
 
 
 class TimerMatrix:
@@ -261,18 +259,27 @@ class TimerMatrix:
 
 @dataclass
 class GarageState:
-    """Everything that changes as the garage runs: grids, tickets, counters."""
+    """Everything that changes as the garage runs: grids, tickets, counters.
+
+    ``tickets`` keeps every ticket ever issued. ``active`` and
+    ``active_by_phone`` index the ones not yet ``CLOSED``, by ticket id and by
+    the customer's phone; a ticket leaves both when it closes.
+    """
 
     config: GarageConfig
     slots: SlotMatrix
     timers: TimerMatrix
     tickets: dict[int, ParkingTicket] = field(default_factory=dict)
+    active: dict[int, ParkingTicket] = field(default_factory=dict)
+    active_by_phone: dict[str, ParkingTicket] = field(default_factory=dict)
     next_ticket_id: int = 1
     vehicles_entered: int = 0
 
     def issue_ticket(self, vehicle: Vehicle, slot: SlotAddress, entry_ms: int) -> ParkingTicket:
         ticket = ParkingTicket(self.next_ticket_id, vehicle, slot, entry_ms)
         self.tickets[ticket.ticket_id] = ticket
+        self.active[ticket.ticket_id] = ticket
+        self.active_by_phone[vehicle.phone] = ticket
         self.next_ticket_id += 1
         self.vehicles_entered += 1
         return ticket

@@ -103,6 +103,13 @@ def test_check_seed_env_default(capsys, monkeypatch):
     assert "from seed 31" in capsys.readouterr().out
 
 
+def test_check_bad_seed_env_is_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("AUTOPARK_SEED", "abc")
+    assert cli.main(["check", "--count", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: AUTOPARK_SEED is not an integer: 'abc'\n"
+
+
 def _run_repl(monkeypatch, text, args=None):
     monkeypatch.setattr(cli.sys, "stdin", io.StringIO(text))
     return cli.main(["repl"] + (args or []))
@@ -134,11 +141,19 @@ def test_repl_help_unknown_and_eof(capsys, monkeypatch):
 
 
 def test_repl_reports_errors_and_continues(capsys, monkeypatch):
-    script = "t=0 kind=teleport\ntick abc\nreport bogus\ntrace x\nstate\nquit\n"
+    script = (
+        "t=0 kind=teleport\ntick abc\nreport bogus\ntrace x\n"
+        "t=0 kind=fault_cleared\nrun\ntrace 0\ntrace -1\ntrace 1\nstate\nquit\n"
+    )
     assert _run_repl(monkeypatch, script) == 0
     out = capsys.readouterr().out
-    assert out.count("error:") == 4
-    assert "mode=Normal" in out
+    assert out.count("error:") == 5
+    after_run = out.split("t=0.000s idle\n")[1].splitlines()
+    assert after_run[:2] == [
+        "error: bad argument to trace: '-1'",
+        "t=0 seq=0 kind=fault_cleared detail=-",
+    ]
+    assert "mode=Normal" in after_run[2]
 
 
 def test_repl_preloads_scenario(scenario_file, capsys, monkeypatch):

@@ -90,6 +90,7 @@ def test_full_cycle_retrieve_and_pay():
     assert hist.ready_ms == 145_000
     assert hist.closed_ms == 300_000
     assert ticket.phase is TicketPhase.CLOSED
+    assert session.garage.active == {} and session.garage.active_by_phone == {}
     assert ticket.amount_due == Decimal("0.10")
     assert session.garage.slots.state_at(SlotAddress(0, 0)) is SlotState.VACANT
     bodies = [m.body for m in session.network.delivered if m.number == "+9745500001"]

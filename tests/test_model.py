@@ -1,6 +1,8 @@
 from decimal import Decimal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from autopark.model import (
     GarageConfig,
@@ -8,6 +10,7 @@ from autopark.model import (
     KinematicsConfig,
     NegativeDurationError,
     SlotAddress,
+    SlotMatrix,
     SlotState,
     TicketPhase,
     Vehicle,
@@ -116,6 +119,8 @@ def test_issue_ticket_counts_and_numbers():
     assert garage.next_ticket_id == 2
     assert garage.vehicles_entered == 1
     assert garage.tickets[1] is ticket
+    assert garage.active == {1: ticket}
+    assert garage.active_by_phone == {"+97455512345": ticket}
     assert occupancy_count(garage) == (0, 18)
 
 
@@ -125,6 +130,23 @@ def test_occupancy_counts_track_cells():
     assert occupancy_count(garage) == (0, 17)
     garage.slots.set_cell(SlotAddress(0, 0), SlotState.OCCUPIED, 1)
     assert occupancy_count(garage) == (1, 17)
+
+
+@given(st.data())
+def test_slot_counts_match_a_recount_after_every_set_cell(data):
+    floors = data.draw(st.integers(1, 5), label="floors")
+    per_floor = data.draw(st.integers(1, 8), label="slots_per_floor")
+    slots = SlotMatrix(floors, per_floor)
+    cell = st.tuples(
+        st.integers(0, floors - 1), st.integers(0, per_floor - 1), st.sampled_from(SlotState)
+    )
+    for ticket_id, (floor, slot, state) in enumerate(data.draw(st.lists(cell, max_size=30)), 1):
+        owner = None if state is SlotState.VACANT else ticket_id
+        slots.set_cell(SlotAddress(floor, slot), state, owner)
+        recount = {s: sum(c is s for row in slots._state for c in row) for s in SlotState}
+        assert slots.counts() == recount
+        slots.counts()[state] += 1  # a copy: the caller cannot shift the tally
+        assert slots.counts() == recount
 
 
 def test_slot_matrix_consistency_guard():
