@@ -101,7 +101,6 @@ class Program:
     ticket_id: int | None = None
     vehicle_id: str | None = None
     idx: int = 0
-    requested_idx: int = -1
 
     def __post_init__(self) -> None:
         bay_steps = [i for i, s in enumerate(self.steps) if s.bay]
@@ -124,41 +123,12 @@ class Program:
 
 
 @dataclass(frozen=True)
-class ArrivalResult:
-    accepted: bool
-    ticket_id: int | None = None
-    reason: str | None = None  # TooLong | NoVacancy | DuplicatePhone | Halted
-
-
-@dataclass(frozen=True)
-class RetrievalResult:
-    status: str  # started | unknown_phone | already_retrieving | halted
-    ticket_id: int | None = None
-
-
-@dataclass(frozen=True)
-class PaymentResult:
-    status: str  # ok | wrong_phase | unknown_ticket
-    ticket_id: int | None = None
-
-
-@dataclass
-class TicketHistory:
-    """Millisecond milestones used by run reports."""
-
-    parked_ms: int | None = None
-    request_ms: int | None = None
-    ready_ms: int | None = None
-    closed_ms: int | None = None
-
-
-@dataclass(frozen=True)
 class ArrivalRecord:
     at_ms: int
     vehicle: Vehicle
     accepted: bool
     ticket_id: int | None
-    reason: str | None
+    reason: str | None  # TooLong | NoVacancy | DuplicatePhone | Halted
 
 
 def allocate_slot(slots: SlotMatrix, ticket_id: int) -> SlotAddress:
@@ -290,7 +260,6 @@ class GarageController:
         self.fleet = fleet
         self.gateway = gateway
         self.mode = ControllerMode.NORMAL
-        self.history: dict[int, TicketHistory] = {}
         self.arrivals: list[ArrivalRecord] = []
         self._trace = trace if trace is not None else lambda line: None
         self._wait_q: dict[Program, None] = {}  # insertion-ordered: request order
@@ -302,7 +271,7 @@ class GarageController:
 
     # -- event entry points ------------------------------------------------
 
-    def handle_arrival(self, vehicle: Vehicle, now_ms: int) -> ArrivalResult:
+    def handle_arrival(self, vehicle: Vehicle, now_ms: int) -> None:
         """Admit or reject a car waiting at the entrance.
 
         Acceptance reserves a slot, opens the gate, starts the billing timer,
@@ -318,9 +287,8 @@ class GarageController:
         if reason is not None:
             self._trace(f"t={now_ms} reject={reason} vehicle={vehicle.vehicle_id}")
             self.arrivals.append(ArrivalRecord(now_ms, vehicle, False, None, reason))
-            return ArrivalResult(False, reason=reason)
+            return
         ticket = self.garage.issue_ticket(vehicle, slot, now_ms)
-        self.history[ticket.ticket_id] = TicketHistory()
         self.arrivals.append(ArrivalRecord(now_ms, vehicle, True, ticket.ticket_id, None))
         self._set_phase(ticket, TicketPhase.PARKING, now_ms)
         program = Program(
@@ -331,7 +299,6 @@ class GarageController:
         self._trace(f"t={now_ms} timer=start ticket={ticket.ticket_id}")
         self._send_sms("welcome", ticket, now_ms)
         self._pump(now_ms)
-        return ArrivalResult(True, ticket.ticket_id)
 
     def _screen_arrival(self, vehicle: Vehicle) -> str | None:
         """The reason to turn the car away before looking for a slot, if any."""
@@ -344,19 +311,17 @@ class GarageController:
             return "DuplicatePhone"
         return None
 
-    def on_inbound_sms(self, phone: str, body: str, now_ms: int) -> list[RetrievalResult]:
+    def on_inbound_sms(self, phone: str, body: str, now_ms: int) -> None:
         """Deliver a customer text to the modem, then poll and act on the inbox."""
         self.gateway.modem.receive(phone, body, now_ms)
-        results = []
         for message in self.gateway.poll_inbox():
-            results.append(self.handle_retrieval_request(message.number, now_ms))
-        return results
+            self.handle_retrieval_request(message.number, now_ms)
 
-    def handle_retrieval_request(self, phone: str, now_ms: int) -> RetrievalResult:
+    def handle_retrieval_request(self, phone: str, now_ms: int) -> None:
         """Any text from a phone with a parked car asks for that car back."""
         if self.mode is ControllerMode.HALTED:
             self._trace(f"t={now_ms} reject=Halted phone={phone}")
-            return RetrievalResult("halted")
+            return
         ticket = self.garage.active_by_phone.get(phone)
         if ticket is None or ticket.phase in (
             TicketPhase.AWAITING_ENTRY,
@@ -365,15 +330,14 @@ class GarageController:
             # A car still on its way in is not retrievable; same answer as an
             # unknown number.
             self._trace(f"t={now_ms} reject=UnknownPhone phone={phone}")
-            return RetrievalResult("unknown_phone")
+            return
         if ticket.phase in (TicketPhase.RETRIEVING, TicketPhase.AWAITING_PAYMENT):
             self._trace(f"t={now_ms} retrieval=duplicate ticket={ticket.ticket_id}")
-            return RetrievalResult("already_retrieving", ticket.ticket_id)
+            return
         ticket.exit_ms = now_ms
         self.garage.timers.stop(ticket.slot)
         self._trace(f"t={now_ms} timer=stop ticket={ticket.ticket_id}")
         self._set_phase(ticket, TicketPhase.RETRIEVING, now_ms)
-        self.history[ticket.ticket_id].request_ms = now_ms
         program = Program(
             "retrieval",
             _retrieval_steps(ticket.slot),
@@ -382,23 +346,21 @@ class GarageController:
         )
         self._request_step(program, now_ms)
         self._pump(now_ms)
-        return RetrievalResult("started", ticket.ticket_id)
 
-    def handle_payment(self, ticket_id: int, now_ms: int) -> PaymentResult:
+    def handle_payment(self, ticket_id: int, now_ms: int) -> None:
         """Close the ticket and let the car out through the exit gate."""
         ticket = self.garage.tickets.get(ticket_id)
         if ticket is None:
             self._trace(f"t={now_ms} reject=UnknownTicket ticket={ticket_id}")
-            return PaymentResult("unknown_ticket", ticket_id)
+            return
         if ticket.phase is not TicketPhase.AWAITING_PAYMENT:
             self._trace(f"t={now_ms} reject=WrongPhase ticket={ticket_id}")
-            return PaymentResult("wrong_phase", ticket_id)
+            return
         self._set_phase(ticket, TicketPhase.CLOSED, now_ms)
-        self.history[ticket_id].closed_ms = now_ms
+        ticket.closed_ms = now_ms
         program = Program("exit", _exit_steps(), ticket_id, ticket.vehicle.vehicle_id)
         self._request_step(program, now_ms)
         self._pump(now_ms)
-        return PaymentResult("ok", ticket_id)
 
     def on_fault(self, belt_id: BeltId, now_ms: int) -> None:
         """A belt malfunction raises the alarm: finish in-flight motions only."""
@@ -448,11 +410,9 @@ class GarageController:
     # -- program machinery ---------------------------------------------------
 
     def _request_step(self, program: Program, now_ms: int) -> None:
-        if program.requested_idx < program.idx:
-            program.requested_idx = program.idx
-            step = program.current
-            device = MOTIONS[step.kind].device(self.fleet, step)
-            self._trace(f"t={now_ms} act=request device={device} ticket={program.ticket_label}")
+        step = program.current
+        device = MOTIONS[step.kind].device(self.fleet, step)
+        self._trace(f"t={now_ms} act=request device={device} ticket={program.ticket_label}")
         self._wait_q[program] = None
 
     def _pump(self, now_ms: int) -> None:
@@ -503,7 +463,7 @@ class GarageController:
         if program.label == "parking":
             ticket = self.garage.tickets[program.ticket_id]
             self._set_phase(ticket, TicketPhase.PARKED, now_ms)
-            self.history[ticket.ticket_id].parked_ms = now_ms
+            ticket.parked_ms = now_ms
         elif program.label == "retrieval":
             ticket = self.garage.tickets[program.ticket_id]
             rate = self.garage.config.billing_rate_per_minute
@@ -514,7 +474,7 @@ class GarageController:
                 f"amount={ticket.amount_due}"
             )
             self._set_phase(ticket, TicketPhase.AWAITING_PAYMENT, now_ms)
-            self.history[ticket.ticket_id].ready_ms = now_ms
+            ticket.ready_ms = now_ms
             self._send_sms("bill", ticket, now_ms)
 
     def _maybe_home(self, now_ms: int) -> None:

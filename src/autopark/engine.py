@@ -3,7 +3,7 @@
 A single priority queue keyed by (timestamp, insertion sequence) drives the
 whole simulation. Dispatch order is therefore a pure function of the schedule
 calls, and repeated runs of the same scenario produce byte-identical traces.
-The clock only moves when events are dispatched; there is no wall-clock
+The clock only moves when an event fires; there is no wall-clock
 coupling anywhere.
 """
 
@@ -121,7 +121,7 @@ class SimEvent:
 class Simulation:
     """Event queue, clock, and trace for one run.
 
-    handler receives each dispatched event; advance is called with the
+    handler receives each event in dispatch order; advance is called with the
     elapsed milliseconds before each clock move (for time integration such
     as battery bookkeeping); check runs after every dispatch so invariant
     scans sit directly on the event boundary.
@@ -172,27 +172,24 @@ class Simulation:
         if self.check is not None:
             self.check()
 
-    def run_until(self, t_end_ms: int) -> list[SimEvent]:
+    def run_until(self, t_end_ms: int) -> None:
         """Dispatch every event with at <= t_end_ms, then move the clock there."""
         if t_end_ms < self.clock_ms:
             raise SchedulingInPastError(
                 f"cannot run to t={t_end_ms}ms, clock is {self.clock_ms}ms"
             )
-        dispatched = []
         while self._heap and self._heap[0].at_ms <= t_end_ms:
-            event = heapq.heappop(self._heap)
-            self._dispatch(event)
-            dispatched.append(event)
+            self._dispatch(heapq.heappop(self._heap))
         self._advance_clock(t_end_ms)
-        return dispatched
 
-    def run_until_idle(self, max_events: int = 1_000_000) -> list[SimEvent]:
-        """Dispatch until the queue is empty; the clock ends on the last event."""
-        dispatched = []
-        while self._heap:
-            if len(dispatched) >= max_events:
-                raise AutoparkError(f"exceeded {max_events} events; runaway schedule?")
-            event = heapq.heappop(self._heap)
-            self._dispatch(event)
-            dispatched.append(event)
-        return dispatched
+    def run_until_idle(self, max_events: int = 1_000_000) -> None:
+        """Dispatch until the queue is empty; the clock ends on the last event.
+
+        Raises once max_events dispatches leave events still queued.
+        """
+        for _ in range(max_events):
+            if not self._heap:
+                return
+            self._dispatch(heapq.heappop(self._heap))
+        if self._heap:
+            raise AutoparkError(f"exceeded {max_events} events; runaway schedule?")

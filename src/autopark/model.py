@@ -183,6 +183,9 @@ class ParkingTicket:
     entry_ms: int
     phase: TicketPhase = TicketPhase.AWAITING_ENTRY
     exit_ms: int | None = None  # set when the retrieval timer stops
+    parked_ms: int | None = None  # the car is in its slot
+    ready_ms: int | None = None  # the car is on the exit belt and billed
+    closed_ms: int | None = None  # paid
     amount_due: Decimal | None = None
 
     def advance(self, phase: TicketPhase) -> None:
@@ -197,7 +200,8 @@ class SlotMatrix:
 
     Reserved and occupied cells carry the owning ticket id; a ticket owns at
     most one cell at any time. The cells per state are counted as they are
-    set, so reading the counts costs nothing per cell.
+    set, so reading the counts costs nothing per cell; the most cells ever
+    occupied at once is kept next to them.
     """
 
     def __init__(self, floors: int, slots_per_floor: int):
@@ -209,6 +213,7 @@ class SlotMatrix:
         self._ticket = [[None] * slots_per_floor for _ in range(floors)]
         self._counts = {state: 0 for state in SlotState}
         self._counts[SlotState.VACANT] = floors * slots_per_floor
+        self.occupied_peak = 0
 
     def state_at(self, addr: SlotAddress) -> SlotState:
         return self._state[addr.floor][addr.slot]
@@ -230,6 +235,7 @@ class SlotMatrix:
         row = self._state[addr.floor]
         self._counts[row[addr.slot]] -= 1
         self._counts[state] += 1
+        self.occupied_peak = max(self.occupied_peak, self._counts[SlotState.OCCUPIED])
         row[addr.slot] = state
         self._ticket[addr.floor][addr.slot] = ticket_id
 

@@ -49,7 +49,6 @@ from .model import (
     KinematicsConfig,
     Vehicle,
     new_garage,
-    occupancy_count,
 )
 from .power import BatteryState, PowerSystem
 from .report import Aggregates, ReportRow, RunReport
@@ -344,7 +343,6 @@ class GarageSession:
         self.controller = GarageController(
             self.garage, self.fleet, self.gateway, trace=self.sim.note
         )
-        self.occupancy_peak = 0
         self.sim.handler = self._handle
         self.sim.advance = self._advance
         self.sim.check = self._check if check else None
@@ -366,8 +364,6 @@ class GarageSession:
             self.controller.on_device_done(p.device_id, p.action_id, event.at_ms)
         else:
             EVENT_KINDS[p.kind].handle(self, p, event.at_ms)
-        occupied, _ = occupancy_count(self.garage)
-        self.occupancy_peak = max(self.occupancy_peak, occupied)
 
     # -- driving ------------------------------------------------------------
 
@@ -390,7 +386,7 @@ class GarageSession:
         aggregates = Aggregates(
             max_parking_latency_ms=max(parking) if parking else None,
             max_retrieval_latency_ms=max(retrieval) if retrieval else None,
-            occupancy_peak=self.occupancy_peak,
+            occupancy_peak=self.garage.slots.occupied_peak,
             pv_wh=meters.pv_wh,
             grid_wh=meters.grid_wh,
             load_wh=meters.load_wh,
@@ -407,23 +403,22 @@ class GarageSession:
                 entry_ms=rec.at_ms,
             )
         ticket = self.garage.tickets[rec.ticket_id]
-        hist = self.controller.history[rec.ticket_id]
         parking_latency = (
-            hist.parked_ms - ticket.entry_ms if hist.parked_ms is not None else None
+            ticket.parked_ms - ticket.entry_ms if ticket.parked_ms is not None else None
         )
+        # exit_ms on the ticket is the billing end, the retrieval request; the
+        # report's exit is the payment.
         retrieval_latency = (
-            hist.ready_ms - hist.request_ms
-            if hist.ready_ms is not None and hist.request_ms is not None
-            else None
+            ticket.ready_ms - ticket.exit_ms if ticket.ready_ms is not None else None
         )
         return ReportRow(
             vehicle_id=rec.vehicle.vehicle_id,
             status=ticket.phase.value,
             entry_ms=ticket.entry_ms,
-            parked_ms=hist.parked_ms,
-            request_ms=hist.request_ms,
-            ready_ms=hist.ready_ms,
-            exit_ms=hist.closed_ms,
+            parked_ms=ticket.parked_ms,
+            request_ms=ticket.exit_ms,
+            ready_ms=ticket.ready_ms,
+            exit_ms=ticket.closed_ms,
             parking_latency_ms=parking_latency,
             retrieval_latency_ms=retrieval_latency,
             amount=ticket.amount_due,
@@ -499,9 +494,9 @@ def random_scenario(seed: int, max_vehicles: int = 12) -> Scenario:
     for rec in dry.session.controller.arrivals:
         if rec.ticket_id is None:
             continue
-        hist = dry.session.controller.history[rec.ticket_id]
-        if hist.ready_ms is not None and rng.random() < 0.85:
-            t_pay = hist.ready_ms + round(rng.uniform(30.0, 900.0) * 1000)
+        ready_ms = dry.session.garage.tickets[rec.ticket_id].ready_ms
+        if ready_ms is not None and rng.random() < 0.85:
+            t_pay = ready_ms + round(rng.uniform(30.0, 900.0) * 1000)
             payments.append(ScenarioEvent(t_pay, PaymentConfirmed(rec.ticket_id)))
     merged = sorted(events + payments, key=lambda e: e.t_ms)
     return Scenario(config, settings, tuple(merged))

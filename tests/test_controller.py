@@ -54,7 +54,7 @@ def test_single_parking_milestones():
     ticket = session.garage.tickets[1]
     assert ticket.slot == SlotAddress(0, 0)
     assert ticket.phase is TicketPhase.PARKED
-    assert session.controller.history[1].parked_ms == 34_000
+    assert ticket.parked_ms == 34_000
     assert session.garage.slots.state_at(SlotAddress(0, 0)) is SlotState.OCCUPIED
 
 
@@ -85,10 +85,9 @@ def test_full_cycle_retrieve_and_pay():
         ]
     )
     ticket = session.garage.tickets[1]
-    hist = session.controller.history[1]
-    assert hist.request_ms == 120_000
-    assert hist.ready_ms == 145_000
-    assert hist.closed_ms == 300_000
+    assert ticket.exit_ms == 120_000  # the retrieval request stops billing
+    assert ticket.ready_ms == 145_000
+    assert ticket.closed_ms == 300_000
     assert ticket.phase is TicketPhase.CLOSED
     assert session.garage.active == {} and session.garage.active_by_phone == {}
     assert ticket.amount_due == Decimal("0.10")
@@ -227,8 +226,12 @@ def test_payment_validation():
     session = GarageSession()
     session.sim.schedule(5000, Arrival(vehicle(1)))
     session.run_until_idle()
-    assert session.controller.handle_payment(9, 40_000).status == "unknown_ticket"
-    assert session.controller.handle_payment(1, 40_000).status == "wrong_phase"
+    session.controller.handle_payment(9, 40_000)
+    session.controller.handle_payment(1, 40_000)
+    assert session.sim.trace[-2:] == [
+        "t=40000 reject=UnknownTicket ticket=9",
+        "t=40000 reject=WrongPhase ticket=1",
+    ]
     assert session.garage.tickets[1].phase is TicketPhase.PARKED
 
 
@@ -272,10 +275,10 @@ def test_exit_bay_stages_one_car_at_a_time():
             (500_000, PaymentConfirmed(2)),
         ]
     )
-    hist = session.controller.history
+    tickets = session.garage.tickets
     # the second car cannot reach the exit belt until the first one departs
-    assert hist[1].ready_ms is not None
-    assert hist[2].ready_ms > 400_000
+    assert tickets[1].ready_ms is not None
+    assert tickets[2].ready_ms > 400_000
     assert session.garage.tickets[2].phase is TicketPhase.CLOSED
 
 
@@ -314,7 +317,7 @@ def test_fault_halts_new_motions_but_not_inflight():
         t = int(line.split()[0].removeprefix("t="))
         assert not 8000 < t < 30_000
     assert session.garage.tickets[1].phase is TicketPhase.PARKED
-    assert session.controller.history[1].parked_ms == 47_000  # 17s of work after resume
+    assert session.garage.tickets[1].parked_ms == 47_000  # 17s of work after resume
 
 
 def test_arrival_during_halt_is_rejected():

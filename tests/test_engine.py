@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 
 from autopark.engine import (
@@ -42,25 +44,28 @@ def test_scheduling_in_past_rejected():
 
 
 def test_handler_may_schedule_followups():
+    seen = []
     sim = Simulation()
 
     def handler(event):
+        seen.append(event.at_ms)
         if event.at_ms < 300:
             sim.schedule(event.at_ms + 100, FaultCleared())
 
     sim.handler = handler
     sim.schedule(100, FaultCleared())
-    dispatched = sim.run_until_idle()
-    assert [e.at_ms for e in dispatched] == [100, 200, 300]
+    sim.run_until_idle()
+    assert seen == [100, 200, 300]
 
 
 def test_run_until_stops_at_boundary():
-    sim = Simulation()
+    seen = []
+    sim = Simulation(handler=lambda e: seen.append(e.at_ms))
     sim.schedule(1000, FaultCleared())
     sim.schedule(2000, FaultCleared())
     sim.schedule(2001, FaultCleared())
-    dispatched = sim.run_until(2000)
-    assert [e.at_ms for e in dispatched] == [1000, 2000]
+    sim.run_until(2000)
+    assert seen == [1000, 2000]
     assert sim.clock_ms == 2000
     assert sim.pending() == 1
 
@@ -110,3 +115,19 @@ def test_runaway_schedule_is_caught():
     sim.schedule(0, FaultCleared())
     with pytest.raises(Exception, match="runaway"):
         sim.run_until_idle(max_events=100)
+
+
+def test_dispatched_events_are_not_retained():
+    refs = []
+
+    def handler(event):
+        if refs:
+            assert refs[-1]() is None, "the previous event is still referenced"
+        refs.append(weakref.ref(event))
+
+    sim = Simulation(handler=handler)
+    for at_ms in (10, 20, 20, 30):
+        sim.schedule(at_ms, FaultCleared())
+    sim.run_until(20)
+    sim.run_until_idle()
+    assert len(refs) == 4

@@ -140,11 +140,14 @@ def test_slot_counts_match_a_recount_after_every_set_cell(data):
     cell = st.tuples(
         st.integers(0, floors - 1), st.integers(0, per_floor - 1), st.sampled_from(SlotState)
     )
+    peak = 0
     for ticket_id, (floor, slot, state) in enumerate(data.draw(st.lists(cell, max_size=30)), 1):
         owner = None if state is SlotState.VACANT else ticket_id
         slots.set_cell(SlotAddress(floor, slot), state, owner)
         recount = {s: sum(c is s for row in slots._state for c in row) for s in SlotState}
         assert slots.counts() == recount
+        peak = max(peak, recount[SlotState.OCCUPIED])
+        assert slots.occupied_peak == peak
         slots.counts()[state] += 1  # a copy: the caller cannot shift the tally
         assert slots.counts() == recount
 
