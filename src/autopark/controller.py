@@ -267,7 +267,6 @@ class GarageController:
         self._bay_owner: dict[str, Program | None] = {"entrance": None, "exit": None}
         self._platform_owner: Program | None = None
         self._homing: Program | None = None
-        self._faulted_belts: set[BeltId] = set()
 
     # -- event entry points ------------------------------------------------
 
@@ -365,7 +364,6 @@ class GarageController:
     def on_fault(self, belt_id: BeltId, now_ms: int) -> None:
         """A belt malfunction raises the alarm: finish in-flight motions only."""
         self.fleet.set_belt_fault(belt_id, True)
-        self._faulted_belts.add(belt_id)
         self.mode = ControllerMode.HALTED
         self._trace(f"t={now_ms} mode=Halted reason=belt:{belt_id}")
 
@@ -373,9 +371,9 @@ class GarageController:
         """Resume deferred work in request order; a no-op when not halted."""
         if self.mode is not ControllerMode.HALTED:
             return
-        for belt_id in sorted(self._faulted_belts, key=str):
-            self.fleet.set_belt_fault(belt_id, False)
-        self._faulted_belts.clear()
+        for belt_id, belt in self.fleet.belts.items():
+            if belt.faulted:
+                self.fleet.set_belt_fault(belt_id, False)
         self.mode = ControllerMode.NORMAL
         self._trace(f"t={now_ms} mode=Normal")
         self._pump(now_ms)
@@ -500,7 +498,7 @@ class GarageController:
 
     def _send_sms(self, kind: str, ticket: ParkingTicket, now_ms: int) -> None:
         body = compose_message(kind, ticket)
-        ref = self.gateway.send_sms(ticket.vehicle.phone, body, now_ms)
+        ref = self.gateway.send_sms(ticket.vehicle.phone, body)
         self._trace(
             f"t={now_ms} sms=out kind={kind} number={ticket.vehicle.phone} ref={ref}"
         )

@@ -10,6 +10,7 @@ Money is carried as Decimal to keep billing exact.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -65,12 +66,13 @@ class KinematicsConfig:
             "rotation_per_slot_s",
             "gate_actuation_s",
         ):
-            if getattr(self, name) <= 0:
-                raise InvalidConfigError(f"{name} must be > 0")
-        if self.step_angle_main_deg <= 0 or self.step_angle_gate_deg <= 0:
-            raise InvalidConfigError("step angles must be > 0")
-        if self.rotation_gear_ratio < 1:
-            raise InvalidConfigError("rotation_gear_ratio must be >= 1")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidConfigError(f"{name} must be > 0 and finite")
+        for angle in (self.step_angle_main_deg, self.step_angle_gate_deg):
+            if not 0 < angle < math.inf:
+                raise InvalidConfigError("step angles must be > 0 and finite")
+        if not 1 <= self.rotation_gear_ratio < math.inf:
+            raise InvalidConfigError("rotation_gear_ratio must be >= 1 and finite")
         if not _divides(90.0, self.step_angle_gate_deg):
             raise InvalidConfigError(
                 f"gate step angle {self.step_angle_gate_deg} does not divide 90"
@@ -109,10 +111,11 @@ class GarageConfig:
             raise InvalidConfigError("slots_per_floor must be >= 1")
         if self.max_vehicle_length_mm <= 0:
             raise InvalidConfigError("max_vehicle_length_mm must be > 0")
-        if self.billing_rate_per_minute < 0:
-            raise InvalidConfigError("billing_rate_per_minute must be >= 0")
-        if self.bus_voltage_v <= 0:
-            raise InvalidConfigError("bus_voltage_v must be > 0")
+        rate = self.billing_rate_per_minute
+        if not rate.is_finite() or rate < 0:
+            raise InvalidConfigError("billing_rate_per_minute must be >= 0 and finite")
+        if not 0 < self.bus_voltage_v < math.inf:
+            raise InvalidConfigError("bus_voltage_v must be > 0 and finite")
         self.kinematics.validate(self.slots_per_floor)
 
     @property
@@ -131,6 +134,8 @@ class Vehicle:
     def __post_init__(self) -> None:
         if not self.vehicle_id:
             raise ValueError("vehicle_id must be non-empty")
+        if "," in self.vehicle_id:
+            raise ValueError(f"vehicle_id must not contain ',': {self.vehicle_id!r}")
         if self.length_mm <= 0:
             raise ValueError("length_mm must be > 0")
         if not is_valid_phone(self.phone):

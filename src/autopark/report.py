@@ -9,15 +9,12 @@ millisecond precision), so reports can be diffed, hashed, and re-read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from decimal import Decimal
+from types import NoneType
+from typing import get_args, get_type_hints
 
 from .model import AutoparkError
-
-CSV_HEADER = (
-    "vehicle_id,status,entry_s,parked_s,request_s,ready_s,exit_s,"
-    "parking_latency_s,retrieval_latency_s,amount"
-)
 
 FORMATS = ("table", "csv", "json-lines")
 
@@ -60,23 +57,22 @@ class RunReport:
     aggregates: Aggregates
 
 
-_ROW_MS_FIELDS = (
-    "entry_ms",
-    "parked_ms",
-    "request_ms",
-    "ready_ms",
-    "exit_ms",
-    "parking_latency_ms",
-    "retrieval_latency_ms",
+def _value_types(cls) -> dict[str, tuple[type, bool]]:
+    """Each field's type when it holds a value, and whether it may be None."""
+    out = {}
+    for name, hint in get_type_hints(cls).items():
+        kinds = [kind for kind in get_args(hint) if kind is not NoneType]
+        out[name] = (kinds[0], True) if kinds else (hint, False)
+    return out
+
+
+_ROW_TYPES = _value_types(ReportRow)
+_AGGREGATE_TYPES = _value_types(Aggregates)
+
+# A row's *_ms times are written in seconds to 3 places, under a *_s column.
+CSV_HEADER = ",".join(
+    name.removesuffix("_ms") + "_s" if name.endswith("_ms") else name for name in _ROW_TYPES
 )
-
-
-def _seconds(t_ms: int | None) -> str:
-    return "" if t_ms is None else f"{t_ms / 1000:.3f}"
-
-
-def _parse_seconds(text: str) -> int | None:
-    return None if text == "" else round(float(text) * 1000)
 
 
 def format_report(report: RunReport, fmt: str = "table") -> str:
@@ -101,34 +97,33 @@ def parse_report(text: str, fmt: str) -> RunReport:
 
 
 def _row_cells(row: ReportRow) -> list[str]:
-    return [
-        row.vehicle_id,
-        row.status,
-        _seconds(row.entry_ms),
-        _seconds(row.parked_ms),
-        _seconds(row.request_ms),
-        _seconds(row.ready_ms),
-        _seconds(row.exit_ms),
-        _seconds(row.parking_latency_ms),
-        _seconds(row.retrieval_latency_ms),
-        "" if row.amount is None else str(row.amount),
-    ]
+    cells = []
+    for name, value in vars(row).items():
+        if value is None:
+            cells.append("")
+        elif name.endswith("_ms"):
+            cells.append(f"{value / 1000:.3f}")
+        else:
+            cells.append(str(value))
+    return cells
+
+
+def _parse_cell(name: str, text: str):
+    kind, optional = _ROW_TYPES[name]
+    if optional and text == "":
+        return None
+    if name.endswith("_ms"):
+        return round(float(text) * 1000)
+    return kind(text)
 
 
 def _aggregate_pairs(agg: Aggregates) -> list[tuple[str, str]]:
-    def opt(value: int | None) -> str:
-        return "-" if value is None else str(value)
+    return [(name, "-" if value is None else repr(value)) for name, value in vars(agg).items()]
 
-    return [
-        ("max_parking_latency_ms", opt(agg.max_parking_latency_ms)),
-        ("max_retrieval_latency_ms", opt(agg.max_retrieval_latency_ms)),
-        ("occupancy_peak", str(agg.occupancy_peak)),
-        ("pv_wh", repr(agg.pv_wh)),
-        ("grid_wh", repr(agg.grid_wh)),
-        ("load_wh", repr(agg.load_wh)),
-        ("min_soc", repr(agg.min_soc)),
-        ("max_concurrent_motors", str(agg.max_concurrent_motors)),
-    ]
+
+def _parse_aggregate(name: str, text: str):
+    kind, optional = _AGGREGATE_TYPES[name]
+    return None if optional and text == "-" else kind(text)
 
 
 def _format_csv(report: RunReport) -> str:
@@ -147,40 +142,16 @@ def _parse_csv(text: str) -> RunReport:
     rows = []
     for line in lines[1:-1]:
         cells = line.split(",")
-        if len(cells) != 10:
-            raise ReportFormatError(f"expected 10 fields, got {len(cells)}: {line!r}")
-        rows.append(
-            ReportRow(
-                vehicle_id=cells[0],
-                status=cells[1],
-                entry_ms=_parse_seconds(cells[2]),
-                parked_ms=_parse_seconds(cells[3]),
-                request_ms=_parse_seconds(cells[4]),
-                ready_ms=_parse_seconds(cells[5]),
-                exit_ms=_parse_seconds(cells[6]),
-                parking_latency_ms=_parse_seconds(cells[7]),
-                retrieval_latency_ms=_parse_seconds(cells[8]),
-                amount=Decimal(cells[9]) if cells[9] else None,
+        if len(cells) != len(_ROW_TYPES):
+            raise ReportFormatError(
+                f"expected {len(_ROW_TYPES)} fields, got {len(cells)}: {line!r}"
             )
-        )
+        rows.append(ReportRow(*map(_parse_cell, _ROW_TYPES, cells)))
     pairs = dict(
         item.split("=", 1) for item in lines[-1].removeprefix("#aggregates ").split()
     )
     try:
-        aggregates = Aggregates(
-            max_parking_latency_ms=None
-            if pairs["max_parking_latency_ms"] == "-"
-            else int(pairs["max_parking_latency_ms"]),
-            max_retrieval_latency_ms=None
-            if pairs["max_retrieval_latency_ms"] == "-"
-            else int(pairs["max_retrieval_latency_ms"]),
-            occupancy_peak=int(pairs["occupancy_peak"]),
-            pv_wh=float(pairs["pv_wh"]),
-            grid_wh=float(pairs["grid_wh"]),
-            load_wh=float(pairs["load_wh"]),
-            min_soc=float(pairs["min_soc"]),
-            max_concurrent_motors=int(pairs["max_concurrent_motors"]),
-        )
+        aggregates = Aggregates(*[_parse_aggregate(name, pairs[name]) for name in _AGGREGATE_TYPES])
     except KeyError as exc:
         raise ReportFormatError(f"aggregates trailer missing {exc}") from exc
     return RunReport(tuple(rows), aggregates)
@@ -189,24 +160,27 @@ def _parse_csv(text: str) -> RunReport:
 # -- json lines ---------------------------------------------------------------
 
 
+def _json_object(record) -> dict:
+    """A report dataclass as JSON values: a Decimal as its text, all else as is."""
+    return {
+        name: str(value) if isinstance(value, Decimal) else value
+        for name, value in vars(record).items()
+    }
+
+
 def _format_json_lines(report: RunReport) -> str:
-    lines = []
-    for row in report.rows:
-        obj = {
-            "vehicle_id": row.vehicle_id,
-            "status": row.status,
-            **{name: getattr(row, name) for name in _ROW_MS_FIELDS},
-            "amount": None if row.amount is None else str(row.amount),
-        }
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    agg = report.aggregates
+    lines = [json.dumps(_json_object(row), separators=(",", ":")) for row in report.rows]
     lines.append(
-        json.dumps(
-            {"aggregates": {f.name: getattr(agg, f.name) for f in fields(Aggregates)}},
-            separators=(",", ":"),
-        )
+        json.dumps({"aggregates": _json_object(report.aggregates)}, separators=(",", ":"))
     )
     return "\n".join(lines) + "\n"
+
+
+def _parse_json_row(obj: dict) -> ReportRow:
+    for name, (kind, _) in _ROW_TYPES.items():
+        if kind is Decimal and obj.get(name) is not None:
+            obj[name] = Decimal(obj[name])
+    return ReportRow(**obj)
 
 
 def _parse_json_lines(text: str) -> RunReport:
@@ -224,10 +198,7 @@ def _parse_json_lines(text: str) -> RunReport:
                 raise ReportFormatError("duplicate aggregates line")
             aggregates = Aggregates(**obj["aggregates"])
         else:
-            amount = obj.pop("amount", None)
-            rows.append(
-                ReportRow(amount=None if amount is None else Decimal(amount), **obj)
-            )
+            rows.append(_parse_json_row(obj))
     if aggregates is None:
         raise ReportFormatError("missing aggregates line")
     return RunReport(tuple(rows), aggregates)

@@ -22,8 +22,9 @@ non-decreasing; ``config`` lines must precede all events.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from functools import partial
 from typing import Callable, NamedTuple
@@ -46,13 +47,14 @@ from .model import (
     AutoparkError,
     GarageConfig,
     GarageState,
+    InvalidConfigError,
     KinematicsConfig,
     Vehicle,
     new_garage,
 )
 from .power import BatteryState, PowerSystem
 from .report import Aggregates, ReportRow, RunReport
-from .sms import SmsGateway, SmsModem, SmsNetwork
+from .sms import SmsGateway, SmsModem
 
 
 class ScenarioParseError(AutoparkError):
@@ -72,10 +74,17 @@ class UnsortedEventsError(ScenarioParseError):
 class SimSettings:
     """Run-level knobs that sit outside the garage geometry."""
 
-    battery_capacity_ah: float = 7.0
+    battery_capacity_ah: float = 7.0  # 0 means no battery
     battery_initial_soc: float = 1.0
     irradiance_w_per_m2: float = 1000.0
-    sms_delivery_delay_s: float = 1.0
+
+    def validate(self) -> None:
+        if not 0 <= self.battery_capacity_ah < math.inf:
+            raise InvalidConfigError("battery_capacity_ah must be >= 0 and finite")
+        if not 0 <= self.battery_initial_soc <= 1:
+            raise InvalidConfigError("battery_initial_soc must be in [0, 1]")
+        if not 0 <= self.irradiance_w_per_m2 <= 1000:
+            raise InvalidConfigError("irradiance_w_per_m2 must be in [0, 1000]")
 
 
 @dataclass(frozen=True)
@@ -91,9 +100,19 @@ class Scenario:
     events: tuple[ScenarioEvent, ...]
 
 
-_GARAGE_KEYS = ("floors", "slots_per_floor", "max_vehicle_length_mm")
-_KINEMATIC_KEYS = tuple(f.name for f in fields(KinematicsConfig))
-_SETTINGS_KEYS = tuple(f.name for f in fields(SimSettings))
+def _config_fields(cls) -> list:
+    """The ``config`` keys a dataclass holds: its fields with a default value
+    (the nested kinematics has a default factory instead)."""
+    return [f for f in fields(cls) if f.default is not MISSING]
+
+
+# Each config key: the dataclass it sets, and the type of its default, which
+# parses it.
+_CONFIG_KEYS = {
+    f.name: (cls, type(f.default))
+    for cls in (GarageConfig, KinematicsConfig, SimSettings)
+    for f in _config_fields(cls)
+}
 
 
 def _split_pairs(tokens: list[str], line_no: int) -> dict[str, str]:
@@ -199,8 +218,8 @@ def parse_event_line(
     kind = pairs.pop("kind")
     t_s = _field(pairs, line_no, "t", float)
     del pairs["t"]
-    if t_s < 0:
-        raise ScenarioParseError(line_no, "t must be >= 0")
+    if not 0 <= t_s < math.inf:
+        raise ScenarioParseError(line_no, "t must be >= 0 and finite")
     t_ms = round(t_s * 1000)
     spec = EVENT_KINDS.get(kind)
     if spec is None:
@@ -220,24 +239,19 @@ def parse_event_line(
 def _build_config(
     pairs: dict[str, str], line_no: int
 ) -> tuple[GarageConfig, SimSettings]:
-    garage: dict = {}
-    kin: dict = {}
-    settings: dict = {}
-    for key, raw in pairs.items():
-        if key in _GARAGE_KEYS:
-            garage[key] = _field(pairs, line_no, key, int)
-        elif key == "billing_rate_per_minute":
-            garage[key] = _field(pairs, line_no, key, Decimal)
-        elif key == "bus_voltage_v":
-            garage[key] = _field(pairs, line_no, key, float)
-        elif key in _KINEMATIC_KEYS:
-            kin[key] = _field(pairs, line_no, key, float)
-        elif key in _SETTINGS_KEYS:
-            settings[key] = _field(pairs, line_no, key, float)
-        else:
+    """The validated garage config and run settings that the config pairs set."""
+    values: dict[type, dict] = {cls: {} for cls, _ in _CONFIG_KEYS.values()}
+    for key in pairs:
+        if key not in _CONFIG_KEYS:
             raise ScenarioParseError(line_no, f"unknown config key {key!r}")
-    config = GarageConfig(**garage, kinematics=KinematicsConfig(**kin))
-    return config, SimSettings(**settings)
+        cls, convert = _CONFIG_KEYS[key]
+        values[cls][key] = _field(pairs, line_no, key, convert)
+    kinematics = KinematicsConfig(**values[KinematicsConfig])
+    config = GarageConfig(**values[GarageConfig], kinematics=kinematics)
+    settings = SimSettings(**values[SimSettings])
+    config.validate()
+    settings.validate()
+    return config, settings
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -260,7 +274,6 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if config is None:
             config, settings = _build_config(config_pairs, config_line_no or line_no)
-            config.validate()
         event = parse_event_line(line, config, line_no)
         if event.t_ms < last_ms:
             raise UnsortedEventsError(
@@ -270,7 +283,6 @@ def parse_scenario(text: str) -> Scenario:
         events.append(event)
     if config is None:
         config, settings = _build_config(config_pairs, config_line_no or 1)
-        config.validate()
     return Scenario(config, settings, tuple(events))
 
 
@@ -286,25 +298,21 @@ def render_event(event: ScenarioEvent) -> str:
     return f"t={_format_t(event.t_ms)} kind={p.kind}{pairs}"
 
 
+def _config_pairs(record) -> list[str]:
+    """``key=value`` for each config key of a record: a Decimal as its text, all
+    else as its repr."""
+    pairs = []
+    for f in _config_fields(type(record)):
+        value = getattr(record, f.name)
+        pairs.append(f"{f.name}={str(value) if isinstance(value, Decimal) else repr(value)}")
+    return pairs
+
+
 def render_scenario(scenario: Scenario) -> str:
     cfg = scenario.config
-    kin = cfg.kinematics
     lines = [
-        "config "
-        + " ".join(
-            [
-                f"floors={cfg.floors}",
-                f"slots_per_floor={cfg.slots_per_floor}",
-                f"max_vehicle_length_mm={cfg.max_vehicle_length_mm}",
-                f"billing_rate_per_minute={cfg.billing_rate_per_minute}",
-                f"bus_voltage_v={cfg.bus_voltage_v!r}",
-            ]
-            + [f"{name}={getattr(kin, name)!r}" for name in _KINEMATIC_KEYS]
-        ),
-        "config "
-        + " ".join(
-            f"{name}={getattr(scenario.settings, name)!r}" for name in _SETTINGS_KEYS
-        ),
+        "config " + " ".join(_config_pairs(cfg) + _config_pairs(cfg.kinematics)),
+        "config " + " ".join(_config_pairs(scenario.settings)),
     ]
     lines.extend(render_event(event) for event in scenario.events)
     return "\n".join(lines) + "\n"
@@ -327,11 +335,11 @@ class GarageSession:
     ):
         self.config = config if config is not None else GarageConfig()
         self.settings = settings if settings is not None else SimSettings()
+        self.settings.validate()
         self.garage: GarageState = new_garage(self.config)
         self.sim = Simulation()
         self.fleet = DeviceFleet(self.config, self._schedule_done)
-        self.network = SmsNetwork(delivery_delay_s=self.settings.sms_delivery_delay_s)
-        self.gateway = SmsGateway(SmsModem(), self.network)
+        self.gateway = SmsGateway(SmsModem())
         self.gateway.initialize()
         battery = BatteryState(
             capacity_ah=self.settings.battery_capacity_ah,

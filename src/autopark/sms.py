@@ -2,16 +2,15 @@
 
 The controller talks to a modem over a line-oriented serial protocol. This
 module renders commands to their exact wire form, parses modem responses
-back, and emulates the modem plus the carrier network so the full exchange
-(register, text mode, submit, notify, read, delete) runs inside the
-simulation. Every byte that crosses the serial link is logged so the
-exchanges can be golden-tested.
+back, and emulates the modem so the full exchange (register, text mode,
+submit, notify, read, delete) runs inside the simulation. Every byte that
+crosses the serial link is logged so the exchanges can be golden-tested.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     AutoparkError,
@@ -19,7 +18,6 @@ from .model import (
     ParkingTicket,
     billed_minutes,
     is_valid_phone,
-    ms_from_s,
 )
 
 CTRL_Z = "\x1a"
@@ -160,7 +158,7 @@ def parse_modem_line(line: str) -> ModemResponse:
     raise UnparseableLineError(line)
 
 
-# -- modem and network emulation -----------------------------------------------
+# -- modem emulation -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -252,28 +250,11 @@ class SmsModem:
         return [f"+CMGS: {ref}", "OK"]
 
 
-@dataclass
-class SmsNetwork:
-    """Carrier stand-in: delivers every message after a fixed delay."""
-
-    delivery_delay_s: float = 1.0
-    delivered: list[SmsMessage] = field(default_factory=list)
-
-    def submit(self, number: str, body: str, now_ms: int) -> None:
-        at = now_ms + ms_from_s(self.delivery_delay_s)
-        self.delivered.append(SmsMessage(number, body, at))
-
-
 class SmsGateway:
     """What the controller holds: registration, sending, and inbox polling."""
 
-    def __init__(
-        self,
-        modem: SmsModem | None = None,
-        network: SmsNetwork | None = None,
-    ):
+    def __init__(self, modem: SmsModem | None = None):
         self.modem = modem if modem is not None else SmsModem()
-        self.network = network if network is not None else SmsNetwork()
         self._ready = False
 
     @property
@@ -288,7 +269,7 @@ class SmsGateway:
                 raise ModemError(f"initialization failed on {command!r}")
         self._ready = True
 
-    def send_sms(self, number: str, body: str, now_ms: int) -> int:
+    def send_sms(self, number: str, body: str) -> int:
         """Run the full submit exchange; returns the modem's message ref."""
         if not self._ready:
             raise NotRegisteredError("gateway is not initialized")
@@ -304,7 +285,6 @@ class SmsGateway:
             or not isinstance(responses[1], Ok)
         ):
             raise ModemError(f"submit failed: {responses!r}")
-        self.network.submit(number, body, now_ms)
         return responses[0].ref
 
     def poll_inbox(self) -> list[SmsMessage]:

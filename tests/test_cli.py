@@ -142,12 +142,12 @@ def test_repl_help_unknown_and_eof(capsys, monkeypatch):
 
 def test_repl_reports_errors_and_continues(capsys, monkeypatch):
     script = (
-        "t=0 kind=teleport\ntick abc\nreport bogus\ntrace x\n"
+        "t=0 kind=teleport\ntick abc\nreport bogus\ntrace x\nt=nan kind=fault_cleared\n"
         "t=0 kind=fault_cleared\nrun\ntrace 0\ntrace -1\ntrace 1\nstate\nquit\n"
     )
     assert _run_repl(monkeypatch, script) == 0
     out = capsys.readouterr().out
-    assert out.count("error:") == 5
+    assert out.count("error:") == 6
     after_run = out.split("t=0.000s idle\n")[1].splitlines()
     assert after_run[:2] == [
         "error: bad argument to trace: '-1'",

@@ -1,4 +1,4 @@
-"""Golden hashes of the exact trace and CSV report of a seeded corpus.
+"""Golden hashes of the exact trace and every report format of a seeded corpus.
 
 Seeds 0-49 at up to 18 cars cover every input event kind, belt faults, and
 the Halted, TooLong, DuplicatePhone and UnknownPhone rejections. A change
@@ -20,6 +20,7 @@ from autopark.scenario import random_scenario, run_scenario
 GOLDEN = Path(__file__).parent / "golden" / "corpus_digests.txt"
 SEEDS = range(50)
 MAX_VEHICLES = 18
+REPORT_FORMATS = ("csv", "json-lines", "table")
 
 
 def _sha256(text: str) -> str:
@@ -27,13 +28,14 @@ def _sha256(text: str) -> str:
 
 
 def corpus_digests(seeds=SEEDS) -> list[str]:
-    """One line per seed: the seed, the trace hash, the CSV report hash."""
+    """One line per seed: the seed, the trace hash, then the CSV, JSON-lines
+    and table report hashes."""
     lines = []
     for seed in seeds:
         result = run_scenario(random_scenario(seed, MAX_VEHICLES))
-        trace = _sha256("\n".join(result.trace))
-        report = _sha256(format_report(result.report, "csv"))
-        lines.append(f"{seed} {trace} {report}")
+        digests = [_sha256("\n".join(result.trace))]
+        digests += [_sha256(format_report(result.report, fmt)) for fmt in REPORT_FORMATS]
+        lines.append(" ".join([str(seed), *digests]))
     return lines
 
 

@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autopark.devices import belt_roster
-from autopark.model import GarageConfig
+from autopark.model import AutoparkError, GarageConfig, InvalidConfigError
 from autopark.scenario import (
     EVENT_KINDS,
+    GarageSession,
     Scenario,
     ScenarioParseError,
     SimSettings,
@@ -72,13 +73,13 @@ def test_config_defaults_when_absent():
 def test_settings_keys_split_from_garage_keys():
     text = (
         "config floors=2 battery_initial_soc=0.5 irradiance_w_per_m2=250\n"
-        "config sms_delivery_delay_s=2.5\n"
+        "config battery_capacity_ah=2.5\n"
     )
     scenario = parse_scenario(text)
     assert scenario.config.floors == 2
     assert scenario.settings.battery_initial_soc == 0.5
     assert scenario.settings.irradiance_w_per_m2 == 250
-    assert scenario.settings.sms_delivery_delay_s == 2.5
+    assert scenario.settings.battery_capacity_ah == 2.5
 
 
 def test_billing_rate_parses_as_decimal():
@@ -115,6 +116,11 @@ def test_config_after_events_rejected():
         ("t=0 kind=fault belt=slot:9", "no such belt"),
         ("t=0 kind=arrival vehicle=v length_mm=0 phone=+9741234567", "length"),
         ("t=0 kind=arrival vehicle=v length_mm=4000 phone=car", "phone"),
+        ("t=0 kind=arrival vehicle=a,b length_mm=4000 phone=+9741234567", "','"),
+        ("t=nan kind=fault_cleared", "t must be >= 0"),
+        ("t=inf kind=fault_cleared", "t must be >= 0"),
+        ("t=-inf kind=fault_cleared", "t must be >= 0"),
+        ("t=0 kind=irradiance w_per_m2=nan", "out of range"),
     ],
 )
 def test_bad_event_lines(line, fragment):
@@ -132,6 +138,45 @@ def test_parse_error_carries_line_number():
 def test_unknown_config_key_rejected():
     with pytest.raises(ScenarioParseError, match="unknown config key"):
         parse_scenario("config wheels=4\n")
+
+
+@pytest.mark.parametrize(
+    "pair,fragment",
+    [
+        ("belt_transit_s=inf", "belt_transit_s must be > 0 and finite"),
+        ("belt_transit_s=nan", "belt_transit_s must be > 0 and finite"),
+        ("step_angle_main_deg=nan", "step angles"),
+        ("step_angle_gate_deg=inf", "step angles"),
+        ("rotation_gear_ratio=inf", "rotation_gear_ratio"),
+        ("rotation_gear_ratio=nan", "rotation_gear_ratio"),
+        ("billing_rate_per_minute=nan", "billing_rate_per_minute"),
+        ("billing_rate_per_minute=inf", "billing_rate_per_minute"),
+        ("billing_rate_per_minute=snan", "billing_rate_per_minute"),
+        ("bus_voltage_v=inf", "bus_voltage_v"),
+        ("bus_voltage_v=nan", "bus_voltage_v"),
+        ("battery_capacity_ah=-1", "battery_capacity_ah"),
+        ("battery_capacity_ah=inf", "battery_capacity_ah"),
+        ("battery_initial_soc=5", "battery_initial_soc"),
+        ("battery_initial_soc=nan", "battery_initial_soc"),
+        ("irradiance_w_per_m2=-5", "irradiance_w_per_m2"),
+        ("irradiance_w_per_m2=nan", "irradiance_w_per_m2"),
+        ("irradiance_w_per_m2=2000", "irradiance_w_per_m2"),
+        ("sms_delivery_delay_s=1.0", "unknown config key"),
+    ],
+)
+def test_bad_config_values(pair, fragment):
+    with pytest.raises(AutoparkError, match=fragment):
+        parse_scenario(f"config {pair}\nt=0 kind=fault_cleared\n")
+
+
+def test_settings_bounds_accept_their_edges():
+    text = "config battery_capacity_ah=0 battery_initial_soc=0 irradiance_w_per_m2=0\n"
+    assert run_scenario(parse_scenario(text)).report.aggregates.pv_wh == 0.0
+
+
+def test_session_validates_settings():
+    with pytest.raises(InvalidConfigError, match="battery_initial_soc"):
+        GarageSession(settings=SimSettings(battery_initial_soc=1.5))
 
 
 def test_invalid_config_value_rejected():

@@ -21,7 +21,6 @@ from autopark.sms import (
     SetTextMode,
     SmsGateway,
     SmsModem,
-    SmsNetwork,
     UnparseableLineError,
     clock_hms,
     compose_message,
@@ -126,7 +125,7 @@ def test_log_renders_terminator_readably():
 def test_gateway_send_logs_full_exchange():
     gateway = SmsGateway()
     gateway.initialize()
-    ref = gateway.send_sms(NUMBER, "Short and sweet", 5000)
+    ref = gateway.send_sms(NUMBER, "Short and sweet")
     assert ref == 1
     assert gateway.log == [
         ">> AT+CREG=1",
@@ -144,7 +143,7 @@ def test_gateway_send_logs_full_exchange():
 def test_gateway_refuses_until_initialized():
     gateway = SmsGateway()
     with pytest.raises(NotRegisteredError):
-        gateway.send_sms(NUMBER, "hi", 0)
+        gateway.send_sms(NUMBER, "hi")
     with pytest.raises(NotRegisteredError):
         gateway.poll_inbox()
 
@@ -152,9 +151,9 @@ def test_gateway_refuses_until_initialized():
 def test_gateway_enforces_single_sms_length():
     gateway = SmsGateway()
     gateway.initialize()
-    gateway.send_sms(NUMBER, "x" * MAX_BODY_CHARS, 0)
+    gateway.send_sms(NUMBER, "x" * MAX_BODY_CHARS)
     with pytest.raises(BodyTooLongError):
-        gateway.send_sms(NUMBER, "x" * (MAX_BODY_CHARS + 1), 0)
+        gateway.send_sms(NUMBER, "x" * (MAX_BODY_CHARS + 1))
 
 
 def test_poll_drains_inbox_in_arrival_order():
@@ -171,20 +170,12 @@ def test_poll_drains_inbox_in_arrival_order():
     assert gateway.poll_inbox() == []
 
 
-def test_network_delay_stamps_delivery_time():
-    network = SmsNetwork(delivery_delay_s=1.5)
-    gateway = SmsGateway(network=network)
-    gateway.initialize()
-    gateway.send_sms(NUMBER, "hello", 10_000)
-    assert [(m.number, m.at_ms) for m in network.delivered] == [(NUMBER, 11_500)]
-
-
 def test_gateway_surfaces_modem_junk_as_modem_error():
     gateway = SmsGateway()
     gateway.initialize()
     gateway.modem._respond = lambda command: ["+BOGUS: 1"]
     with pytest.raises(ModemError):
-        gateway.send_sms(NUMBER, "hi", 0)
+        gateway.send_sms(NUMBER, "hi")
 
 
 # -- templates ----------------------------------------------------------------------
