@@ -514,10 +514,124 @@ def check_invariants(controller: GarageController) -> None:
 
     Verifies the ticket/slot bijection, timer consistency, the cell counts,
     the entry count, the relay budget, belt exclusivity, and platform
-    alignment, in time proportional to the cells plus the tickets not yet
-    closed.
+    alignment. Closed tickets are not rescanned, so a long day does not slow
+    it down.
 
-    One pass over the cells resolves each holder through ``garage.active``.
+    Per event the Python-level work on the grids is one pass over the live
+    tickets (``_claimed_counts``) plus one C-level comparison per floor of
+    the grid rows with the rows those tickets imply. The loop over every cell
+    (``_scan_cells``) runs only to name a fault: when a row differs, two
+    tickets claim one cell, or a ticket's slot is off the grid. It is the
+    authority; if it finds no fault, the state stands.
+    """
+    garage = controller.garage
+    fleet = controller.fleet
+    slots = garage.slots
+    active = garage.active
+
+    tally = _claimed_counts(garage)
+    if tally is None:
+        tally = _scan_cells(garage)
+    if len(garage.active_by_phone) != len(active):
+        raise InvariantViolationError(
+            f"{len(active)} active tickets but {len(garage.active_by_phone)} active phones"
+        )
+    if slots.counts() != tally:
+        raise InvariantViolationError(f"cell counts {slots.counts()} != cells {tally}")
+    if garage.vehicles_entered != len(garage.tickets):
+        raise InvariantViolationError(
+            f"entered {garage.vehicles_entered} != tickets {len(garage.tickets)}"
+        )
+
+    if len(fleet.relays.powered) > fleet.relays.budget:
+        raise InvariantViolationError("relay budget exceeded")
+    active_motors = [m for a in fleet.active_actions() for m in a.motors]
+    if len(active_motors) != len(set(active_motors)):
+        raise InvariantViolationError("a motor is held by two actions")
+    if set(fleet.relays.powered) != set(active_motors):
+        raise InvariantViolationError(
+            f"powered {sorted(fleet.relays.powered)} != active {sorted(set(active_motors))}"
+        )
+
+    occupants = [b.occupant for b in fleet.belts.values() if b.occupant is not None]
+    if len(occupants) != len(set(occupants)):
+        raise InvariantViolationError(f"a vehicle sits on two belts: {occupants}")
+
+    platform = fleet.platform
+    if not 0 <= platform.floor_pos < garage.config.floors:
+        raise InvariantViolationError(f"platform floor {platform.floor_pos} out of range")
+    if not platform.busy:
+        pitch = garage.config.slot_angle_deg
+        if (platform.angle_deg % pitch) > 1e-9 or not 0 <= platform.angle_deg < 360:
+            raise InvariantViolationError(f"platform angle {platform.angle_deg} misaligned")
+
+
+def _claimed_counts(garage: GarageState) -> dict[SlotState, int] | None:
+    """The cells per state, if the grids hold exactly what the live tickets claim.
+
+    Each live ticket claims the triple (state, ticket id, timer entry) at its
+    slot: AwaitingEntry and Parking a reserved cell with the entry time
+    running, Parked an occupied one with it running. A Retrieving ticket
+    claims its occupied cell with the timer stopped only while the cell still
+    names it: the transfer empties the cell before the phase moves on, and a
+    new arrival may then reserve it. An AwaitingPayment ticket claims
+    nothing. Every cell not claimed must be vacant with no ticket and no
+    timer. The three grids are compared with the claimed ones as whole lists.
+
+    Returns None when a grid differs, two tickets claim one cell, or a slot
+    lies off the grid; ``_scan_cells`` then finds the fault.
+    """
+    slots = garage.slots
+    floors, n = slots.floors, slots.slots_per_floor
+    held = slots._ticket
+    # Enum members are class-attribute lookups, several times dearer than a
+    # local in this loop.
+    RESERVED, OCCUPIED = SlotState.RESERVED, SlotState.OCCUPIED
+    PARKED, RETRIEVING = TicketPhase.PARKED, TicketPhase.RETRIEVING
+    AWAITING_ENTRY, PARKING = TicketPhase.AWAITING_ENTRY, TicketPhase.PARKING
+
+    vacant, unnamed = [SlotState.VACANT] * n, [None] * n
+    states, owners, entries = [vacant] * floors, [unnamed] * floors, [unnamed] * floors
+    reserved = occupied = 0
+    for ticket_id, ticket in garage.active.items():
+        phase = ticket.phase
+        floor, slot = ticket.slot.floor, ticket.slot.slot
+        if not (0 <= floor < floors and 0 <= slot < n):
+            return None
+        if phase is PARKED:
+            state, entry = OCCUPIED, ticket.entry_ms
+            occupied += 1
+        elif phase is AWAITING_ENTRY or phase is PARKING:
+            state, entry = RESERVED, ticket.entry_ms
+            reserved += 1
+        elif phase is RETRIEVING and held[floor][slot] == ticket_id:
+            state, entry = OCCUPIED, None
+            occupied += 1
+        else:
+            continue
+        row = owners[floor]
+        if row is unnamed:
+            row = owners[floor] = [None] * n
+            states[floor] = [SlotState.VACANT] * n
+            entries[floor] = [None] * n
+        elif row[slot] is not None:
+            return None
+        row[slot] = ticket_id
+        states[floor][slot] = state
+        entries[floor][slot] = entry
+    if held != owners or slots._state != states or garage.timers._entry != entries:
+        return None
+    return {
+        SlotState.VACANT: floors * n - reserved - occupied,
+        RESERVED: reserved,
+        OCCUPIED: occupied,
+    }
+
+
+def _scan_cells(garage: GarageState) -> dict[SlotState, int]:
+    """Name the first fault in the grids by visiting every cell; return the
+    cells per state if there is none.
+
     A held cell must be the own slot of an active ticket whose phase fits the
     cell (reserved: AwaitingEntry or Parking; occupied: Parked or Retrieving),
     and its timer must show that ticket's entry time unless the ticket is
@@ -525,12 +639,10 @@ def check_invariants(controller: GarageController) -> None:
     runs no timer. A ticket has one slot, so no ticket holds two cells. A
     closed ticket has left ``active``, so a cell it still held fails as held
     by a dead ticket, and an AwaitingPayment ticket holding a cell fails the
-    phase test: no pass over the closed tickets is needed. The pass counts
-    the tickets it found at their slots in a timed phase (AwaitingEntry,
-    Parking, Parked); every active ticket in a timed phase must be among them.
+    phase test. The pass counts the tickets it found at their slots in a
+    timed phase (AwaitingEntry, Parking, Parked); every active ticket in a
+    timed phase must be among them.
     """
-    garage = controller.garage
-    fleet = controller.fleet
     slots = garage.slots
     active = garage.active
     # Enum members are class-attribute lookups, several times dearer than a
@@ -582,46 +694,20 @@ def check_invariants(controller: GarageController) -> None:
         lost = next(
             ticket
             for ticket in active.values()
-            if ticket.phase in _TIMED_PHASES and slots.ticket_at(ticket.slot) != ticket.ticket_id
+            if ticket.phase in _TIMED_PHASES
+            and not (
+                # A slot off the grid holds nothing.
+                0 <= ticket.slot.floor < slots.floors
+                and 0 <= ticket.slot.slot < slots.slots_per_floor
+                and slots.ticket_at(ticket.slot) == ticket.ticket_id
+            )
         )
         raise InvariantViolationError(
             f"ticket {lost.ticket_id} ({lost.phase.value}) does not hold its slot"
         )
-    if len(garage.active_by_phone) != len(active):
-        raise InvariantViolationError(
-            f"{len(active)} active tickets but {len(garage.active_by_phone)} active phones"
-        )
     cells = slots.floors * slots.slots_per_floor
-    tally = {
+    return {
         VACANT: cells - reserved_cells - occupied_cells,
         RESERVED: reserved_cells,
         SlotState.OCCUPIED: occupied_cells,
     }
-    if slots.counts() != tally:
-        raise InvariantViolationError(f"cell counts {slots.counts()} != cells {tally}")
-    if garage.vehicles_entered != len(garage.tickets):
-        raise InvariantViolationError(
-            f"entered {garage.vehicles_entered} != tickets {len(garage.tickets)}"
-        )
-
-    if len(fleet.relays.powered) > fleet.relays.budget:
-        raise InvariantViolationError("relay budget exceeded")
-    active_motors = [m for a in fleet.active_actions() for m in a.motors]
-    if len(active_motors) != len(set(active_motors)):
-        raise InvariantViolationError("a motor is held by two actions")
-    if set(fleet.relays.powered) != set(active_motors):
-        raise InvariantViolationError(
-            f"powered {sorted(fleet.relays.powered)} != active {sorted(set(active_motors))}"
-        )
-
-    occupants = [b.occupant for b in fleet.belts.values() if b.occupant is not None]
-    if len(occupants) != len(set(occupants)):
-        raise InvariantViolationError(f"a vehicle sits on two belts: {occupants}")
-
-    platform = fleet.platform
-    if not 0 <= platform.floor_pos < garage.config.floors:
-        raise InvariantViolationError(f"platform floor {platform.floor_pos} out of range")
-    if not platform.busy:
-        pitch = garage.config.slot_angle_deg
-        if (platform.angle_deg % pitch) > 1e-9 or not 0 <= platform.angle_deg < 360:
-            raise InvariantViolationError(f"platform angle {platform.angle_deg} misaligned")

@@ -146,14 +146,19 @@ def _parse_csv(text: str) -> RunReport:
             raise ReportFormatError(
                 f"expected {len(_ROW_TYPES)} fields, got {len(cells)}: {line!r}"
             )
-        rows.append(ReportRow(*map(_parse_cell, _ROW_TYPES, cells)))
-    pairs = dict(
-        item.split("=", 1) for item in lines[-1].removeprefix("#aggregates ").split()
-    )
+        try:
+            rows.append(ReportRow(*map(_parse_cell, _ROW_TYPES, cells)))
+        except (ValueError, ArithmeticError) as exc:
+            raise ReportFormatError(f"bad CSV row: {line!r}") from exc
     try:
+        pairs = dict(
+            item.split("=", 1) for item in lines[-1].removeprefix("#aggregates ").split()
+        )
         aggregates = Aggregates(*[_parse_aggregate(name, pairs[name]) for name in _AGGREGATE_TYPES])
     except KeyError as exc:
         raise ReportFormatError(f"aggregates trailer missing {exc}") from exc
+    except (ValueError, ArithmeticError) as exc:
+        raise ReportFormatError(f"bad aggregates trailer: {lines[-1]!r}") from exc
     return RunReport(tuple(rows), aggregates)
 
 
@@ -193,12 +198,15 @@ def _parse_json_lines(text: str) -> RunReport:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ReportFormatError(f"bad JSON line: {line!r}") from exc
-        if "aggregates" in obj:
-            if aggregates is not None:
-                raise ReportFormatError("duplicate aggregates line")
-            aggregates = Aggregates(**obj["aggregates"])
-        else:
-            rows.append(_parse_json_row(obj))
+        try:
+            if "aggregates" in obj:
+                if aggregates is not None:
+                    raise ReportFormatError("duplicate aggregates line")
+                aggregates = Aggregates(**obj["aggregates"])
+            else:
+                rows.append(_parse_json_row(obj))
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ReportFormatError(f"bad report line: {line!r}") from exc
     if aggregates is None:
         raise ReportFormatError("missing aggregates line")
     return RunReport(tuple(rows), aggregates)

@@ -6,16 +6,34 @@ every ticket ever issued. It is copied unchanged except that
 ``not ticket.is_active``, since deleted from ``ParkingTicket``, is spelled out
 as ``ticket.phase is TicketPhase.CLOSED``. The current scan must accept every
 state the reference accepts on the seeded corpus, and reject every
-corruption of a guarded field that the reference rejects.
+corruption of a guarded field that the reference rejects, with the message
+its loop over every cell gives.
+
+Run as a script, it steps a wider seed range with both scans after every
+event and prints how many scans it made:
+``PYTHONPATH=src python tests/test_invariant_scan.py --seeds 0-999``.
 """
 
-import pytest
+import argparse
 
-from autopark.controller import GarageController, InvariantViolationError, check_invariants
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from autopark.controller import (
+    GarageController,
+    InvariantViolationError,
+    _claimed_counts,
+    _scan_cells,
+    check_invariants,
+)
 from autopark.devices import ELEVATOR_MOTOR, ENTRANCE_BELT, EXIT_BELT
 from autopark.engine import Arrival, InboundSms, PaymentConfirmed
 from autopark.model import SlotAddress, SlotState, TicketPhase, Vehicle
 from autopark.scenario import GarageSession, random_scenario
+
+SEEDS = range(50)
+MAX_VEHICLES = 18
 
 
 def oracle_check_invariants(controller: GarageController) -> None:
@@ -117,9 +135,12 @@ def oracle_check_invariants(controller: GarageController) -> None:
             raise InvariantViolationError(f"platform angle {platform.angle_deg} misaligned")
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_scan_agrees_with_oracle_after_every_event(seed):
-    scenario = random_scenario(seed, 18)
+def scan_both(seed: int) -> int:
+    """Step ``random_scenario(seed, 18)`` with the oracle and the scan after
+    every event, and return the number of scans. The fast path must accept
+    every state on its own, without falling back to the loop over the cells.
+    """
+    scenario = random_scenario(seed, MAX_VEHICLES)
     session = GarageSession(scenario.config, scenario.settings, check=False)
     scans = 0
 
@@ -127,6 +148,7 @@ def test_scan_agrees_with_oracle_after_every_event(seed):
         nonlocal scans
         oracle_check_invariants(session.controller)
         check_invariants(session.controller)
+        assert _claimed_counts(session.garage) is not None
         scans += 1
 
     session.sim.check = both
@@ -134,6 +156,12 @@ def test_scan_agrees_with_oracle_after_every_event(seed):
         session.schedule(event)
     session.run_until_idle()
     assert scans >= len(scenario.events)
+    return scans
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scan_agrees_with_oracle_after_every_event(seed):
+    scan_both(seed)
 
 
 def _vehicle(i: int) -> Vehicle:
@@ -177,9 +205,28 @@ def test_busy_session_has_every_live_phase():
     assert len(session.fleet.relays.powered) == 2
     oracle_check_invariants(session.controller)
     check_invariants(session.controller)
+    assert _claimed_counts(session.garage) is not None
+
+
+def test_cell_left_by_retrieving_car_may_be_reserved_again():
+    """Car 3 has left 0/2 for the platform and waits behind unpaid car 2, still
+    Retrieving, while new ticket 9 has reserved that cell."""
+    session = busy_session()
+    session.sim.schedule(700_000, Arrival(_vehicle(8)))
+    session.sim.schedule(701_000, Arrival(_vehicle(9)))
+    session.run_until(710_000)
+    tickets = session.garage.tickets
+    assert tickets[3].phase is TicketPhase.RETRIEVING
+    assert tickets[9].phase is TicketPhase.PARKING
+    assert tickets[3].slot == tickets[9].slot == SlotAddress(0, 2)
+    assert session.garage.slots.ticket_at(SlotAddress(0, 2)) == 9
+    oracle_check_invariants(session.controller)
+    check_invariants(session.controller)
+    assert _claimed_counts(session.garage) is not None
 
 
 PARKED_CELL = SlotAddress(0, 3)  # ticket 4
+RETRIEVING_CELL = SlotAddress(0, 2)  # ticket 3
 EMPTY_CELL = SlotAddress(1, 0)
 
 
@@ -197,12 +244,31 @@ def _set_phase(ticket_id: int, phase: TicketPhase):
     return corrupt
 
 
+def _set_slot(ticket_id: int, addr: SlotAddress):
+    return lambda session: setattr(session.garage.tickets[ticket_id], "slot", addr)
+
+
 def _set_cell(addr: SlotAddress, state: SlotState, ticket_id: int | None):
     return lambda session: session.garage.slots.set_cell(addr, state, ticket_id)
 
 
 def _shift_timer(session: GarageSession) -> None:
     session.garage.timers._entry[PARKED_CELL.floor][PARKED_CELL.slot] += 1
+
+
+def _move_parked_onto_later_ticket_cell(session: GarageSession) -> None:
+    """Ticket 4 leaves 0/3 cleanly and names 0/5, which ticket 6 holds: the
+    grids hold only what ticket 6 claims, but ticket 4 claims the same cell."""
+    _set_cell(PARKED_CELL, SlotState.VACANT, None)(session)
+    session.garage.timers.stop(PARKED_CELL)
+    _set_slot(4, SlotAddress(0, 5))(session)
+
+
+def _move_timed_ticket_off_grid(session: GarageSession) -> None:
+    """Ticket 2, which holds no cell, becomes timed with a slot past the top
+    floor; the cell loop must name it without indexing past the grid."""
+    _set_phase(2, TicketPhase.AWAITING_ENTRY)(session)
+    _set_slot(2, SlotAddress(3, 0))(session)
 
 
 def _belts_share_car(session: GarageSession) -> None:
@@ -217,60 +283,172 @@ def _set_platform(**values):
     return corrupt
 
 
+# Each corruption of ``busy_session`` with the exact message
+# ``check_invariants`` raises for it: the one its loop over every cell gives.
 MUTATIONS = {
-    "set_cell_reserves_parked_cell": _set_cell(PARKED_CELL, SlotState.RESERVED, 4),
-    "set_cell_dead_ticket": _set_cell(PARKED_CELL, SlotState.OCCUPIED, 404),
-    "set_cell_second_cell_for_ticket": _set_cell(EMPTY_CELL, SlotState.OCCUPIED, 4),
-    "set_cell_vacates_parked_cell": _set_cell(PARKED_CELL, SlotState.VACANT, None),
-    "set_cell_closed_ticket_holds_cell": _set_cell(EMPTY_CELL, SlotState.OCCUPIED, 1),
-    "set_cell_awaiting_payment_holds_cell": _set_cell(SlotAddress(0, 1), SlotState.OCCUPIED, 2),
-    "state_written_vacant": _set_direct("_state", PARKED_CELL, SlotState.VACANT),
-    "state_written_occupied": _set_direct("_state", EMPTY_CELL, SlotState.OCCUPIED),
-    "state_written_reserved": _set_direct("_state", PARKED_CELL, SlotState.RESERVED),
-    "ticket_written_dead": _set_direct("_ticket", PARKED_CELL, 404),
-    "ticket_written_other_live": _set_direct("_ticket", PARKED_CELL, 5),
-    "ticket_written_none": _set_direct("_ticket", PARKED_CELL, None),
-    "ticket_written_on_vacant_cell": _set_direct("_ticket", SlotAddress(0, 1), 4),
-    "running_timer_entry": _shift_timer,
-    "running_timer_stopped": lambda session: session.garage.timers.stop(PARKED_CELL),
-    "stale_timer_on_vacant_cell": lambda session: session.garage.timers.start(EMPTY_CELL, 5000),
-    "stale_timer_on_retrieving_cell": (
-        lambda session: session.garage.timers.start(SlotAddress(0, 2), 5000)
+    "set_cell_reserves_parked_cell": (
+        _set_cell(PARKED_CELL, SlotState.RESERVED, 4),
+        "cell 0/3 is reserved but ticket 4 is Parked",
     ),
-    "phase_parked_to_awaiting_payment": _set_phase(4, TicketPhase.AWAITING_PAYMENT),
-    "phase_parked_to_retrieving": _set_phase(4, TicketPhase.RETRIEVING),
-    "phase_parking_to_parked": _set_phase(7, TicketPhase.PARKED),
-    "phase_retrieving_to_parked": _set_phase(3, TicketPhase.PARKED),
-    "phase_awaiting_payment_to_parked": _set_phase(2, TicketPhase.PARKED),
+    "set_cell_dead_ticket": (
+        _set_cell(PARKED_CELL, SlotState.OCCUPIED, 404),
+        "cell 0/3 held by dead ticket 404",
+    ),
+    "set_cell_second_cell_for_ticket": (
+        _set_cell(EMPTY_CELL, SlotState.OCCUPIED, 4),
+        "ticket 4 holds 1/0 but its slot is 0/3",
+    ),
+    "set_cell_vacates_parked_cell": (
+        _set_cell(PARKED_CELL, SlotState.VACANT, None),
+        "stale timer at 0/3",
+    ),
+    "set_cell_closed_ticket_holds_cell": (
+        _set_cell(EMPTY_CELL, SlotState.OCCUPIED, 1),
+        "cell 1/0 held by dead ticket 1",
+    ),
+    "set_cell_awaiting_payment_holds_cell": (
+        _set_cell(SlotAddress(0, 1), SlotState.OCCUPIED, 2),
+        "cell 0/1 is occupied but ticket 2 is AwaitingPayment",
+    ),
+    "state_written_vacant": (
+        _set_direct("_state", PARKED_CELL, SlotState.VACANT),
+        "stale timer at 0/3",
+    ),
+    "state_written_occupied": (
+        _set_direct("_state", EMPTY_CELL, SlotState.OCCUPIED),
+        "cell 1/0 held by dead ticket None",
+    ),
+    "state_written_reserved": (
+        _set_direct("_state", PARKED_CELL, SlotState.RESERVED),
+        "cell 0/3 is reserved but ticket 4 is Parked",
+    ),
+    "ticket_written_dead": (
+        _set_direct("_ticket", PARKED_CELL, 404),
+        "cell 0/3 held by dead ticket 404",
+    ),
+    "ticket_written_other_live": (
+        _set_direct("_ticket", PARKED_CELL, 5),
+        "ticket 5 holds 0/3 but its slot is 0/4",
+    ),
+    "ticket_written_none": (
+        _set_direct("_ticket", PARKED_CELL, None),
+        "cell 0/3 held by dead ticket None",
+    ),
+    "ticket_written_on_vacant_cell": (
+        _set_direct("_ticket", SlotAddress(0, 1), 4),
+        "vacant cell 0/1 names ticket 4",
+    ),
+    "retrieving_cell_written_to_parked_owner": (
+        _set_direct("_ticket", RETRIEVING_CELL, 5),
+        "ticket 5 holds 0/2 but its slot is 0/4",
+    ),
+    "retrieving_cell_set_to_awaiting_payment_owner": (
+        _set_cell(RETRIEVING_CELL, SlotState.OCCUPIED, 2),
+        "ticket 2 holds 0/2 but its slot is 0/1",
+    ),
+    "running_timer_entry": (_shift_timer, "timer at 0/3 should be 180000"),
+    "running_timer_stopped": (
+        lambda session: session.garage.timers.stop(PARKED_CELL),
+        "timer at 0/3 should be 180000",
+    ),
+    "stale_timer_on_vacant_cell": (
+        lambda session: session.garage.timers.start(EMPTY_CELL, 5000),
+        "stale timer at 1/0",
+    ),
+    "stale_timer_on_retrieving_cell": (
+        lambda session: session.garage.timers.start(RETRIEVING_CELL, 5000),
+        "stale timer at 0/2",
+    ),
+    "phase_parked_to_awaiting_payment": (
+        _set_phase(4, TicketPhase.AWAITING_PAYMENT),
+        "cell 0/3 is occupied but ticket 4 is AwaitingPayment",
+    ),
+    "phase_parked_to_retrieving": (
+        _set_phase(4, TicketPhase.RETRIEVING),
+        "stale timer at 0/3",
+    ),
+    "phase_parking_to_parked": (
+        _set_phase(7, TicketPhase.PARKED),
+        "cell 0/0 is reserved but ticket 7 is Parked",
+    ),
+    "phase_retrieving_to_parked": (
+        _set_phase(3, TicketPhase.PARKED),
+        "timer at 0/2 should be 120000",
+    ),
+    "phase_awaiting_payment_to_parked": (
+        _set_phase(2, TicketPhase.PARKED),
+        "ticket 2 (Parked) does not hold its slot",
+    ),
     "slot_of_parked_ticket_other_floor": (
-        lambda session: setattr(session.garage.tickets[4], "slot", SlotAddress(1, 3))
+        _set_slot(4, SlotAddress(1, 3)),
+        "ticket 4 holds 0/3 but its slot is 1/3",
     ),
     "slot_of_parked_ticket_same_floor": (
-        lambda session: setattr(session.garage.tickets[4], "slot", SlotAddress(0, 1))
+        _set_slot(4, SlotAddress(0, 1)),
+        "ticket 4 holds 0/3 but its slot is 0/1",
     ),
-    "vehicles_entered": lambda session: setattr(
-        session.garage, "vehicles_entered", session.garage.vehicles_entered + 1
+    "slot_of_parked_ticket_on_retrieving_cell": (
+        _set_slot(4, RETRIEVING_CELL),
+        "ticket 4 holds 0/3 but its slot is 0/2",
+    ),
+    "slot_of_parking_ticket_on_retrieving_cell": (
+        _set_slot(7, RETRIEVING_CELL),
+        "ticket 7 holds 0/0 but its slot is 0/2",
+    ),
+    "slot_of_parked_ticket_on_later_ticket_cell": (
+        _move_parked_onto_later_ticket_cell,
+        "ticket 4 (Parked) does not hold its slot",
+    ),
+    "slot_of_parked_ticket_negative": (
+        # Python reads row[-1] as the last cell, which ticket 6 holds.
+        _set_slot(6, SlotAddress(0, -1)),
+        "ticket 6 holds 0/5 but its slot is 0/-1",
+    ),
+    "slot_of_timed_ticket_off_grid": (
+        _move_timed_ticket_off_grid,
+        "ticket 2 (AwaitingEntry) does not hold its slot",
+    ),
+    "vehicles_entered": (
+        lambda session: setattr(
+            session.garage, "vehicles_entered", session.garage.vehicles_entered + 1
+        ),
+        "entered 8 != tickets 7",
     ),
     "relay_powers_idle_motor": (
-        lambda session: session.fleet.relays.powered.__setitem__(ELEVATOR_MOTOR, 10.0)
+        lambda session: session.fleet.relays.powered.__setitem__(ELEVATOR_MOTOR, 10.0),
+        "relay budget exceeded",
     ),
-    "relay_drops_running_motor": lambda session: session.fleet.relays.powered.popitem(),
-    "two_belts_one_car": _belts_share_car,
-    "platform_floor_out_of_range": _set_platform(floor_pos=3),
-    "platform_floor_negative": _set_platform(floor_pos=-1),
-    "platform_angle_misaligned": _set_platform(angle_deg=100.0),
-    "platform_angle_full_turn": _set_platform(angle_deg=360.0),
+    "relay_drops_running_motor": (
+        lambda session: session.fleet.relays.powered.popitem(),
+        "powered ['belt:slot:2'] != active ['belt:entrance', 'belt:slot:2']",
+    ),
+    "two_belts_one_car": (_belts_share_car, "a vehicle sits on two belts: ['v7', 'v7']"),
+    "platform_floor_out_of_range": (
+        _set_platform(floor_pos=3),
+        "platform floor 3 out of range",
+    ),
+    "platform_floor_negative": (_set_platform(floor_pos=-1), "platform floor -1 out of range"),
+    "platform_angle_misaligned": (
+        _set_platform(angle_deg=100.0),
+        "platform angle 100.0 misaligned",
+    ),
+    "platform_angle_full_turn": (
+        _set_platform(angle_deg=360.0),
+        "platform angle 360.0 misaligned",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_corruption_fails_both_scans(name):
+    corrupt, message = MUTATIONS[name]
     session = busy_session()
-    MUTATIONS[name](session)
+    corrupt(session)
     with pytest.raises(InvariantViolationError):
         oracle_check_invariants(session.controller)
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError) as err:
         check_invariants(session.controller)
+    assert str(err.value) == message
 
 
 def _shift_counts(session: GarageSession) -> None:
@@ -280,11 +458,20 @@ def _shift_counts(session: GarageSession) -> None:
 
 
 INDEX_CORRUPTIONS = {
-    "parked_ticket_missing_from_active": lambda session: session.garage.active.pop(4),
-    "phone_missing_from_index": (
-        lambda session: session.garage.active_by_phone.pop(_vehicle(2).phone)
+    "parked_ticket_missing_from_active": (
+        lambda session: session.garage.active.pop(4),
+        "cell 0/3 held by dead ticket 4",
     ),
-    "cell_counts_drift": _shift_counts,
+    "phone_missing_from_index": (
+        lambda session: session.garage.active_by_phone.pop(_vehicle(2).phone),
+        "6 active tickets but 5 active phones",
+    ),
+    "cell_counts_drift": (
+        _shift_counts,
+        "cell counts {<SlotState.VACANT: 'vacant'>: 12, <SlotState.RESERVED: 'reserved'>: 1, "
+        "<SlotState.OCCUPIED: 'occupied'>: 5} != cells {<SlotState.VACANT: 'vacant'>: 13, "
+        "<SlotState.RESERVED: 'reserved'>: 1, <SlotState.OCCUPIED: 'occupied'>: 4}",
+    ),
 }
 
 
@@ -292,7 +479,103 @@ INDEX_CORRUPTIONS = {
 def test_corrupt_index_fails_scan(name):
     """State the earlier scan had no counterpart for: the active-ticket and
     phone indexes, and the per-state cell counts."""
+    corrupt, message = INDEX_CORRUPTIONS[name]
     session = busy_session()
-    INDEX_CORRUPTIONS[name](session)
-    with pytest.raises(InvariantViolationError):
+    corrupt(session)
+    with pytest.raises(InvariantViolationError) as err:
         check_invariants(session.controller)
+    assert str(err.value) == message
+
+
+def _writes(session: GarageSession):
+    """Direct writes to one grid cell or one ticket's phase or slot, drawn
+    from the values the busy garage already holds plus a few it must not."""
+    garage = session.garage
+    cells = st.tuples(
+        st.integers(0, garage.slots.floors - 1), st.integers(0, garage.slots.slots_per_floor - 1)
+    )
+    ticket_ids = sorted(garage.tickets)
+    entries = sorted({ticket.entry_ms for ticket in garage.tickets.values()})
+
+    def grid_write(grid, name: str, values):
+        def write(cell, value):
+            floor, slot = cell
+            return lambda: grid[floor].__setitem__(slot, value), (name, cell, value)
+
+        return st.builds(write, cells, st.sampled_from(values))
+
+    def ticket_write(name: str, values):
+        def write(ticket_id, value):
+            ticket = garage.tickets[ticket_id]
+            return lambda: setattr(ticket, name, value), (name, ticket_id, value)
+
+        return st.builds(write, st.sampled_from(ticket_ids), values)
+
+    # Slots one past each edge of the 3x6 grid reach the fast path's
+    # off-grid guards.
+    addresses = st.builds(SlotAddress, st.integers(-1, 3), st.integers(-1, 6))
+    return st.one_of(
+        grid_write(garage.slots._state, "_state", list(SlotState)),
+        grid_write(garage.slots._ticket, "_ticket", [None, *ticket_ids, 404]),
+        grid_write(garage.timers._entry, "_entry", [None, *entries, 5000]),
+        ticket_write("phase", st.sampled_from(TicketPhase)),
+        ticket_write("slot", addresses),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fast_path_accepts_nothing_the_cell_loop_rejects(data):
+    session = busy_session()
+    writes = data.draw(st.lists(_writes(session), min_size=1, max_size=3))
+    for apply, _ in writes:
+        apply()
+    garage = session.garage
+    try:
+        loop_counts = _scan_cells(garage)
+    except InvariantViolationError:
+        loop_counts = None
+    fast_counts = _claimed_counts(garage)
+    if fast_counts is not None:
+        assert fast_counts == loop_counts
+    # The scan reads the tickets through ``garage.active`` only, so a write to
+    # a closed ticket is beyond it (see the xfail test below).
+    for _, (field, target, _) in writes:
+        if field in ("phase", "slot") and target not in garage.active:
+            return
+    try:
+        oracle_check_invariants(session.controller)
+    except InvariantViolationError:
+        with pytest.raises(InvariantViolationError):
+            check_invariants(session.controller)
+
+
+@pytest.mark.xfail(strict=True, reason="closed tickets are not rescanned", raises=AssertionError)
+def test_closed_ticket_reopened_by_direct_write_is_caught():
+    session = busy_session()
+    session.garage.tickets[1].phase = TicketPhase.PARKED
+    with pytest.raises(InvariantViolationError):
+        oracle_check_invariants(session.controller)
+    try:
+        check_invariants(session.controller)
+    except InvariantViolationError:
+        return
+    raise AssertionError("the scan accepts a closed ticket written back to Parked")
+
+
+if __name__ == "__main__":
+    from test_golden_digests import _seed_range
+
+    parser = argparse.ArgumentParser(
+        description="Run the oracle and the scan after every event of a seeded corpus."
+    )
+    parser.add_argument(
+        "--seeds",
+        type=_seed_range,
+        default=SEEDS,
+        metavar="A-B",
+        help="inclusive seed range (default: the tests' 0-49)",
+    )
+    args = parser.parse_args()
+    scans = sum(scan_both(seed) for seed in args.seeds)
+    print(f"seeds {args.seeds.start}-{args.seeds.stop - 1}: {scans} scans, all passed")

@@ -103,6 +103,8 @@ def test_unknown_format_rejected():
         (CSV_HEADER + "\n", "aggregates trailer"),
         (CSV_HEADER + "\na,b,c\n#aggregates x=1\n", "expected 10 fields"),
         (CSV_HEADER + "\n#aggregates occupancy_peak=1\n", "missing"),
+        (CSV_HEADER + "\nv,Parked,abc,,,,,,,\n#aggregates x=1\n", "bad CSV row"),
+        (CSV_HEADER + "\n#aggregates occupancy_peak\n", "bad aggregates trailer"),
     ],
 )
 def test_csv_parse_errors(text, fragment):
@@ -118,6 +120,13 @@ def test_json_lines_parse_errors():
     agg = format_report(SAMPLE, "json-lines").splitlines()[-1]
     with pytest.raises(ReportFormatError, match="duplicate aggregates"):
         parse_report(agg + "\n" + agg + "\n", "json-lines")
+
+
+def test_json_lines_unknown_key_rejected():
+    agg = format_report(SAMPLE, "json-lines").splitlines()[-1]
+    row = '{"vehicle_id":"v","status":"Parked","wheels":4}'
+    with pytest.raises(ReportFormatError, match="bad report line"):
+        parse_report(row + "\n" + agg + "\n", "json-lines")
 
 
 def test_real_run_round_trips_both_formats():
