@@ -1,10 +1,11 @@
 """Deterministic discrete-event engine.
 
-A single priority queue keyed by (timestamp, insertion sequence) drives the
-whole simulation. Dispatch order is therefore a pure function of the schedule
-calls, and repeated runs of the same scenario produce byte-identical traces.
-The clock only moves when an event fires; there is no wall-clock
-coupling anywhere.
+A single priority queue of (timestamp, insertion sequence, event) entries
+drives the whole simulation. The sequence is unique, so the heap orders plain
+tuples in C and never compares two events. Dispatch order is therefore a pure
+function of the schedule calls, and repeated runs of the same scenario
+produce byte-identical traces. The clock only moves when an event fires;
+there is no wall-clock coupling anywhere.
 """
 
 from __future__ import annotations
@@ -108,9 +109,6 @@ class SimEvent:
     seq: int
     payload: Payload
 
-    def __lt__(self, other: "SimEvent") -> bool:
-        return (self.at_ms, self.seq) < (other.at_ms, other.seq)
-
     def trace_line(self) -> str:
         return (
             f"t={self.at_ms} seq={self.seq} "
@@ -135,7 +133,7 @@ class Simulation:
     ):
         self.clock_ms = 0
         self.trace: list[str] = []
-        self._heap: list[SimEvent] = []
+        self._heap: list[tuple[int, int, SimEvent]] = []
         self._next_seq = 0
         self.handler = handler
         self.advance = advance
@@ -148,7 +146,7 @@ class Simulation:
             )
         event = SimEvent(at_ms, self._next_seq, payload)
         self._next_seq += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (at_ms, event.seq, event))
         return event
 
     def note(self, line: str) -> None:
@@ -178,8 +176,9 @@ class Simulation:
             raise SchedulingInPastError(
                 f"cannot run to t={t_end_ms}ms, clock is {self.clock_ms}ms"
             )
-        while self._heap and self._heap[0].at_ms <= t_end_ms:
-            self._dispatch(heapq.heappop(self._heap))
+        heap = self._heap
+        while heap and heap[0][0] <= t_end_ms:
+            self._dispatch(heapq.heappop(heap)[2])
         self._advance_clock(t_end_ms)
 
     def run_until_idle(self, max_events: int = 1_000_000) -> None:
@@ -187,9 +186,10 @@ class Simulation:
 
         Raises once max_events dispatches leave events still queued.
         """
+        heap = self._heap
         for _ in range(max_events):
-            if not self._heap:
+            if not heap:
                 return
-            self._dispatch(heapq.heappop(self._heap))
-        if self._heap:
+            self._dispatch(heapq.heappop(heap)[2])
+        if heap:
             raise AutoparkError(f"exceeded {max_events} events; runaway schedule?")

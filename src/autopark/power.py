@@ -2,14 +2,18 @@
 
 The PV panel is modeled from its measured voltage/current points rather than
 the label values: current is piecewise linear between the measured anchors
-and scales linearly with irradiance. The battery integrates amp-hours at the
-bus voltage; a charge controller caps charging current, and a metered grid
-backup covers any draw the battery cannot, so motors never stall for power.
+and scales linearly with irradiance. The panel works at the bus voltage and a
+charge controller caps its current, so the charge current is a function of
+the irradiance alone: ``PowerSystem`` works it out once per irradiance
+change. On every clock advance ``power_tick`` integrates amp-hours at the bus
+voltage and updates the battery's charge in place; a metered grid backup
+covers any draw the battery cannot, so motors never stall for power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,10 @@ class PvMeasuredCurve:
 DEFAULT_CURVE = PvMeasuredCurve()
 
 
-@dataclass(frozen=True)
+@dataclass
 class BatteryState:
+    """The battery; power_tick updates its soc in place."""
+
     capacity_ah: float = 7.0
     soc: float = 1.0  # state of charge, 0..1
     bus_voltage_v: float = 12.0
@@ -104,8 +110,7 @@ def required_battery_current(
     return motor_count * motor_power_w / bus_voltage_v
 
 
-@dataclass(frozen=True)
-class EnergyTick:
+class EnergyTick(NamedTuple):
     """Energy flows over one integration interval, all in watt-hours."""
 
     pv_wh: float
@@ -115,19 +120,25 @@ class EnergyTick:
     soc_after: float
 
 
-def power_tick(
-    battery: BatteryState,
+def pv_charge_current(
+    bus_voltage_v: float,
     irradiance_scale: float,
-    load_w: float,
-    dt_s: float,
     curve: PvMeasuredCurve = DEFAULT_CURVE,
     controller: ChargeControllerSpec = ChargeControllerSpec(),
-) -> tuple[BatteryState, EnergyTick]:
-    """Advance the battery by dt_s seconds under a constant load.
+) -> float:
+    """Panel current at the bus voltage, capped by the charge controller."""
+    panel_a = pv_current_at(bus_voltage_v, irradiance_scale, curve)
+    return min(panel_a, controller.max_charge_current_a)
 
-    The panel operates at the bus voltage and its current is capped by the
-    charge controller. Surplus beyond a full battery is curtailed at the
-    panel; shortfall below an empty battery is met from the grid and metered.
+
+def power_tick(
+    battery: BatteryState, charge_current_a: float, load_w: float, dt_s: float
+) -> EnergyTick:
+    """Advance the battery's charge in place by dt_s seconds under a constant
+    load and a constant panel charge current.
+
+    Surplus beyond a full battery is curtailed at the panel; shortfall below
+    an empty battery is met from the grid and metered.
     """
     if dt_s < 0:
         raise ValueError("dt_s must be >= 0")
@@ -135,10 +146,7 @@ def power_tick(
         raise ValueError("load_w must be >= 0")
     dt_h = dt_s / 3600.0
     bus_v = battery.bus_voltage_v
-    pv_current = min(
-        pv_current_at(bus_v, irradiance_scale, curve), controller.max_charge_current_a
-    )
-    pv_ah = pv_current * dt_h
+    pv_ah = charge_current_a * dt_h
     load_ah = (load_w / bus_v) * dt_h
     net_ah = pv_ah - load_ah
 
@@ -156,15 +164,10 @@ def power_tick(
         battery_delta_ah = -drawn_ah
 
     soc = battery.soc + (battery_delta_ah / battery.capacity_ah if battery.capacity_ah else 0.0)
-    soc = min(1.0, max(0.0, soc))
-    tick = EnergyTick(
-        pv_wh=pv_used_ah * bus_v,
-        grid_wh=grid_ah * bus_v,
-        load_wh=load_ah * bus_v,
-        battery_delta_wh=battery_delta_ah * bus_v,
-        soc_after=soc,
+    soc = battery.soc = min(1.0, max(0.0, soc))
+    return EnergyTick(
+        pv_used_ah * bus_v, grid_ah * bus_v, load_ah * bus_v, battery_delta_ah * bus_v, soc
     )
-    return replace(battery, soc=soc), tick
 
 
 @dataclass
@@ -188,23 +191,25 @@ class PowerSystem:
         self.battery = battery if battery is not None else BatteryState()
         self.curve = curve
         self.controller = controller
-        self.irradiance_scale = irradiance_scale
+        self.charge_current_a = pv_charge_current(
+            self.battery.bus_voltage_v, irradiance_scale, curve, controller
+        )
         self.meters = EnergyMeters(min_soc=self.battery.soc)
         self.ticks: list[EnergyTick] = []
 
     def set_irradiance(self, w_per_m2: float) -> None:
-        """Irradiance is given in W/m2 against the 1000 W/m2 rating point."""
-        if w_per_m2 < 0:
-            raise ValueError("w_per_m2 must be >= 0")
-        self.irradiance_scale = min(w_per_m2 / 1000.0, 1.0)
+        """Irradiance is given in W/m2 against the 1000 W/m2 rating point;
+        outside [0, 1000] it raises ValueError."""
+        self.charge_current_a = pv_charge_current(
+            self.battery.bus_voltage_v, w_per_m2 / 1000.0, self.curve, self.controller
+        )
 
     def advance(self, load_w: float, dt_s: float) -> EnergyTick:
-        self.battery, tick = power_tick(
-            self.battery, self.irradiance_scale, load_w, dt_s, self.curve, self.controller
-        )
-        self.meters.pv_wh += tick.pv_wh
-        self.meters.grid_wh += tick.grid_wh
-        self.meters.load_wh += tick.load_wh
-        self.meters.min_soc = min(self.meters.min_soc, tick.soc_after)
+        tick = power_tick(self.battery, self.charge_current_a, load_w, dt_s)
+        meters = self.meters
+        meters.pv_wh += tick.pv_wh
+        meters.grid_wh += tick.grid_wh
+        meters.load_wh += tick.load_wh
+        meters.min_soc = min(meters.min_soc, tick.soc_after)
         self.ticks.append(tick)
         return tick

@@ -1,6 +1,8 @@
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopark.engine import (
     Arrival,
@@ -131,3 +133,54 @@ def test_dispatched_events_are_not_retained():
     sim.run_until(20)
     sim.run_until_idle()
     assert len(refs) == 4
+
+
+class Unordered:
+    """A payload that defines no ordering, so comparing two raises TypeError.
+    Each dispatch schedules one follow-up per delay in ``followups``."""
+
+    kind = "unordered"
+
+    def __init__(self, followups: tuple[int, ...] = ()):
+        self.followups = followups
+
+    def detail(self) -> str:
+        return "-"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    schedule=st.lists(
+        st.tuples(st.integers(0, 5), st.lists(st.integers(0, 2), max_size=3)),
+        min_size=1,
+        max_size=30,
+    ),
+    cuts=st.lists(st.integers(0, 8), max_size=4),
+)
+def test_dispatch_order_is_time_then_schedule_order(schedule, cuts):
+    """Many events share a time and handlers schedule follow-ups at the
+    current clock; dispatch still follows (at_ms, seq), and cutting the run
+    with run_until changes nothing."""
+
+    def run(cut_points):
+        sim = Simulation()
+        scheduled, dispatched = [], []
+
+        def handler(event):
+            dispatched.append((event.at_ms, event.seq))
+            for delay in event.payload.followups:
+                followup = sim.schedule(sim.clock_ms + delay, Unordered())
+                scheduled.append((followup.at_ms, followup.seq))
+
+        sim.handler = handler
+        for at_ms, followups in schedule:
+            event = sim.schedule(at_ms, Unordered(tuple(followups)))
+            scheduled.append((event.at_ms, event.seq))
+        for cut in sorted(cut_points):
+            sim.run_until(cut)
+        sim.run_until_idle()
+        return scheduled, dispatched
+
+    scheduled, dispatched = run(())
+    assert dispatched == sorted(scheduled)
+    assert run(cuts) == (scheduled, dispatched)

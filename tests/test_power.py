@@ -1,7 +1,10 @@
 import math
 import random
+from dataclasses import astuple, dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopark.power import (
     DEFAULT_CURVE,
@@ -10,6 +13,7 @@ from autopark.power import (
     PvMeasuredCurve,
     PowerSystem,
     power_tick,
+    pv_charge_current,
     pv_current_at,
     pv_max_power,
     required_battery_current,
@@ -74,32 +78,32 @@ def test_motor_current_draw():
 
 def test_one_hour_charge_from_half():
     battery = BatteryState(soc=0.5)
-    after, tick = power_tick(battery, 1.0, 0.0, 3600.0)
-    assert after.soc - 0.5 == pytest.approx(0.08016153127917834, abs=1e-12)
+    tick = power_tick(battery, pv_charge_current(12.0, 1.0), 0.0, 3600.0)
+    assert battery.soc - 0.5 == pytest.approx(0.08016153127917834, abs=1e-12)
     assert tick.grid_wh == 0.0
     assert tick.pv_wh == pytest.approx(BUS_CURRENT_FULL_SUN * 12.0, abs=1e-9)
 
 
 def test_one_hour_two_motor_discharge_in_the_dark():
     battery = BatteryState(soc=1.0)
-    after, tick = power_tick(battery, 0.0, 20.0, 3600.0)
-    assert 1.0 - after.soc == pytest.approx(0.23809523809523808, abs=1e-12)
+    tick = power_tick(battery, pv_charge_current(12.0, 0.0), 20.0, 3600.0)
+    assert 1.0 - battery.soc == pytest.approx(0.23809523809523808, abs=1e-12)
     assert tick.grid_wh == 0.0
     assert tick.load_wh == pytest.approx(20.0, abs=1e-12)
 
 
 def test_full_battery_curtails_surplus():
     battery = BatteryState(soc=1.0)
-    after, tick = power_tick(battery, 1.0, 0.0, 3600.0)
-    assert after.soc == 1.0
+    tick = power_tick(battery, pv_charge_current(12.0, 1.0), 0.0, 3600.0)
+    assert battery.soc == 1.0
     assert tick.pv_wh == 0.0
     assert tick.battery_delta_wh == 0.0
 
 
 def test_empty_battery_falls_back_to_grid():
     battery = BatteryState(soc=0.0)
-    after, tick = power_tick(battery, 0.0, 10.0, 1800.0)
-    assert after.soc == 0.0
+    tick = power_tick(battery, pv_charge_current(12.0, 0.0), 10.0, 1800.0)
+    assert battery.soc == 0.0
     assert tick.grid_wh == pytest.approx(5.0, abs=1e-12)
     assert tick.load_wh == pytest.approx(5.0, abs=1e-12)
 
@@ -107,11 +111,12 @@ def test_empty_battery_falls_back_to_grid():
 def test_charge_controller_caps_input_current():
     hot = PvMeasuredCurve(points=((0.0, 8.0), (12.0, 7.0), (22.31, 0.0)))
     battery = BatteryState(soc=0.0)
-    after, _ = power_tick(battery, 1.0, 0.0, 3600.0, curve=hot)
-    assert after.soc == pytest.approx(3.0 / 7.0, abs=1e-12)
+    power_tick(battery, pv_charge_current(12.0, 1.0, hot), 0.0, 3600.0)
+    assert battery.soc == pytest.approx(3.0 / 7.0, abs=1e-12)
     relaxed = ChargeControllerSpec(max_charge_current_a=5.0)
-    after_relaxed, _ = power_tick(battery, 1.0, 0.0, 3600.0, curve=hot, controller=relaxed)
-    assert after_relaxed.soc == pytest.approx(5.0 / 7.0, abs=1e-12)
+    battery_relaxed = BatteryState(soc=0.0)
+    power_tick(battery_relaxed, pv_charge_current(12.0, 1.0, hot, relaxed), 0.0, 3600.0)
+    assert battery_relaxed.soc == pytest.approx(5.0 / 7.0, abs=1e-12)
 
 
 def test_energy_is_conserved_every_tick():
@@ -121,7 +126,7 @@ def test_energy_is_conserved_every_tick():
         scale = rng.uniform(0.0, 1.0)
         load = rng.choice([0.0, 10.0, 20.0])
         dt = rng.uniform(0.1, 900.0)
-        battery, tick = power_tick(battery, scale, load, dt)
+        tick = power_tick(battery, pv_charge_current(12.0, scale), load, dt)
         assert tick.pv_wh + tick.grid_wh == pytest.approx(
             tick.load_wh + tick.battery_delta_wh, abs=1e-9
         )
@@ -140,9 +145,102 @@ def test_power_system_meters_accumulate():
     assert len(system.ticks) == 2
 
 
-def test_irradiance_above_rating_clamps():
+def test_irradiance_outside_rating_is_rejected():
     system = PowerSystem()
-    system.set_irradiance(1500.0)
-    assert system.irradiance_scale == 1.0
+    with pytest.raises(ValueError):
+        system.set_irradiance(1500.0)
     with pytest.raises(ValueError):
         system.set_irradiance(-1.0)
+
+
+@dataclass(frozen=True)
+class OracleBattery:
+    capacity_ah: float
+    soc: float
+    bus_voltage_v: float
+
+
+def oracle_power_tick(
+    battery: OracleBattery, irradiance_scale: float, load_w: float, dt_s: float
+) -> tuple[OracleBattery, tuple[float, ...]]:
+    """The per-tick integration as it stood before the charge current was
+    worked out once per irradiance: the panel current is looked up on every
+    tick and a new battery is built. Returns the battery and the tick's
+    (pv_wh, grid_wh, load_wh, battery_delta_wh, soc_after)."""
+    dt_h = dt_s / 3600.0
+    bus_v = battery.bus_voltage_v
+    pv_current = min(
+        pv_current_at(bus_v, irradiance_scale), ChargeControllerSpec().max_charge_current_a
+    )
+    pv_ah = pv_current * dt_h
+    load_ah = (load_w / bus_v) * dt_h
+    net_ah = pv_ah - load_ah
+
+    if net_ah >= 0:
+        headroom_ah = (1.0 - battery.soc) * battery.capacity_ah
+        stored_ah = min(net_ah, headroom_ah)
+        pv_used_ah = load_ah + stored_ah
+        grid_ah = 0.0
+        battery_delta_ah = stored_ah
+    else:
+        available_ah = battery.soc * battery.capacity_ah
+        drawn_ah = min(-net_ah, available_ah)
+        grid_ah = -net_ah - drawn_ah
+        pv_used_ah = pv_ah
+        battery_delta_ah = -drawn_ah
+
+    soc = battery.soc + (battery_delta_ah / battery.capacity_ah if battery.capacity_ah else 0.0)
+    soc = min(1.0, max(0.0, soc))
+    tick = (pv_used_ah * bus_v, grid_ah * bus_v, load_ah * bus_v, battery_delta_ah * bus_v, soc)
+    return replace(battery, soc=soc), tick
+
+
+def _tick_fields(tick) -> tuple[float, ...]:
+    return (tick.pv_wh, tick.grid_wh, tick.load_wh, tick.battery_delta_wh, tick.soc_after)
+
+
+_STEP = st.one_of(
+    st.tuples(st.just("irradiance"), st.floats(0.0, 1000.0)),
+    st.tuples(
+        st.sampled_from([0.0, 10.0, 20.0, 30.0]),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity_ah=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    soc=st.floats(0.0, 1.0),
+    bus_voltage_v=st.one_of(st.just(12.0), st.floats(0.5, 30.0)),
+    irradiance_scale=st.floats(0.0, 1.0),
+    steps=st.lists(_STEP, max_size=40),
+)
+def test_power_system_is_bit_equal_to_the_per_tick_oracle(
+    capacity_ah, soc, bus_voltage_v, irradiance_scale, steps
+):
+    system = PowerSystem(
+        BatteryState(capacity_ah, soc, bus_voltage_v), irradiance_scale=irradiance_scale
+    )
+    battery = OracleBattery(capacity_ah, soc, bus_voltage_v)
+    scale = irradiance_scale
+    pv_wh = grid_wh = load_wh = 0.0
+    min_soc = soc
+    ticks = []
+    for step in steps:
+        if step[0] == "irradiance":
+            system.set_irradiance(step[1])
+            scale = min(step[1] / 1000.0, 1.0)
+            continue
+        load_w, dt_s = step
+        tick = system.advance(load_w, dt_s)
+        battery, expected = oracle_power_tick(battery, scale, load_w, dt_s)
+        assert _tick_fields(tick) == expected
+        pv_wh += expected[0]
+        grid_wh += expected[1]
+        load_wh += expected[2]
+        min_soc = min(min_soc, expected[4])
+        ticks.append(expected)
+    assert system.battery.soc == battery.soc
+    assert astuple(system.meters) == (pv_wh, grid_wh, load_wh, min_soc)
+    assert [_tick_fields(t) for t in system.ticks] == ticks
