@@ -14,10 +14,11 @@ retrieval request, both captured on the millisecond clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from typing import Callable
+from functools import cache
+from typing import Callable, NamedTuple
 
 from .devices import (
     ELEVATOR_MOTOR,
@@ -72,8 +73,7 @@ class StepKind(str, Enum):
     TRANSFER_FROM_SLOT = "transfer_from_slot"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One motion in a program, the belts its car moves between, and the
     long-held locks it runs under."""
 
@@ -88,38 +88,54 @@ class Step:
     platform: bool = False  # platform lock held during this step
 
 
+class Plan(NamedTuple):
+    """A motion sequence and the locks it takes: the bay it holds, if any,
+    and the last step run under the bay lock and under the platform lock
+    (-1 when it never takes one)."""
+
+    steps: tuple[Step, ...]
+    bay_name: str | None
+    bay_last: int
+    platform_last: int
+
+
+def _plan(*steps: Step) -> Plan:
+    bay_steps = [i for i, s in enumerate(steps) if s.bay]
+    platform_steps = [i for i, s in enumerate(steps) if s.platform]
+    return Plan(
+        steps,
+        steps[bay_steps[0]].bay if bay_steps else None,
+        bay_steps[-1] if bay_steps else -1,
+        platform_steps[-1] if platform_steps else -1,
+    )
+
+
 @dataclass(eq=False)
 class Program:
-    """A ticket's remaining motion sequence and its lock bookkeeping.
+    """A ticket's progress through its plan.
 
     Programs compare and hash by identity: the wait queue and the lock owners
-    track the program object, not its current field values.
+    track the program object, not its current field values. Programs for one
+    slot share one plan; each keeps its own ``idx``.
     """
 
     label: str  # parking | retrieval | exit | homing
-    steps: list[Step]
+    plan: Plan
     ticket_id: int | None = None
     vehicle_id: str | None = None
     idx: int = 0
+    ticket_label: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        bay_steps = [i for i, s in enumerate(self.steps) if s.bay]
-        platform_steps = [i for i, s in enumerate(self.steps) if s.platform]
-        self.bay_name = self.steps[bay_steps[0]].bay if bay_steps else None
-        self.bay_last = bay_steps[-1] if bay_steps else -1
-        self.platform_last = platform_steps[-1] if platform_steps else -1
+        self.ticket_label = "-" if self.ticket_id is None else str(self.ticket_id)
 
     @property
     def current(self) -> Step:
-        return self.steps[self.idx]
+        return self.plan.steps[self.idx]
 
     @property
     def done(self) -> bool:
-        return self.idx >= len(self.steps)
-
-    @property
-    def ticket_label(self) -> str:
-        return "-" if self.ticket_id is None else str(self.ticket_id)
+        return self.idx >= len(self.plan.steps)
 
 
 @dataclass(frozen=True)
@@ -147,8 +163,11 @@ def compute_bill(entry_ms: int, exit_ms: int, rate_per_minute: Decimal) -> Decim
     return (rate_per_minute * minutes).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
 
 
-def _parking_steps(slot: SlotAddress) -> list[Step]:
-    return [
+# A slot's plans depend only on its address and are immutable, so each is
+# built once: at most two per cell of any garage run in the process.
+@cache
+def _parking_plan(slot: SlotAddress) -> Plan:
+    return _plan(
         Step(StepKind.OPEN_GATE, gate="entrance", bay="entrance"),
         Step(StepKind.CONVEY, belt=ENTRANCE_BELT, car_onto=ENTRANCE_BELT, bay="entrance"),
         Step(StepKind.CLOSE_GATE, gate="entrance", bay="entrance"),
@@ -156,11 +175,12 @@ def _parking_steps(slot: SlotAddress) -> list[Step]:
         Step(StepKind.ELEVATE, target=slot.floor, platform=True),
         Step(StepKind.ROTATE, target=slot.slot, platform=True),
         Step(StepKind.TRANSFER_TO_SLOT, belt=BeltId("slot", slot.slot), platform=True),
-    ]
+    )
 
 
-def _retrieval_steps(slot: SlotAddress) -> list[Step]:
-    return [
+@cache
+def _retrieval_plan(slot: SlotAddress) -> Plan:
+    return _plan(
         Step(StepKind.ELEVATE, target=slot.floor, platform=True),
         Step(StepKind.ROTATE, target=slot.slot, platform=True),
         Step(StepKind.TRANSFER_FROM_SLOT, belt=BeltId("slot", slot.slot), platform=True),
@@ -168,22 +188,19 @@ def _retrieval_steps(slot: SlotAddress) -> list[Step]:
         Step(StepKind.ROTATE, target=0, platform=True),
         Step(StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_onto=EXIT_BELT, platform=True),
         Step(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True),
-    ]
+    )
 
 
-def _exit_steps() -> list[Step]:
-    return [
-        Step(StepKind.OPEN_GATE, gate="exit", bay="exit"),
-        Step(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True, car_off=EXIT_BELT, bay="exit"),
-        Step(StepKind.CLOSE_GATE, gate="exit", bay="exit"),
-    ]
+EXIT_PLAN = _plan(
+    Step(StepKind.OPEN_GATE, gate="exit", bay="exit"),
+    Step(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True, car_off=EXIT_BELT, bay="exit"),
+    Step(StepKind.CLOSE_GATE, gate="exit", bay="exit"),
+)
 
-
-def _homing_steps() -> list[Step]:
-    return [
-        Step(StepKind.ELEVATE, target=0, platform=True),
-        Step(StepKind.ROTATE, target=0, platform=True),
-    ]
+HOMING_PLAN = _plan(
+    Step(StepKind.ELEVATE, target=0, platform=True),
+    Step(StepKind.ROTATE, target=0, platform=True),
+)
 
 
 @dataclass(frozen=True)
@@ -290,9 +307,7 @@ class GarageController:
         ticket = self.garage.issue_ticket(vehicle, slot, now_ms)
         self.arrivals.append(ArrivalRecord(now_ms, vehicle, True, ticket.ticket_id, None))
         self._set_phase(ticket, TicketPhase.PARKING, now_ms)
-        program = Program(
-            "parking", _parking_steps(slot), ticket.ticket_id, vehicle.vehicle_id
-        )
+        program = Program("parking", _parking_plan(slot), ticket.ticket_id, vehicle.vehicle_id)
         self._request_step(program, now_ms)
         self.garage.timers.start(slot, now_ms)
         self._trace(f"t={now_ms} timer=start ticket={ticket.ticket_id}")
@@ -339,7 +354,7 @@ class GarageController:
         self._set_phase(ticket, TicketPhase.RETRIEVING, now_ms)
         program = Program(
             "retrieval",
-            _retrieval_steps(ticket.slot),
+            _retrieval_plan(ticket.slot),
             ticket.ticket_id,
             ticket.vehicle.vehicle_id,
         )
@@ -357,7 +372,7 @@ class GarageController:
             return
         self._set_phase(ticket, TicketPhase.CLOSED, now_ms)
         ticket.closed_ms = now_ms
-        program = Program("exit", _exit_steps(), ticket_id, ticket.vehicle.vehicle_id)
+        program = Program("exit", EXIT_PLAN, ticket_id, ticket.vehicle.vehicle_id)
         self._request_step(program, now_ms)
         self._pump(now_ms)
 
@@ -393,9 +408,10 @@ class GarageController:
             ticket = self.garage.tickets[program.ticket_id]
             owner = None if slot_after is SlotState.VACANT else ticket.ticket_id
             self.garage.slots.set_cell(ticket.slot, slot_after, owner)
-        if program.bay_name and program.idx == program.bay_last:
-            self._bay_owner[program.bay_name] = None
-        if step.platform and program.idx == program.platform_last:
+        plan = program.plan
+        if plan.bay_name and program.idx == plan.bay_last:
+            self._bay_owner[plan.bay_name] = None
+        if step.platform and program.idx == plan.platform_last:
             self._platform_owner = None
         program.idx += 1
         if program.done:
@@ -484,7 +500,7 @@ class GarageController:
         platform = self.fleet.platform
         if platform.floor_pos == 0 and platform.angle_deg == 0.0:
             return
-        self._homing = Program("homing", _homing_steps())
+        self._homing = Program("homing", HOMING_PLAN)
         self._request_step(self._homing, now_ms)
         self._pump(now_ms)
 

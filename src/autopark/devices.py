@@ -9,8 +9,9 @@ time. Devices hold no policy: sequencing and queueing live in the controller.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import AutoparkError, GarageConfig, ms_from_s
 
@@ -47,18 +48,20 @@ def read_length_sensors(vehicle_length_mm: int, config: GarageConfig) -> tuple[b
     return tuple(pos < vehicle_length_mm for pos in positions)
 
 
-@dataclass(frozen=True)
-class BeltId:
-    """Conveyor identity: entrance, exit, platform, or one slot face."""
+class BeltId(namedtuple("BeltId", "kind face")):
+    """Conveyor identity: entrance, exit, platform, or one slot face.
 
-    kind: str  # entrance | exit | platform | slot
-    face: int | None = None
+    A (kind, face) tuple, so belt lookups hash and compare in C.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("entrance", "exit", "platform", "slot"):
-            raise ValueError(f"unknown belt kind: {self.kind!r}")
-        if (self.kind == "slot") != (self.face is not None):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, face: int | None = None) -> BeltId:
+        if kind not in ("entrance", "exit", "platform", "slot"):
+            raise ValueError(f"unknown belt kind: {kind!r}")
+        if (kind == "slot") != (face is not None):
             raise ValueError("face is required exactly for slot belts")
+        return tuple.__new__(cls, (kind, face))
 
     def __str__(self) -> str:
         return self.kind if self.face is None else f"{self.kind}:{self.face}"
@@ -134,10 +137,10 @@ class Belt(Device):
     belt_id: BeltId
     occupant: str | None = None  # vehicle currently sitting on the belt
     faulted: bool = False
+    device_id: str = field(init=False, repr=False)
 
-    @property
-    def device_id(self) -> str:
-        return f"belt:{self.belt_id}"
+    def __post_init__(self) -> None:
+        self.device_id = f"belt:{self.belt_id}"
 
 
 @dataclass
@@ -152,14 +155,13 @@ class PlatformState(Device):
 class GateState(Device):
     name: str  # entrance | exit
     angle_deg: float = 0.0  # 0 closed, 90 open
+    device_id: str = field(init=False, repr=False)
 
-    @property
-    def device_id(self) -> str:
-        return f"gate:{self.name}"
+    def __post_init__(self) -> None:
+        self.device_id = f"gate:{self.name}"
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """One in-flight device motion and the motors it holds powered.
 
     ``device`` is the belt, platform or gate it moves; ``end_state`` is the
@@ -171,7 +173,7 @@ class Action:
     op: str
     duration_ms: int
     motors: tuple[str, ...]
-    device: Device = field(compare=False, repr=False)
+    device: Device
     end_state: tuple[str, float] | None = None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import AutoparkError, Vehicle
 
@@ -53,8 +53,10 @@ class PaymentConfirmed:
         return f"ticket={self.ticket_id}"
 
 
-@dataclass(frozen=True)
-class DeviceDone:
+class DeviceDone(NamedTuple):
+    """A device motion has finished. One per motion, so a plain tuple; the
+    scenario payloads stay dataclasses, whose equality includes their type."""
+
     device_id: str
     action_id: int
 

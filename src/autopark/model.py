@@ -233,6 +233,10 @@ class SlotMatrix:
                 yield SlotAddress(floor, slot)
 
     def set_cell(self, addr: SlotAddress, state: SlotState, ticket_id: int | None) -> None:
+        # The grid scans test members by identity; an equal string such as
+        # "reserved" would pass the row comparison and crash the cell loop.
+        if type(state) is not SlotState:
+            raise ValueError(f"not a slot state: {state!r}")
         if state is SlotState.VACANT and ticket_id is not None:
             raise ValueError("vacant cells carry no ticket")
         if state is not SlotState.VACANT and ticket_id is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from decimal import Decimal
 from pathlib import Path
@@ -5,13 +6,21 @@ from pathlib import Path
 import pytest
 
 from autopark.controller import (
+    EXIT_PLAN,
+    HOMING_PLAN,
     InvariantViolationError,
     NoVacancyError,
+    Program,
+    Step,
+    StepKind,
     UnknownActionError,
+    _parking_plan,
+    _retrieval_plan,
     allocate_slot,
     check_invariants,
     compute_bill,
 )
+from autopark.devices import ENTRANCE_BELT, EXIT_BELT, PLATFORM_BELT, BeltId
 from autopark.engine import Arrival, BeltFault, FaultCleared, InboundSms, PaymentConfirmed
 from autopark.model import (
     GarageConfig,
@@ -458,3 +467,116 @@ def test_unknown_device_completion_is_an_error():
     session = GarageSession()
     with pytest.raises(UnknownActionError):
         session.controller.on_device_done("belt:entrance", 999, 0)
+
+
+# -- plans ---------------------------------------------------------------------
+# The frozen step record, the four step-list builders and the per-program lock
+# scan that the cached plans replaced, kept as the reference they must match.
+
+
+@dataclasses.dataclass(frozen=True)
+class OracleStep:
+    kind: StepKind
+    gate: str | None = None
+    belt: BeltId | None = None
+    target: int | None = None
+    car_onto: BeltId | None = None
+    car_rides: bool = False
+    car_off: BeltId | None = None
+    bay: str | None = None
+    platform: bool = False
+
+
+def oracle_parking_steps(slot: SlotAddress) -> list[OracleStep]:
+    return [
+        OracleStep(StepKind.OPEN_GATE, gate="entrance", bay="entrance"),
+        OracleStep(StepKind.CONVEY, belt=ENTRANCE_BELT, car_onto=ENTRANCE_BELT, bay="entrance"),
+        OracleStep(StepKind.CLOSE_GATE, gate="entrance", bay="entrance"),
+        OracleStep(
+            StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_off=ENTRANCE_BELT, platform=True
+        ),
+        OracleStep(StepKind.ELEVATE, target=slot.floor, platform=True),
+        OracleStep(StepKind.ROTATE, target=slot.slot, platform=True),
+        OracleStep(StepKind.TRANSFER_TO_SLOT, belt=BeltId("slot", slot.slot), platform=True),
+    ]
+
+
+def oracle_retrieval_steps(slot: SlotAddress) -> list[OracleStep]:
+    return [
+        OracleStep(StepKind.ELEVATE, target=slot.floor, platform=True),
+        OracleStep(StepKind.ROTATE, target=slot.slot, platform=True),
+        OracleStep(StepKind.TRANSFER_FROM_SLOT, belt=BeltId("slot", slot.slot), platform=True),
+        OracleStep(StepKind.ELEVATE, target=0, platform=True),
+        OracleStep(StepKind.ROTATE, target=0, platform=True),
+        OracleStep(StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_onto=EXIT_BELT, platform=True),
+        OracleStep(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True),
+    ]
+
+
+def oracle_exit_steps() -> list[OracleStep]:
+    return [
+        OracleStep(StepKind.OPEN_GATE, gate="exit", bay="exit"),
+        OracleStep(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True, car_off=EXIT_BELT, bay="exit"),
+        OracleStep(StepKind.CLOSE_GATE, gate="exit", bay="exit"),
+    ]
+
+
+def oracle_homing_steps() -> list[OracleStep]:
+    return [
+        OracleStep(StepKind.ELEVATE, target=0, platform=True),
+        OracleStep(StepKind.ROTATE, target=0, platform=True),
+    ]
+
+
+def oracle_lock_scan(steps: list[OracleStep]) -> tuple[str | None, int, int]:
+    """(bay name, last bay step, last platform step), as a program scanned them."""
+    bay_steps = [i for i, s in enumerate(steps) if s.bay]
+    platform_steps = [i for i, s in enumerate(steps) if s.platform]
+    return (
+        steps[bay_steps[0]].bay if bay_steps else None,
+        bay_steps[-1] if bay_steps else -1,
+        platform_steps[-1] if platform_steps else -1,
+    )
+
+
+def assert_plan_matches(plan, expected: list[OracleStep]) -> None:
+    assert len(plan.steps) == len(expected)
+    for step, want in zip(plan.steps, expected):
+        assert type(step) is Step
+        for f in dataclasses.fields(OracleStep):
+            got, wanted = getattr(step, f.name), getattr(want, f.name)
+            assert got == wanted and type(got) is type(wanted), (f.name, step, want)
+    assert (plan.bay_name, plan.bay_last, plan.platform_last) == oracle_lock_scan(expected)
+
+
+def test_step_keeps_its_field_names_order_and_defaults():
+    fields = dataclasses.fields(OracleStep)
+    assert Step._fields == tuple(f.name for f in fields)
+    assert Step._field_defaults == {
+        f.name: f.default for f in fields if f.default is not dataclasses.MISSING
+    }
+
+
+@pytest.mark.parametrize("floors,slots_per_floor", [(3, 6), (20, 24)])
+def test_plans_match_the_step_builders_they_replaced(floors, slots_per_floor):
+    for floor in range(floors):
+        for slot in range(slots_per_floor):
+            addr = SlotAddress(floor, slot)
+            assert_plan_matches(_parking_plan(addr), oracle_parking_steps(addr))
+            assert_plan_matches(_retrieval_plan(addr), oracle_retrieval_steps(addr))
+    assert_plan_matches(EXIT_PLAN, oracle_exit_steps())
+    assert_plan_matches(HOMING_PLAN, oracle_homing_steps())
+
+
+def test_programs_for_one_slot_share_the_plan_but_not_their_place():
+    first = Program("retrieval", _retrieval_plan(SlotAddress(1, 4)), 1, "v1")
+    second = Program("retrieval", _retrieval_plan(SlotAddress(1, 4)), 2, "v2")
+    assert first.plan is second.plan
+    assert (first.ticket_label, second.ticket_label) == ("1", "2")
+    first.idx += 3
+    assert second.idx == 0
+    assert second.current is first.plan.steps[0]
+    assert first.current is first.plan.steps[3]
+    first.idx = len(first.plan.steps)
+    assert first.done and not second.done
+    assert Program("homing", HOMING_PLAN).ticket_label == "-"

@@ -56,17 +56,31 @@ def test_belt_roster_covers_fixed_and_slot_belts():
 
 
 def test_parse_belt_id_round_trip():
-    for belt in belt_roster(6):
+    for belt in belt_roster(6) + belt_roster(24):
         assert parse_belt_id(str(belt)) == belt
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown belt kind: 'conveyor:9'"):
         parse_belt_id("conveyor:9")
 
 
 def test_slot_belt_requires_face():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="face is required exactly for slot belts"):
         BeltId("slot")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="face is required exactly for slot belts"):
         BeltId("entrance", face=1)
+    with pytest.raises(ValueError, match="unknown belt kind: 'conveyor'"):
+        BeltId("conveyor")
+
+
+def test_equal_belt_ids_find_the_same_belt_and_keep_their_text():
+    fleet = DeviceFleet(GarageConfig(floors=20, slots_per_floor=24), lambda *done: None)
+    texts = ["entrance", "exit", "platform"] + [f"slot:{face}" for face in range(24)]
+    assert [str(belt_id) for belt_id in fleet.belts] == texts
+    for text, (belt_id, belt) in zip(texts, fleet.belts.items()):
+        fresh = BeltId(belt_id.kind, belt_id.face)
+        assert fresh == belt_id and fresh is not belt_id
+        assert fleet.belts[fresh] is belt
+        assert belt.device_id == f"belt:{text}"
+    assert [gate.device_id for gate in fleet.gates.values()] == ["gate:entrance", "gate:exit"]
 
 
 # -- relay bank ---------------------------------------------------------------

@@ -275,6 +275,14 @@ def _belts_share_car(session: GarageSession) -> None:
     session.fleet.belt(EXIT_BELT).occupant = session.fleet.belt(ENTRANCE_BELT).occupant
 
 
+def _action_takes_motors_of_other(session: GarageSession) -> None:
+    """The two running conveyors (belt:slot:2 and belt:entrance) both claim
+    belt:entrance's motor; the relay bank still powers the same two."""
+    active = session.fleet._active
+    first, second = active.values()
+    active[first.action_id] = first._replace(motors=second.motors)
+
+
 def _set_platform(**values):
     def corrupt(session: GarageSession) -> None:
         for name, value in values.items():
@@ -422,6 +430,7 @@ MUTATIONS = {
         lambda session: session.fleet.relays.powered.popitem(),
         "powered ['belt:slot:2'] != active ['belt:entrance', 'belt:slot:2']",
     ),
+    "two_actions_one_motor": (_action_takes_motors_of_other, "a motor is held by two actions"),
     "two_belts_one_car": (_belts_share_car, "a vehicle sits on two belts: ['v7', 'v7']"),
     "platform_floor_out_of_range": (
         _set_platform(floor_pos=3),

@@ -158,6 +158,13 @@ def test_slot_matrix_consistency_guard():
         garage.slots.set_cell(SlotAddress(0, 0), SlotState.VACANT, 7)
     with pytest.raises(ValueError):
         garage.slots.set_cell(SlotAddress(0, 0), SlotState.OCCUPIED, None)
+    # A value equal to a member is not one: the grid scans test members by
+    # identity, so it would pass the row comparison and crash the cell loop.
+    for state, ticket_id in (("reserved", 7), ("occupied", 7), ("vacant", None)):
+        with pytest.raises(ValueError, match="not a slot state"):
+            garage.slots.set_cell(SlotAddress(0, 0), state, ticket_id)
+    assert garage.slots.state_at(SlotAddress(0, 0)) is SlotState.VACANT
+    assert occupancy_count(garage) == (0, 18)
 
 
 def test_timer_matrix_start_stop():
