@@ -4,9 +4,12 @@ Arrivals, retrieval requests, payments, and device completions all funnel
 through here. Each accepted vehicle gets a step program (a fixed sequence of
 gate, belt, and platform motions); programs compete for three scarce things:
 the entrance/exit bays, the single platform, and the two-motor relay budget.
-Contention is resolved by a FIFO wait queue. A belt fault halts the issuing
-of new motions garage-wide until the fault is cleared; motions already in
-flight run to completion.
+Each step is one record holding everything about its motion: the device it
+drives and names in the trace, the belts its car moves between, the lock it
+runs under and whether it is the last step under that lock; the controller
+starts it on the fleet directly. Contention is resolved by a FIFO wait
+queue. A belt fault halts the issuing of new motions garage-wide until the
+fault is cleared; motions already in flight run to completion.
 
 Billing charges every started minute between the entrance acceptance and the
 retrieval request, both captured on the millisecond clock.
@@ -15,7 +18,7 @@ retrieval request, both captured on the millisecond clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple
@@ -29,6 +32,7 @@ from .devices import (
     Action,
     BeltId,
     DeviceFleet,
+    device_name,
     read_length_sensors,
 )
 from .model import (
@@ -53,6 +57,10 @@ class UnknownActionError(AutoparkError):
     """A completion arrived for an action the controller is not tracking."""
 
 
+class BillTooLargeError(AutoparkError):
+    """The bill has more digits than the money arithmetic carries."""
+
+
 class InvariantViolationError(AutoparkError):
     """A structural invariant of the garage state failed."""
 
@@ -74,8 +82,8 @@ class StepKind(str, Enum):
 
 
 class Step(NamedTuple):
-    """One motion in a program, the belts its car moves between, and the
-    long-held locks it runs under."""
+    """One motion in a program: the device it drives, the belts its car moves
+    between, and the long-held lock it runs under."""
 
     kind: StepKind
     gate: str | None = None
@@ -84,43 +92,39 @@ class Step(NamedTuple):
     car_onto: BeltId | None = None  # the car moves onto this idle, empty belt at start
     car_rides: bool = False  # the car must already sit on the belt this step runs
     car_off: BeltId | None = None  # the car has left this belt when the step ends
-    bay: str | None = None  # entrance/exit bay lock held during this step
-    platform: bool = False  # platform lock held during this step
+    lock: str | None = None  # entrance | exit | platform, held during this step
+    releases: bool = False  # the last step under its lock: frees it when it ends
+    device: str = ""  # the device named in the trace
 
 
-class Plan(NamedTuple):
-    """A motion sequence and the locks it takes: the bay it holds, if any,
-    and the last step run under the bay lock and under the platform lock
-    (-1 when it never takes one)."""
-
-    steps: tuple[Step, ...]
-    bay_name: str | None
-    bay_last: int
-    platform_last: int
-
-
-def _plan(*steps: Step) -> Plan:
-    bay_steps = [i for i, s in enumerate(steps) if s.bay]
-    platform_steps = [i for i, s in enumerate(steps) if s.platform]
-    return Plan(
-        steps,
-        steps[bay_steps[0]].bay if bay_steps else None,
-        bay_steps[-1] if bay_steps else -1,
-        platform_steps[-1] if platform_steps else -1,
-    )
+def _plan(*steps: Step) -> tuple[Step, ...]:
+    """The steps with the device each drives named and the last step under
+    each lock marked as releasing it."""
+    last = {step.lock: i for i, step in enumerate(steps)}
+    planned = []
+    for i, step in enumerate(steps):
+        if step.gate:
+            device = device_name("gate", step.gate)
+        elif step.belt:
+            device = device_name("belt", step.belt)
+        else:
+            device = ELEVATOR_MOTOR if step.kind is StepKind.ELEVATE else ROTATOR
+        releases = step.lock is not None and last[step.lock] == i
+        planned.append(step._replace(device=device, releases=releases))
+    return tuple(planned)
 
 
 @dataclass(eq=False)
 class Program:
-    """A ticket's progress through its plan.
+    """A ticket's progress through its steps.
 
     Programs compare and hash by identity: the wait queue and the lock owners
     track the program object, not its current field values. Programs for one
-    slot share one plan; each keeps its own ``idx``.
+    slot share one step tuple; each keeps its own ``idx``.
     """
 
     label: str  # parking | retrieval | exit | homing
-    plan: Plan
+    steps: tuple[Step, ...]
     ticket_id: int | None = None
     vehicle_id: str | None = None
     idx: int = 0
@@ -128,14 +132,6 @@ class Program:
 
     def __post_init__(self) -> None:
         self.ticket_label = "-" if self.ticket_id is None else str(self.ticket_id)
-
-    @property
-    def current(self) -> Step:
-        return self.plan.steps[self.idx]
-
-    @property
-    def done(self) -> bool:
-        return self.idx >= len(self.plan.steps)
 
 
 @dataclass(frozen=True)
@@ -160,107 +156,52 @@ def allocate_slot(slots: SlotMatrix, ticket_id: int) -> SlotAddress:
 def compute_bill(entry_ms: int, exit_ms: int, rate_per_minute: Decimal) -> Decimal:
     """Charge for every started minute; a zero-length stay costs nothing."""
     minutes = billed_minutes(entry_ms, exit_ms)
-    return (rate_per_minute * minutes).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+    try:
+        return (rate_per_minute * minutes).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+    except InvalidOperation:
+        raise BillTooLargeError(
+            f"bill at {rate_per_minute} per minute is too large to compute"
+        ) from None
 
 
 # A slot's plans depend only on its address and are immutable, so each is
 # built once: at most two per cell of any garage run in the process.
 @cache
-def _parking_plan(slot: SlotAddress) -> Plan:
+def _parking_plan(slot: SlotAddress) -> tuple[Step, ...]:
     return _plan(
-        Step(StepKind.OPEN_GATE, gate="entrance", bay="entrance"),
-        Step(StepKind.CONVEY, belt=ENTRANCE_BELT, car_onto=ENTRANCE_BELT, bay="entrance"),
-        Step(StepKind.CLOSE_GATE, gate="entrance", bay="entrance"),
-        Step(StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_off=ENTRANCE_BELT, platform=True),
-        Step(StepKind.ELEVATE, target=slot.floor, platform=True),
-        Step(StepKind.ROTATE, target=slot.slot, platform=True),
-        Step(StepKind.TRANSFER_TO_SLOT, belt=BeltId("slot", slot.slot), platform=True),
+        Step(StepKind.OPEN_GATE, gate="entrance", lock="entrance"),
+        Step(StepKind.CONVEY, belt=ENTRANCE_BELT, car_onto=ENTRANCE_BELT, lock="entrance"),
+        Step(StepKind.CLOSE_GATE, gate="entrance", lock="entrance"),
+        Step(StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_off=ENTRANCE_BELT, lock="platform"),
+        Step(StepKind.ELEVATE, target=slot.floor, lock="platform"),
+        Step(StepKind.ROTATE, target=slot.slot, lock="platform"),
+        Step(StepKind.TRANSFER_TO_SLOT, belt=BeltId("slot", slot.slot), lock="platform"),
     )
 
 
 @cache
-def _retrieval_plan(slot: SlotAddress) -> Plan:
+def _retrieval_plan(slot: SlotAddress) -> tuple[Step, ...]:
     return _plan(
-        Step(StepKind.ELEVATE, target=slot.floor, platform=True),
-        Step(StepKind.ROTATE, target=slot.slot, platform=True),
-        Step(StepKind.TRANSFER_FROM_SLOT, belt=BeltId("slot", slot.slot), platform=True),
-        Step(StepKind.ELEVATE, target=0, platform=True),
-        Step(StepKind.ROTATE, target=0, platform=True),
-        Step(StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_onto=EXIT_BELT, platform=True),
+        Step(StepKind.ELEVATE, target=slot.floor, lock="platform"),
+        Step(StepKind.ROTATE, target=slot.slot, lock="platform"),
+        Step(StepKind.TRANSFER_FROM_SLOT, belt=BeltId("slot", slot.slot), lock="platform"),
+        Step(StepKind.ELEVATE, target=0, lock="platform"),
+        Step(StepKind.ROTATE, target=0, lock="platform"),
+        Step(StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_onto=EXIT_BELT, lock="platform"),
         Step(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True),
     )
 
 
 EXIT_PLAN = _plan(
-    Step(StepKind.OPEN_GATE, gate="exit", bay="exit"),
-    Step(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True, car_off=EXIT_BELT, bay="exit"),
-    Step(StepKind.CLOSE_GATE, gate="exit", bay="exit"),
+    Step(StepKind.OPEN_GATE, gate="exit", lock="exit"),
+    Step(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True, car_off=EXIT_BELT, lock="exit"),
+    Step(StepKind.CLOSE_GATE, gate="exit", lock="exit"),
 )
 
 HOMING_PLAN = _plan(
-    Step(StepKind.ELEVATE, target=0, platform=True),
-    Step(StepKind.ROTATE, target=0, platform=True),
+    Step(StepKind.ELEVATE, target=0, lock="platform"),
+    Step(StepKind.ROTATE, target=0, lock="platform"),
 )
-
-
-@dataclass(frozen=True)
-class Motion:
-    """What one step kind does with the hardware: the device it names in the
-    trace, whether that device and the motor power it needs are free, how it
-    starts, and what the slot it serves becomes when it ends."""
-
-    device: Callable[[DeviceFleet, Step], str]
-    ready: Callable[[DeviceFleet, Step], bool]
-    start: Callable[[DeviceFleet, Step, int], Action]
-    slot_after: SlotState | None = None
-
-
-def _gate(command: str) -> Motion:
-    return Motion(
-        lambda fleet, step: fleet.gates[step.gate].device_id,
-        lambda fleet, step: not fleet.gates[step.gate].busy,
-        lambda fleet, step, now_ms: fleet.gate_actuate(step.gate, command, now_ms),
-    )
-
-
-def _convey(slot_after: SlotState | None = None) -> Motion:
-    def ready(fleet: DeviceFleet, step: Step) -> bool:
-        belt = fleet.belt(step.belt)
-        return not (belt.busy or belt.faulted) and fleet.relays.available() >= 1
-
-    return Motion(
-        lambda fleet, step: fleet.belt(step.belt).device_id,
-        ready,
-        lambda fleet, step, now_ms: fleet.belt_start_convey(step.belt, now_ms),
-        slot_after,
-    )
-
-
-def _platform_ready(fleet: DeviceFleet, moves: bool, motors: int) -> bool:
-    """The platform is idle and, unless already in place, its motors can be powered."""
-    return not fleet.platform.busy and fleet.relays.available() >= (motors if moves else 0)
-
-
-MOTIONS: dict[StepKind, Motion] = {
-    StepKind.OPEN_GATE: _gate("open"),
-    StepKind.CLOSE_GATE: _gate("close"),
-    StepKind.CONVEY: _convey(),
-    StepKind.LOAD_PLATFORM: _convey(),
-    StepKind.ELEVATE: Motion(
-        lambda fleet, step: ELEVATOR_MOTOR,
-        lambda fleet, step: _platform_ready(fleet, fleet.platform.floor_pos != step.target, 1),
-        lambda fleet, step, now_ms: fleet.elevator_goto_floor(step.target, now_ms),
-    ),
-    StepKind.ROTATE: Motion(
-        lambda fleet, step: ROTATOR,
-        lambda fleet, step: _platform_ready(
-            fleet, fleet.platform.angle_deg != (step.target * fleet.config.slot_angle_deg) % 360.0, 2
-        ),
-        lambda fleet, step, now_ms: fleet.platform_rotate_to_slot(step.target, now_ms),
-    ),
-    StepKind.TRANSFER_TO_SLOT: _convey(SlotState.OCCUPIED),
-    StepKind.TRANSFER_FROM_SLOT: _convey(SlotState.VACANT),
-}
 
 
 class GarageController:
@@ -281,8 +222,8 @@ class GarageController:
         self._trace = trace if trace is not None else lambda line: None
         self._wait_q: dict[Program, None] = {}  # insertion-ordered: request order
         self._action_owner: dict[int, Program] = {}
-        self._bay_owner: dict[str, Program | None] = {"entrance": None, "exit": None}
-        self._platform_owner: Program | None = None
+        locks = ("entrance", "exit", "platform")
+        self._lock_owner: dict[str, Program | None] = dict.fromkeys(locks)
         self._homing: Program | None = None
 
     # -- event entry points ------------------------------------------------
@@ -400,21 +341,19 @@ class GarageController:
         if program is None:
             raise UnknownActionError(f"no program owns action {action_id} ({device_id})")
         self.fleet.complete_action(action_id)
-        step = program.current
+        step = program.steps[program.idx]
         if step.car_off is not None:
             self.fleet.belt(step.car_off).occupant = None
-        slot_after = MOTIONS[step.kind].slot_after
-        if slot_after is not None:
+        if step.kind is StepKind.TRANSFER_TO_SLOT:
             ticket = self.garage.tickets[program.ticket_id]
-            owner = None if slot_after is SlotState.VACANT else ticket.ticket_id
-            self.garage.slots.set_cell(ticket.slot, slot_after, owner)
-        plan = program.plan
-        if plan.bay_name and program.idx == plan.bay_last:
-            self._bay_owner[plan.bay_name] = None
-        if step.platform and program.idx == plan.platform_last:
-            self._platform_owner = None
+            self.garage.slots.set_cell(ticket.slot, SlotState.OCCUPIED, ticket.ticket_id)
+        elif step.kind is StepKind.TRANSFER_FROM_SLOT:
+            ticket = self.garage.tickets[program.ticket_id]
+            self.garage.slots.set_cell(ticket.slot, SlotState.VACANT, None)
+        if step.releases:
+            self._lock_owner[step.lock] = None
         program.idx += 1
-        if program.done:
+        if program.idx == len(program.steps):
             self._finish_program(program, now_ms)
         else:
             self._request_step(program, now_ms)
@@ -424,8 +363,7 @@ class GarageController:
     # -- program machinery ---------------------------------------------------
 
     def _request_step(self, program: Program, now_ms: int) -> None:
-        step = program.current
-        device = MOTIONS[step.kind].device(self.fleet, step)
+        device = program.steps[program.idx].device
         self._trace(f"t={now_ms} act=request device={device} ticket={program.ticket_label}")
         self._wait_q[program] = None
 
@@ -439,22 +377,19 @@ class GarageController:
                 del self._wait_q[program]
 
     def _try_launch(self, program: Program, now_ms: int) -> bool:
-        step = program.current
+        step = program.steps[program.idx]
         # Long-held locks are claimed as soon as they are free even if the
         # motion itself cannot start yet; this keeps the platform and the bays
         # FIFO while motor power churns.
-        if step.bay:
-            if self._bay_owner[step.bay] not in (None, program):
+        if step.lock is not None:
+            if self._lock_owner[step.lock] not in (None, program):
                 return False
-            self._bay_owner[step.bay] = program
-        if step.platform:
-            if self._platform_owner not in (None, program):
-                return False
-            self._platform_owner = program
-        motion = MOTIONS[step.kind]
-        if not (self._car_can_move(program, step) and motion.ready(self.fleet, step)):
+            self._lock_owner[step.lock] = program
+        if not self._car_can_move(program, step):
             return False
-        action = motion.start(self.fleet, step, now_ms)
+        action = self._start_motion(step, now_ms)
+        if action is None:
+            return False
         if step.car_onto is not None:
             self.fleet.belt(step.car_onto).occupant = program.vehicle_id
         self._action_owner[action.action_id] = program
@@ -463,6 +398,32 @@ class GarageController:
             f"op={action.op} ticket={program.ticket_label}"
         )
         return True
+
+    def _start_motion(self, step: Step, now_ms: int) -> Action | None:
+        """Start the step's motion if its device and the motor power it needs
+        are free; a platform already in place needs no power."""
+        fleet = self.fleet
+        if step.gate is not None:
+            if fleet.gates[step.gate].busy:
+                return None
+            command = "open" if step.kind is StepKind.OPEN_GATE else "close"
+            return fleet.gate_actuate(step.gate, command, now_ms)
+        if step.belt is not None:
+            belt = fleet.belts[step.belt]
+            if belt.busy or belt.faulted or fleet.relays.available() < 1:
+                return None
+            return fleet.belt_start_convey(step.belt, now_ms)
+        platform = fleet.platform
+        if platform.busy:
+            return None
+        if step.kind is StepKind.ELEVATE:
+            if platform.floor_pos != step.target and fleet.relays.available() < 1:
+                return None
+            return fleet.elevator_goto_floor(step.target, now_ms)
+        angle = (step.target * fleet.config.slot_angle_deg) % 360.0
+        if platform.angle_deg != angle and fleet.relays.available() < 2:
+            return None
+        return fleet.platform_rotate_to_slot(step.target, now_ms)
 
     def _car_can_move(self, program: Program, step: Step) -> bool:
         """The belt the car moves onto is idle and empty; the one it rides holds it."""
@@ -495,7 +456,7 @@ class GarageController:
         """Park the idle platform back at floor 0, angle 0."""
         if self.mode is ControllerMode.HALTED:
             return
-        if self._platform_owner is not None or self._homing is not None:
+        if self._lock_owner["platform"] is not None or self._homing is not None:
             return
         platform = self.fleet.platform
         if platform.floor_pos == 0 and platform.angle_deg == 0.0:

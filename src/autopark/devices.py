@@ -72,6 +72,11 @@ EXIT_BELT = BeltId("exit")
 PLATFORM_BELT = BeltId("platform")
 
 
+def device_name(kind: str, name: object) -> str:
+    """The name a belt or gate goes by in the trace, e.g. ``belt:slot:3``."""
+    return f"{kind}:{name}"
+
+
 def parse_belt_id(text: str) -> BeltId:
     if text.startswith("slot:"):
         return BeltId("slot", int(text.split(":", 1)[1]))
@@ -92,10 +97,9 @@ class RelayBank:
     currently switched on, and reports track the high-water motor count.
     """
 
-    def __init__(self, budget: int = 2):
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
-        self.budget = budget
+    budget = 2  # motors that may draw power at once
+
+    def __init__(self):
         self.powered: dict[str, float] = {}  # motor id -> watts drawn
         self.max_concurrent = 0
 
@@ -140,7 +144,7 @@ class Belt(Device):
     device_id: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.device_id = f"belt:{self.belt_id}"
+        self.device_id = device_name("belt", self.belt_id)
 
 
 @dataclass
@@ -158,7 +162,7 @@ class GateState(Device):
     device_id: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.device_id = f"gate:{self.name}"
+        self.device_id = device_name("gate", self.name)
 
 
 class Action(NamedTuple):
@@ -197,11 +201,10 @@ class DeviceFleet:
         self,
         config: GarageConfig,
         schedule_done: Callable[[int, str, int], None],
-        budget: int = 2,
     ):
         self.config = config
         self.schedule_done = schedule_done
-        self.relays = RelayBank(budget)
+        self.relays = RelayBank()
         self.belts: dict[BeltId, Belt] = {
             belt_id: Belt(belt_id) for belt_id in belt_roster(config.slots_per_floor)
         }

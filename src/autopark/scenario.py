@@ -50,6 +50,7 @@ from .model import (
     InvalidConfigError,
     KinematicsConfig,
     Vehicle,
+    is_valid_phone,
     new_garage,
 )
 from .power import BatteryState, PowerSystem
@@ -159,6 +160,13 @@ def _irradiance(field: Callable[..., object], config: GarageConfig) -> Irradianc
     return IrradianceChange(w)
 
 
+def _inbound_sms(field: Callable[..., object], config: GarageConfig) -> InboundSms:
+    phone = field("phone")
+    if not is_valid_phone(phone):
+        raise ValueError(f"invalid phone number: {phone!r}")
+    return InboundSms(phone, field("body"))
+
+
 def _fault(field: Callable[..., object], config: GarageConfig) -> BeltFault:
     belt = parse_belt_id(field("belt"))
     if belt not in belt_roster(config.slots_per_floor):
@@ -177,7 +185,7 @@ EVENT_KINDS: dict[str, EventKind] = {
     ),
     "sms_in": EventKind(
         ("phone", "body"),
-        lambda field, config: InboundSms(field("phone"), field("body")),
+        _inbound_sms,
         lambda p: (p.phone, p.body),
         lambda session, p, t: session.controller.on_inbound_sms(p.phone, p.body, t),
     ),

@@ -1,10 +1,11 @@
-"""GSM text-mode SMS: command codec, modem emulator, and gateway.
+"""GSM text-mode SMS: modem emulator and gateway.
 
-The controller talks to a modem over a line-oriented serial protocol. This
-module renders commands to their exact wire form, parses modem responses
-back, and emulates the modem so the full exchange (register, text mode,
-submit, notify, read, delete) runs inside the simulation. Every byte that
-crosses the serial link is logged so the exchanges can be golden-tested.
+The controller talks to a modem over a line-oriented serial protocol. The
+gateway writes each AT command in its exact wire form and matches the
+modem's reply lines directly; the emulated modem answers them, so the full
+exchange (register, text mode, submit, notify, read, delete) runs inside the
+simulation. Every byte that crosses the serial link is logged so the
+exchanges can be golden-tested.
 """
 
 from __future__ import annotations
@@ -12,28 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import (
-    AutoparkError,
-    MS_PER_SECOND,
-    ParkingTicket,
-    billed_minutes,
-    is_valid_phone,
-)
+from .model import AutoparkError, MS_PER_SECOND, ParkingTicket, billed_minutes
 
 CTRL_Z = "\x1a"
 MAX_BODY_CHARS = 160
-
-
-class InvalidNumberError(AutoparkError):
-    """Destination is not a valid phone number."""
-
-
-class UnparseableLineError(AutoparkError):
-    """The modem sent a line outside the understood grammar."""
-
-    def __init__(self, line: str):
-        super().__init__(f"unparseable modem line: {line!r}")
-        self.line = line
 
 
 class NotRegisteredError(AutoparkError):
@@ -50,112 +33,6 @@ class ModemError(AutoparkError):
 
 class MissingFieldError(AutoparkError):
     """The ticket lacks a field the message template needs."""
-
-
-# -- command codec -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegisterNetwork:
-    pass
-
-
-@dataclass(frozen=True)
-class SetTextMode:
-    pass
-
-
-@dataclass(frozen=True)
-class SendMessage:
-    number: str
-
-
-@dataclass(frozen=True)
-class ReadInbox:
-    pass
-
-
-@dataclass(frozen=True)
-class DeleteMessage:
-    index: int
-
-
-AtCommand = RegisterNetwork | SetTextMode | SendMessage | ReadInbox | DeleteMessage
-
-
-def render_at(command: AtCommand) -> str:
-    """Exact wire form of a command, carriage return included."""
-    if isinstance(command, RegisterNetwork):
-        return "AT+CREG=1\r"
-    if isinstance(command, SetTextMode):
-        return "AT+CMGF=1\r"
-    if isinstance(command, SendMessage):
-        if not is_valid_phone(command.number):
-            raise InvalidNumberError(f"bad destination: {command.number!r}")
-        return f'AT+CMGS="{command.number}"\r'
-    if isinstance(command, ReadInbox):
-        return 'AT+CMGL="REC UNREAD"\r'
-    if isinstance(command, DeleteMessage):
-        return f"AT+CMGD={command.index}\r"
-    raise TypeError(f"not an AT command: {command!r}")
-
-
-@dataclass(frozen=True)
-class Ok:
-    pass
-
-
-@dataclass(frozen=True)
-class Error:
-    pass
-
-
-@dataclass(frozen=True)
-class Prompt:
-    pass
-
-
-@dataclass(frozen=True)
-class MessageRef:
-    ref: int
-
-
-@dataclass(frozen=True)
-class InboxEntry:
-    index: int
-    number: str
-    timestamp_ms: int
-    body: str
-
-
-@dataclass(frozen=True)
-class NewMessageNotice:
-    index: int
-
-
-ModemResponse = Ok | Error | Prompt | MessageRef | InboxEntry | NewMessageNotice
-
-_CMGS_RE = re.compile(r"^\+CMGS: (\d+)$")
-_CMTI_RE = re.compile(r'^\+CMTI: "SM",(\d+)$')
-_CMGL_RE = re.compile(r'^\+CMGL: (\d+),"REC UNREAD","([^"]+)",,"(\d+)"$')
-
-
-def parse_modem_line(line: str) -> ModemResponse:
-    """Parse one response line; inbox entry bodies arrive on the next line."""
-    text = line.rstrip("\r")
-    if text == "OK":
-        return Ok()
-    if text == "ERROR":
-        return Error()
-    if text == ">":
-        return Prompt()
-    if match := _CMGS_RE.match(text):
-        return MessageRef(int(match.group(1)))
-    if match := _CMTI_RE.match(text):
-        return NewMessageNotice(int(match.group(1)))
-    if match := _CMGL_RE.match(text):
-        return InboxEntry(int(match.group(1)), match.group(2), int(match.group(3)), "")
-    raise UnparseableLineError(line)
 
 
 # -- modem emulation -----------------------------------------------------------
@@ -250,6 +127,10 @@ class SmsModem:
         return [f"+CMGS: {ref}", "OK"]
 
 
+_CMGS_RE = re.compile(r"^\+CMGS: (\d+)$")
+_CMGL_RE = re.compile(r'^\+CMGL: (\d+),"REC UNREAD","([^"]+)",,"(\d+)"$')
+
+
 class SmsGateway:
     """What the controller holds: registration, sending, and inbox polling."""
 
@@ -263,10 +144,9 @@ class SmsGateway:
 
     def initialize(self) -> None:
         """Register on the network and switch to text mode."""
-        for command in (RegisterNetwork(), SetTextMode()):
-            responses = self._run(render_at(command))
-            if not responses or not isinstance(responses[-1], Ok):
-                raise ModemError(f"initialization failed on {command!r}")
+        for command in ("AT+CREG=1", "AT+CMGF=1"):
+            if self.modem.exchange(command + "\r")[-1:] != ["OK"]:
+                raise ModemError(f"initialization failed on {command}")
         self._ready = True
 
     def send_sms(self, number: str, body: str) -> int:
@@ -275,50 +155,37 @@ class SmsGateway:
             raise NotRegisteredError("gateway is not initialized")
         if len(body) > MAX_BODY_CHARS:
             raise BodyTooLongError(f"{len(body)} chars exceeds {MAX_BODY_CHARS}")
-        responses = self._run(render_at(SendMessage(number)))
-        if len(responses) != 1 or not isinstance(responses[0], Prompt):
+        responses = self.modem.exchange(f'AT+CMGS="{number}"\r')
+        if responses != [">"]:
             raise ModemError(f"expected send prompt, got {responses!r}")
-        responses = self._run(body + CTRL_Z)
-        if (
-            len(responses) != 2
-            or not isinstance(responses[0], MessageRef)
-            or not isinstance(responses[1], Ok)
-        ):
-            raise ModemError(f"submit failed: {responses!r}")
-        return responses[0].ref
+        responses = self.modem.exchange(body + CTRL_Z)
+        if len(responses) == 2 and responses[1] == "OK":
+            if match := _CMGS_RE.match(responses[0]):
+                return int(match.group(1))
+        raise ModemError(f"submit failed: {responses!r}")
 
     def poll_inbox(self) -> list[SmsMessage]:
         """Read and delete every pending inbound message, in arrival order."""
         if not self._ready:
             raise NotRegisteredError("gateway is not initialized")
-        raw = self.modem.exchange(render_at(ReadInbox()))
-        entries: list[InboxEntry] = []
+        raw = self.modem.exchange('AT+CMGL="REC UNREAD"\r')
+        entries: list[tuple[int, SmsMessage]] = []
         i = 0
-        while i < len(raw):
-            parsed = parse_modem_line(raw[i])
-            if isinstance(parsed, Ok):
-                break
-            if isinstance(parsed, Error):
+        while i < len(raw) and raw[i] != "OK":
+            if raw[i] == "ERROR":
                 raise ModemError("inbox read failed")
-            if not isinstance(parsed, InboxEntry):
+            match = _CMGL_RE.match(raw[i])
+            if match is None:
                 raise ModemError(f"unexpected inbox line: {raw[i]!r}")
             if i + 1 >= len(raw):
                 raise ModemError("inbox entry missing its body line")
-            entries.append(
-                InboxEntry(parsed.index, parsed.number, parsed.timestamp_ms, raw[i + 1])
-            )
+            index, number, at_ms = match.groups()
+            entries.append((int(index), SmsMessage(number, raw[i + 1], int(at_ms))))
             i += 2
-        for entry in entries:
-            responses = self._run(render_at(DeleteMessage(entry.index)))
-            if not responses or not isinstance(responses[-1], Ok):
-                raise ModemError(f"failed to delete message {entry.index}")
-        return [SmsMessage(e.number, e.body, e.timestamp_ms) for e in entries]
-
-    def _run(self, line: str) -> list[ModemResponse]:
-        try:
-            return [parse_modem_line(r) for r in self.modem.exchange(line)]
-        except UnparseableLineError as exc:
-            raise ModemError(str(exc)) from exc
+        for index, _ in entries:
+            if self.modem.exchange(f"AT+CMGD={index}\r")[-1:] != ["OK"]:
+                raise ModemError(f"failed to delete message {index}")
+        return [message for _, message in entries]
 
 
 # -- message templates ----------------------------------------------------------
@@ -333,8 +200,6 @@ def clock_hms(t_ms: int) -> str:
 def compose_message(kind: str, ticket: ParkingTicket) -> str:
     """Render the customer-facing body for a welcome or bill message."""
     if kind == "welcome":
-        if ticket.entry_ms is None:
-            raise MissingFieldError("welcome message needs an entry time")
         return (
             f"Parked at {clock_hms(ticket.entry_ms)}. Ticket {ticket.ticket_id}. "
             "Reply to this number to retrieve your car."

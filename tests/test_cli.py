@@ -81,6 +81,22 @@ def test_parse_error_is_exit_1(tmp_path, scenario_file, capsys, monkeypatch):
     assert "error: exceeded 1000000 events" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config,retrieval_s",
+    [("config billing_rate_per_minute=1e30\n", "120"), ("", "1e300")],
+)
+def test_bill_too_large_is_exit_1(tmp_path, capsys, config, retrieval_s):
+    path = tmp_path / "bill.scn"
+    path.write_text(
+        config
+        + "t=5 kind=arrival vehicle=car-1 length_mm=4200 phone=+97455512345\n"
+        + f"t={retrieval_s} kind=sms_in phone=+97455512345 body=retrieve\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: bill at ")
+
+
 def test_invariant_violation_is_exit_2(scenario_file, capsys, monkeypatch):
     def explode(scenario, check=True):
         raise InvariantViolationError("forced for the test")

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from autopark.model import (
     Vehicle,
     new_garage,
 )
-from autopark.scenario import GarageSession
+from autopark.scenario import GarageSession, random_scenario, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -539,44 +540,86 @@ def oracle_lock_scan(steps: list[OracleStep]) -> tuple[str | None, int, int]:
     )
 
 
-def assert_plan_matches(plan, expected: list[OracleStep]) -> None:
-    assert len(plan.steps) == len(expected)
-    for step, want in zip(plan.steps, expected):
+# The oracle's motion fields, which a step keeps as they were; its bay name and
+# platform flag became the step's one lock, and the lock scan's last indices
+# its ``releases`` flag.
+MOTION_FIELDS = [f for f in dataclasses.fields(OracleStep) if f.name not in ("bay", "platform")]
+
+
+def assert_plan_matches(steps, expected: list[OracleStep]) -> None:
+    assert len(steps) == len(expected)
+    _, bay_last, platform_last = oracle_lock_scan(expected)
+    for i, (step, want) in enumerate(zip(steps, expected)):
         assert type(step) is Step
-        for f in dataclasses.fields(OracleStep):
+        for f in MOTION_FIELDS:
             got, wanted = getattr(step, f.name), getattr(want, f.name)
             assert got == wanted and type(got) is type(wanted), (f.name, step, want)
-    assert (plan.bay_name, plan.bay_last, plan.platform_last) == oracle_lock_scan(expected)
+        assert step.lock == (want.bay or ("platform" if want.platform else None)), (step, want)
+        assert step.releases == (i in (bay_last, platform_last)), (i, step)
 
 
 def test_step_keeps_its_field_names_order_and_defaults():
-    fields = dataclasses.fields(OracleStep)
-    assert Step._fields == tuple(f.name for f in fields)
+    assert Step._fields == (*(f.name for f in MOTION_FIELDS), "lock", "releases", "device")
     assert Step._field_defaults == {
-        f.name: f.default for f in fields if f.default is not dataclasses.MISSING
+        **{f.name: f.default for f in MOTION_FIELDS if f.default is not dataclasses.MISSING},
+        "lock": None,
+        "releases": False,
+        "device": "",
     }
+
+
+def every_plan(config: GarageConfig):
+    for floor in range(config.floors):
+        for slot in range(config.slots_per_floor):
+            addr = SlotAddress(floor, slot)
+            yield _parking_plan(addr), oracle_parking_steps(addr)
+            yield _retrieval_plan(addr), oracle_retrieval_steps(addr)
+    yield EXIT_PLAN, oracle_exit_steps()
+    yield HOMING_PLAN, oracle_homing_steps()
 
 
 @pytest.mark.parametrize("floors,slots_per_floor", [(3, 6), (20, 24)])
 def test_plans_match_the_step_builders_they_replaced(floors, slots_per_floor):
-    for floor in range(floors):
-        for slot in range(slots_per_floor):
-            addr = SlotAddress(floor, slot)
-            assert_plan_matches(_parking_plan(addr), oracle_parking_steps(addr))
-            assert_plan_matches(_retrieval_plan(addr), oracle_retrieval_steps(addr))
-    assert_plan_matches(EXIT_PLAN, oracle_exit_steps())
-    assert_plan_matches(HOMING_PLAN, oracle_homing_steps())
+    for steps, expected in every_plan(GarageConfig(floors=floors, slots_per_floor=slots_per_floor)):
+        assert_plan_matches(steps, expected)
+
+
+@pytest.mark.parametrize("floors,slots_per_floor", [(3, 6), (20, 24)])
+def test_step_device_is_the_device_the_fleet_starts(floors, slots_per_floor):
+    session = GarageSession(GarageConfig(floors=floors, slots_per_floor=slots_per_floor))
+    for steps, _ in every_plan(session.config):
+        for step in steps:
+            action = session.controller._start_motion(step, 0)
+            assert action is not None and action.device_id == step.device, step
+            session.fleet.complete_action(action.action_id)
 
 
 def test_programs_for_one_slot_share_the_plan_but_not_their_place():
     first = Program("retrieval", _retrieval_plan(SlotAddress(1, 4)), 1, "v1")
     second = Program("retrieval", _retrieval_plan(SlotAddress(1, 4)), 2, "v2")
-    assert first.plan is second.plan
+    assert first.steps is second.steps
     assert (first.ticket_label, second.ticket_label) == ("1", "2")
     first.idx += 3
     assert second.idx == 0
-    assert second.current is first.plan.steps[0]
-    assert first.current is first.plan.steps[3]
-    first.idx = len(first.plan.steps)
-    assert first.done and not second.done
     assert Program("homing", HOMING_PLAN).ticket_label == "-"
+
+
+_MOTION_LINE = re.compile(r"^t=\d+ act=(request|start) device=(\S+) .*ticket=(\S+)$")
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_every_start_names_the_device_its_request_named(seed):
+    """Per ticket, requests and starts alternate and each start drives the
+    device its request named; only the last request may still be waiting."""
+    waiting: dict[str, str | None] = {}  # ticket -> device requested, not yet started
+    for line in run_scenario(random_scenario(seed, 18)).trace:
+        match = _MOTION_LINE.match(line)
+        if match is None:
+            continue
+        act, device, ticket = match.groups()
+        if act == "request":
+            assert waiting.get(ticket) is None, line
+            waiting[ticket] = device
+        else:
+            assert waiting.get(ticket) == device, line
+            waiting[ticket] = None

@@ -117,6 +117,7 @@ def test_config_after_events_rejected():
         ("t=0 kind=arrival vehicle=v length_mm=0 phone=+9741234567", "length"),
         ("t=0 kind=arrival vehicle=v length_mm=4000 phone=car", "phone"),
         ("t=0 kind=arrival vehicle=a,b length_mm=4000 phone=+9741234567", "','"),
+        ('t=1 kind=sms_in phone=a"b body=hi', "line 7: invalid phone number"),
         ("t=nan kind=fault_cleared", "t must be >= 0"),
         ("t=inf kind=fault_cleared", "t must be >= 0"),
         ("t=-inf kind=fault_cleared", "t must be >= 0"),

@@ -5,27 +5,13 @@ from autopark.sms import (
     CTRL_Z,
     MAX_BODY_CHARS,
     BodyTooLongError,
-    DeleteMessage,
-    InboxEntry,
-    InvalidNumberError,
-    MessageRef,
     MissingFieldError,
     ModemError,
-    NewMessageNotice,
     NotRegisteredError,
-    Ok,
-    Prompt,
-    ReadInbox,
-    RegisterNetwork,
-    SendMessage,
-    SetTextMode,
     SmsGateway,
     SmsModem,
-    UnparseableLineError,
     clock_hms,
     compose_message,
-    parse_modem_line,
-    render_at,
 )
 
 NUMBER = "+97455512345"
@@ -37,37 +23,6 @@ def make_ticket(entry_ms=5000, exit_ms=None, amount=None):
     ticket.exit_ms = exit_ms
     ticket.amount_due = amount
     return ticket
-
-
-# -- wire forms ----------------------------------------------------------------
-
-
-def test_command_wire_forms_are_exact():
-    assert render_at(RegisterNetwork()) == "AT+CREG=1\r"
-    assert render_at(SetTextMode()) == "AT+CMGF=1\r"
-    assert render_at(SendMessage(NUMBER)) == f'AT+CMGS="{NUMBER}"\r'
-    assert render_at(ReadInbox()) == 'AT+CMGL="REC UNREAD"\r'
-    assert render_at(DeleteMessage(3)) == "AT+CMGD=3\r"
-
-
-def test_send_to_invalid_number_refused():
-    with pytest.raises(InvalidNumberError):
-        render_at(SendMessage("not a number"))
-
-
-def test_response_parsing():
-    assert parse_modem_line("OK") == Ok()
-    assert parse_modem_line(">") == Prompt()
-    assert parse_modem_line("+CMGS: 7") == MessageRef(7)
-    assert parse_modem_line('+CMTI: "SM",2') == NewMessageNotice(2)
-    entry = parse_modem_line(f'+CMGL: 1,"REC UNREAD","{NUMBER}",,"120000"')
-    assert entry == InboxEntry(1, NUMBER, 120000, "")
-
-
-def test_junk_line_raises_with_the_line_attached():
-    with pytest.raises(UnparseableLineError) as exc_info:
-        parse_modem_line("+CSQ: 19,0")
-    assert exc_info.value.line == "+CSQ: 19,0"
 
 
 # -- modem emulator ---------------------------------------------------------------
@@ -140,6 +95,22 @@ def test_gateway_send_logs_full_exchange():
     ]
 
 
+def test_gateway_poll_logs_full_exchange():
+    gateway = SmsGateway()
+    gateway.initialize()
+    gateway.modem.receive(NUMBER, "my car please", 120000)
+    assert [m.body for m in gateway.poll_inbox()] == ["my car please"]
+    assert gateway.log[4:] == [
+        '<< +CMTI: "SM",1',
+        '>> AT+CMGL="REC UNREAD"',
+        f'<< +CMGL: 1,"REC UNREAD","{NUMBER}",,"120000"',
+        "<< my car please",
+        "<< OK",
+        ">> AT+CMGD=1",
+        "<< OK",
+    ]
+
+
 def test_gateway_refuses_until_initialized():
     gateway = SmsGateway()
     with pytest.raises(NotRegisteredError):
@@ -176,6 +147,14 @@ def test_gateway_surfaces_modem_junk_as_modem_error():
     gateway.modem._respond = lambda command: ["+BOGUS: 1"]
     with pytest.raises(ModemError):
         gateway.send_sms(NUMBER, "hi")
+
+
+def test_junk_line_raises_with_the_line_attached():
+    gateway = SmsGateway()
+    gateway.initialize()
+    gateway.modem._respond = lambda command: ["+CSQ: 19,0"]
+    with pytest.raises(ModemError, match=r"'\+CSQ: 19,0'"):
+        gateway.poll_inbox()
 
 
 # -- templates ----------------------------------------------------------------------
