@@ -231,9 +231,9 @@ class GarageController:
     def handle_arrival(self, vehicle: Vehicle, now_ms: int) -> None:
         """Admit or reject a car waiting at the entrance.
 
-        Acceptance reserves a slot, opens the gate, starts the billing timer,
-        and queues the welcome message, in that order. The gate stays closed
-        for every rejection.
+        Acceptance reserves a slot, opens the gate, starts the billing clock
+        (the ticket's ``entry_ms``), and queues the welcome message, in that
+        order. The gate stays closed for every rejection.
         """
         reason = self._screen_arrival(vehicle)
         if reason is None:
@@ -250,7 +250,6 @@ class GarageController:
         self._set_phase(ticket, TicketPhase.PARKING, now_ms)
         program = Program("parking", _parking_plan(slot), ticket.ticket_id, vehicle.vehicle_id)
         self._request_step(program, now_ms)
-        self.garage.timers.start(slot, now_ms)
         self._trace(f"t={now_ms} timer=start ticket={ticket.ticket_id}")
         self._send_sms("welcome", ticket, now_ms)
         self._pump(now_ms)
@@ -290,7 +289,6 @@ class GarageController:
             self._trace(f"t={now_ms} retrieval=duplicate ticket={ticket.ticket_id}")
             return
         ticket.exit_ms = now_ms
-        self.garage.timers.stop(ticket.slot)
         self._trace(f"t={now_ms} timer=stop ticket={ticket.ticket_id}")
         self._set_phase(ticket, TicketPhase.RETRIEVING, now_ms)
         program = Program(
@@ -489,10 +487,10 @@ _TIMED_PHASES = (TicketPhase.AWAITING_ENTRY, TicketPhase.PARKING, TicketPhase.PA
 def check_invariants(controller: GarageController) -> None:
     """Structural scan run after every event dispatch.
 
-    Verifies the ticket/slot bijection, timer consistency, the cell counts,
-    the entry count, the relay budget, belt exclusivity, and platform
-    alignment. Closed tickets are not rescanned, so a long day does not slow
-    it down.
+    Verifies the ticket/slot bijection, each live ticket's billing clock
+    (running exactly until the car is asked back), the cell counts, the relay
+    budget, belt exclusivity, and platform alignment. Closed tickets are not
+    rescanned, so a long day does not slow it down.
 
     Per event the Python-level work on the grids is one pass over the live
     tickets (``_claimed_counts``) plus one C-level comparison per floor of
@@ -515,10 +513,6 @@ def check_invariants(controller: GarageController) -> None:
         )
     if slots.counts() != tally:
         raise InvariantViolationError(f"cell counts {slots.counts()} != cells {tally}")
-    if garage.vehicles_entered != len(garage.tickets):
-        raise InvariantViolationError(
-            f"entered {garage.vehicles_entered} != tickets {len(garage.tickets)}"
-        )
 
     if len(fleet.relays.powered) > fleet.relays.budget:
         raise InvariantViolationError("relay budget exceeded")
@@ -544,18 +538,22 @@ def check_invariants(controller: GarageController) -> None:
 
 
 def _claimed_counts(garage: GarageState) -> dict[SlotState, int] | None:
-    """The cells per state, if the grids hold exactly what the live tickets claim.
+    """The cells per state, if the slot grid holds just what the live tickets claim.
 
-    Each live ticket claims the triple (state, ticket id, timer entry) at its
-    slot: AwaitingEntry and Parking a reserved cell with the entry time
-    running, Parked an occupied one with it running. A Retrieving ticket
-    claims its occupied cell with the timer stopped only while the cell still
+    Each live ticket claims the pair (state, ticket id) at its slot:
+    AwaitingEntry and Parking a reserved cell, Parked an occupied one. A
+    Retrieving ticket claims its occupied cell only while the cell still
     names it: the transfer empties the cell before the phase moves on, and a
     new arrival may then reserve it. An AwaitingPayment ticket claims
-    nothing. Every cell not claimed must be vacant with no ticket and no
-    timer. The three grids are compared with the claimed ones as whole lists.
+    nothing. Every cell not claimed must be vacant with no ticket. The
+    grid's state and ticket rows are compared with the claimed ones as whole
+    lists.
 
-    Returns None when a grid differs, two tickets claim one cell, or a slot
+    The same loop checks each billing clock (``exit_ms`` is None exactly in
+    AwaitingEntry, Parking and Parked), but raises only once the rows are
+    found sound, so a grid fault is always named first.
+
+    Returns None when a row differs, two tickets claim one cell, or a slot
     lies off the grid; ``_scan_cells`` then finds the fault.
     """
     slots = garage.slots
@@ -568,21 +566,24 @@ def _claimed_counts(garage: GarageState) -> dict[SlotState, int] | None:
     AWAITING_ENTRY, PARKING = TicketPhase.AWAITING_ENTRY, TicketPhase.PARKING
 
     vacant, unnamed = [SlotState.VACANT] * n, [None] * n
-    states, owners, entries = [vacant] * floors, [unnamed] * floors, [unnamed] * floors
+    states, owners = [vacant] * floors, [unnamed] * floors
     reserved = occupied = 0
+    wrong_clock = None
     for ticket_id, ticket in garage.active.items():
         phase = ticket.phase
+        if (ticket.exit_ms is None) is not (phase in _TIMED_PHASES):
+            wrong_clock = wrong_clock or ticket
         floor, slot = ticket.slot.floor, ticket.slot.slot
         if not (0 <= floor < floors and 0 <= slot < n):
             return None
         if phase is PARKED:
-            state, entry = OCCUPIED, ticket.entry_ms
+            state = OCCUPIED
             occupied += 1
         elif phase is AWAITING_ENTRY or phase is PARKING:
-            state, entry = RESERVED, ticket.entry_ms
+            state = RESERVED
             reserved += 1
         elif phase is RETRIEVING and held[floor][slot] == ticket_id:
-            state, entry = OCCUPIED, None
+            state = OCCUPIED
             occupied += 1
         else:
             continue
@@ -590,14 +591,14 @@ def _claimed_counts(garage: GarageState) -> dict[SlotState, int] | None:
         if row is unnamed:
             row = owners[floor] = [None] * n
             states[floor] = [SlotState.VACANT] * n
-            entries[floor] = [None] * n
         elif row[slot] is not None:
             return None
         row[slot] = ticket_id
         states[floor][slot] = state
-        entries[floor][slot] = entry
-    if held != owners or slots._state != states or garage.timers._entry != entries:
+    if held != owners or slots._state != states:
         return None
+    if wrong_clock is not None:
+        raise _clock_fault(wrong_clock)
     return {
         SlotState.VACANT: floors * n - reserved - occupied,
         RESERVED: reserved,
@@ -605,34 +606,36 @@ def _claimed_counts(garage: GarageState) -> dict[SlotState, int] | None:
     }
 
 
+def _clock_fault(ticket: ParkingTicket) -> InvariantViolationError:
+    return InvariantViolationError(
+        f"ticket {ticket.ticket_id} ({ticket.phase.value}) has exit_ms {ticket.exit_ms}"
+    )
+
+
 def _scan_cells(garage: GarageState) -> dict[SlotState, int]:
-    """Name the first fault in the grids by visiting every cell; return the
-    cells per state if there is none.
+    """Name the first fault in the slot grid by visiting every cell, else the
+    first wrong billing clock; return the cells per state if there is none.
 
     A held cell must be the own slot of an active ticket whose phase fits the
-    cell (reserved: AwaitingEntry or Parking; occupied: Parked or Retrieving),
-    and its timer must show that ticket's entry time unless the ticket is
-    Retrieving, when it must be stopped. A vacant cell names no ticket and
-    runs no timer. A ticket has one slot, so no ticket holds two cells. A
-    closed ticket has left ``active``, so a cell it still held fails as held
-    by a dead ticket, and an AwaitingPayment ticket holding a cell fails the
-    phase test. The pass counts the tickets it found at their slots in a
-    timed phase (AwaitingEntry, Parking, Parked); every active ticket in a
-    timed phase must be among them.
+    cell (reserved: AwaitingEntry or Parking; occupied: Parked or
+    Retrieving). A vacant cell names no ticket. A ticket has one slot, so no
+    ticket holds two cells. A closed ticket has left ``active``, so a cell it
+    still held fails as held by a dead ticket, and an AwaitingPayment ticket
+    holding a cell fails the phase test. The pass counts the tickets it found
+    at their slots in a timed phase (AwaitingEntry, Parking, Parked); every
+    active ticket in a timed phase must be among them, and only those may
+    have no ``exit_ms``.
     """
     slots = garage.slots
     active = garage.active
     # Enum members are class-attribute lookups, several times dearer than a
     # local in this loop.
-    VACANT, RESERVED, RETRIEVING = SlotState.VACANT, SlotState.RESERVED, TicketPhase.RETRIEVING
+    VACANT, RESERVED = SlotState.VACANT, SlotState.RESERVED
 
     reserved_cells = occupied_cells = timed_cells = 0
-    rows = zip(slots._state, slots._ticket, garage.timers._entry)
-    for floor, (states, owners, entries) in enumerate(rows):
-        for slot, (state, ticket_id, entry) in enumerate(zip(states, owners, entries)):
+    for floor, (states, owners) in enumerate(zip(slots._state, slots._ticket)):
+        for slot, (state, ticket_id) in enumerate(zip(states, owners)):
             if state is VACANT:
-                if entry is not None:
-                    raise InvariantViolationError(f"stale timer at {SlotAddress(floor, slot)}")
                 if ticket_id is not None:
                     raise InvariantViolationError(
                         f"vacant cell {SlotAddress(floor, slot)} names ticket {ticket_id}"
@@ -659,20 +662,14 @@ def _scan_cells(garage: GarageState) -> dict[SlotState, int]:
                 raise InvariantViolationError(
                     f"cell {home} is {state.value} but ticket {ticket_id} is {phase.value}"
                 )
-            if phase is RETRIEVING:
-                if entry is not None:
-                    raise InvariantViolationError(f"stale timer at {home}")
-            else:
-                timed_cells += 1
-                if entry != ticket.entry_ms:
-                    raise InvariantViolationError(f"timer at {home} should be {ticket.entry_ms}")
+            timed_cells += phase in _TIMED_PHASES
 
-    if timed_cells != sum(ticket.phase in _TIMED_PHASES for ticket in active.values()):
+    timed = [ticket for ticket in active.values() if ticket.phase in _TIMED_PHASES]
+    if timed_cells != len(timed):
         lost = next(
             ticket
-            for ticket in active.values()
-            if ticket.phase in _TIMED_PHASES
-            and not (
+            for ticket in timed
+            if not (
                 # A slot off the grid holds nothing.
                 0 <= ticket.slot.floor < slots.floors
                 and 0 <= ticket.slot.slot < slots.slots_per_floor
@@ -682,6 +679,9 @@ def _scan_cells(garage: GarageState) -> dict[SlotState, int]:
         raise InvariantViolationError(
             f"ticket {lost.ticket_id} ({lost.phase.value}) does not hold its slot"
         )
+    for ticket in active.values():
+        if (ticket.exit_ms is None) is not (ticket.phase in _TIMED_PHASES):
+            raise _clock_fault(ticket)
     cells = slots.floors * slots.slots_per_floor
     return {
         VACANT: cells - reserved_cells - occupied_cells,

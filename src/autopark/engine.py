@@ -1,11 +1,12 @@
 """Deterministic discrete-event engine.
 
-A single priority queue of (timestamp, insertion sequence, event) entries
-drives the whole simulation. The sequence is unique, so the heap orders plain
-tuples in C and never compares two events. Dispatch order is therefore a pure
-function of the schedule calls, and repeated runs of the same scenario
-produce byte-identical traces. The clock only moves when an event fires;
-there is no wall-clock coupling anywhere.
+A single priority queue of events drives the whole simulation. Each event is
+a (timestamp, insertion sequence, payload) tuple and is its own heap entry.
+The sequence is unique, so the heap orders the tuples in C and never compares
+two payloads. Dispatch order is therefore a pure function of the schedule
+calls, and repeated runs of the same scenario produce byte-identical traces.
+The clock only moves when an event fires; there is no wall-clock coupling
+anywhere.
 """
 
 from __future__ import annotations
@@ -105,8 +106,7 @@ Payload = (
 )
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     at_ms: int
     seq: int
     payload: Payload
@@ -135,7 +135,7 @@ class Simulation:
     ):
         self.clock_ms = 0
         self.trace: list[str] = []
-        self._heap: list[tuple[int, int, SimEvent]] = []
+        self._heap: list[SimEvent] = []
         self._next_seq = 0
         self.handler = handler
         self.advance = advance
@@ -148,7 +148,7 @@ class Simulation:
             )
         event = SimEvent(at_ms, self._next_seq, payload)
         self._next_seq += 1
-        heapq.heappush(self._heap, (at_ms, event.seq, event))
+        heapq.heappush(self._heap, event)
         return event
 
     def note(self, line: str) -> None:
@@ -180,7 +180,7 @@ class Simulation:
             )
         heap = self._heap
         while heap and heap[0][0] <= t_end_ms:
-            self._dispatch(heapq.heappop(heap)[2])
+            self._dispatch(heapq.heappop(heap))
         self._advance_clock(t_end_ms)
 
     def run_until_idle(self, max_events: int = 1_000_000) -> None:
@@ -192,6 +192,6 @@ class Simulation:
         for _ in range(max_events):
             if not heap:
                 return
-            self._dispatch(heapq.heappop(heap)[2])
+            self._dispatch(heapq.heappop(heap))
         if heap:
             raise AutoparkError(f"exceeded {max_events} events; runaway schedule?")

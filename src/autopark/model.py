@@ -1,8 +1,9 @@
 """Core domain types for the garage.
 
 Holds the static configuration (garage geometry, kinematic timings, billing
-rate), the vehicle and ticket records, and the two grids the controller works
-against: the slot occupancy matrix and the entry-timer matrix.
+rate), the vehicle and ticket records, and the slot occupancy matrix the
+controller works against. Each ticket carries its own billing clock: its
+``entry_ms`` and, once the car is asked back, its ``exit_ms``.
 
 All timestamps are simulation time as non-negative integer milliseconds.
 Money is carried as Decimal to keep billing exact.
@@ -33,8 +34,12 @@ class NegativeDurationError(AutoparkError):
 
 
 def ms_from_s(seconds: float) -> int:
-    """Convert seconds to the internal integer-millisecond clock unit."""
-    return round(seconds * MS_PER_SECOND)
+    """Convert seconds to the internal integer-millisecond clock unit; a time
+    too large for it is a ValueError."""
+    try:
+        return round(seconds * MS_PER_SECOND)
+    except OverflowError:
+        raise ValueError(f"{seconds:g} s does not fit the millisecond clock") from None
 
 
 _PHONE_RE = re.compile(r"^\+?\d+$")
@@ -58,7 +63,10 @@ class KinematicsConfig:
     step_angle_gate_deg: float = 7.5  # gate motors
     rotation_gear_ratio: float = 3.0  # motor degrees per platform degree
 
-    def validate(self, slots_per_floor: int) -> None:
+    def validate(self, floors: int, slots_per_floor: int) -> None:
+        # The longest motion of each timing must fit the millisecond clock:
+        # the full lift, and a half turn (rotation takes the shorter arc).
+        motions = {"elevation_per_floor_s": floors - 1, "rotation_per_slot_s": slots_per_floor / 2}
         for name in (
             "belt_transit_s",
             "platform_load_s",
@@ -66,8 +74,13 @@ class KinematicsConfig:
             "rotation_per_slot_s",
             "gate_actuation_s",
         ):
-            if not 0 < getattr(self, name) < math.inf:
+            seconds = getattr(self, name)
+            if not 0 < seconds < math.inf:
                 raise InvalidConfigError(f"{name} must be > 0 and finite")
+            try:
+                ms_from_s(seconds * motions.get(name, 1))
+            except ValueError as exc:
+                raise InvalidConfigError(f"{name} is too large: a motion of {exc}") from None
         for angle in (self.step_angle_main_deg, self.step_angle_gate_deg):
             if not 0 < angle < math.inf:
                 raise InvalidConfigError("step angles must be > 0 and finite")
@@ -116,7 +129,7 @@ class GarageConfig:
             raise InvalidConfigError("billing_rate_per_minute must be >= 0 and finite")
         if not 0 < self.bus_voltage_v < math.inf:
             raise InvalidConfigError("bus_voltage_v must be > 0 and finite")
-        self.kinematics.validate(self.slots_per_floor)
+        self.kinematics.validate(self.floors, self.slots_per_floor)
 
     @property
     def slot_angle_deg(self) -> float:
@@ -187,7 +200,7 @@ class ParkingTicket:
     slot: SlotAddress
     entry_ms: int
     phase: TicketPhase = TicketPhase.AWAITING_ENTRY
-    exit_ms: int | None = None  # set when the retrieval timer stops
+    exit_ms: int | None = None  # the retrieval request stops the billing clock
     parked_ms: int | None = None  # the car is in its slot
     ready_ms: int | None = None  # the car is on the exit belt and billed
     closed_ms: int | None = None  # paid
@@ -252,51 +265,35 @@ class SlotMatrix:
         return dict(self._counts)
 
 
-class TimerMatrix:
-    """Per-slot entry timestamps; a cell is set while its timer is running."""
-
-    def __init__(self, floors: int, slots_per_floor: int):
-        self._entry = [[None] * slots_per_floor for _ in range(floors)]
-
-    def start(self, addr: SlotAddress, entry_ms: int) -> None:
-        if entry_ms < 0:
-            raise ValueError("entry_ms must be >= 0")
-        if self._entry[addr.floor][addr.slot] is not None:
-            raise ValueError(f"timer already running at {addr}")
-        self._entry[addr.floor][addr.slot] = entry_ms
-
-    def stop(self, addr: SlotAddress) -> None:
-        self._entry[addr.floor][addr.slot] = None
-
-    def entry_at(self, addr: SlotAddress) -> int | None:
-        return self._entry[addr.floor][addr.slot]
-
-
 @dataclass
 class GarageState:
-    """Everything that changes as the garage runs: grids, tickets, counters.
+    """Everything that changes as the garage runs: the slot grid and the tickets.
 
-    ``tickets`` keeps every ticket ever issued. ``active`` and
+    ``tickets`` keeps every ticket ever issued, numbered from 1 in issue
+    order, so its size is the count of cars let in. ``active`` and
     ``active_by_phone`` index the ones not yet ``CLOSED``, by ticket id and by
     the customer's phone; a ticket leaves both when it closes.
     """
 
     config: GarageConfig
     slots: SlotMatrix
-    timers: TimerMatrix
     tickets: dict[int, ParkingTicket] = field(default_factory=dict)
     active: dict[int, ParkingTicket] = field(default_factory=dict)
     active_by_phone: dict[str, ParkingTicket] = field(default_factory=dict)
-    next_ticket_id: int = 1
-    vehicles_entered: int = 0
+
+    @property
+    def vehicles_entered(self) -> int:
+        return len(self.tickets)
+
+    @property
+    def next_ticket_id(self) -> int:
+        return len(self.tickets) + 1
 
     def issue_ticket(self, vehicle: Vehicle, slot: SlotAddress, entry_ms: int) -> ParkingTicket:
         ticket = ParkingTicket(self.next_ticket_id, vehicle, slot, entry_ms)
         self.tickets[ticket.ticket_id] = ticket
         self.active[ticket.ticket_id] = ticket
         self.active_by_phone[vehicle.phone] = ticket
-        self.next_ticket_id += 1
-        self.vehicles_entered += 1
         return ticket
 
     def phase_counts(self) -> dict[TicketPhase, int]:
@@ -312,7 +309,6 @@ def new_garage(config: GarageConfig) -> GarageState:
     return GarageState(
         config=config,
         slots=SlotMatrix(config.floors, config.slots_per_floor),
-        timers=TimerMatrix(config.floors, config.slots_per_floor),
     )
 
 

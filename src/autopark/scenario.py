@@ -51,11 +51,12 @@ from .model import (
     KinematicsConfig,
     Vehicle,
     is_valid_phone,
+    ms_from_s,
     new_garage,
 )
 from .power import BatteryState, PowerSystem
 from .report import Aggregates, ReportRow, RunReport
-from .sms import SmsGateway, SmsModem
+from .sms import MAX_BODY_CHARS, SmsGateway, SmsModem
 
 
 class ScenarioParseError(AutoparkError):
@@ -164,7 +165,10 @@ def _inbound_sms(field: Callable[..., object], config: GarageConfig) -> InboundS
     phone = field("phone")
     if not is_valid_phone(phone):
         raise ValueError(f"invalid phone number: {phone!r}")
-    return InboundSms(phone, field("body"))
+    body = field("body")
+    if len(body) > MAX_BODY_CHARS:
+        raise ValueError(f"body of {len(body)} chars exceeds {MAX_BODY_CHARS}")
+    return InboundSms(phone, body)
 
 
 def _fault(field: Callable[..., object], config: GarageConfig) -> BeltFault:
@@ -228,7 +232,6 @@ def parse_event_line(
     del pairs["t"]
     if not 0 <= t_s < math.inf:
         raise ScenarioParseError(line_no, "t must be >= 0 and finite")
-    t_ms = round(t_s * 1000)
     spec = EVENT_KINDS.get(kind)
     if spec is None:
         raise ScenarioParseError(line_no, f"unknown event kind {kind!r}")
@@ -239,7 +242,7 @@ def parse_event_line(
         if key not in pairs:
             raise ScenarioParseError(line_no, f"kind={kind} needs {key}=")
     try:
-        return ScenarioEvent(t_ms, spec.build(partial(_field, pairs, line_no), config))
+        return ScenarioEvent(ms_from_s(t_s), spec.build(partial(_field, pairs, line_no), config))
     except ValueError as exc:
         raise ScenarioParseError(line_no, str(exc)) from exc
 
@@ -444,7 +447,7 @@ class GarageSession:
 @dataclass(frozen=True)
 class RunResult:
     report: RunReport
-    trace: tuple[str, ...]
+    trace: list[str]  # the session's own trace, not a copy
     session: GarageSession
 
 
@@ -453,7 +456,7 @@ def run_scenario(scenario: Scenario, check: bool = True) -> RunResult:
     for event in scenario.events:
         session.schedule(event)
     session.run_until_idle()
-    return RunResult(session.build_report(), tuple(session.sim.trace), session)
+    return RunResult(session.build_report(), session.sim.trace, session)
 
 
 def random_scenario(seed: int, max_vehicles: int = 12) -> Scenario:

@@ -97,6 +97,28 @@ def test_bill_too_large_is_exit_1(tmp_path, capsys, config, retrieval_s):
     assert capsys.readouterr().err.startswith("error: bill at ")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("t=1e306 kind=fault_cleared\n", "line 1: 1e+306 s does not fit the millisecond clock"),
+        (
+            "config belt_transit_s=1e306\n"
+            "t=0 kind=arrival vehicle=car-1 length_mm=4200 phone=+97455512345\n",
+            "belt_transit_s is too large: a motion of 1e+306 s does not fit the millisecond clock",
+        ),
+        (
+            f"t=100 kind=sms_in phone=+1 body={'x' * 170}\n",
+            "line 1: body of 170 chars exceeds 160",
+        ),
+    ],
+)
+def test_input_out_of_bounds_is_exit_1_before_the_run(tmp_path, capsys, text, message):
+    path = tmp_path / "bounds.scn"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_invariant_violation_is_exit_2(scenario_file, capsys, monkeypatch):
     def explode(scenario, check=True):
         raise InvariantViolationError("forced for the test")
@@ -170,6 +192,13 @@ def test_repl_reports_errors_and_continues(capsys, monkeypatch):
         "t=0 seq=0 kind=fault_cleared detail=-",
     ]
     assert "mode=Normal" in after_run[2]
+
+
+def test_repl_rejects_a_time_past_the_clock(capsys, monkeypatch):
+    assert _run_repl(monkeypatch, "t=1e306 kind=fault_cleared\nstate\n") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "error: line 1: 1e+306 s does not fit the millisecond clock"
+    assert "pending=0" in out[1]
 
 
 def test_repl_preloads_scenario(scenario_file, capsys, monkeypatch):

@@ -450,20 +450,6 @@ def test_invariants_catch_orphaned_cell():
         check_invariants(session.controller)
 
 
-def test_invariants_catch_stale_timer():
-    session = GarageSession()
-    session.garage.timers.start(SlotAddress(1, 1), 5000)
-    with pytest.raises(InvariantViolationError):
-        check_invariants(session.controller)
-
-
-def test_invariants_catch_count_drift():
-    session = GarageSession()
-    session.garage.vehicles_entered = 3
-    with pytest.raises(InvariantViolationError):
-        check_invariants(session.controller)
-
-
 def test_unknown_device_completion_is_an_error():
     session = GarageSession()
     with pytest.raises(UnknownActionError):

@@ -119,13 +119,22 @@ def test_runaway_schedule_is_caught():
         sim.run_until_idle(max_events=100)
 
 
+def test_an_event_is_its_own_heap_entry():
+    sim = Simulation()
+    payload = FaultCleared()
+    event = sim.schedule(5, payload)
+    assert event == (5, 0, payload)
+
+
 def test_dispatched_events_are_not_retained():
+    # An event is a tuple, which takes no weak reference; its payload does,
+    # and lives exactly as long as the event that alone holds it.
     refs = []
 
     def handler(event):
         if refs:
             assert refs[-1]() is None, "the previous event is still referenced"
-        refs.append(weakref.ref(event))
+        refs.append(weakref.ref(event.payload))
 
     sim = Simulation(handler=handler)
     for at_ms in (10, 20, 20, 30):

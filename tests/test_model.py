@@ -167,17 +167,6 @@ def test_slot_matrix_consistency_guard():
     assert occupancy_count(garage) == (0, 18)
 
 
-def test_timer_matrix_start_stop():
-    garage = new_garage(GarageConfig())
-    addr = SlotAddress(0, 1)
-    garage.timers.start(addr, 9000)
-    assert garage.timers.entry_at(addr) == 9000
-    with pytest.raises(ValueError):
-        garage.timers.start(addr, 9500)
-    garage.timers.stop(addr)
-    assert garage.timers.entry_at(addr) is None
-
-
 @pytest.mark.parametrize(
     "entry_ms,exit_ms,minutes",
     [

@@ -122,6 +122,8 @@ def test_config_after_events_rejected():
         ("t=inf kind=fault_cleared", "t must be >= 0"),
         ("t=-inf kind=fault_cleared", "t must be >= 0"),
         ("t=0 kind=irradiance w_per_m2=nan", "out of range"),
+        ("t=1e306 kind=fault_cleared", "line 7: 1e\\+306 s does not fit the millisecond clock"),
+        (f"t=0 kind=sms_in phone=+1 body={'x' * 161}", "line 7: body of 161 chars exceeds 160"),
     ],
 )
 def test_bad_event_lines(line, fragment):
@@ -163,6 +165,12 @@ def test_unknown_config_key_rejected():
         ("irradiance_w_per_m2=nan", "irradiance_w_per_m2"),
         ("irradiance_w_per_m2=2000", "irradiance_w_per_m2"),
         ("sms_delivery_delay_s=1.0", "unknown config key"),
+        ("belt_transit_s=1e306", "belt_transit_s is too large"),
+        ("platform_load_s=1e306", "platform_load_s is too large"),
+        ("gate_actuation_s=1e306", "gate_actuation_s is too large"),
+        # A lift over two floors of 1e305 s, and a half turn of three 1e305 s faces.
+        ("elevation_per_floor_s=1e305", "elevation_per_floor_s is too large"),
+        ("rotation_per_slot_s=1e305", "rotation_per_slot_s is too large"),
     ],
 )
 def test_bad_config_values(pair, fragment):
@@ -291,6 +299,11 @@ def test_rejected_arrival_reported_with_reason():
     assert row.entry_ms == 0
     assert row.parked_ms is None
     assert row.amount is None
+
+
+def test_run_result_holds_the_session_trace_itself():
+    result = run_scenario(parse_scenario(SMALL))
+    assert result.trace is result.session.sim.trace
 
 
 def test_trace_is_nonempty_and_ordered():
