@@ -35,8 +35,11 @@ from .devices import (
     device_name,
     read_length_sensors,
 )
+from .model import AWAITING_ENTRY, AWAITING_PAYMENT, CLOSED, PARKED, PARKING, RETRIEVING
+from .model import OCCUPIED, RESERVED, VACANT
 from .model import (
     AutoparkError,
+    ClosedTicket,
     GarageState,
     ParkingTicket,
     SlotAddress,
@@ -81,6 +84,11 @@ class StepKind(str, Enum):
     TRANSFER_FROM_SLOT = "transfer_from_slot"
 
 
+NORMAL, HALTED = ControllerMode  # module constants, as in model.py
+(OPEN_GATE, CLOSE_GATE, CONVEY, LOAD_PLATFORM, ELEVATE, ROTATE,
+ TRANSFER_TO_SLOT, TRANSFER_FROM_SLOT) = StepKind
+
+
 class Step(NamedTuple):
     """One motion in a program: the device it drives, the belts its car moves
     between, and the long-held lock it runs under."""
@@ -108,7 +116,7 @@ def _plan(*steps: Step) -> tuple[Step, ...]:
         elif step.belt:
             device = device_name("belt", step.belt)
         else:
-            device = ELEVATOR_MOTOR if step.kind is StepKind.ELEVATE else ROTATOR
+            device = ELEVATOR_MOTOR if step.kind is ELEVATE else ROTATOR
         releases = step.lock is not None and last[step.lock] == i
         planned.append(step._replace(device=device, releases=releases))
     return tuple(planned)
@@ -146,9 +154,9 @@ class ArrivalRecord:
 def allocate_slot(slots: SlotMatrix, ticket_id: int) -> SlotAddress:
     """Reserve the first vacant cell scanning floors bottom-up, slots in order."""
     for floor, states in enumerate(slots._state):
-        if SlotState.VACANT in states:
-            addr = SlotAddress(floor, states.index(SlotState.VACANT))
-            slots.set_cell(addr, SlotState.RESERVED, ticket_id)
+        if VACANT in states:
+            addr = SlotAddress(floor, states.index(VACANT))
+            slots.set_cell(addr, RESERVED, ticket_id)
             return addr
     raise NoVacancyError("no vacant slot")
 
@@ -169,38 +177,38 @@ def compute_bill(entry_ms: int, exit_ms: int, rate_per_minute: Decimal) -> Decim
 @cache
 def _parking_plan(slot: SlotAddress) -> tuple[Step, ...]:
     return _plan(
-        Step(StepKind.OPEN_GATE, gate="entrance", lock="entrance"),
-        Step(StepKind.CONVEY, belt=ENTRANCE_BELT, car_onto=ENTRANCE_BELT, lock="entrance"),
-        Step(StepKind.CLOSE_GATE, gate="entrance", lock="entrance"),
-        Step(StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_off=ENTRANCE_BELT, lock="platform"),
-        Step(StepKind.ELEVATE, target=slot.floor, lock="platform"),
-        Step(StepKind.ROTATE, target=slot.slot, lock="platform"),
-        Step(StepKind.TRANSFER_TO_SLOT, belt=BeltId("slot", slot.slot), lock="platform"),
+        Step(OPEN_GATE, gate="entrance", lock="entrance"),
+        Step(CONVEY, belt=ENTRANCE_BELT, car_onto=ENTRANCE_BELT, lock="entrance"),
+        Step(CLOSE_GATE, gate="entrance", lock="entrance"),
+        Step(LOAD_PLATFORM, belt=PLATFORM_BELT, car_off=ENTRANCE_BELT, lock="platform"),
+        Step(ELEVATE, target=slot.floor, lock="platform"),
+        Step(ROTATE, target=slot.slot, lock="platform"),
+        Step(TRANSFER_TO_SLOT, belt=BeltId("slot", slot.slot), lock="platform"),
     )
 
 
 @cache
 def _retrieval_plan(slot: SlotAddress) -> tuple[Step, ...]:
     return _plan(
-        Step(StepKind.ELEVATE, target=slot.floor, lock="platform"),
-        Step(StepKind.ROTATE, target=slot.slot, lock="platform"),
-        Step(StepKind.TRANSFER_FROM_SLOT, belt=BeltId("slot", slot.slot), lock="platform"),
-        Step(StepKind.ELEVATE, target=0, lock="platform"),
-        Step(StepKind.ROTATE, target=0, lock="platform"),
-        Step(StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_onto=EXIT_BELT, lock="platform"),
-        Step(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True),
+        Step(ELEVATE, target=slot.floor, lock="platform"),
+        Step(ROTATE, target=slot.slot, lock="platform"),
+        Step(TRANSFER_FROM_SLOT, belt=BeltId("slot", slot.slot), lock="platform"),
+        Step(ELEVATE, target=0, lock="platform"),
+        Step(ROTATE, target=0, lock="platform"),
+        Step(LOAD_PLATFORM, belt=PLATFORM_BELT, car_onto=EXIT_BELT, lock="platform"),
+        Step(CONVEY, belt=EXIT_BELT, car_rides=True),
     )
 
 
 EXIT_PLAN = _plan(
-    Step(StepKind.OPEN_GATE, gate="exit", lock="exit"),
-    Step(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True, car_off=EXIT_BELT, lock="exit"),
-    Step(StepKind.CLOSE_GATE, gate="exit", lock="exit"),
+    Step(OPEN_GATE, gate="exit", lock="exit"),
+    Step(CONVEY, belt=EXIT_BELT, car_rides=True, car_off=EXIT_BELT, lock="exit"),
+    Step(CLOSE_GATE, gate="exit", lock="exit"),
 )
 
 HOMING_PLAN = _plan(
-    Step(StepKind.ELEVATE, target=0, lock="platform"),
-    Step(StepKind.ROTATE, target=0, lock="platform"),
+    Step(ELEVATE, target=0, lock="platform"),
+    Step(ROTATE, target=0, lock="platform"),
 )
 
 
@@ -217,11 +225,10 @@ class GarageController:
         self.garage = garage
         self.fleet = fleet
         self.gateway = gateway
-        self.mode = ControllerMode.NORMAL
+        self.mode = NORMAL
         self.arrivals: list[ArrivalRecord] = []
         self._trace = trace if trace is not None else lambda line: None
         self._wait_q: dict[Program, None] = {}  # insertion-ordered: request order
-        self._action_owner: dict[int, Program] = {}
         locks = ("entrance", "exit", "platform")
         self._lock_owner: dict[str, Program | None] = dict.fromkeys(locks)
         self._homing: Program | None = None
@@ -247,7 +254,7 @@ class GarageController:
             return
         ticket = self.garage.issue_ticket(vehicle, slot, now_ms)
         self.arrivals.append(ArrivalRecord(now_ms, vehicle, True, ticket.ticket_id, None))
-        self._set_phase(ticket, TicketPhase.PARKING, now_ms)
+        self._set_phase(ticket, PARKING, now_ms)
         program = Program("parking", _parking_plan(slot), ticket.ticket_id, vehicle.vehicle_id)
         self._request_step(program, now_ms)
         self._trace(f"t={now_ms} timer=start ticket={ticket.ticket_id}")
@@ -256,7 +263,7 @@ class GarageController:
 
     def _screen_arrival(self, vehicle: Vehicle) -> str | None:
         """The reason to turn the car away before looking for a slot, if any."""
-        if self.mode is ControllerMode.HALTED:
+        if self.mode is HALTED:
             return "Halted"
         sensors = read_length_sensors(vehicle.length_mm, self.garage.config)
         if all(sensors):
@@ -273,24 +280,21 @@ class GarageController:
 
     def handle_retrieval_request(self, phone: str, now_ms: int) -> None:
         """Any text from a phone with a parked car asks for that car back."""
-        if self.mode is ControllerMode.HALTED:
+        if self.mode is HALTED:
             self._trace(f"t={now_ms} reject=Halted phone={phone}")
             return
         ticket = self.garage.active_by_phone.get(phone)
-        if ticket is None or ticket.phase in (
-            TicketPhase.AWAITING_ENTRY,
-            TicketPhase.PARKING,
-        ):
+        if ticket is None or ticket.phase in (AWAITING_ENTRY, PARKING):
             # A car still on its way in is not retrievable; same answer as an
             # unknown number.
             self._trace(f"t={now_ms} reject=UnknownPhone phone={phone}")
             return
-        if ticket.phase in (TicketPhase.RETRIEVING, TicketPhase.AWAITING_PAYMENT):
+        if ticket.phase in (RETRIEVING, AWAITING_PAYMENT):
             self._trace(f"t={now_ms} retrieval=duplicate ticket={ticket.ticket_id}")
             return
         ticket.exit_ms = now_ms
         self._trace(f"t={now_ms} timer=stop ticket={ticket.ticket_id}")
-        self._set_phase(ticket, TicketPhase.RETRIEVING, now_ms)
+        self._set_phase(ticket, RETRIEVING, now_ms)
         program = Program(
             "retrieval",
             _retrieval_plan(ticket.slot),
@@ -306,48 +310,46 @@ class GarageController:
         if ticket is None:
             self._trace(f"t={now_ms} reject=UnknownTicket ticket={ticket_id}")
             return
-        if ticket.phase is not TicketPhase.AWAITING_PAYMENT:
+        if ticket.phase is not AWAITING_PAYMENT:
             self._trace(f"t={now_ms} reject=WrongPhase ticket={ticket_id}")
             return
-        self._set_phase(ticket, TicketPhase.CLOSED, now_ms)
-        ticket.closed_ms = now_ms
+        self._set_phase(ticket, CLOSED, now_ms)
         program = Program("exit", EXIT_PLAN, ticket_id, ticket.vehicle.vehicle_id)
         self._request_step(program, now_ms)
         self._pump(now_ms)
 
     def on_fault(self, belt_id: BeltId, now_ms: int) -> None:
         """A belt malfunction raises the alarm: finish in-flight motions only."""
-        self.fleet.set_belt_fault(belt_id, True)
-        self.mode = ControllerMode.HALTED
+        self.fleet.belts[belt_id].faulted = True
+        self.mode = HALTED
         self._trace(f"t={now_ms} mode=Halted reason=belt:{belt_id}")
 
     def on_fault_cleared(self, now_ms: int) -> None:
         """Resume deferred work in request order; a no-op when not halted."""
-        if self.mode is not ControllerMode.HALTED:
+        if self.mode is not HALTED:
             return
-        for belt_id, belt in self.fleet.belts.items():
-            if belt.faulted:
-                self.fleet.set_belt_fault(belt_id, False)
-        self.mode = ControllerMode.NORMAL
+        for belt in self.fleet.belts.values():
+            belt.faulted = False
+        self.mode = NORMAL
         self._trace(f"t={now_ms} mode=Normal")
         self._pump(now_ms)
         self._maybe_home(now_ms)
 
     def on_device_done(self, device_id: str, action_id: int, now_ms: int) -> None:
         """Advance the owning program past its completed motion."""
-        program = self._action_owner.pop(action_id, None)
-        if program is None:
-            raise UnknownActionError(f"no program owns action {action_id} ({device_id})")
-        self.fleet.complete_action(action_id)
+        try:
+            program = self.fleet.complete_action(action_id).owner
+        except KeyError:
+            raise UnknownActionError(f"no program owns action {action_id} ({device_id})") from None
         step = program.steps[program.idx]
         if step.car_off is not None:
-            self.fleet.belt(step.car_off).occupant = None
-        if step.kind is StepKind.TRANSFER_TO_SLOT:
+            self.fleet.belts[step.car_off].occupant = None
+        if step.kind is TRANSFER_TO_SLOT:
             ticket = self.garage.tickets[program.ticket_id]
-            self.garage.slots.set_cell(ticket.slot, SlotState.OCCUPIED, ticket.ticket_id)
-        elif step.kind is StepKind.TRANSFER_FROM_SLOT:
+            self.garage.slots.set_cell(ticket.slot, OCCUPIED, ticket.ticket_id)
+        elif step.kind is TRANSFER_FROM_SLOT:
             ticket = self.garage.tickets[program.ticket_id]
-            self.garage.slots.set_cell(ticket.slot, SlotState.VACANT, None)
+            self.garage.slots.set_cell(ticket.slot, VACANT, None)
         if step.releases:
             self._lock_owner[step.lock] = None
         program.idx += 1
@@ -368,7 +370,7 @@ class GarageController:
     def _pump(self, now_ms: int) -> None:
         """Serve the wait queue in request order; launches never free anything,
         so one pass per wake-up is enough."""
-        if self.mode is ControllerMode.HALTED:
+        if self.mode is HALTED:
             return
         for program in list(self._wait_q):
             if self._try_launch(program, now_ms):
@@ -385,57 +387,56 @@ class GarageController:
             self._lock_owner[step.lock] = program
         if not self._car_can_move(program, step):
             return False
-        action = self._start_motion(step, now_ms)
+        action = self._start_motion(step, program, now_ms)
         if action is None:
             return False
         if step.car_onto is not None:
-            self.fleet.belt(step.car_onto).occupant = program.vehicle_id
-        self._action_owner[action.action_id] = program
+            self.fleet.belts[step.car_onto].occupant = program.vehicle_id
         self._trace(
             f"t={now_ms} act=start device={action.device_id} action={action.action_id} "
             f"op={action.op} ticket={program.ticket_label}"
         )
         return True
 
-    def _start_motion(self, step: Step, now_ms: int) -> Action | None:
-        """Start the step's motion if its device and the motor power it needs
-        are free; a platform already in place needs no power."""
+    def _start_motion(self, step: Step, program: Program, now_ms: int) -> Action | None:
+        """Start the step's motion for the program if its device and the motor
+        power it needs are free; a platform already in place needs no power."""
         fleet = self.fleet
         if step.gate is not None:
             if fleet.gates[step.gate].busy:
                 return None
-            command = "open" if step.kind is StepKind.OPEN_GATE else "close"
-            return fleet.gate_actuate(step.gate, command, now_ms)
+            command = "open" if step.kind is OPEN_GATE else "close"
+            return fleet.gate_actuate(step.gate, command, now_ms, program)
         if step.belt is not None:
             belt = fleet.belts[step.belt]
             if belt.busy or belt.faulted or fleet.relays.available() < 1:
                 return None
-            return fleet.belt_start_convey(step.belt, now_ms)
+            return fleet.belt_start_convey(step.belt, now_ms, program)
         platform = fleet.platform
         if platform.busy:
             return None
-        if step.kind is StepKind.ELEVATE:
+        if step.kind is ELEVATE:
             if platform.floor_pos != step.target and fleet.relays.available() < 1:
                 return None
-            return fleet.elevator_goto_floor(step.target, now_ms)
+            return fleet.elevator_goto_floor(step.target, now_ms, program)
         angle = (step.target * fleet.config.slot_angle_deg) % 360.0
         if platform.angle_deg != angle and fleet.relays.available() < 2:
             return None
-        return fleet.platform_rotate_to_slot(step.target, now_ms)
+        return fleet.platform_rotate_to_slot(step.target, now_ms, program)
 
     def _car_can_move(self, program: Program, step: Step) -> bool:
         """The belt the car moves onto is idle and empty; the one it rides holds it."""
-        onto = self.fleet.belt(step.car_onto) if step.car_onto is not None else None
+        onto = self.fleet.belts[step.car_onto] if step.car_onto is not None else None
         if onto is not None and (onto.busy or onto.occupant is not None):
             return False
-        return not step.car_rides or self.fleet.belt(step.belt).occupant == program.vehicle_id
+        return not step.car_rides or self.fleet.belts[step.belt].occupant == program.vehicle_id
 
     def _finish_program(self, program: Program, now_ms: int) -> None:
         if program is self._homing:
             self._homing = None
         if program.label == "parking":
             ticket = self.garage.tickets[program.ticket_id]
-            self._set_phase(ticket, TicketPhase.PARKED, now_ms)
+            self._set_phase(ticket, PARKED, now_ms)
             ticket.parked_ms = now_ms
         elif program.label == "retrieval":
             ticket = self.garage.tickets[program.ticket_id]
@@ -446,13 +447,13 @@ class GarageController:
                 f"t={now_ms} bill ticket={ticket.ticket_id} minutes={minutes} "
                 f"amount={ticket.amount_due}"
             )
-            self._set_phase(ticket, TicketPhase.AWAITING_PAYMENT, now_ms)
+            self._set_phase(ticket, AWAITING_PAYMENT, now_ms)
             ticket.ready_ms = now_ms
             self._send_sms("bill", ticket, now_ms)
 
     def _maybe_home(self, now_ms: int) -> None:
         """Park the idle platform back at floor 0, angle 0."""
-        if self.mode is ControllerMode.HALTED:
+        if self.mode is HALTED:
             return
         if self._lock_owner["platform"] is not None or self._homing is not None:
             return
@@ -466,9 +467,11 @@ class GarageController:
     def _set_phase(self, ticket: ParkingTicket, phase: TicketPhase, now_ms: int) -> None:
         old = ticket.phase
         ticket.advance(phase)
-        if phase is TicketPhase.CLOSED:
+        if phase is CLOSED:
+            ticket.closed_ms = now_ms
             del self.garage.active[ticket.ticket_id]
             del self.garage.active_by_phone[ticket.vehicle.phone]
+            self.garage.tickets[ticket.ticket_id] = ClosedTicket(**vars(ticket))
         self._trace(f"ticket={ticket.ticket_id} phase={old.value}->{phase.value} t={now_ms}")
 
     def _send_sms(self, kind: str, ticket: ParkingTicket, now_ms: int) -> None:
@@ -479,9 +482,9 @@ class GarageController:
         )
 
 
-_RESERVED_PHASES = (TicketPhase.AWAITING_ENTRY, TicketPhase.PARKING)
-_OCCUPIED_PHASES = (TicketPhase.PARKED, TicketPhase.RETRIEVING)
-_TIMED_PHASES = (TicketPhase.AWAITING_ENTRY, TicketPhase.PARKING, TicketPhase.PARKED)
+_RESERVED_PHASES = (AWAITING_ENTRY, PARKING)
+_OCCUPIED_PHASES = (PARKED, RETRIEVING)
+_TIMED_PHASES = (AWAITING_ENTRY, PARKING, PARKED)
 
 
 def check_invariants(controller: GarageController) -> None:
@@ -489,15 +492,16 @@ def check_invariants(controller: GarageController) -> None:
 
     Verifies the ticket/slot bijection, each live ticket's billing clock
     (running exactly until the car is asked back), the cell counts, the relay
-    budget, belt exclusivity, and platform alignment. Closed tickets are not
-    rescanned, so a long day does not slow it down.
+    budget, that each running motion drives its device and alone powers its
+    motors, belt exclusivity, and platform alignment. Closed tickets are
+    frozen and not rescanned, so a long day does not slow it down.
 
-    Per event the Python-level work on the grids is one pass over the live
-    tickets (``_claimed_counts``) plus one C-level comparison per floor of
-    the grid rows with the rows those tickets imply. The loop over every cell
-    (``_scan_cells``) runs only to name a fault: when a row differs, two
-    tickets claim one cell, or a ticket's slot is off the grid. It is the
-    authority; if it finds no fault, the state stands.
+    Per event the Python-level work is one pass over the live tickets, each
+    reading its own cell (``_claimed_counts``), two C-level ``list.count``
+    calls per floor, one pass over the running motions (a few at most) that
+    builds the set of their motors, and a count of the busy devices. The
+    loop over every cell (``_scan_cells``) runs only to name a grid fault; it
+    is the authority, and if it finds no fault the state stands.
     """
     garage = controller.garage
     fleet = controller.fleet
@@ -511,18 +515,27 @@ def check_invariants(controller: GarageController) -> None:
         raise InvariantViolationError(
             f"{len(active)} active tickets but {len(garage.active_by_phone)} active phones"
         )
-    if slots.counts() != tally:
+    if slots._counts != tally:
         raise InvariantViolationError(f"cell counts {slots.counts()} != cells {tally}")
 
-    if len(fleet.relays.powered) > fleet.relays.budget:
+    powered = fleet.relays.powered
+    if len(powered) > fleet.relays.budget:
         raise InvariantViolationError("relay budget exceeded")
-    active_motors = [m for a in fleet.active_actions() for m in a.motors]
-    if len(active_motors) != len(set(active_motors)):
+    motors: set[str] = set()
+    motor_count = 0
+    for action_id, action in fleet.active.items():
+        if action.device.action_id != action_id:
+            raise InvariantViolationError(f"action {action_id} does not drive {action.device_id}")
+        motors.update(action.motors)
+        motor_count += len(action.motors)
+    if motor_count != len(motors):
         raise InvariantViolationError("a motor is held by two actions")
-    if set(fleet.relays.powered) != set(active_motors):
-        raise InvariantViolationError(
-            f"powered {sorted(fleet.relays.powered)} != active {sorted(set(active_motors))}"
-        )
+    if motors != powered:
+        raise InvariantViolationError(f"powered {sorted(powered)} != active {sorted(motors)}")
+    # Each action drives its own busy device, so equal counts leave no stray busy device.
+    busy = len([device for device in fleet.devices if device.action_id is not None])
+    if busy != len(fleet.active):
+        raise InvariantViolationError(f"{busy} busy devices but {len(fleet.active)} actions")
 
     occupants = [b.occupant for b in fleet.belts.values() if b.occupant is not None]
     if len(occupants) != len(set(occupants)):
@@ -545,65 +558,59 @@ def _claimed_counts(garage: GarageState) -> dict[SlotState, int] | None:
     Retrieving ticket claims its occupied cell only while the cell still
     names it: the transfer empties the cell before the phase moves on, and a
     new arrival may then reserve it. An AwaitingPayment ticket claims
-    nothing. Every cell not claimed must be vacant with no ticket. The
-    grid's state and ticket rows are compared with the claimed ones as whole
-    lists.
+    nothing. Every cell not claimed must be vacant with no ticket.
 
-    The same loop checks each billing clock (``exit_ms`` is None exactly in
-    AwaitingEntry, Parking and Parked), but raises only once the rows are
-    found sound, so a grid fault is always named first.
+    Each claiming ticket reads its own cell in place. Ticket ids differ, so
+    no two claim one cell; so when the unnamed and the vacant cells, counted
+    per floor by ``list.count``, each number the cells not claimed, every
+    unclaimed cell is vacant and unnamed. The same loop checks each billing
+    clock (``exit_ms`` is None exactly in AwaitingEntry, Parking and Parked),
+    but raises only once the grid is sound, so a grid fault is named first.
 
-    Returns None when a row differs, two tickets claim one cell, or a slot
-    lies off the grid; ``_scan_cells`` then finds the fault.
+    Returns None when a claimed cell differs, an unclaimed cell is held, or
+    a slot lies off the grid; ``_scan_cells`` then finds the fault.
     """
     slots = garage.slots
     floors, n = slots.floors, slots.slots_per_floor
-    held = slots._ticket
-    # Enum members are class-attribute lookups, several times dearer than a
-    # local in this loop.
-    RESERVED, OCCUPIED = SlotState.RESERVED, SlotState.OCCUPIED
-    PARKED, RETRIEVING = TicketPhase.PARKED, TicketPhase.RETRIEVING
-    AWAITING_ENTRY, PARKING = TicketPhase.AWAITING_ENTRY, TicketPhase.PARKING
-
-    vacant, unnamed = [SlotState.VACANT] * n, [None] * n
-    states, owners = [vacant] * floors, [unnamed] * floors
+    held, states = slots._ticket, slots._state
     reserved = occupied = 0
     wrong_clock = None
-    for ticket_id, ticket in garage.active.items():
-        phase = ticket.phase
-        if (ticket.exit_ms is None) is not (phase in _TIMED_PHASES):
-            wrong_clock = wrong_clock or ticket
-        floor, slot = ticket.slot.floor, ticket.slot.slot
-        if not (0 <= floor < floors and 0 <= slot < n):
-            return None
-        if phase is PARKED:
-            state = OCCUPIED
-            occupied += 1
-        elif phase is AWAITING_ENTRY or phase is PARKING:
-            state = RESERVED
-            reserved += 1
-        elif phase is RETRIEVING and held[floor][slot] == ticket_id:
-            state = OCCUPIED
-            occupied += 1
-        else:
-            continue
-        row = owners[floor]
-        if row is unnamed:
-            row = owners[floor] = [None] * n
-            states[floor] = [SlotState.VACANT] * n
-        elif row[slot] is not None:
-            return None
-        row[slot] = ticket_id
-        states[floor][slot] = state
-    if held != owners or slots._state != states:
+    try:  # a slot past the grid's end raises IndexError
+        for ticket_id, ticket in garage.active.items():
+            phase = ticket.phase
+            addr = ticket.slot
+            floor, slot = addr.floor, addr.slot
+            if (floor | slot) < 0:  # Python would read a negative index from the end
+                return None
+            if phase is PARKED:
+                state = OCCUPIED
+                occupied += 1
+            elif phase is AWAITING_ENTRY or phase is PARKING:
+                state = RESERVED
+                reserved += 1
+            else:
+                if ticket.exit_ms is None:
+                    wrong_clock = wrong_clock or ticket
+                if phase is RETRIEVING and held[floor][slot] == ticket_id:
+                    if states[floor][slot] is not OCCUPIED:
+                        return None
+                    occupied += 1
+                continue
+            if ticket.exit_ms is not None:
+                wrong_clock = wrong_clock or ticket
+            if held[floor][slot] != ticket_id or states[floor][slot] is not state:
+                return None
+    except IndexError:
+        return None
+    unclaimed = floors * n - reserved - occupied
+    if (
+        sum(map(list.count, held, [None] * floors)) != unclaimed
+        or sum(map(list.count, states, [VACANT] * floors)) != unclaimed
+    ):
         return None
     if wrong_clock is not None:
         raise _clock_fault(wrong_clock)
-    return {
-        SlotState.VACANT: floors * n - reserved - occupied,
-        RESERVED: reserved,
-        OCCUPIED: occupied,
-    }
+    return {VACANT: unclaimed, RESERVED: reserved, OCCUPIED: occupied}
 
 
 def _clock_fault(ticket: ParkingTicket) -> InvariantViolationError:
@@ -628,9 +635,6 @@ def _scan_cells(garage: GarageState) -> dict[SlotState, int]:
     """
     slots = garage.slots
     active = garage.active
-    # Enum members are class-attribute lookups, several times dearer than a
-    # local in this loop.
-    VACANT, RESERVED = SlotState.VACANT, SlotState.RESERVED
 
     reserved_cells = occupied_cells = timed_cells = 0
     for floor, (states, owners) in enumerate(zip(slots._state, slots._ticket)):
@@ -686,5 +690,5 @@ def _scan_cells(garage: GarageState) -> dict[SlotState, int]:
     return {
         VACANT: cells - reserved_cells - occupied_cells,
         RESERVED: reserved_cells,
-        SlotState.OCCUPIED: occupied_cells,
+        OCCUPIED: occupied_cells,
     }

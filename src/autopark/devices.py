@@ -2,9 +2,10 @@
 the two gates, and the relay bank that limits how many motors may draw power
 at once.
 
-Every motion is an Action with a fixed duration; completion is reported back
-through a scheduler callback so the event engine stays the single source of
-time. Devices hold no policy: sequencing and queueing live in the controller.
+Every motion is an Action with a fixed duration, its one record; completion is
+reported back through a scheduler callback so the event engine stays the
+single source of time. Devices hold no policy: sequencing and queueing live in
+the controller.
 """
 
 from __future__ import annotations
@@ -93,36 +94,38 @@ def belt_roster(slots_per_floor: int) -> list[BeltId]:
 class RelayBank:
     """Switches motor power and enforces the concurrent-motor budget.
 
-    Also serves as the load ledger: the power model reads the total wattage
-    currently switched on, and reports track the high-water motor count.
+    ``powered`` is the set of motors switched on. Every motor draws
+    ``MOTOR_LOAD_W``, so the load the power model reads is that times the
+    count; reports track the high-water motor count.
     """
 
     budget = 2  # motors that may draw power at once
 
     def __init__(self):
-        self.powered: dict[str, float] = {}  # motor id -> watts drawn
+        self.powered: set[str] = set()
         self.max_concurrent = 0
 
     def available(self) -> int:
         return self.budget - len(self.powered)
 
-    def request_power(self, motor_id: str, watts: float = 10.0) -> None:
+    def request_power(self, motor_id: str) -> None:
         if motor_id in self.powered:
             raise ValueError(f"motor {motor_id} is already powered")
         if len(self.powered) >= self.budget:
             raise PowerBudgetExceededError(
                 f"power budget {self.budget} in use: {sorted(self.powered)}"
             )
-        self.powered[motor_id] = watts
+        self.powered.add(motor_id)
         self.max_concurrent = max(self.max_concurrent, len(self.powered))
 
     def release_power(self, motor_id: str) -> None:
         if motor_id not in self.powered:
             raise ValueError(f"motor {motor_id} is not powered")
-        del self.powered[motor_id]
+        self.powered.remove(motor_id)
 
     def total_load_w(self) -> float:
-        return sum(self.powered.values())
+        # Equal to the sum of the motors' loads: 10.0 * n is exact for n <= 3.
+        return MOTOR_LOAD_W * len(self.powered)
 
 
 @dataclass(kw_only=True)
@@ -169,7 +172,8 @@ class Action(NamedTuple):
     """One in-flight device motion and the motors it holds powered.
 
     ``device`` is the belt, platform or gate it moves; ``end_state`` is the
-    (attribute, value) that device takes when the motion completes, if any.
+    (attribute, value) that device takes when the motion completes, if any;
+    ``owner`` is the controller program that started it.
     """
 
     action_id: int
@@ -179,8 +183,10 @@ class Action(NamedTuple):
     motors: tuple[str, ...]
     device: Device
     end_state: tuple[str, float] | None = None
+    owner: object = None
 
 
+MOTOR_LOAD_W = 10.0  # what every powered motor draws
 ELEVATOR_MOTOR = "elevator"
 ROTATOR = "rotator"
 ROTATOR_MOTORS = ("rotator:a", "rotator:b")
@@ -193,8 +199,8 @@ class DeviceFleet:
     every started action; the caller is expected to feed the completion back
     into complete_action when that moment arrives.
 
-    Starting a motion powers its motors through the relay bank (zero-duration
-    motions need no power); complete_action releases them.
+    Starting a motion powers its motors (zero-duration motions need no power)
+    and files it in ``active``; complete_action releases both.
     """
 
     def __init__(
@@ -210,8 +216,9 @@ class DeviceFleet:
         }
         self.platform = PlatformState()
         self.gates = {"entrance": GateState("entrance"), "exit": GateState("exit")}
+        self.devices = (*self.belts.values(), self.platform, *self.gates.values())
         self._next_action_id = 1
-        self._active: dict[int, Action] = {}
+        self.active: dict[int, Action] = {}
 
     # -- internals ---------------------------------------------------------
 
@@ -223,6 +230,7 @@ class DeviceFleet:
         now_ms: int,
         duration_ms: int,
         motors: tuple[str, ...],
+        owner: object,
         end_state: tuple[str, float] | None = None,
     ) -> Action:
         if duration_ms > 0:
@@ -230,22 +238,17 @@ class DeviceFleet:
                 self.relays.request_power(motor)
         else:
             motors = ()
-        action = Action(self._next_action_id, device_id, op, duration_ms, motors, device, end_state)
+        action_id = self._next_action_id
         self._next_action_id += 1
-        self._active[action.action_id] = action
-        device.action_id = action.action_id
-        self.schedule_done(now_ms + duration_ms, device_id, action.action_id)
+        action = Action(action_id, device_id, op, duration_ms, motors, device, end_state, owner)
+        self.active[action_id] = action
+        device.action_id = action_id
+        self.schedule_done(now_ms + duration_ms, device_id, action_id)
         return action
-
-    def active_actions(self) -> list[Action]:
-        return list(self._active.values())
 
     # -- belts ---------------------------------------------------------------
 
-    def belt(self, belt_id: BeltId) -> Belt:
-        return self.belts[belt_id]
-
-    def belt_start_convey(self, belt_id: BeltId, now_ms: int) -> Action:
+    def belt_start_convey(self, belt_id: BeltId, now_ms: int, owner=None) -> Action:
         """Run one conveyor for its transit time; on the platform belt that is
         the time to load a car onto the platform or off it."""
         belt = self.belts[belt_id]
@@ -255,15 +258,12 @@ class DeviceFleet:
             raise BeltBusyError(f"belt {belt_id} is busy with action {belt.action_id}")
         kin = self.config.kinematics
         seconds = kin.platform_load_s if belt_id == PLATFORM_BELT else kin.belt_transit_s
-        device_id = belt.device_id
-        return self._start(belt, device_id, "convey", now_ms, ms_from_s(seconds), (device_id,))
-
-    def set_belt_fault(self, belt_id: BeltId, faulted: bool) -> None:
-        self.belts[belt_id].faulted = faulted
+        name = belt.device_id
+        return self._start(belt, name, "convey", now_ms, ms_from_s(seconds), (name,), owner)
 
     # -- platform ------------------------------------------------------------
 
-    def elevator_goto_floor(self, target_floor: int, now_ms: int) -> Action:
+    def elevator_goto_floor(self, target_floor: int, now_ms: int, owner=None) -> Action:
         """Drive the platform vertically; zero travel completes immediately."""
         if not 0 <= target_floor < self.config.floors:
             raise ValueError(f"floor {target_floor} out of range")
@@ -278,10 +278,11 @@ class DeviceFleet:
             now_ms,
             duration_ms,
             (ELEVATOR_MOTOR,),
+            owner,
             ("floor_pos", target_floor),
         )
 
-    def platform_rotate_to_slot(self, slot_index: int, now_ms: int) -> Action:
+    def platform_rotate_to_slot(self, slot_index: int, now_ms: int, owner=None) -> Action:
         """Turn the platform to a slot face by the shortest arc, ties clockwise.
 
         Rotation drives both ring motors, so it consumes two power grants.
@@ -307,12 +308,13 @@ class DeviceFleet:
             now_ms,
             duration_ms,
             ROTATOR_MOTORS,
+            owner,
             ("angle_deg", (slot_index * slot_angle) % 360.0),
         )
 
     # -- gates -----------------------------------------------------------------
 
-    def gate_actuate(self, name: str, command: str, now_ms: int) -> Action:
+    def gate_actuate(self, name: str, command: str, now_ms: int, owner=None) -> Action:
         """Swing a gate open or closed; a gate already there completes at once.
 
         Gate motors run off the low-voltage control rail, not the relay bank.
@@ -327,14 +329,14 @@ class DeviceFleet:
             self.config.kinematics.gate_actuation_s
         )
         return self._start(
-            gate, gate.device_id, command, now_ms, duration_ms, (), ("angle_deg", target)
+            gate, gate.device_id, command, now_ms, duration_ms, (), owner, ("angle_deg", target)
         )
 
     # -- completion --------------------------------------------------------------
 
     def complete_action(self, action_id: int) -> Action:
         """Apply the end state of a motion and release its power grants."""
-        action = self._active.pop(action_id)
+        action = self.active.pop(action_id)
         for motor in action.motors:
             self.relays.release_power(motor)
         action.device.action_id = None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, make_dataclass
 from decimal import Decimal
 from enum import Enum
 
@@ -172,6 +172,10 @@ class SlotState(str, Enum):
     OCCUPIED = "occupied"
 
 
+# Module constants for the per-event paths: a class attribute costs ten times more.
+VACANT, RESERVED, OCCUPIED = SlotState
+
+
 class TicketPhase(str, Enum):
     AWAITING_ENTRY = "AwaitingEntry"
     PARKING = "Parking"
@@ -181,14 +185,8 @@ class TicketPhase(str, Enum):
     CLOSED = "Closed"
 
 
-_PHASE_ORDER = [
-    TicketPhase.AWAITING_ENTRY,
-    TicketPhase.PARKING,
-    TicketPhase.PARKED,
-    TicketPhase.RETRIEVING,
-    TicketPhase.AWAITING_PAYMENT,
-    TicketPhase.CLOSED,
-]
+AWAITING_ENTRY, PARKING, PARKED, RETRIEVING, AWAITING_PAYMENT, CLOSED = TicketPhase
+_PHASE_ORDER = list(TicketPhase)
 
 
 @dataclass
@@ -213,6 +211,10 @@ class ParkingTicket:
         self.phase = phase
 
 
+# A paid ticket: the fields of ``ParkingTicket``, none of them writable.
+ClosedTicket = make_dataclass("ClosedTicket", [f.name for f in fields(ParkingTicket)], frozen=True)
+
+
 class SlotMatrix:
     """Occupancy grid: every cell is vacant, reserved, or occupied.
 
@@ -225,12 +227,10 @@ class SlotMatrix:
     def __init__(self, floors: int, slots_per_floor: int):
         self.floors = floors
         self.slots_per_floor = slots_per_floor
-        self._state = [
-            [SlotState.VACANT] * slots_per_floor for _ in range(floors)
-        ]
+        self._state = [[VACANT] * slots_per_floor for _ in range(floors)]
         self._ticket = [[None] * slots_per_floor for _ in range(floors)]
         self._counts = {state: 0 for state in SlotState}
-        self._counts[SlotState.VACANT] = floors * slots_per_floor
+        self._counts[VACANT] = floors * slots_per_floor
         self.occupied_peak = 0
 
     def state_at(self, addr: SlotAddress) -> SlotState:
@@ -250,14 +250,14 @@ class SlotMatrix:
         # "reserved" would pass the row comparison and crash the cell loop.
         if type(state) is not SlotState:
             raise ValueError(f"not a slot state: {state!r}")
-        if state is SlotState.VACANT and ticket_id is not None:
+        if state is VACANT and ticket_id is not None:
             raise ValueError("vacant cells carry no ticket")
-        if state is not SlotState.VACANT and ticket_id is None:
+        if state is not VACANT and ticket_id is None:
             raise ValueError(f"{state.value} cells need a ticket id")
         row = self._state[addr.floor]
         self._counts[row[addr.slot]] -= 1
         self._counts[state] += 1
-        self.occupied_peak = max(self.occupied_peak, self._counts[SlotState.OCCUPIED])
+        self.occupied_peak = max(self.occupied_peak, self._counts[OCCUPIED])
         row[addr.slot] = state
         self._ticket[addr.floor][addr.slot] = ticket_id
 
@@ -272,7 +272,8 @@ class GarageState:
     ``tickets`` keeps every ticket ever issued, numbered from 1 in issue
     order, so its size is the count of cars let in. ``active`` and
     ``active_by_phone`` index the ones not yet ``CLOSED``, by ticket id and by
-    the customer's phone; a ticket leaves both when it closes.
+    the customer's phone; a ticket leaves both when it closes, and its entry
+    in ``tickets`` becomes a frozen ``ClosedTicket``.
     """
 
     config: GarageConfig
@@ -295,7 +296,6 @@ class GarageState:
         self.active[ticket.ticket_id] = ticket
         self.active_by_phone[vehicle.phone] = ticket
         return ticket
-
     def phase_counts(self) -> dict[TicketPhase, int]:
         out = {phase: 0 for phase in TicketPhase}
         for ticket in self.tickets.values():
@@ -314,8 +314,8 @@ def new_garage(config: GarageConfig) -> GarageState:
 
 def occupancy_count(garage: GarageState) -> tuple[int, int]:
     """Return (occupied, vacant) cell counts; reserved cells are neither."""
-    counts = garage.slots.counts()
-    return counts[SlotState.OCCUPIED], counts[SlotState.VACANT]
+    counts = garage.slots._counts
+    return counts[OCCUPIED], counts[VACANT]
 
 
 def billed_minutes(entry_ms: int, exit_ms: int) -> int:

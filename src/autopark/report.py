@@ -114,7 +114,14 @@ def _parse_cell(name: str, text: str):
         return None
     if name.endswith("_ms"):
         return round(float(text) * 1000)
-    return kind(text)
+    return _number(kind, text)
+
+
+def _number(kind: type, text):
+    """``kind(text)``, refusing NaN: a report holding it would not parse back equal."""
+    if (value := kind(text)) != value:
+        raise ValueError(f"NaN in a report: {text!r}")
+    return value
 
 
 def _aggregate_pairs(agg: Aggregates) -> list[tuple[str, str]]:
@@ -123,7 +130,7 @@ def _aggregate_pairs(agg: Aggregates) -> list[tuple[str, str]]:
 
 def _parse_aggregate(name: str, text: str):
     kind, optional = _AGGREGATE_TYPES[name]
-    return None if optional and text == "-" else kind(text)
+    return None if optional and text == "-" else _number(kind, text)
 
 
 def _format_csv(report: RunReport) -> str:
@@ -184,7 +191,7 @@ def _format_json_lines(report: RunReport) -> str:
 def _parse_json_row(obj: dict) -> ReportRow:
     for name, (kind, _) in _ROW_TYPES.items():
         if kind is Decimal and obj.get(name) is not None:
-            obj[name] = Decimal(obj[name])
+            obj[name] = _number(Decimal, obj[name])
     return ReportRow(**obj)
 
 
@@ -195,8 +202,8 @@ def _parse_json_lines(text: str) -> RunReport:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = json.loads(line, parse_constant=lambda text: _number(float, text))
+        except ValueError as exc:
             raise ReportFormatError(f"bad JSON line: {line!r}") from exc
         try:
             if "aggregates" in obj:

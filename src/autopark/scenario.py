@@ -364,7 +364,7 @@ class GarageSession:
         )
         self.sim.handler = self._handle
         self.sim.advance = self._advance
-        self.sim.check = self._check if check else None
+        self.sim.check = partial(check_invariants, self.controller) if check else None
 
     # -- engine hooks -------------------------------------------------------
 
@@ -373,9 +373,6 @@ class GarageSession:
 
     def _advance(self, dt_ms: int) -> None:
         self.power.advance(self.fleet.relays.total_load_w(), dt_ms / 1000)
-
-    def _check(self) -> None:
-        check_invariants(self.controller)
 
     def _handle(self, event: SimEvent) -> None:
         p = event.payload

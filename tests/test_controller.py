@@ -574,9 +574,11 @@ def test_plans_match_the_step_builders_they_replaced(floors, slots_per_floor):
 def test_step_device_is_the_device_the_fleet_starts(floors, slots_per_floor):
     session = GarageSession(GarageConfig(floors=floors, slots_per_floor=slots_per_floor))
     for steps, _ in every_plan(session.config):
+        program = Program("test", steps)
         for step in steps:
-            action = session.controller._start_motion(step, 0)
+            action = session.controller._start_motion(step, program, 0)
             assert action is not None and action.device_id == step.device, step
+            assert action.owner is program
             session.fleet.complete_action(action.action_id)
 
 

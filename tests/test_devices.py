@@ -120,7 +120,7 @@ def test_convey_occupies_one_relay_for_transit_time(fleet):
         fleet.belt_start_convey(ENTRANCE_BELT, 1200)
     fleet.complete_action(action.action_id)
     assert fleet.relays.available() == 2
-    assert not fleet.belt(ENTRANCE_BELT).busy
+    assert not fleet.belts[ENTRANCE_BELT].busy
 
 
 def test_platform_belt_uses_load_time(fleet):
@@ -129,10 +129,10 @@ def test_platform_belt_uses_load_time(fleet):
 
 
 def test_faulted_belt_refuses_to_start(fleet):
-    fleet.set_belt_fault(EXIT_BELT, True)
+    fleet.belts[EXIT_BELT].faulted = True
     with pytest.raises(BeltFaultedError):
         fleet.belt_start_convey(EXIT_BELT, 0)
-    fleet.set_belt_fault(EXIT_BELT, False)
+    fleet.belts[EXIT_BELT].faulted = False
     fleet.belt_start_convey(EXIT_BELT, 0)
 
 

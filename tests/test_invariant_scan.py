@@ -2,15 +2,19 @@
 
 ``oracle_check_invariants`` is the earlier scan, kept as the reference: a
 pass over every cell built as ``SlotAddress`` objects and three passes over
-every ticket ever issued. It is copied unchanged except that
+every ticket ever issued. It is copied unchanged except for four things.
 ``not ticket.is_active``, since deleted from ``ParkingTicket``, is spelled out
-as ``ticket.phase is TicketPhase.CLOSED``, and that the per-cell timer grid it
+as ``ticket.phase is TicketPhase.CLOSED``. The per-cell timer grid it
 compared, since deleted, is replaced by the clock it mirrored: each ticket's
 ``exit_ms`` is None exactly while the ticket is AwaitingEntry, Parking or
-Parked, and a vacant cell names no ticket. The current scan must accept every
-state the reference accepts on the seeded corpus, and reject every
-corruption of a guarded field that the reference rejects, with the message
-its loop over every cell gives.
+Parked, and a vacant cell names no ticket. It reads the running motions from
+``fleet.active`` and the powered motors as a set, the one record of each that
+is left. And it checks by brute force what the scan now checks by counts:
+every busy device is busy with the active action that drives it, and every
+active action is the one its device is busy with. The current scan must
+accept every state the reference accepts on the seeded corpus, and reject
+every corruption of a guarded field that the reference rejects, with the
+message its loop over every cell gives.
 
 Run as a script, it steps a wider seed range with both scans after every
 event and prints how many scans it made:
@@ -18,6 +22,7 @@ event and prints how many scans it made:
 """
 
 import argparse
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +35,9 @@ from autopark.controller import (
     _scan_cells,
     check_invariants,
 )
-from autopark.devices import ELEVATOR_MOTOR, ENTRANCE_BELT, EXIT_BELT
+from autopark.devices import ELEVATOR_MOTOR, ENTRANCE_BELT, EXIT_BELT, ROTATOR_MOTORS
 from autopark.engine import Arrival, InboundSms, PaymentConfirmed
-from autopark.model import SlotAddress, SlotState, TicketPhase, Vehicle
+from autopark.model import ParkingTicket, SlotAddress, SlotState, TicketPhase, Vehicle
 from autopark.scenario import GarageSession, random_scenario
 
 SEEDS = range(50)
@@ -110,13 +115,21 @@ def oracle_check_invariants(controller: GarageController) -> None:
 
     if len(fleet.relays.powered) > fleet.relays.budget:
         raise InvariantViolationError("relay budget exceeded")
-    active_motors = [m for a in fleet.active_actions() for m in a.motors]
+    active_motors = [m for a in fleet.active.values() for m in a.motors]
     if len(active_motors) != len(set(active_motors)):
         raise InvariantViolationError("a motor is held by two actions")
-    if set(fleet.relays.powered) != set(active_motors):
+    if fleet.relays.powered != set(active_motors):
         raise InvariantViolationError(
             f"powered {sorted(fleet.relays.powered)} != active {sorted(set(active_motors))}"
         )
+    for device in [*fleet.belts.values(), fleet.platform, *fleet.gates.values()]:
+        if device.busy:
+            action = fleet.active.get(device.action_id)
+            if action is None or action.device is not device:
+                raise InvariantViolationError(f"{device} is busy with a stray action")
+    for action_id, action in fleet.active.items():
+        if action.device.action_id != action_id:
+            raise InvariantViolationError(f"action {action_id} does not drive its device")
 
     occupants = [b.occupant for b in fleet.belts.values() if b.occupant is not None]
     if len(occupants) != len(set(occupants)):
@@ -267,15 +280,20 @@ def _move_timed_ticket_off_grid(session: GarageSession) -> None:
 
 
 def _belts_share_car(session: GarageSession) -> None:
-    session.fleet.belt(EXIT_BELT).occupant = session.fleet.belt(ENTRANCE_BELT).occupant
+    session.fleet.belts[EXIT_BELT].occupant = session.fleet.belts[ENTRANCE_BELT].occupant
 
 
 def _action_takes_motors_of_other(session: GarageSession) -> None:
     """The two running conveyors (belt:slot:2 and belt:entrance) both claim
     belt:entrance's motor; the relay bank still powers the same two."""
-    active = session.fleet._active
+    active = session.fleet.active
     first, second = active.values()
     active[first.action_id] = first._replace(motors=second.motors)
+
+
+def _set_belt_action(belt_id, action_id: int | None):
+    """Write the action a belt says it is busy with."""
+    return lambda session: setattr(session.fleet.belts[belt_id], "action_id", action_id)
 
 
 def _set_platform(**values):
@@ -407,14 +425,28 @@ MUTATIONS = {
         "ticket 2 (AwaitingEntry) does not hold its slot",
     ),
     "relay_powers_idle_motor": (
-        lambda session: session.fleet.relays.powered.__setitem__(ELEVATOR_MOTOR, 10.0),
+        lambda session: session.fleet.relays.powered.add(ELEVATOR_MOTOR),
         "relay budget exceeded",
     ),
     "relay_drops_running_motor": (
-        lambda session: session.fleet.relays.powered.popitem(),
+        lambda session: session.fleet.relays.powered.remove("belt:entrance"),
         "powered ['belt:slot:2'] != active ['belt:entrance', 'belt:slot:2']",
     ),
     "two_actions_one_motor": (_action_takes_motors_of_other, "a motor is held by two actions"),
+    "idle_device_busy_with_inactive_action": (
+        _set_belt_action(EXIT_BELT, 404),
+        "3 busy devices but 2 actions",
+    ),
+    "idle_device_busy_with_other_devices_action": (
+        lambda session: setattr(
+            session.fleet.platform, "action_id", session.fleet.belts[ENTRANCE_BELT].action_id
+        ),
+        "3 busy devices but 2 actions",
+    ),
+    "running_device_drops_its_action": (
+        _set_belt_action(ENTRANCE_BELT, None),
+        "action 74 does not drive belt:entrance",
+    ),
     "two_belts_one_car": (_belts_share_car, "a vehicle sits on two belts: ['v7', 'v7']"),
     "platform_floor_out_of_range": (
         _set_platform(floor_pos=3),
@@ -481,14 +513,15 @@ def test_corrupt_index_fails_scan(name):
 
 
 def _writes(session: GarageSession):
-    """Direct writes to one grid cell or one ticket's phase, slot or exit
+    """Direct writes to one grid cell or one live ticket's phase, slot or exit
     time, drawn from the values the busy garage already holds plus a few it
-    must not."""
+    must not. A closed ticket's record is frozen (see the test below)."""
     garage = session.garage
     cells = st.tuples(
         st.integers(0, garage.slots.floors - 1), st.integers(0, garage.slots.slots_per_floor - 1)
     )
     ticket_ids = sorted(garage.tickets)
+    live_ids = sorted(garage.active)
     exits = sorted({t.exit_ms for t in garage.tickets.values() if t.exit_ms is not None})
 
     def grid_write(grid, name: str, values):
@@ -503,7 +536,7 @@ def _writes(session: GarageSession):
             ticket = garage.tickets[ticket_id]
             return lambda: setattr(ticket, name, value), (name, ticket_id, value)
 
-        return st.builds(write, st.sampled_from(ticket_ids), values)
+        return st.builds(write, st.sampled_from(live_ids), values)
 
     # Slots one past each edge of the 3x6 grid reach the fast path's
     # off-grid guards.
@@ -537,11 +570,6 @@ def test_fast_path_accepts_nothing_the_cell_loop_rejects(data):
     else:
         if fast_counts is not None:
             assert fast_counts == loop_counts
-    # The scan reads the tickets through ``garage.active`` only, so a write to
-    # a closed ticket is beyond it (see the xfail test below).
-    for _, (field, target, _) in writes:
-        if field in ("phase", "slot", "exit_ms") and target not in garage.active:
-            return
     try:
         oracle_check_invariants(session.controller)
     except InvariantViolationError:
@@ -549,17 +577,77 @@ def test_fast_path_accepts_nothing_the_cell_loop_rejects(data):
             check_invariants(session.controller)
 
 
-@pytest.mark.xfail(strict=True, reason="closed tickets are not rescanned", raises=AssertionError)
 def test_closed_ticket_reopened_by_direct_write_is_caught():
+    """A paid ticket's record is frozen, so the write that would reopen it
+    raises where it is made; the scan need not read closed tickets."""
     session = busy_session()
-    session.garage.tickets[1].phase = TicketPhase.PARKED
-    with pytest.raises(InvariantViolationError):
-        oracle_check_invariants(session.controller)
+    closed = session.garage.tickets[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        closed.phase = TicketPhase.PARKED
+    assert closed.phase is TicketPhase.CLOSED and closed.closed_ms == 600_000
+    assert dataclasses.asdict(closed).keys() == {f.name for f in dataclasses.fields(ParkingTicket)}
+    check_invariants(session.controller)
+
+
+def _motion_writes(session: GarageSession):
+    """Direct writes to the motion state: the relay bank's powered set, the
+    active actions, the action a device is busy with, and belt occupants,
+    drawn from the values the busy garage already holds plus a few it must
+    not."""
+    fleet = session.fleet
+    devices = [*fleet.belts.values(), fleet.platform, *fleet.gates.values()]
+    action_ids = sorted(fleet.active)
+    motors = sorted({*fleet.relays.powered, ELEVATOR_MOTOR, *ROTATOR_MOTORS})
+    cars = sorted({b.occupant for b in fleet.belts.values() if b.occupant} | {"v4"})
+
+    def power(motor, on):
+        change = fleet.relays.powered.add if on else fleet.relays.powered.discard
+        return lambda: change(motor), ("powered", motor, on)
+
+    def rewrite(action_id, field, value):
+        def apply():
+            if action_id in fleet.active:
+                fleet.active[action_id] = fleet.active[action_id]._replace(**{field: value})
+
+        return apply, ("action", action_id, field, value)
+
+    def drop(action_id):
+        return lambda: fleet.active.pop(action_id, None), ("drop", action_id)
+
+    def busy(device, action_id):
+        return lambda: setattr(device, "action_id", action_id), ("busy", device, action_id)
+
+    def ride(belt, car):
+        return lambda: setattr(belt, "occupant", car), ("ride", belt.belt_id, car)
+
+    motor_sets = st.lists(st.sampled_from(motors), max_size=3).map(tuple)
+    ids, belts = st.sampled_from(action_ids), list(fleet.belts.values())
+    return st.one_of(
+        st.builds(power, st.sampled_from(motors), st.booleans()),
+        st.builds(rewrite, ids, st.just("motors"), motor_sets),
+        st.builds(rewrite, ids, st.just("device"), st.sampled_from(devices)),
+        st.builds(drop, ids),
+        st.builds(busy, st.sampled_from(devices), st.sampled_from([None, *action_ids, 404])),
+        st.builds(ride, st.sampled_from(belts), st.sampled_from([None, *cars])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_motion_checks_reject_what_the_oracle_rejects(data):
+    """The scan's set-and-count checks of the devices give the verdict of the
+    oracle's loop over every device and action, both ways."""
+    session = busy_session()
+    writes = data.draw(st.lists(_motion_writes(session), min_size=1, max_size=3))
+    for apply, _ in writes:
+        apply()
     try:
-        check_invariants(session.controller)
+        oracle_check_invariants(session.controller)
     except InvariantViolationError:
-        return
-    raise AssertionError("the scan accepts a closed ticket written back to Parked")
+        with pytest.raises(InvariantViolationError):
+            check_invariants(session.controller)
+    else:
+        check_invariants(session.controller)
 
 
 if __name__ == "__main__":

@@ -105,6 +105,9 @@ def test_unknown_format_rejected():
         (CSV_HEADER + "\n#aggregates occupancy_peak=1\n", "missing"),
         (CSV_HEADER + "\nv,Parked,abc,,,,,,,\n#aggregates x=1\n", "bad CSV row"),
         (CSV_HEADER + "\n#aggregates occupancy_peak\n", "bad aggregates trailer"),
+        # NaN never equals itself, so a report holding it would not parse back equal.
+        (CSV_HEADER + "\nv,Closed,1.000,,,,,,,NaN\n#aggregates x=1\n", "bad CSV row"),
+        (format_report(SAMPLE, "csv").replace("pv_wh=0.25", "pv_wh=nan"), "bad aggregates"),
     ],
 )
 def test_csv_parse_errors(text, fragment):
@@ -120,6 +123,16 @@ def test_json_lines_parse_errors():
     agg = format_report(SAMPLE, "json-lines").splitlines()[-1]
     with pytest.raises(ReportFormatError, match="duplicate aggregates"):
         parse_report(agg + "\n" + agg + "\n", "json-lines")
+
+
+@pytest.mark.parametrize(
+    "old,new,fragment",
+    [('"amount":"0.10"', '"amount":"NaN"', "bad report line"), ("0.25", "NaN", "bad JSON line")],
+)
+def test_json_lines_nan_rejected(old, new, fragment):
+    text = format_report(SAMPLE, "json-lines").replace(old, new)
+    with pytest.raises(ReportFormatError, match=fragment):
+        parse_report(text, "json-lines")
 
 
 def test_json_lines_unknown_key_rejected():
