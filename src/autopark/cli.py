@@ -93,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (AutoparkError, OSError) as exc:
+    except (AutoparkError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

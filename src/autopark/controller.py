@@ -498,40 +498,34 @@ def check_invariants(controller: GarageController) -> None:
 
     Per event the Python-level work is one pass over the live tickets, each
     reading its own cell (``_claimed_counts``), two C-level ``list.count``
-    calls per floor, one pass over the running motions (a few at most) that
-    builds the set of their motors, and a count of the busy devices. The
-    loop over every cell (``_scan_cells``) runs only to name a grid fault; it
-    is the authority, and if it finds no fault the state stands.
+    calls per floor, and counts over the few running motions and the
+    devices. The loop over every cell (``_scan_cells``) runs only to name a
+    grid fault; it is the authority, and if it finds no fault the state stands.
     """
     garage = controller.garage
     fleet = controller.fleet
-    slots = garage.slots
-    active = garage.active
 
     tally = _claimed_counts(garage)
     if tally is None:
         tally = _scan_cells(garage)
-    if len(garage.active_by_phone) != len(active):
+    if len(garage.active_by_phone) != len(garage.active):
         raise InvariantViolationError(
-            f"{len(active)} active tickets but {len(garage.active_by_phone)} active phones"
+            f"{len(garage.active)} active tickets but {len(garage.active_by_phone)} active phones"
         )
-    if slots._counts != tally:
-        raise InvariantViolationError(f"cell counts {slots.counts()} != cells {tally}")
+    if garage.slots._counts != tally:
+        raise InvariantViolationError(f"cell counts {garage.slots.counts()} != cells {tally}")
 
     powered = fleet.relays.powered
     if len(powered) > fleet.relays.budget:
         raise InvariantViolationError("relay budget exceeded")
-    motors: set[str] = set()
-    motor_count = 0
+    motors = [motor for action in fleet.active.values() for motor in action.motors]
+    if len(motors) != len(set(motors)):
+        raise InvariantViolationError("a motor is held by two actions")
+    if powered != set(motors):
+        raise InvariantViolationError(f"powered {sorted(powered)} != active {sorted(set(motors))}")
     for action_id, action in fleet.active.items():
         if action.device.action_id != action_id:
             raise InvariantViolationError(f"action {action_id} does not drive {action.device_id}")
-        motors.update(action.motors)
-        motor_count += len(action.motors)
-    if motor_count != len(motors):
-        raise InvariantViolationError("a motor is held by two actions")
-    if motors != powered:
-        raise InvariantViolationError(f"powered {sorted(powered)} != active {sorted(motors)}")
     # Each action drives its own busy device, so equal counts leave no stray busy device.
     busy = len([device for device in fleet.devices if device.action_id is not None])
     if busy != len(fleet.active):
@@ -566,9 +560,8 @@ def _claimed_counts(garage: GarageState) -> dict[SlotState, int] | None:
     unclaimed cell is vacant and unnamed. The same loop checks each billing
     clock (``exit_ms`` is None exactly in AwaitingEntry, Parking and Parked),
     but raises only once the grid is sound, so a grid fault is named first.
-
-    Returns None when a claimed cell differs, an unclaimed cell is held, or
-    a slot lies off the grid; ``_scan_cells`` then finds the fault.
+    Returns None if a claimed cell differs, an unclaimed cell is held, or a
+    slot is off the grid; ``_scan_cells`` then names the fault.
     """
     slots = garage.slots
     floors, n = slots.floors, slots.slots_per_floor

@@ -2,10 +2,9 @@
 the two gates, and the relay bank that limits how many motors may draw power
 at once.
 
-Every motion is an Action with a fixed duration, its one record; completion is
-reported back through a scheduler callback so the event engine stays the
-single source of time. Devices hold no policy: sequencing and queueing live in
-the controller.
+Every motion is an Action with a fixed duration; completion is reported back
+through a scheduler callback so the event engine stays the single source of
+time. Devices hold no policy: sequencing and queueing live in the controller.
 """
 
 from __future__ import annotations
@@ -94,9 +93,8 @@ def belt_roster(slots_per_floor: int) -> list[BeltId]:
 class RelayBank:
     """Switches motor power and enforces the concurrent-motor budget.
 
-    ``powered`` is the set of motors switched on. Every motor draws
-    ``MOTOR_LOAD_W``, so the load the power model reads is that times the
-    count; reports track the high-water motor count.
+    ``powered`` is the set of motors switched on, each drawing ``MOTOR_LOAD_W``;
+    the power model reads their load and reports the high-water motor count.
     """
 
     budget = 2  # motors that may draw power at once
@@ -169,7 +167,7 @@ class GateState(Device):
 
 
 class Action(NamedTuple):
-    """One in-flight device motion and the motors it holds powered.
+    """The one record of an in-flight device motion and the motors it powers.
 
     ``device`` is the belt, platform or gate it moves; ``end_state`` is the
     (attribute, value) that device takes when the motion completes, if any;

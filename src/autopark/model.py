@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, make_dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from enum import Enum
 
@@ -172,8 +173,7 @@ class SlotState(str, Enum):
     OCCUPIED = "occupied"
 
 
-# Module constants for the per-event paths: a class attribute costs ten times more.
-VACANT, RESERVED, OCCUPIED = SlotState
+VACANT, RESERVED, OCCUPIED = SlotState  # module constants: cheaper to read than class attributes
 
 
 class TicketPhase(str, Enum):
@@ -212,7 +212,7 @@ class ParkingTicket:
 
 
 # A paid ticket: the fields of ``ParkingTicket``, none of them writable.
-ClosedTicket = make_dataclass("ClosedTicket", [f.name for f in fields(ParkingTicket)], frozen=True)
+ClosedTicket = namedtuple("ClosedTicket", [f.name for f in fields(ParkingTicket)])
 
 
 class SlotMatrix:

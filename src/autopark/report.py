@@ -118,9 +118,8 @@ def _parse_cell(name: str, text: str):
 
 
 def _number(kind: type, text):
-    """``kind(text)``, refusing NaN: a report holding it would not parse back equal."""
     if (value := kind(text)) != value:
-        raise ValueError(f"NaN in a report: {text!r}")
+        raise ValueError(f"NaN would not parse back equal: {text!r}")
     return value
 
 

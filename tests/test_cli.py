@@ -65,6 +65,13 @@ def test_missing_file_is_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_undecodable_file_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes("t=0 kind=sms_in phone=+1 body=caf\u00e9\n".encode("latin-1"))
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_parse_error_is_exit_1(tmp_path, scenario_file, capsys, monkeypatch):
     bad = tmp_path / "bad.scn"
     bad.write_text("t=0 kind=teleport\n", encoding="utf-8")

@@ -148,10 +148,10 @@ def _main(argv: list[str], stdin: str = "", env: dict | None = None) -> int:
 @settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(text=scenario_text.filter(_bounded))
-def test_cli_run_exits_cleanly_on_any_file(tmp_path, text):
+@given(data=st.one_of(scenario_text.filter(_bounded).map(str.encode), st.binary(max_size=40)))
+def test_cli_run_exits_cleanly_on_any_file(tmp_path, data):
     path = tmp_path / "fuzz.scn"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     assert _main(["run", str(path), "--report", "csv"]) in (0, 1)
 
 

@@ -582,10 +582,10 @@ def test_closed_ticket_reopened_by_direct_write_is_caught():
     raises where it is made; the scan need not read closed tickets."""
     session = busy_session()
     closed = session.garage.tickets[1]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         closed.phase = TicketPhase.PARKED
     assert closed.phase is TicketPhase.CLOSED and closed.closed_ms == 600_000
-    assert dataclasses.asdict(closed).keys() == {f.name for f in dataclasses.fields(ParkingTicket)}
+    assert closed._fields == tuple(f.name for f in dataclasses.fields(ParkingTicket))
     check_invariants(session.controller)
 
 
