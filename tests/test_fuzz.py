@@ -35,7 +35,6 @@ KEYS = sorted(
     | {key for spec in EVENT_KINDS.values() for key in spec.fields}
 )
 
-# Keep the garages small: a fuzzed config could otherwise ask for a huge grid.
 small_text = st.text(max_size=40)
 values = st.one_of(st.sampled_from(NUMBERS + WORDS + sorted(EVENT_KINDS)), small_text)
 pairs = st.builds(lambda k, v: f"{k}={v}", st.sampled_from(KEYS), values)
@@ -68,7 +67,8 @@ scenario_text = st.one_of(
 
 
 def _bounded(text: str) -> bool:
-    """No garage larger than 10x10, so a fuzzed run stays short."""
+    """No garage larger than 10x10: a fuzzed config could otherwise ask for a
+    grid so large that the run would take minutes."""
     for token in text.split():
         key, _, value = token.partition("=")
         if key in ("floors", "slots_per_floor"):
