@@ -17,7 +17,7 @@ import sys
 from typing import IO
 
 from .controller import InvariantViolationError
-from .model import AutoparkError, ms_from_s, occupancy_count
+from .model import AutoparkError, ms_from_s, occupancy_count, parse_number
 from .report import FORMATS, format_report
 from .scenario import (
     GarageSession,
@@ -187,7 +187,7 @@ def _repl_command(session: GarageSession, line: str) -> bool:
     if words[0] == "help":
         print(_REPL_HELP, end="")
     elif words[0] == "tick":
-        step_ms = _argument(words, lambda text: ms_from_s(float(text)), 1000)
+        step_ms = _argument(words, lambda text: ms_from_s(parse_number(float, text)), 1000)
         session.run_until(session.sim.clock_ms + step_ms)
         print(f"t={session.sim.clock_ms / 1000:.3f}s pending={session.sim.pending()}")
     elif words[0] == "run":

@@ -195,7 +195,10 @@ class DeviceFleet:
 
     The scheduler callback receives (done_at_ms, device_id, action_id) for
     every started action; the caller is expected to feed the completion back
-    into complete_action when that moment arrives.
+    into complete_action when that moment arrives. The fleet holds only its
+    devices and that callback; in a ``GarageSession`` the callback holds the
+    engine weakly, because the engine holds the controller, which holds the
+    fleet.
 
     Starting a motion powers its motors (zero-duration motions need no power)
     and files it in ``active``; complete_action releases both.

@@ -124,7 +124,13 @@ class Simulation:
     handler receives each event in dispatch order; advance is called with the
     elapsed milliseconds before each clock move (for time integration such
     as battery bookkeeping); check runs after every dispatch so invariant
-    scans sit directly on the event boundary.
+    scans sit directly on the event boundary. Domain records (phase changes,
+    action starts, ...) are appended to ``trace`` between the event lines.
+
+    The simulation holds its hooks and they hold the parts they drive, never
+    the simulation. A part that schedules events itself (a ``GarageSession``'s
+    device fleet) holds it through a ``weakref.proxy``, so that a dropped run
+    is freed by reference counting.
     """
 
     def __init__(
@@ -150,10 +156,6 @@ class Simulation:
         self._next_seq += 1
         heapq.heappush(self._heap, event)
         return event
-
-    def note(self, line: str) -> None:
-        """Append a domain record (phase change, action start, ...) to the trace."""
-        self.trace.append(line)
 
     def pending(self) -> int:
         return len(self._heap)

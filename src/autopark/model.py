@@ -43,12 +43,30 @@ def ms_from_s(seconds: float) -> int:
         raise ValueError(f"{seconds:g} s does not fit the millisecond clock") from None
 
 
-_PHONE_RE = re.compile(r"^\+?\d+$")
+# Scenario and report numbers: ASCII digits with an optional sign, decimal
+# point and exponent, or a word for infinity or NaN. Python's int, float and
+# Decimal would also take surrounding space, digit grouping with "_" and the
+# digits of every other script.
+_NUMBER_RE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|s?nan)",
+    re.IGNORECASE,
+)
+
+
+def parse_number(kind: type, text: str):
+    """``kind(text)`` for an int, float or Decimal written in the number
+    grammar; any other text is a ValueError."""
+    if _NUMBER_RE.fullmatch(text) is None:
+        raise ValueError(f"not a number: {text!r}")
+    return kind(text)
+
+
+_PHONE_RE = re.compile(r"\+?[0-9]+")
 
 
 def is_valid_phone(number: str) -> bool:
-    """A phone number is one or more digits with an optional leading '+'."""
-    return bool(_PHONE_RE.match(number))
+    """A phone number is one or more ASCII digits with an optional leading '+'."""
+    return _PHONE_RE.fullmatch(number) is not None
 
 
 @dataclass(frozen=True)
@@ -296,6 +314,7 @@ class GarageState:
         self.active[ticket.ticket_id] = ticket
         self.active_by_phone[vehicle.phone] = ticket
         return ticket
+
     def phase_counts(self) -> dict[TicketPhase, int]:
         out = {phase: 0 for phase in TicketPhase}
         for ticket in self.tickets.values():

@@ -14,7 +14,7 @@ from decimal import Decimal
 from types import NoneType
 from typing import get_args, get_type_hints
 
-from .model import AutoparkError
+from .model import AutoparkError, parse_number
 
 FORMATS = ("table", "csv", "json-lines")
 
@@ -112,13 +112,16 @@ def _parse_cell(name: str, text: str):
     kind, optional = _ROW_TYPES[name]
     if optional and text == "":
         return None
+    if kind is str:
+        return text
     if name.endswith("_ms"):
-        return round(float(text) * 1000)
+        return round(parse_number(float, text) * 1000)
     return _number(kind, text)
 
 
-def _number(kind: type, text):
-    if (value := kind(text)) != value:
+def _number(kind: type, text: str):
+    """A number in the grammar of ``parse_number``, other than NaN."""
+    if (value := parse_number(kind, text)) != value:
         raise ValueError(f"NaN would not parse back equal: {text!r}")
     return value
 
@@ -187,11 +190,29 @@ def _format_json_lines(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_json_row(obj: dict) -> ReportRow:
-    for name, (kind, _) in _ROW_TYPES.items():
-        if kind is Decimal and obj.get(name) is not None:
-            obj[name] = _number(Decimal, obj[name])
-    return ReportRow(**obj)
+def _json_value(types: dict[str, tuple[type, bool]], name: str, value):
+    """One JSON value of a report field, checked against the field's type: a
+    Decimal is written as its text, and a float may be written as an integer.
+    A JSON true or false is no number."""
+    if name not in types:
+        raise TypeError(f"unknown field {name!r}")
+    kind, optional = types[name]
+    if value is None and optional:
+        return value
+    if kind is Decimal and type(value) is str:
+        return _number(Decimal, value)
+    if kind is float and type(value) in (int, float):
+        return float(value)
+    if type(value) is kind:
+        return value
+    raise TypeError(f"{name} is not a {kind.__name__}: {value!r}")
+
+
+def _parse_json_record(cls, types: dict[str, tuple[type, bool]], obj):
+    """A report dataclass from a JSON object, each value of its field's type."""
+    if type(obj) is not dict:
+        raise TypeError(f"not a JSON object: {obj!r}")
+    return cls(**{name: _json_value(types, name, value) for name, value in obj.items()})
 
 
 def _parse_json_lines(text: str) -> RunReport:
@@ -205,12 +226,14 @@ def _parse_json_lines(text: str) -> RunReport:
         except ValueError as exc:
             raise ReportFormatError(f"bad JSON line: {line!r}") from exc
         try:
-            if "aggregates" in obj:
+            if type(obj) is dict and "aggregates" in obj:
                 if aggregates is not None:
                     raise ReportFormatError("duplicate aggregates line")
-                aggregates = Aggregates(**obj["aggregates"])
+                if len(obj) != 1:
+                    raise TypeError("the aggregates line holds other keys")
+                aggregates = _parse_json_record(Aggregates, _AGGREGATE_TYPES, obj["aggregates"])
             else:
-                rows.append(_parse_json_row(obj))
+                rows.append(_parse_json_record(ReportRow, _ROW_TYPES, obj))
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ReportFormatError(f"bad report line: {line!r}") from exc
     if aggregates is None:

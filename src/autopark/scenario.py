@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import MISSING, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from functools import partial
 from typing import Callable, NamedTuple
 
 from .controller import ArrivalRecord, GarageController, check_invariants
-from .devices import DeviceFleet, belt_roster, parse_belt_id
+from .devices import DeviceFleet, RelayBank, belt_roster, parse_belt_id
 from .engine import (
     Arrival,
     BeltFault,
@@ -53,6 +54,7 @@ from .model import (
     is_valid_phone,
     ms_from_s,
     new_garage,
+    parse_number,
 )
 from .power import BatteryState, PowerSystem
 from .report import Aggregates, ReportRow, RunReport
@@ -136,22 +138,27 @@ def _split_pairs(tokens: list[str], line_no: int) -> dict[str, str]:
 
 
 def _field(pairs: dict[str, str], line_no: int, key: str, convert=str):
-    """The value of one key, converted; one that does not convert is a parse error."""
+    """The value of one key, as text or as a number of type ``convert``; a
+    number outside the number grammar is a parse error."""
+    text = pairs[key]
+    if convert is str:
+        return text
     try:
-        return convert(pairs[key])
+        return parse_number(convert, text)
     except (ValueError, InvalidOperation) as exc:
-        raise ScenarioParseError(line_no, f"bad value for {key}: {pairs[key]!r}") from exc
+        raise ScenarioParseError(line_no, f"bad value for {key}: {text!r}") from exc
 
 
 class EventKind(NamedTuple):
     """One scenario event kind: its line fields, how to build its payload from
     them (a ValueError is a parse error), the field values the payload renders,
-    and the session's handler for it. The table key is the payload's kind."""
+    and how the controller or the power system handles it. The table key is
+    the payload's kind."""
 
     fields: tuple[str, ...]
     build: Callable[[Callable[..., object], GarageConfig], Payload]
     values: Callable[[Payload], tuple]
-    handle: Callable[[GarageSession, Payload, int], None]
+    handle: Callable[[GarageController, PowerSystem, Payload, int], None]
 
 
 def _irradiance(field: Callable[..., object], config: GarageConfig) -> IrradianceChange:
@@ -185,37 +192,37 @@ EVENT_KINDS: dict[str, EventKind] = {
             Vehicle(field("vehicle"), field("length_mm", int), field("phone"))
         ),
         lambda p: (p.vehicle.vehicle_id, p.vehicle.length_mm, p.vehicle.phone),
-        lambda session, p, t: session.controller.handle_arrival(p.vehicle, t),
+        lambda controller, power, p, t: controller.handle_arrival(p.vehicle, t),
     ),
     "sms_in": EventKind(
         ("phone", "body"),
         _inbound_sms,
         lambda p: (p.phone, p.body),
-        lambda session, p, t: session.controller.on_inbound_sms(p.phone, p.body, t),
+        lambda controller, power, p, t: controller.on_inbound_sms(p.phone, p.body, t),
     ),
     "payment": EventKind(
         ("ticket",),
         lambda field, config: PaymentConfirmed(field("ticket", int)),
         lambda p: (p.ticket_id,),
-        lambda session, p, t: session.controller.handle_payment(p.ticket_id, t),
+        lambda controller, power, p, t: controller.handle_payment(p.ticket_id, t),
     ),
     "irradiance": EventKind(
         ("w_per_m2",),
         _irradiance,
         lambda p: (p.w_per_m2,),
-        lambda session, p, t: session.power.set_irradiance(p.w_per_m2),
+        lambda controller, power, p, t: power.set_irradiance(p.w_per_m2),
     ),
     "fault": EventKind(
         ("belt",),
         _fault,
         lambda p: (p.belt_id,),
-        lambda session, p, t: session.controller.on_fault(parse_belt_id(p.belt_id), t),
+        lambda controller, power, p, t: controller.on_fault(parse_belt_id(p.belt_id), t),
     ),
     "fault_cleared": EventKind(
         (),
         lambda field, config: FaultCleared(),
         lambda p: (),
-        lambda session, p, t: session.controller.on_fault_cleared(t),
+        lambda controller, power, p, t: controller.on_fault_cleared(t),
     ),
 }
 
@@ -329,6 +336,34 @@ def render_scenario(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _handle(controller: GarageController, power: PowerSystem, event: SimEvent) -> None:
+    """The engine's handler: each event to the part that acts on it."""
+    p = event.payload
+    if isinstance(p, DeviceDone):
+        controller.on_device_done(p.device_id, p.action_id, event.at_ms)
+    else:
+        EVENT_KINDS[p.kind].handle(controller, power, p, event.at_ms)
+
+
+def _advance(power: PowerSystem, relays: RelayBank, dt_ms: int) -> None:
+    """The engine's advance hook: integrate the powered motors' load."""
+    power.advance(relays.total_load_w(), dt_ms / 1000)
+
+
+def _completion_scheduler(sim: Simulation) -> Callable[[int, str, int], None]:
+    """The fleet's completion callback: a ``DeviceDone`` on the engine.
+
+    It holds the engine weakly. The engine's hooks hold the controller, and
+    through it the fleet, so a strong reference back would make a cycle.
+    """
+    engine = weakref.proxy(sim)
+
+    def schedule_done(at_ms: int, device_id: str, action_id: int) -> None:
+        engine.schedule(at_ms, DeviceDone(device_id, action_id))
+
+    return schedule_done
+
+
 class GarageSession:
     """Fully wired garage: engine, devices, controller, modem, and power.
 
@@ -336,6 +371,13 @@ class GarageSession:
     integration rides the engine's advance hook, so energy is accounted
     piecewise-constant between event dispatches, and the invariant scan
     runs on every event boundary unless check=False.
+
+    The session owns its parts as a tree. The engine's hooks hold the parts
+    they drive (controller, power system, relay bank), never the session; the
+    controller appends its trace lines straight to the engine's trace list;
+    and the fleet reaches the engine through a weak proxy. So a dropped
+    session is freed by reference counting, without the cyclic collector. The
+    fleet cannot start a motion once its session is gone.
     """
 
     def __init__(
@@ -349,7 +391,7 @@ class GarageSession:
         self.settings.validate()
         self.garage: GarageState = new_garage(self.config)
         self.sim = Simulation()
-        self.fleet = DeviceFleet(self.config, self._schedule_done)
+        self.fleet = DeviceFleet(self.config, _completion_scheduler(self.sim))
         self.gateway = SmsGateway(SmsModem())
         self.gateway.initialize()
         battery = BatteryState(
@@ -360,26 +402,11 @@ class GarageSession:
         self.power = PowerSystem(battery)
         self.power.set_irradiance(self.settings.irradiance_w_per_m2)
         self.controller = GarageController(
-            self.garage, self.fleet, self.gateway, trace=self.sim.note
+            self.garage, self.fleet, self.gateway, trace=self.sim.trace.append
         )
-        self.sim.handler = self._handle
-        self.sim.advance = self._advance
+        self.sim.handler = partial(_handle, self.controller, self.power)
+        self.sim.advance = partial(_advance, self.power, self.fleet.relays)
         self.sim.check = partial(check_invariants, self.controller) if check else None
-
-    # -- engine hooks -------------------------------------------------------
-
-    def _schedule_done(self, at_ms: int, device_id: str, action_id: int) -> None:
-        self.sim.schedule(at_ms, DeviceDone(device_id, action_id))
-
-    def _advance(self, dt_ms: int) -> None:
-        self.power.advance(self.fleet.relays.total_load_w(), dt_ms / 1000)
-
-    def _handle(self, event: SimEvent) -> None:
-        p = event.payload
-        if isinstance(p, DeviceDone):
-            self.controller.on_device_done(p.device_id, p.action_id, event.at_ms)
-        else:
-            EVENT_KINDS[p.kind].handle(self, p, event.at_ms)
 
     # -- driving ------------------------------------------------------------
 

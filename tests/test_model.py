@@ -19,6 +19,7 @@ from autopark.model import (
     ms_from_s,
     new_garage,
     occupancy_count,
+    parse_number,
 )
 
 
@@ -80,10 +81,53 @@ def test_time_conversions_round_trip():
         ("", False),
         ("+", False),
         ("cars", False),
+        ("+\u0663\u0663", False),  # Arabic-Indic digits
+        ("+974\n", False),
     ],
 )
 def test_phone_validation(number, ok):
     assert is_valid_phone(number) is ok
+
+
+@pytest.mark.parametrize(
+    "kind,text,value",
+    [
+        (int, "12", 12),
+        (int, "-007", -7),
+        (float, "+1.5", 1.5),
+        (float, ".5", 0.5),
+        (float, "5.", 5.0),
+        (float, "1E-3", 0.001),
+        (float, "-Infinity", float("-inf")),
+        (Decimal, "0.05", Decimal("0.05")),
+        (Decimal, "1e2", Decimal("1e2")),
+    ],
+)
+def test_number_grammar_accepts_ascii_numbers(kind, text, value):
+    assert parse_number(kind, text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\u0663",  # Arabic-Indic three
+        "\uff11\uff12",  # fullwidth one two
+        "1_000",
+        " 1",
+        "1\n",
+        "",
+        "+",
+        ".",
+        "e3",
+        "1e",
+        "0x10",
+        "\u221e",
+    ],
+)
+def test_number_grammar_rejects_everything_else(text):
+    for kind in (int, float, Decimal):
+        with pytest.raises(ValueError, match="not a number"):
+            parse_number(kind, text)
 
 
 def test_vehicle_rejects_bad_fields():

@@ -108,6 +108,13 @@ def test_unknown_format_rejected():
         # NaN never equals itself, so a report holding it would not parse back equal.
         (CSV_HEADER + "\nv,Closed,1.000,,,,,,,NaN\n#aggregates x=1\n", "bad CSV row"),
         (format_report(SAMPLE, "csv").replace("pv_wh=0.25", "pv_wh=nan"), "bad aggregates"),
+        # Numbers are ASCII digits: no other script's digits, no digit grouping.
+        (CSV_HEADER + "\nv,Parked,\u0663,,,,,,,\n#aggregates x=1\n", "bad CSV row"),
+        (CSV_HEADER + "\nv,Closed,1.000,,,,,,,1_0\n#aggregates x=1\n", "bad CSV row"),
+        (
+            format_report(SAMPLE, "csv").replace("occupancy_peak=2", "occupancy_peak=\u0662"),
+            "bad aggregates",
+        ),
     ],
 )
 def test_csv_parse_errors(text, fragment):
@@ -133,6 +140,38 @@ def test_json_lines_nan_rejected(old, new, fragment):
     text = format_report(SAMPLE, "json-lines").replace(old, new)
     with pytest.raises(ReportFormatError, match=fragment):
         parse_report(text, "json-lines")
+
+
+_AGGREGATES_LINE = format_report(SAMPLE, "json-lines").splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vehicle_id":"v1","status":[1,2],"entry_ms":"abc"}\n' + _AGGREGATES_LINE,
+        '{"vehicle_id":1,"status":"Parked"}\n' + _AGGREGATES_LINE,
+        '{"vehicle_id":"v","status":"Parked","entry_ms":true}\n' + _AGGREGATES_LINE,
+        '{"vehicle_id":"v","status":"Parked","entry_ms":1.5}\n' + _AGGREGATES_LINE,
+        '{"vehicle_id":"v","status":"Closed","amount":0.1}\n' + _AGGREGATES_LINE,
+        '{"vehicle_id":"v","status":"Closed","amount":"\u0661"}\n' + _AGGREGATES_LINE,
+        "[1,2]\n" + _AGGREGATES_LINE,
+        _AGGREGATES_LINE.replace('"occupancy_peak":2', '"occupancy_peak":[]'),
+        _AGGREGATES_LINE.replace('"occupancy_peak":2', '"occupancy_peak":true'),
+        _AGGREGATES_LINE.replace('"min_soc":0.999', '"min_soc":"0.999"'),
+        _AGGREGATES_LINE.replace('"min_soc":0.999', '"min_soc":false'),
+        '{"aggregates":[]}',
+        _AGGREGATES_LINE[:-1] + ',"wheels":4}',
+    ],
+)
+def test_json_lines_values_must_have_their_field_type(text):
+    with pytest.raises(ReportFormatError, match="bad report line"):
+        parse_report(text + "\n", "json-lines")
+
+
+def test_json_lines_float_field_takes_an_integer():
+    text = _AGGREGATES_LINE.replace('"grid_wh":0.0', '"grid_wh":0')
+    grid_wh = parse_report(text + "\n", "json-lines").aggregates.grid_wh
+    assert grid_wh == 0.0 and type(grid_wh) is float
 
 
 def test_json_lines_unknown_key_rejected():

@@ -1,6 +1,8 @@
 """Scenario text parsing, rendering, and end-to-end runs."""
 
+import gc
 import string
+import weakref
 from decimal import Decimal
 
 import pytest
@@ -124,6 +126,10 @@ def test_config_after_events_rejected():
         ("t=0 kind=irradiance w_per_m2=nan", "out of range"),
         ("t=1e306 kind=fault_cleared", "line 7: 1e\\+306 s does not fit the millisecond clock"),
         (f"t=0 kind=sms_in phone=+1 body={'x' * 161}", "line 7: body of 161 chars exceeds 160"),
+        ("t=1_000 kind=fault_cleared", "bad value for t: '1_000'"),
+        ("t=1 kind=payment ticket=\u0661\u0662", "bad value for ticket"),
+        ("t=0 kind=irradiance w_per_m2=\u0665\u0660", "bad value for w_per_m2"),
+        ("t=0 kind=arrival vehicle=v length_mm=4_000 phone=+9741234567", "bad value for length"),
     ],
 )
 def test_bad_event_lines(line, fragment):
@@ -171,6 +177,8 @@ def test_unknown_config_key_rejected():
         # A lift over two floors of 1e305 s, and a half turn of three 1e305 s faces.
         ("elevation_per_floor_s=1e305", "elevation_per_floor_s is too large"),
         ("rotation_per_slot_s=1e305", "rotation_per_slot_s is too large"),
+        ("floors=\u0663", "bad value for floors"),
+        ("billing_rate_per_minute=0_05", "bad value for billing_rate_per_minute"),
     ],
 )
 def test_bad_config_values(pair, fragment):
@@ -318,3 +326,45 @@ def test_random_scenarios_run_clean_with_invariants():
     for seed in range(8):
         result = run_scenario(random_scenario(seed))
         assert result.report.aggregates.max_concurrent_motors <= 2
+
+
+# Every event kind, and two motions in flight at the midpoint.
+LIFETIME_SEED = 11
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector off, with nothing left for it when the test starts."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _stepped_session(scenario: Scenario) -> GarageSession:
+    session = GarageSession(scenario.config, scenario.settings)
+    for event in scenario.events:
+        session.schedule(event)
+    session.run_until(scenario.events[len(scenario.events) // 2].t_ms)
+    assert session.fleet.active
+    return session
+
+
+def test_a_generated_scenario_leaves_nothing_for_the_collector(collector_off):
+    random_scenario(LIFETIME_SEED, 18)  # its dry run is a whole session
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda s: run_scenario(s).session, _stepped_session],
+    ids=["run_scenario", "stepped"],
+)
+def test_a_dropped_session_is_freed_without_the_collector(collector_off, run):
+    session = run(random_scenario(LIFETIME_SEED, 18))
+    refs = [weakref.ref(part) for part in (session, session.sim, session.fleet)]
+    del session
+    assert [ref() for ref in refs] == [None, None, None]
+    assert gc.collect() == 0
