@@ -5,8 +5,8 @@ Three subcommands: ``run`` executes a scenario file and prints the report,
 seeded random corpus through the invariant scanner.
 
 Exit codes: 0 success, 2 invariant violation (a bug, not an input problem),
-1 any other failure the package reports (unreadable file, grammar or config
-errors, a runaway schedule).
+1 any other failure: a bad command line, an unreadable file, grammar or
+config errors, a runaway schedule.
 """
 
 from __future__ import annotations
@@ -41,8 +41,30 @@ commands:
 """
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a bad command line; exit 2 is kept for invariant
+    violations, so a usage error exits 1 like any other input error."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def integer(text: str) -> int:
+    """A seed: an integer in the scenario number grammar (ASCII digits)."""
+    return parse_number(int, text)
+
+
+def count(text: str) -> int:
+    """A scenario count: a non-negative integer."""
+    value = integer(text)
+    if value < 0:
+        raise ValueError(f"negative count: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="autopark",
         description="Deterministic automated-garage simulator.",
     )
@@ -72,12 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_p.add_argument(
         "--seed",
-        type=int,
+        type=integer,
         default=None,
         help="base seed (default: AUTOPARK_SEED env var, else 0)",
     )
     check_p.add_argument(
-        "--count", type=int, default=100, help="number of scenarios (default 100)"
+        "--count", type=count, default=100, help="number of scenarios (default 100)"
     )
     return parser
 
@@ -111,8 +133,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     result = run_scenario(scenario, check=not args.no_check)
     if args.trace:
+        # Line by line, as "\n".join(trace) + "\n" would write it.
+        lines = iter(result.trace)
         with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(result.trace) + "\n")
+            handle.write(next(lines, ""))
+            for line in lines:
+                handle.write("\n" + line)
+            handle.write("\n")
     sys.stdout.write(format_report(result.report, args.report))
     return 0
 
@@ -122,7 +149,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if base is None:
         text = os.environ.get("AUTOPARK_SEED", "0")
         try:
-            base = int(text)
+            base = parse_number(int, text)
         except ValueError:
             raise AutoparkError(f"AUTOPARK_SEED is not an integer: {text!r}") from None
     total_events = 0

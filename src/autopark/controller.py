@@ -35,6 +35,20 @@ from .devices import (
     device_name,
     read_length_sensors,
 )
+from .engine import (
+    bill_line,
+    duplicate_line,
+    halted_line,
+    phase_line,
+    reject_phone_line,
+    reject_ticket_line,
+    reject_vehicle_line,
+    request_line,
+    resumed_line,
+    sms_out_line,
+    start_line,
+    timer_line,
+)
 from .model import AWAITING_ENTRY, AWAITING_PAYMENT, CLOSED, PARKED, PARKING, RETRIEVING
 from .model import OCCUPIED, RESERVED, VACANT
 from .model import (
@@ -213,21 +227,27 @@ HOMING_PLAN = _plan(
 
 
 class GarageController:
-    """Single-threaded controller reacting to simulation events."""
+    """Single-threaded controller reacting to simulation events.
+
+    ``trace`` takes each trace record the controller makes: a renderer from
+    ``engine`` followed by the values it renders (a session passes its
+    ``Trace.add``). Records hold ids, names and amounts, never a program or
+    a ticket, so a finished cycle's programs are freed when it ends.
+    """
 
     def __init__(
         self,
         garage: GarageState,
         fleet: DeviceFleet,
         gateway: SmsGateway,
-        trace: Callable[[str], None] | None = None,
+        trace: Callable[..., None] | None = None,
     ):
         self.garage = garage
         self.fleet = fleet
         self.gateway = gateway
         self.mode = NORMAL
         self.arrivals: list[ArrivalRecord] = []
-        self._trace = trace if trace is not None else lambda line: None
+        self._trace = trace if trace is not None else lambda *record: None
         self._wait_q: dict[Program, None] = {}  # insertion-ordered: request order
         locks = ("entrance", "exit", "platform")
         self._lock_owner: dict[str, Program | None] = dict.fromkeys(locks)
@@ -249,7 +269,7 @@ class GarageController:
             except NoVacancyError:
                 reason = "NoVacancy"
         if reason is not None:
-            self._trace(f"t={now_ms} reject={reason} vehicle={vehicle.vehicle_id}")
+            self._trace(reject_vehicle_line, now_ms, reason, vehicle.vehicle_id)
             self.arrivals.append(ArrivalRecord(now_ms, vehicle, False, None, reason))
             return
         ticket = self.garage.issue_ticket(vehicle, slot, now_ms)
@@ -257,7 +277,7 @@ class GarageController:
         self._set_phase(ticket, PARKING, now_ms)
         program = Program("parking", _parking_plan(slot), ticket.ticket_id, vehicle.vehicle_id)
         self._request_step(program, now_ms)
-        self._trace(f"t={now_ms} timer=start ticket={ticket.ticket_id}")
+        self._trace(timer_line, now_ms, "start", ticket.ticket_id)
         self._send_sms("welcome", ticket, now_ms)
         self._pump(now_ms)
 
@@ -281,19 +301,19 @@ class GarageController:
     def handle_retrieval_request(self, phone: str, now_ms: int) -> None:
         """Any text from a phone with a parked car asks for that car back."""
         if self.mode is HALTED:
-            self._trace(f"t={now_ms} reject=Halted phone={phone}")
+            self._trace(reject_phone_line, now_ms, "Halted", phone)
             return
         ticket = self.garage.active_by_phone.get(phone)
         if ticket is None or ticket.phase in (AWAITING_ENTRY, PARKING):
             # A car still on its way in is not retrievable; same answer as an
             # unknown number.
-            self._trace(f"t={now_ms} reject=UnknownPhone phone={phone}")
+            self._trace(reject_phone_line, now_ms, "UnknownPhone", phone)
             return
         if ticket.phase in (RETRIEVING, AWAITING_PAYMENT):
-            self._trace(f"t={now_ms} retrieval=duplicate ticket={ticket.ticket_id}")
+            self._trace(duplicate_line, now_ms, ticket.ticket_id)
             return
         ticket.exit_ms = now_ms
-        self._trace(f"t={now_ms} timer=stop ticket={ticket.ticket_id}")
+        self._trace(timer_line, now_ms, "stop", ticket.ticket_id)
         self._set_phase(ticket, RETRIEVING, now_ms)
         program = Program(
             "retrieval",
@@ -308,10 +328,10 @@ class GarageController:
         """Close the ticket and let the car out through the exit gate."""
         ticket = self.garage.tickets.get(ticket_id)
         if ticket is None:
-            self._trace(f"t={now_ms} reject=UnknownTicket ticket={ticket_id}")
+            self._trace(reject_ticket_line, now_ms, "UnknownTicket", ticket_id)
             return
         if ticket.phase is not AWAITING_PAYMENT:
-            self._trace(f"t={now_ms} reject=WrongPhase ticket={ticket_id}")
+            self._trace(reject_ticket_line, now_ms, "WrongPhase", ticket_id)
             return
         self._set_phase(ticket, CLOSED, now_ms)
         program = Program("exit", EXIT_PLAN, ticket_id, ticket.vehicle.vehicle_id)
@@ -322,7 +342,7 @@ class GarageController:
         """A belt malfunction raises the alarm: finish in-flight motions only."""
         self.fleet.belts[belt_id].faulted = True
         self.mode = HALTED
-        self._trace(f"t={now_ms} mode=Halted reason=belt:{belt_id}")
+        self._trace(halted_line, now_ms, belt_id)
 
     def on_fault_cleared(self, now_ms: int) -> None:
         """Resume deferred work in request order; a no-op when not halted."""
@@ -331,7 +351,7 @@ class GarageController:
         for belt in self.fleet.belts.values():
             belt.faulted = False
         self.mode = NORMAL
-        self._trace(f"t={now_ms} mode=Normal")
+        self._trace(resumed_line, now_ms)
         self._pump(now_ms)
         self._maybe_home(now_ms)
 
@@ -364,7 +384,7 @@ class GarageController:
 
     def _request_step(self, program: Program, now_ms: int) -> None:
         device = program.steps[program.idx].device
-        self._trace(f"t={now_ms} act=request device={device} ticket={program.ticket_label}")
+        self._trace(request_line, now_ms, device, program.ticket_label)
         self._wait_q[program] = None
 
     def _pump(self, now_ms: int) -> None:
@@ -393,8 +413,7 @@ class GarageController:
         if step.car_onto is not None:
             self.fleet.belts[step.car_onto].occupant = program.vehicle_id
         self._trace(
-            f"t={now_ms} act=start device={action.device_id} action={action.action_id} "
-            f"op={action.op} ticket={program.ticket_label}"
+            start_line, now_ms, action.device_id, action.action_id, action.op, program.ticket_label
         )
         return True
 
@@ -443,10 +462,7 @@ class GarageController:
             rate = self.garage.config.billing_rate_per_minute
             ticket.amount_due = compute_bill(ticket.entry_ms, ticket.exit_ms, rate)
             minutes = billed_minutes(ticket.entry_ms, ticket.exit_ms)
-            self._trace(
-                f"t={now_ms} bill ticket={ticket.ticket_id} minutes={minutes} "
-                f"amount={ticket.amount_due}"
-            )
+            self._trace(bill_line, now_ms, ticket.ticket_id, minutes, ticket.amount_due)
             self._set_phase(ticket, AWAITING_PAYMENT, now_ms)
             ticket.ready_ms = now_ms
             self._send_sms("bill", ticket, now_ms)
@@ -472,14 +488,12 @@ class GarageController:
             del self.garage.active[ticket.ticket_id]
             del self.garage.active_by_phone[ticket.vehicle.phone]
             self.garage.tickets[ticket.ticket_id] = ClosedTicket(**vars(ticket))
-        self._trace(f"ticket={ticket.ticket_id} phase={old.value}->{phase.value} t={now_ms}")
+        self._trace(phase_line, now_ms, ticket.ticket_id, old.value, phase.value)
 
     def _send_sms(self, kind: str, ticket: ParkingTicket, now_ms: int) -> None:
         body = compose_message(kind, ticket)
         ref = self.gateway.send_sms(ticket.vehicle.phone, body)
-        self._trace(
-            f"t={now_ms} sms=out kind={kind} number={ticket.vehicle.phone} ref={ref}"
-        )
+        self._trace(sms_out_line, now_ms, kind, ticket.vehicle.phone, ref)
 
 
 _RESERVED_PHASES = (AWAITING_ENTRY, PARKING)

@@ -7,15 +7,24 @@ two payloads. Dispatch order is therefore a pure function of the schedule
 calls, and repeated runs of the same scenario produce byte-identical traces.
 The clock only moves when an event fires; there is no wall-clock coupling
 anywhere.
+
+The trace is held as records, not lines: each record is the function that
+renders its line followed by the values it renders, and a line is built only
+when it is read. Every renderer lives in this module, one per line shape.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from decimal import Decimal
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .model import AutoparkError, Vehicle
+
+if TYPE_CHECKING:
+    from .devices import BeltId
 
 
 class SchedulingInPastError(AutoparkError):
@@ -56,15 +65,11 @@ class PaymentConfirmed:
 
 class DeviceDone(NamedTuple):
     """A device motion has finished. One per motion, so a plain tuple; the
-    scenario payloads stay dataclasses, whose equality includes their type."""
+    scenario payloads stay dataclasses, whose equality includes their type.
+    The engine traces it with ``device_done_line``."""
 
     device_id: str
     action_id: int
-
-    kind = "device_done"
-
-    def detail(self) -> str:
-        return f"device={self.device_id} action={self.action_id}"
 
 
 @dataclass(frozen=True)
@@ -111,11 +116,118 @@ class SimEvent(NamedTuple):
     seq: int
     payload: Payload
 
-    def trace_line(self) -> str:
-        return (
-            f"t={self.at_ms} seq={self.seq} "
-            f"kind={self.payload.kind} detail={self.payload.detail()}"
-        )
+
+# -- trace records -----------------------------------------------------------
+#
+# One renderer per record kind; each takes the record's time first. A record's
+# values are ints, strs, Decimals and BeltIds, never a payload, ticket or
+# program, so the trace keeps nothing else of a run alive and a line reads
+# the same whenever it is rendered.
+
+
+def event_line(t_ms: int, seq: int, tail: str) -> str:
+    """A dispatched input event; ``tail`` is its ``kind=… detail=…``."""
+    return f"t={t_ms} seq={seq} {tail}"
+
+
+def device_done_line(t_ms: int, seq: int, device: str, action: int) -> str:
+    return f"t={t_ms} seq={seq} kind=device_done detail=device={device} action={action}"
+
+
+def request_line(t_ms: int, device: str, ticket: str) -> str:
+    return f"t={t_ms} act=request device={device} ticket={ticket}"
+
+
+def start_line(t_ms: int, device: str, action: int, op: str, ticket: str) -> str:
+    return f"t={t_ms} act=start device={device} action={action} op={op} ticket={ticket}"
+
+
+def phase_line(t_ms: int, ticket: int, old: str, new: str) -> str:
+    return f"ticket={ticket} phase={old}->{new} t={t_ms}"
+
+
+def timer_line(t_ms: int, what: str, ticket: int) -> str:
+    """The billing clock of a ticket starts or stops."""
+    return f"t={t_ms} timer={what} ticket={ticket}"
+
+
+def reject_vehicle_line(t_ms: int, reason: str, vehicle: str) -> str:
+    return f"t={t_ms} reject={reason} vehicle={vehicle}"
+
+
+def reject_phone_line(t_ms: int, reason: str, phone: str) -> str:
+    return f"t={t_ms} reject={reason} phone={phone}"
+
+
+def reject_ticket_line(t_ms: int, reason: str, ticket: int) -> str:
+    return f"t={t_ms} reject={reason} ticket={ticket}"
+
+
+def duplicate_line(t_ms: int, ticket: int) -> str:
+    return f"t={t_ms} retrieval=duplicate ticket={ticket}"
+
+
+def halted_line(t_ms: int, belt: BeltId) -> str:
+    return f"t={t_ms} mode=Halted reason=belt:{belt}"
+
+
+def resumed_line(t_ms: int) -> str:
+    return f"t={t_ms} mode=Normal"
+
+
+def bill_line(t_ms: int, ticket: int, minutes: int, amount: Decimal) -> str:
+    return f"t={t_ms} bill ticket={ticket} minutes={minutes} amount={amount}"
+
+
+def sms_out_line(t_ms: int, kind: str, number: str, ref: int) -> str:
+    return f"t={t_ms} sms=out kind={kind} number={number} ref={ref}"
+
+
+class Trace:
+    """A run's trace: its records in order, read as lines.
+
+    The records lie flat in one list, each a renderer followed by its values,
+    and an array holds where each record ends. Reading renders: ``len``,
+    iteration, an index (negative ones too) and a slice, which gives a list
+    of lines, so the console's last ``n`` lines render only those.
+    """
+
+    __slots__ = ("_items", "_ends")
+
+    def __init__(self) -> None:
+        self._items: list = []
+        self._ends = array("I")
+
+    def add(self, *record) -> None:
+        """Append one record: a renderer, then the values it renders."""
+        items = self._items
+        items.extend(record)
+        self._ends.append(len(items))
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def _line(self, i: int) -> str:
+        items, ends = self._items, self._ends
+        start = ends[i - 1] if i else 0
+        return items[start](*items[start + 1 : ends[i]])
+
+    def __getitem__(self, index: int | slice) -> str | list[str]:
+        count = len(self._ends)
+        if isinstance(index, slice):
+            return [self._line(i) for i in range(*index.indices(count))]
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("trace index out of range")
+        return self._line(index)
+
+    def __iter__(self):
+        items = self._items
+        start = 0
+        for end in self._ends:
+            yield items[start](*items[start + 1 : end])
+            start = end
 
 
 class Simulation:
@@ -124,8 +236,10 @@ class Simulation:
     handler receives each event in dispatch order; advance is called with the
     elapsed milliseconds before each clock move (for time integration such
     as battery bookkeeping); check runs after every dispatch so invariant
-    scans sit directly on the event boundary. Domain records (phase changes,
-    action starts, ...) are appended to ``trace`` between the event lines.
+    scans sit directly on the event boundary. ``trace`` is a ``Trace``: the
+    engine adds one record per dispatched event, and the parts add their
+    domain records (phase changes, action starts, ...) in between through
+    ``trace.add``. Lines are rendered only when the trace is read.
 
     The simulation holds its hooks and they hold the parts they drive, never
     the simulation. A part that schedules events itself (a ``GarageSession``'s
@@ -140,7 +254,7 @@ class Simulation:
         check: Callable[[], None] | None = None,
     ):
         self.clock_ms = 0
-        self.trace: list[str] = []
+        self.trace = Trace()
         self._heap: list[SimEvent] = []
         self._next_seq = 0
         self.handler = handler
@@ -167,8 +281,13 @@ class Simulation:
             self.clock_ms = to_ms
 
     def _dispatch(self, event: SimEvent) -> None:
-        self._advance_clock(event.at_ms)
-        self.trace.append(event.trace_line())
+        at_ms, seq, payload = event
+        self._advance_clock(at_ms)
+        if type(payload) is DeviceDone:
+            self.trace.add(device_done_line, at_ms, seq, payload.device_id, payload.action_id)
+        else:
+            tail = f"kind={payload.kind} detail={payload.detail()}"
+            self.trace.add(event_line, at_ms, seq, tail)
         if self.handler is not None:
             self.handler(event)
         if self.check is not None:

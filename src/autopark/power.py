@@ -12,6 +12,7 @@ covers any draw the battery cannot, so motors never stall for power.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -170,6 +171,29 @@ def power_tick(
     )
 
 
+class EnergyLog:
+    """Every tick of a run, in order: the five values of each lie flat in one
+    array of doubles, which holds each float exactly (the sign of -0.0
+    included). Iteration gives the ``EnergyTick``s back."""
+
+    __slots__ = ("_values",)
+    _WIDTH = len(EnergyTick._fields)
+
+    def __init__(self) -> None:
+        self._values = array("d")
+
+    def append(self, tick: EnergyTick) -> None:
+        self._values.extend(tick)
+
+    def __len__(self) -> int:
+        return len(self._values) // self._WIDTH
+
+    def __iter__(self):
+        values, width = self._values, self._WIDTH
+        for start in range(0, len(values), width):
+            yield EnergyTick._make(values[start : start + width])
+
+
 @dataclass
 class EnergyMeters:
     pv_wh: float = 0.0
@@ -179,7 +203,11 @@ class EnergyMeters:
 
 
 class PowerSystem:
-    """Stateful wrapper integrating power_tick across a simulation run."""
+    """Stateful wrapper integrating power_tick across a simulation run.
+
+    ``meters`` sums the energy flows; ``ticks`` logs every tick as an
+    ``EnergyLog``, and ``advance`` also returns the tick it made.
+    """
 
     def __init__(
         self,
@@ -195,7 +223,7 @@ class PowerSystem:
             self.battery.bus_voltage_v, irradiance_scale, curve, controller
         )
         self.meters = EnergyMeters(min_soc=self.battery.soc)
-        self.ticks: list[EnergyTick] = []
+        self.ticks = EnergyLog()
 
     def set_irradiance(self, w_per_m2: float) -> None:
         """Irradiance is given in W/m2 against the 1000 W/m2 rating point;

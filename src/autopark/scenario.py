@@ -43,6 +43,7 @@ from .engine import (
     PaymentConfirmed,
     SimEvent,
     Simulation,
+    Trace,
 )
 from .model import (
     AutoparkError,
@@ -374,7 +375,7 @@ class GarageSession:
 
     The session owns its parts as a tree. The engine's hooks hold the parts
     they drive (controller, power system, relay bank), never the session; the
-    controller appends its trace lines straight to the engine's trace list;
+    controller adds its trace records straight to the engine's ``Trace``;
     and the fleet reaches the engine through a weak proxy. So a dropped
     session is freed by reference counting, without the cyclic collector. The
     fleet cannot start a motion once its session is gone.
@@ -402,7 +403,7 @@ class GarageSession:
         self.power = PowerSystem(battery)
         self.power.set_irradiance(self.settings.irradiance_w_per_m2)
         self.controller = GarageController(
-            self.garage, self.fleet, self.gateway, trace=self.sim.trace.append
+            self.garage, self.fleet, self.gateway, trace=self.sim.trace.add
         )
         self.sim.handler = partial(_handle, self.controller, self.power)
         self.sim.advance = partial(_advance, self.power, self.fleet.relays)
@@ -471,7 +472,7 @@ class GarageSession:
 @dataclass(frozen=True)
 class RunResult:
     report: RunReport
-    trace: list[str]  # the session's own trace, not a copy
+    trace: Trace  # the session's own trace, not a copy
     session: GarageSession
 
 

@@ -8,6 +8,7 @@ from autopark import cli
 from autopark.controller import InvariantViolationError
 from autopark.model import AutoparkError
 from autopark.report import CSV_HEADER, parse_report
+from autopark.scenario import parse_scenario, run_scenario
 
 SCENARIO = (
     "config floors=3 slots_per_floor=6\n"
@@ -53,6 +54,17 @@ def test_run_writes_trace_file(scenario_file, tmp_path, capsys):
     lines = trace_path.read_text(encoding="utf-8").splitlines()
     assert any("kind=arrival" in line for line in lines)
     assert any("act=start" in line for line in lines)
+
+
+@pytest.mark.parametrize("text", [SCENARIO, "config floors=3\n"], ids=["cycle", "no_events"])
+def test_run_trace_file_is_the_joined_trace(tmp_path, capsys, text):
+    scenario_path = tmp_path / "small.scn"
+    scenario_path.write_text(text, encoding="utf-8")
+    trace_path = tmp_path / "trace.log"
+    assert cli.main(["run", str(scenario_path), "--trace", str(trace_path)]) == 0
+    capsys.readouterr()
+    trace = run_scenario(parse_scenario(text)).trace
+    assert trace_path.read_text(encoding="utf-8") == "\n".join(trace) + "\n"
 
 
 def test_run_no_check_still_reports(scenario_file, capsys):
@@ -153,6 +165,38 @@ def test_check_bad_seed_env_is_exit_1(capsys, monkeypatch):
     assert cli.main(["check", "--count", "1"]) == 1
     err = capsys.readouterr().err
     assert err == "error: AUTOPARK_SEED is not an integer: 'abc'\n"
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661", " 3 ", "3.0"])
+def test_check_seed_env_takes_ascii_integers_only(capsys, monkeypatch, text):
+    monkeypatch.setenv("AUTOPARK_SEED", text)
+    assert cli.main(["check", "--count", "1"]) == 1
+    assert capsys.readouterr().err == f"error: AUTOPARK_SEED is not an integer: {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["run"], "the following arguments are required: scenario"),
+        (["check", "--count", "abc"], "argument --count: invalid count value: 'abc'"),
+        (["check", "--count", "-3"], "argument --count: invalid count value: '-3'"),
+        (["check", "--seed", "1_0"], "argument --seed: invalid integer value: '1_0'"),
+        (["check", "--seed", "\u0661"], "argument --seed: invalid integer value: '\u0661'"),
+        (["check", "--seed", " 3 "], "argument --seed: invalid integer value: ' 3 '"),
+    ],
+    ids=["run_without_file", "count_not_a_number", "negative_count", "grouped_seed",
+         "arabic_indic_seed", "spaced_seed"],
+)
+def test_bad_command_line_is_exit_1(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_check_takes_a_signed_seed_and_a_zero_count(capsys):
+    assert cli.main(["check", "--seed", "-4", "--count", "0"]) == 0
+    assert capsys.readouterr().out.startswith("checked 0 scenarios from seed -4: OK")
 
 
 def _run_repl(monkeypatch, text, args=None):

@@ -11,6 +11,9 @@ from autopark.engine import (
     PaymentConfirmed,
     SchedulingInPastError,
     Simulation,
+    Trace,
+    resumed_line,
+    timer_line,
 )
 from autopark.model import Vehicle
 
@@ -97,7 +100,7 @@ def test_trace_lines_are_exact():
     sim.schedule(5000, Arrival(vehicle))
     sim.schedule(6000, IrradianceChange(250.0))
     sim.run_until_idle()
-    assert sim.trace == [
+    assert list(sim.trace) == [
         "t=5000 seq=0 kind=arrival detail=vehicle=v1 length_mm=4200 phone=+97455512345",
         "t=6000 seq=1 kind=irradiance detail=w_per_m2=250",
     ]
@@ -105,10 +108,31 @@ def test_trace_lines_are_exact():
 
 def test_note_interleaves_with_dispatch_lines():
     sim = Simulation()
-    sim.handler = lambda e: sim.trace.append("handled")
+    sim.handler = lambda e: sim.trace.add(resumed_line, e.at_ms)
     sim.schedule(1, FaultCleared())
     sim.run_until_idle()
-    assert sim.trace == ["t=1 seq=0 kind=fault_cleared detail=-", "handled"]
+    assert list(sim.trace) == ["t=1 seq=0 kind=fault_cleared detail=-", "t=1 mode=Normal"]
+
+
+def test_trace_reads_like_a_list_of_lines():
+    trace = Trace()
+    assert len(trace) == 0
+    assert list(trace) == []
+    assert trace[:] == []
+    with pytest.raises(IndexError):
+        trace[0]
+    for ticket in range(5):
+        trace.add(timer_line, 1000 * ticket, "start", ticket)
+    trace.add(resumed_line, 9000)
+    lines = [f"t={1000 * n} timer=start ticket={n}" for n in range(5)] + ["t=9000 mode=Normal"]
+    assert len(trace) == 6
+    assert list(trace) == lines
+    assert [trace[i] for i in range(-6, 6)] == lines + lines
+    for cut in (slice(None), slice(2, 4), slice(-2, None), slice(None, None, -2), slice(7, 9)):
+        assert trace[cut] == lines[cut]
+    for index in (6, -7):
+        with pytest.raises(IndexError):
+            trace[index]
 
 
 def test_runaway_schedule_is_caught():

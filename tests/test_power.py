@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from dataclasses import astuple, dataclass, replace
 
 import pytest
@@ -143,6 +144,15 @@ def test_power_system_meters_accumulate():
     assert system.meters.pv_wh == pytest.approx(BUS_CURRENT_FULL_SUN * 12.0 / 2, abs=1e-9)
     assert system.meters.min_soc < 0.5 + 0.05
     assert len(system.ticks) == 2
+
+
+def test_energy_log_keeps_the_sign_of_zero():
+    # An empty battery in the dark gives nothing to the load: its delta is -0.0.
+    system = PowerSystem(BatteryState(soc=0.0), irradiance_scale=0.0)
+    tick = system.advance(10.0, 60.0)
+    assert math.copysign(1.0, tick.battery_delta_wh) == -1.0
+    [logged] = system.ticks
+    assert struct.pack("5d", *logged) == struct.pack("5d", *tick)
 
 
 def test_irradiance_outside_rating_is_rejected():

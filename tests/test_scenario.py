@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autopark.devices import belt_roster
-from autopark.model import AutoparkError, GarageConfig, InvalidConfigError
+from autopark.model import AutoparkError, GarageConfig, InvalidConfigError, TicketPhase
 from autopark.scenario import (
     EVENT_KINDS,
     GarageSession,
@@ -368,3 +368,42 @@ def test_a_dropped_session_is_freed_without_the_collector(collector_off, run):
     del session
     assert [ref() for ref in refs] == [None, None, None]
     assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_trace_read_mid_run_begins_the_final_trace(seed):
+    """A record renders the same line whenever it is read: the lines read at
+    each run_until cut begin the trace the whole run leaves."""
+    scenario = random_scenario(seed, 18)
+    session = GarageSession(scenario.config, scenario.settings)
+    for event in scenario.events:
+        session.schedule(event)
+    read = []
+    for event in scenario.events:
+        session.run_until(event.t_ms)
+        read.append(list(session.sim.trace))
+    session.run_until_idle()
+    final = list(session.sim.trace)
+    assert final == list(run_scenario(scenario).trace)
+    for lines in read:
+        assert final[: len(lines)] == lines
+
+
+def test_a_paid_cycle_leaves_no_program_behind(collector_off):
+    """Once a car is parked, fetched and paid for, nothing in the live session,
+    its trace included, holds the programs that moved it."""
+    session = GarageSession()
+    for event in parse_scenario(SMALL).events:
+        session.schedule(event)
+    fleet, programs = session.fleet, []
+
+    def note_programs():
+        for action in fleet.active.values():
+            if all(ref() is not action.owner for _, ref in programs):
+                programs.append((action.owner.label, weakref.ref(action.owner)))
+
+    session.sim.check = note_programs
+    session.run_until_idle()
+    assert session.garage.tickets[1].phase is TicketPhase.CLOSED
+    assert [label for label, _ in programs] == ["parking", "retrieval", "exit"]
+    assert [ref() for _, ref in programs] == [None, None, None]
