@@ -61,6 +61,7 @@ from .model import (
     SlotState,
     TicketPhase,
     Vehicle,
+    _divides,
     billed_minutes,
 )
 from .sms import SmsGateway, compose_message
@@ -554,7 +555,7 @@ def check_invariants(controller: GarageController) -> None:
         raise InvariantViolationError(f"platform floor {platform.floor_pos} out of range")
     if not platform.busy:
         pitch = garage.config.slot_angle_deg
-        if (platform.angle_deg % pitch) > 1e-9 or not 0 <= platform.angle_deg < 360:
+        if not _divides(platform.angle_deg, pitch) or not 0 <= platform.angle_deg < 360:
             raise InvariantViolationError(f"platform angle {platform.angle_deg} misaligned")
 
 

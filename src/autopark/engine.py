@@ -11,12 +11,12 @@ anywhere.
 The trace is held as records, not lines: each record is the function that
 renders its line followed by the values it renders, and a line is built only
 when it is read. Every renderer lives in this module, one per line shape.
+A ``PackedList`` holds the records, each finished chunk of them pickled.
 """
 
 from __future__ import annotations
 
 import heapq
-from array import array
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -183,51 +183,104 @@ def sms_out_line(t_ms: int, kind: str, number: str, ref: int) -> str:
     return f"t={t_ms} sms=out kind={kind} number={number} ref={ref}"
 
 
-class Trace:
-    """A run's trace: its records in order, read as lines.
+class PackedList:
+    """A growing list held mostly as pickled bytes.
 
-    The records lie flat in one list, each a renderer followed by its values,
-    and an array holds where each record ends. Reading renders: ``len``,
-    iteration, an index (negative ones too) and a slice, which gives a list
-    of lines, so the console's last ``n`` lines render only those.
+    New items go into an open list. When it holds ``CHUNK`` items it is
+    pickled into one bytes object and dropped, so a finished stretch of items
+    costs its pickle (a small int or a repeated str takes a few bytes) rather
+    than a list slot and an object each. Every chunk but the open one holds
+    exactly ``CHUNK`` items, so an index finds its chunk by division.
+
+    Reading works like a list's: ``len``, iteration, an index (negative ones
+    too), ``in``, and a slice, which returns a list. Iteration unpickles one
+    chunk at a time; an index keeps the one chunk it last unpickled. Only
+    bytes that this object pickled in this process are ever unpickled.
     """
 
-    __slots__ = ("_items", "_ends")
+    __slots__ = ("_chunks", "_open", "_unpickled")
+
+    CHUNK = 1024  # items per pickled chunk
 
     def __init__(self) -> None:
-        self._items: list = []
-        self._ends = array("I")
+        self._chunks: list[bytes] = []
+        self._open: list = []
+        self._unpickled: tuple[int, list] = (-1, [])  # the last chunk an index unpickled
 
-    def add(self, *record) -> None:
-        """Append one record: a renderer, then the values it renders."""
-        items = self._items
-        items.extend(record)
-        self._ends.append(len(items))
+    def append(self, item) -> None:
+        items = self._open
+        items.append(item)
+        if len(items) >= self.CHUNK:
+            # Imported here: a history shorter than one chunk never loads pickle.
+            import pickle
+
+            self._chunks.append(pickle.dumps(items, pickle.HIGHEST_PROTOCOL))
+            self._open = []
 
     def __len__(self) -> int:
-        return len(self._ends)
+        return len(self._chunks) * self.CHUNK + len(self._open)
 
-    def _line(self, i: int) -> str:
-        items, ends = self._items, self._ends
-        start = ends[i - 1] if i else 0
-        return items[start](*items[start + 1 : ends[i]])
+    def _chunk(self, k: int) -> list:
+        if k == len(self._chunks):
+            return self._open
+        if self._unpickled[0] != k:
+            import pickle
 
-    def __getitem__(self, index: int | slice) -> str | list[str]:
-        count = len(self._ends)
+            self._unpickled = (k, pickle.loads(self._chunks[k]))
+        return self._unpickled[1]
+
+    def __getitem__(self, index: int | slice):
+        count = len(self)
         if isinstance(index, slice):
-            return [self._line(i) for i in range(*index.indices(count))]
+            return [self[i] for i in range(*index.indices(count))]
         if index < 0:
             index += count
         if not 0 <= index < count:
-            raise IndexError("trace index out of range")
-        return self._line(index)
+            raise IndexError("list index out of range")
+        k, i = divmod(index, self.CHUNK)
+        return self._chunk(k)[i]
 
     def __iter__(self):
-        items = self._items
-        start = 0
-        for end in self._ends:
-            yield items[start](*items[start + 1 : end])
-            start = end
+        if self._chunks:
+            import pickle
+
+            for chunk in self._chunks:
+                yield from pickle.loads(chunk)
+        yield from self._open
+
+
+class Trace:
+    """A run's trace: its records in order, read as lines.
+
+    Each record is a tuple of the renderer and the values it renders, held in
+    a ``PackedList``, so a finished record costs about 25 bytes of pickle. A
+    record is one item, so a chunk closes between records, never inside one.
+    Reading renders: ``len``, iteration, an index (negative ones too), ``in``
+    and a slice, which gives a list of lines, so the console's last ``n``
+    lines render only those.
+    """
+
+    __slots__ = ("_records",)
+
+    def __init__(self) -> None:
+        self._records = PackedList()
+
+    def add(self, *record) -> None:
+        """Append one record: a renderer, then the values it renders."""
+        self._records.append(record)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index: int | slice) -> str | list[str]:
+        if isinstance(index, slice):
+            return [record[0](*record[1:]) for record in self._records[index]]
+        record = self._records[index]
+        return record[0](*record[1:])
+
+    def __iter__(self):
+        for record in self._records:
+            yield record[0](*record[1:])
 
 
 class Simulation:
@@ -239,7 +292,9 @@ class Simulation:
     scans sit directly on the event boundary. ``trace`` is a ``Trace``: the
     engine adds one record per dispatched event, and the parts add their
     domain records (phase changes, action starts, ...) in between through
-    ``trace.add``. Lines are rendered only when the trace is read.
+    ``trace.add``. Lines are rendered only when the trace is read, and each
+    finished chunk of records is held pickled, so a long run's history costs
+    about 25 bytes a record.
 
     The simulation holds its hooks and they hold the parts they drive, never
     the simulation. A part that schedules events itself (a ``GarageSession``'s

@@ -121,6 +121,9 @@ class EnergyTick(NamedTuple):
     soc_after: float
 
 
+_new_tick = tuple.__new__  # builds an EnergyTick in C, not through its Python __new__
+
+
 def pv_charge_current(
     bus_voltage_v: float,
     irradiance_scale: float,
@@ -151,39 +154,43 @@ def power_tick(
     load_ah = (load_w / bus_v) * dt_h
     net_ah = pv_ah - load_ah
 
+    # Each conditional picks what min or max would, ties included, without
+    # the builtin call: max(0.0, soc) keeps 0.0 when soc is -0.0.
     if net_ah >= 0:
         headroom_ah = (1.0 - battery.soc) * battery.capacity_ah
-        stored_ah = min(net_ah, headroom_ah)
+        stored_ah = headroom_ah if headroom_ah < net_ah else net_ah
         pv_used_ah = load_ah + stored_ah  # surplus beyond this is curtailed
         grid_ah = 0.0
         battery_delta_ah = stored_ah
     else:
+        need_ah = -net_ah
         available_ah = battery.soc * battery.capacity_ah
-        drawn_ah = min(-net_ah, available_ah)
-        grid_ah = -net_ah - drawn_ah
+        drawn_ah = available_ah if available_ah < need_ah else need_ah
+        grid_ah = need_ah - drawn_ah
         pv_used_ah = pv_ah
         battery_delta_ah = -drawn_ah
 
     soc = battery.soc + (battery_delta_ah / battery.capacity_ah if battery.capacity_ah else 0.0)
-    soc = battery.soc = min(1.0, max(0.0, soc))
-    return EnergyTick(
-        pv_used_ah * bus_v, grid_ah * bus_v, load_ah * bus_v, battery_delta_ah * bus_v, soc
+    soc = soc if soc > 0.0 else 0.0
+    soc = battery.soc = soc if soc < 1.0 else 1.0
+    return _new_tick(
+        EnergyTick,
+        (pv_used_ah * bus_v, grid_ah * bus_v, load_ah * bus_v, battery_delta_ah * bus_v, soc),
     )
 
 
 class EnergyLog:
     """Every tick of a run, in order: the five values of each lie flat in one
     array of doubles, which holds each float exactly (the sign of -0.0
-    included). Iteration gives the ``EnergyTick``s back."""
+    included). ``append(tick)`` is the array's own ``extend``; iteration
+    gives the ``EnergyTick``s back."""
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "append")
     _WIDTH = len(EnergyTick._fields)
 
     def __init__(self) -> None:
         self._values = array("d")
-
-    def append(self, tick: EnergyTick) -> None:
-        self._values.extend(tick)
+        self.append = self._values.extend
 
     def __len__(self) -> int:
         return len(self._values) // self._WIDTH
@@ -238,6 +245,8 @@ class PowerSystem:
         meters.pv_wh += tick.pv_wh
         meters.grid_wh += tick.grid_wh
         meters.load_wh += tick.load_wh
-        meters.min_soc = min(meters.min_soc, tick.soc_after)
+        soc = tick.soc_after
+        if soc < meters.min_soc:
+            meters.min_soc = soc
         self.ticks.append(tick)
         return tick

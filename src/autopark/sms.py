@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .engine import PackedList
 from .model import AutoparkError, MS_PER_SECOND, ParkingTicket, billed_minutes
 
 CTRL_Z = "\x1a"
@@ -57,13 +58,15 @@ class SmsModem:
     """Emulated GSM modem: line-in, lines-out, with a byte-exact log.
 
     Log lines are prefixed '>>' toward the modem and '<<' back from it; the
-    message terminator byte is rendered as <CTRL-Z>.
+    message terminator byte is rendered as <CTRL-Z>. The log is a
+    ``PackedList``: it reads like a list of lines, but holds each finished
+    chunk of them pickled.
     """
 
     def __init__(self):
         self.registered = False
         self.text_mode = False
-        self.log: list[str] = []
+        self.log = PackedList()
         self.storage: dict[int, SmsMessage] = {}
         self._next_ref = 1
         self._next_index = 1
@@ -71,12 +74,14 @@ class SmsModem:
 
     def exchange(self, line: str) -> list[str]:
         """Feed one line (command, or message body after the prompt)."""
-        self.log.append(f">> {_printable(line)}")
+        log = self.log
+        log.append(f">> {_printable(line)}")
         if self._awaiting_body:
             responses = self._finish_send(line)
         else:
             responses = self._respond(line.rstrip("\r"))
-        self.log.extend(f"<< {_printable(r)}" for r in responses)
+        for response in responses:
+            log.append(f"<< {_printable(response)}")
         return responses
 
     def receive(self, number: str, body: str, at_ms: int) -> int:
@@ -139,7 +144,7 @@ class SmsGateway:
         self._ready = False
 
     @property
-    def log(self) -> list[str]:
+    def log(self) -> PackedList:
         return self.modem.log
 
     def initialize(self) -> None:

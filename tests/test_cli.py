@@ -1,6 +1,10 @@
 """Command-line behavior: run, check, repl, and exit codes."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,20 @@ def test_run_trace_file_is_the_joined_trace(tmp_path, capsys, text):
 def test_run_no_check_still_reports(scenario_file, capsys):
     assert cli.main(["run", str(scenario_file), "--no-check"]) == 0
     assert "car-1" in capsys.readouterr().out
+
+
+def test_run_parks_six_cars_on_a_25_slot_garage(tmp_path, capsys):
+    """The sixth car turns the platform to slot 5 at 72.0 degrees, a valid
+    angle although 72.0 % 14.4 is just under the pitch."""
+    arrivals = [
+        f"t={5 + 60 * i} kind=arrival vehicle=car-{i} length_mm=4200 phone=+9745551234{i}\n"
+        for i in range(6)
+    ]
+    path = tmp_path / "wide.scn"
+    path.write_text("config floors=1 slots_per_floor=25\n" + "".join(arrivals), encoding="utf-8")
+    assert cli.main(["run", str(path), "--report", "csv"]) == 0
+    report = parse_report(capsys.readouterr().out, "csv")
+    assert [row.status for row in report.rows] == ["Parked"] * 6
 
 
 def test_missing_file_is_exit_1(tmp_path, capsys):
@@ -273,3 +291,17 @@ def test_entry_exits_with_main_status(scenario_file, monkeypatch):
     with pytest.raises(SystemExit) as err:
         cli.entry()
     assert err.value.code == 0
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "autopark", "check", "--count", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("checked 1 scenarios")

@@ -22,7 +22,14 @@ from autopark.controller import (
     compute_bill,
 )
 from autopark.devices import ENTRANCE_BELT, EXIT_BELT, PLATFORM_BELT, BeltId
-from autopark.engine import Arrival, BeltFault, FaultCleared, InboundSms, PaymentConfirmed
+from autopark.engine import (
+    Arrival,
+    BeltFault,
+    FaultCleared,
+    InboundSms,
+    PackedList,
+    PaymentConfirmed,
+)
 from autopark.model import (
     GarageConfig,
     SlotAddress,
@@ -89,10 +96,12 @@ def test_accept_ordering_matches_gate_timer_sms():
     ]
 
 
-def test_welcome_exchange_matches_golden_log():
+@pytest.mark.parametrize("chunk", [PackedList.CHUNK, 2], ids=["open", "packed"])
+def test_welcome_exchange_matches_golden_log(monkeypatch, chunk):
+    monkeypatch.setattr(PackedList, "CHUNK", chunk)
     session = drive([(5000, Arrival(Vehicle("v1", 4200, "+97455512345")))])
     expected = (GOLDEN / "welcome_exchange.log").read_text().splitlines()
-    assert session.gateway.log == expected
+    assert list(session.gateway.log) == expected
 
 
 def test_full_cycle_retrieve_and_pay():

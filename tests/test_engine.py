@@ -8,6 +8,7 @@ from autopark.engine import (
     Arrival,
     FaultCleared,
     IrradianceChange,
+    PackedList,
     PaymentConfirmed,
     SchedulingInPastError,
     Simulation,
@@ -114,7 +115,9 @@ def test_note_interleaves_with_dispatch_lines():
     assert list(sim.trace) == ["t=1 seq=0 kind=fault_cleared detail=-", "t=1 mode=Normal"]
 
 
-def test_trace_reads_like_a_list_of_lines():
+@pytest.mark.parametrize("chunk", [PackedList.CHUNK, 2], ids=["open", "packed"])
+def test_trace_reads_like_a_list_of_lines(monkeypatch, chunk):
+    monkeypatch.setattr(PackedList, "CHUNK", chunk)
     trace = Trace()
     assert len(trace) == 0
     assert list(trace) == []

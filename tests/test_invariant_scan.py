@@ -2,7 +2,7 @@
 
 ``oracle_check_invariants`` is the earlier scan, kept as the reference: a
 pass over every cell built as ``SlotAddress`` objects and three passes over
-every ticket ever issued. It is copied unchanged except for four things.
+every ticket ever issued. It is copied unchanged except for five things.
 ``not ticket.is_active``, since deleted from ``ParkingTicket``, is spelled out
 as ``ticket.phase is TicketPhase.CLOSED``. The per-cell timer grid it
 compared, since deleted, is replaced by the clock it mirrored: each ticket's
@@ -11,7 +11,10 @@ Parked, and a vacant cell names no ticket. It reads the running motions from
 ``fleet.active`` and the powered motors as a set, the one record of each that
 is left. And it checks by brute force what the scan now checks by counts:
 every busy device is busy with the active action that drives it, and every
-active action is the one its device is busy with. The current scan must
+active action is the one its device is busy with. Its alignment test, like
+the scan's, takes the platform's distance to the nearest multiple of the
+slot pitch: a remainder ``angle % pitch`` just under the pitch, as for slot 5
+of 25 (72.0 % 14.4), flagged a valid garage. The current scan must
 accept every state the reference accepts on the seeded corpus, and reject
 every corruption of a guarded field that the reference rejects, with the
 message its loop over every cell gives.
@@ -37,7 +40,16 @@ from autopark.controller import (
 )
 from autopark.devices import ELEVATOR_MOTOR, ENTRANCE_BELT, EXIT_BELT, ROTATOR_MOTORS
 from autopark.engine import Arrival, InboundSms, PaymentConfirmed
-from autopark.model import ParkingTicket, SlotAddress, SlotState, TicketPhase, Vehicle
+from autopark.model import (
+    GarageConfig,
+    InvalidConfigError,
+    ParkingTicket,
+    SlotAddress,
+    SlotState,
+    TicketPhase,
+    Vehicle,
+    _divides,
+)
 from autopark.scenario import GarageSession, random_scenario
 
 SEEDS = range(50)
@@ -140,7 +152,7 @@ def oracle_check_invariants(controller: GarageController) -> None:
         raise InvariantViolationError(f"platform floor {platform.floor_pos} out of range")
     if not platform.busy:
         pitch = garage.config.slot_angle_deg
-        if (platform.angle_deg % pitch) > 1e-9 or not 0 <= platform.angle_deg < 360:
+        if not _divides(platform.angle_deg, pitch) or not 0 <= platform.angle_deg < 360:
             raise InvariantViolationError(f"platform angle {platform.angle_deg} misaligned")
 
 
@@ -474,6 +486,26 @@ def test_corruption_fails_both_scans(name):
     with pytest.raises(InvariantViolationError) as err:
         check_invariants(session.controller)
     assert str(err.value) == message
+
+
+def test_every_slot_angle_of_a_valid_garage_is_aligned():
+    """The platform at rest on any slot of any garage that validates passes
+    both scans, pitches not exact in binary included: on 25 slots, slot 5
+    sits at 72.0 degrees and 72.0 % 14.4 is just under the 14.4 pitch."""
+    counts = []
+    for slots in range(1, 601):  # a pitch under the 0.6 degree platform step never validates
+        try:
+            GarageConfig(slots_per_floor=slots).validate()
+        except InvalidConfigError:
+            continue
+        counts.append(slots)
+        session = GarageSession(GarageConfig(floors=1, slots_per_floor=slots))
+        pitch = session.config.slot_angle_deg
+        for slot in range(slots):
+            session.fleet.platform.angle_deg = (slot * pitch) % 360.0
+            oracle_check_invariants(session.controller)
+            check_invariants(session.controller)
+    assert 25 in counts and 600 in counts
 
 
 def _shift_counts(session: GarageSession) -> None:

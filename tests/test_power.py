@@ -4,7 +4,7 @@ import struct
 from dataclasses import astuple, dataclass, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autopark.power import (
@@ -209,6 +209,11 @@ def _tick_fields(tick) -> tuple[float, ...]:
     return (tick.pv_wh, tick.grid_wh, tick.load_wh, tick.battery_delta_wh, tick.soc_after)
 
 
+def _bits(*values: float) -> bytes:
+    """The values' IEEE bytes, which tell -0.0 from 0.0 where == does not."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
 _STEP = st.one_of(
     st.tuples(st.just("irradiance"), st.floats(0.0, 1000.0)),
     st.tuples(
@@ -226,6 +231,11 @@ _STEP = st.one_of(
     irradiance_scale=st.floats(0.0, 1.0),
     steps=st.lists(_STEP, max_size=40),
 )
+# A tie: the charge equals the headroom exactly, and fills the battery.
+@example(1.0, 1.0 - BUS_CURRENT_FULL_SUN, 12.0, 1.0, [(0.0, 3600.0)])
+# A charge capped by the headroom lands on 1.0; a draw capped by the charge on 0.0.
+@example(1.0, 0.5, 12.0, 1.0, [(0.0, 36000.0)])
+@example(1.0, 0.5, 12.0, 0.0, [(10.0, 3600.0)])
 def test_power_system_is_bit_equal_to_the_per_tick_oracle(
     capacity_ah, soc, bus_voltage_v, irradiance_scale, steps
 ):
@@ -245,12 +255,12 @@ def test_power_system_is_bit_equal_to_the_per_tick_oracle(
         load_w, dt_s = step
         tick = system.advance(load_w, dt_s)
         battery, expected = oracle_power_tick(battery, scale, load_w, dt_s)
-        assert _tick_fields(tick) == expected
+        assert _bits(*_tick_fields(tick)) == _bits(*expected)
         pv_wh += expected[0]
         grid_wh += expected[1]
         load_wh += expected[2]
         min_soc = min(min_soc, expected[4])
         ticks.append(expected)
-    assert system.battery.soc == battery.soc
-    assert astuple(system.meters) == (pv_wh, grid_wh, load_wh, min_soc)
-    assert [_tick_fields(t) for t in system.ticks] == ticks
+    assert _bits(system.battery.soc) == _bits(battery.soc)
+    assert _bits(*astuple(system.meters)) == _bits(pv_wh, grid_wh, load_wh, min_soc)
+    assert [_bits(*_tick_fields(t)) for t in system.ticks] == [_bits(*t) for t in ticks]

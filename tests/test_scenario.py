@@ -1,6 +1,7 @@
 """Scenario text parsing, rendering, and end-to-end runs."""
 
 import gc
+import pickle  # noqa: F401  (see test_a_dropped_session_is_freed_without_the_collector)
 import string
 import weakref
 from decimal import Decimal
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autopark.devices import belt_roster
+from autopark.devices import BeltId, belt_roster
 from autopark.model import AutoparkError, GarageConfig, InvalidConfigError, TicketPhase
 from autopark.scenario import (
     EVENT_KINDS,
@@ -25,7 +26,9 @@ from autopark.scenario import (
     render_scenario,
     run_scenario,
 )
-from autopark.engine import InboundSms
+from autopark.engine import InboundSms, PackedList, bill_line, halted_line
+
+from test_golden_digests import paid_day
 
 SMALL = """
 # three floors, six slots each
@@ -357,12 +360,17 @@ def test_a_generated_scenario_leaves_nothing_for_the_collector(collector_off):
     assert gc.collect() == 0
 
 
+@pytest.mark.parametrize("chunk", [PackedList.CHUNK, 3], ids=["open", "packed"])
 @pytest.mark.parametrize(
     "run",
     [lambda s: run_scenario(s).session, _stepped_session],
     ids=["run_scenario", "stepped"],
 )
-def test_a_dropped_session_is_freed_without_the_collector(collector_off, run):
+def test_a_dropped_session_is_freed_without_the_collector(collector_off, monkeypatch, run, chunk):
+    # The first pack in a process imports pickle, whose pure-Python exception
+    # classes, replaced by the C ones, are then garbage in cycles once; this
+    # module imports pickle, so that the count here is the session's alone.
+    monkeypatch.setattr(PackedList, "CHUNK", chunk)
     session = run(random_scenario(LIFETIME_SEED, 18))
     refs = [weakref.ref(part) for part in (session, session.sim, session.fleet)]
     del session
@@ -387,6 +395,87 @@ def test_a_trace_read_mid_run_begins_the_final_trace(seed):
     assert final == list(run_scenario(scenario).trace)
     for lines in read:
         assert final[: len(lines)] == lines
+
+
+SMALL_CHUNK = 7  # items per pickled chunk in the packed-history tests, so chunks close often
+
+
+def _reads_like(packed, plain: list) -> None:
+    """Every read of a packed history gives what the plain list gives."""
+    n = len(plain)
+    chunk = PackedList.CHUNK
+    assert n > 3 * chunk
+    assert len(packed) == n
+    assert list(packed) == plain
+    assert [packed[i] for i in range(-n, n)] == plain + plain
+    for cut in (
+        slice(None),
+        slice(chunk - 1, 3 * chunk + 1),
+        slice(-2 * chunk - 1, None),
+        slice(None, None, -3),
+        slice(1, n + 5, chunk + 1),
+    ):
+        assert packed[cut] == plain[cut]
+    for item in (plain[0], plain[chunk - 1], plain[chunk], plain[n // 2], plain[-1]):
+        assert item in packed
+    assert "t=-1 absent" not in packed
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            packed[index]
+
+
+def _histories(session: GarageSession) -> tuple:
+    """The session's trace records, trace lines and modem lines, read plainly."""
+    trace = session.sim.trace
+    return list(trace._records), list(trace), list(session.gateway.log)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [random_scenario(LIFETIME_SEED, 18), paid_day("irradiance_w_per_m2=250", 30)],
+    ids=["random", "paid_day"],
+)
+def test_a_packed_history_reads_like_the_plain_one(monkeypatch, scenario):
+    """Chunks of a few records close all through a stepped run. Each read
+    gives what the same run gives held in plain lists, and a read made
+    mid-run, at a chunk boundary too, begins the final history."""
+    monkeypatch.setattr(PackedList, "CHUNK", 10**9)
+    plain_records, plain_trace, plain_log = _histories(run_scenario(scenario).session)
+
+    monkeypatch.setattr(PackedList, "CHUNK", SMALL_CHUNK)
+    session = GarageSession(scenario.config, scenario.settings)
+    for event in scenario.events:
+        session.schedule(event)
+    boundaries = 0
+    for event in scenario.events:
+        session.run_until(event.t_ms)
+        trace, log = session.sim.trace, session.gateway.log
+        boundaries += len(trace) % SMALL_CHUNK == 0
+        assert list(trace) == plain_trace[: len(trace)]
+        assert list(log) == plain_log[: len(log)]
+    assert boundaries
+    session.run_until_idle()
+
+    records, _, _ = _histories(session)
+    assert records == plain_records
+    _reads_like(session.sim.trace, plain_trace)
+    _reads_like(session.gateway.log, plain_log)
+
+
+def test_a_packed_bill_and_halt_read_back_the_same(monkeypatch):
+    """A bill record's Decimal and a halt record's BeltId come back out of
+    their pickled chunk equal and of their own types."""
+    monkeypatch.setattr(PackedList, "CHUNK", SMALL_CHUNK)
+    trace = run_scenario(random_scenario(LIFETIME_SEED, 18)).trace
+    records = list(trace._records)
+    packed = len(records) - len(records) % SMALL_CHUNK
+    bill = next(i for i, record in enumerate(records) if record[0] is bill_line)
+    halt = next(i for i, record in enumerate(records) if record[0] is halted_line)
+    assert bill < packed and halt < packed
+    assert type(trace._records[bill][-1]) is Decimal
+    assert type(trace._records[halt][-1]) is BeltId
+    assert trace[bill] == bill_line(*records[bill][1:])
+    assert trace[halt] == halted_line(*records[halt][1:])
 
 
 def test_a_paid_cycle_leaves_no_program_behind(collector_off):

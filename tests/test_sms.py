@@ -82,7 +82,7 @@ def test_gateway_send_logs_full_exchange():
     gateway.initialize()
     ref = gateway.send_sms(NUMBER, "Short and sweet")
     assert ref == 1
-    assert gateway.log == [
+    assert list(gateway.log) == [
         ">> AT+CREG=1",
         "<< OK",
         ">> AT+CMGF=1",
