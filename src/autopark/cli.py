@@ -226,7 +226,7 @@ def _repl_command(session: GarageSession, line: str) -> bool:
             raise AutoparkError(f"unknown report format: {fmt!r}")
         print(format_report(session.build_report(), fmt), end="")
     elif words[0] == "trace":
-        count = _argument(words, int, 10)
+        count = _argument(words, lambda text: parse_number(int, text), 10)
         if count < 0:
             raise AutoparkError(f"bad argument to trace: {words[1]!r}")
         trace = session.sim.trace
@@ -239,7 +239,7 @@ def _repl_command(session: GarageSession, line: str) -> bool:
             f"t={session.sim.clock_ms / 1000:.3f}s mode={session.controller.mode.value} "
             f"occupied={occupied} vacant={vacant} "
             f"platform=floor:{platform.floor_pos} angle:{platform.angle_deg:g} "
-            f"soc={session.power.battery.soc:.3f} pending={session.sim.pending()}"
+            f"soc={session.power.soc:.3f} pending={session.sim.pending()}"
         )
     elif "=" in words[0]:
         event = parse_event_line(line, session.config)
@@ -258,3 +258,7 @@ def _argument(words: list[str], convert, default):
         return convert(words[1])
     except (ValueError, OverflowError):
         raise AutoparkError(f"bad argument to {words[0]}: {words[1]!r}") from None
+
+
+if __name__ == "__main__":
+    entry()

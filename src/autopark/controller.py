@@ -58,7 +58,6 @@ from .model import (
     ParkingTicket,
     SlotAddress,
     SlotMatrix,
-    SlotState,
     TicketPhase,
     Vehicle,
     _divides,
@@ -506,7 +505,7 @@ def check_invariants(controller: GarageController) -> None:
     """Structural scan run after every event dispatch.
 
     Verifies the ticket/slot bijection, each live ticket's billing clock
-    (running exactly until the car is asked back), the cell counts, the relay
+    (running exactly until the car is asked back), the occupied count, the relay
     budget, that each running motion drives its device and alone powers its
     motors, belt exclusivity, and platform alignment. Closed tickets are
     frozen and not rescanned, so a long day does not slow it down.
@@ -520,15 +519,17 @@ def check_invariants(controller: GarageController) -> None:
     garage = controller.garage
     fleet = controller.fleet
 
-    tally = _claimed_counts(garage)
-    if tally is None:
-        tally = _scan_cells(garage)
+    occupied = _claimed_counts(garage)
+    if occupied is None:
+        occupied = _scan_cells(garage)
     if len(garage.active_by_phone) != len(garage.active):
         raise InvariantViolationError(
             f"{len(garage.active)} active tickets but {len(garage.active_by_phone)} active phones"
         )
-    if garage.slots._counts != tally:
-        raise InvariantViolationError(f"cell counts {garage.slots.counts()} != cells {tally}")
+    if garage.slots.occupied != occupied:
+        raise InvariantViolationError(
+            f"occupied count {garage.slots.occupied} != {occupied} occupied cells"
+        )
 
     powered = fleet.relays.powered
     if len(powered) > fleet.relays.budget:
@@ -559,8 +560,8 @@ def check_invariants(controller: GarageController) -> None:
             raise InvariantViolationError(f"platform angle {platform.angle_deg} misaligned")
 
 
-def _claimed_counts(garage: GarageState) -> dict[SlotState, int] | None:
-    """The cells per state, if the slot grid holds just what the live tickets claim.
+def _claimed_counts(garage: GarageState) -> int | None:
+    """The occupied cells, if the slot grid holds just what the live tickets claim.
 
     Each live ticket claims the pair (state, ticket id) at its slot:
     AwaitingEntry and Parking a reserved cell, Parked an occupied one. A
@@ -618,7 +619,7 @@ def _claimed_counts(garage: GarageState) -> dict[SlotState, int] | None:
         return None
     if wrong_clock is not None:
         raise _clock_fault(wrong_clock)
-    return {VACANT: unclaimed, RESERVED: reserved, OCCUPIED: occupied}
+    return occupied
 
 
 def _clock_fault(ticket: ParkingTicket) -> InvariantViolationError:
@@ -627,9 +628,9 @@ def _clock_fault(ticket: ParkingTicket) -> InvariantViolationError:
     )
 
 
-def _scan_cells(garage: GarageState) -> dict[SlotState, int]:
+def _scan_cells(garage: GarageState) -> int:
     """Name the first fault in the slot grid by visiting every cell, else the
-    first wrong billing clock; return the cells per state if there is none.
+    first wrong billing clock; return the occupied cells if there is none.
 
     A held cell must be the own slot of an active ticket whose phase fits the
     cell (reserved: AwaitingEntry or Parking; occupied: Parked or
@@ -644,7 +645,7 @@ def _scan_cells(garage: GarageState) -> dict[SlotState, int]:
     slots = garage.slots
     active = garage.active
 
-    reserved_cells = occupied_cells = timed_cells = 0
+    occupied_cells = timed_cells = 0
     for floor, (states, owners) in enumerate(zip(slots._state, slots._ticket)):
         for slot, (state, ticket_id) in enumerate(zip(states, owners)):
             if state is VACANT:
@@ -664,7 +665,6 @@ def _scan_cells(garage: GarageState) -> dict[SlotState, int]:
                     f"ticket {ticket_id} holds {SlotAddress(floor, slot)} but its slot is {home}"
                 )
             if state is RESERVED:
-                reserved_cells += 1
                 allowed = _RESERVED_PHASES
             else:
                 occupied_cells += 1
@@ -694,9 +694,4 @@ def _scan_cells(garage: GarageState) -> dict[SlotState, int]:
     for ticket in active.values():
         if (ticket.exit_ms is None) is not (ticket.phase in _TIMED_PHASES):
             raise _clock_fault(ticket)
-    cells = slots.floors * slots.slots_per_floor
-    return {
-        VACANT: cells - reserved_cells - occupied_cells,
-        RESERVED: reserved_cells,
-        OCCUPIED: occupied_cells,
-    }
+    return occupied_cells

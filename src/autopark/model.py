@@ -237,9 +237,9 @@ class SlotMatrix:
     """Occupancy grid: every cell is vacant, reserved, or occupied.
 
     Reserved and occupied cells carry the owning ticket id; a ticket owns at
-    most one cell at any time. The cells per state are counted as they are
-    set, so reading the counts costs nothing per cell; the most cells ever
-    occupied at once is kept next to them.
+    most one cell at any time. The occupied cells are counted as they are
+    set (``occupied``), and the most ever occupied at once is kept next to
+    that count (``occupied_peak``).
     """
 
     def __init__(self, floors: int, slots_per_floor: int):
@@ -247,8 +247,7 @@ class SlotMatrix:
         self.slots_per_floor = slots_per_floor
         self._state = [[VACANT] * slots_per_floor for _ in range(floors)]
         self._ticket = [[None] * slots_per_floor for _ in range(floors)]
-        self._counts = {state: 0 for state in SlotState}
-        self._counts[VACANT] = floors * slots_per_floor
+        self.occupied = 0
         self.occupied_peak = 0
 
     def state_at(self, addr: SlotAddress) -> SlotState:
@@ -273,14 +272,13 @@ class SlotMatrix:
         if state is not VACANT and ticket_id is None:
             raise ValueError(f"{state.value} cells need a ticket id")
         row = self._state[addr.floor]
-        self._counts[row[addr.slot]] -= 1
-        self._counts[state] += 1
-        self.occupied_peak = max(self.occupied_peak, self._counts[OCCUPIED])
+        if row[addr.slot] is OCCUPIED:
+            self.occupied -= 1
+        if state is OCCUPIED:
+            self.occupied += 1
+            self.occupied_peak = max(self.occupied_peak, self.occupied)
         row[addr.slot] = state
         self._ticket[addr.floor][addr.slot] = ticket_id
-
-    def counts(self) -> dict[SlotState, int]:
-        return dict(self._counts)
 
 
 @dataclass
@@ -333,8 +331,8 @@ def new_garage(config: GarageConfig) -> GarageState:
 
 def occupancy_count(garage: GarageState) -> tuple[int, int]:
     """Return (occupied, vacant) cell counts; reserved cells are neither."""
-    counts = garage.slots._counts
-    return counts[OCCUPIED], counts[VACANT]
+    slots = garage.slots
+    return slots.occupied, sum(row.count(VACANT) for row in slots._state)
 
 
 def billed_minutes(entry_ms: int, exit_ms: int) -> int:

@@ -57,7 +57,7 @@ from .model import (
     new_garage,
     parse_number,
 )
-from .power import BatteryState, PowerSystem
+from .power import PowerSystem
 from .report import Aggregates, ReportRow, RunReport
 from .sms import MAX_BODY_CHARS, SmsGateway, SmsModem
 
@@ -395,13 +395,12 @@ class GarageSession:
         self.fleet = DeviceFleet(self.config, _completion_scheduler(self.sim))
         self.gateway = SmsGateway(SmsModem())
         self.gateway.initialize()
-        battery = BatteryState(
+        self.power = PowerSystem(
             capacity_ah=self.settings.battery_capacity_ah,
             soc=self.settings.battery_initial_soc,
             bus_voltage_v=self.config.bus_voltage_v,
+            irradiance_w_per_m2=self.settings.irradiance_w_per_m2,
         )
-        self.power = PowerSystem(battery)
-        self.power.set_irradiance(self.settings.irradiance_w_per_m2)
         self.controller = GarageController(
             self.garage, self.fleet, self.gateway, trace=self.sim.trace.add
         )
@@ -426,15 +425,15 @@ class GarageSession:
         retrieval = [
             r.retrieval_latency_ms for r in rows if r.retrieval_latency_ms is not None
         ]
-        meters = self.power.meters
+        power = self.power
         aggregates = Aggregates(
             max_parking_latency_ms=max(parking) if parking else None,
             max_retrieval_latency_ms=max(retrieval) if retrieval else None,
             occupancy_peak=self.garage.slots.occupied_peak,
-            pv_wh=meters.pv_wh,
-            grid_wh=meters.grid_wh,
-            load_wh=meters.load_wh,
-            min_soc=meters.min_soc,
+            pv_wh=power.pv_wh,
+            grid_wh=power.grid_wh,
+            load_wh=power.load_wh,
+            min_soc=power.min_soc,
             max_concurrent_motors=self.fleet.relays.max_concurrent,
         )
         return RunReport(tuple(rows), aggregates)

@@ -279,6 +279,23 @@ def test_repl_tick_takes_ascii_numbers_only(capsys, monkeypatch):
     ]
 
 
+def test_repl_trace_takes_ascii_numbers_only(capsys, monkeypatch):
+    script = (
+        "t=0 kind=arrival vehicle=car-9 length_mm=4000 phone=+97455501234\n"
+        "tick 40\n"
+        "trace 1_0\n"
+        "trace \u0661\n"
+        "trace 2\n"
+    )
+    assert _run_repl(monkeypatch, script) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "error: bad argument to trace: '1_0'",
+        "error: bad argument to trace: '\u0661'",
+        "t=29000 seq=7 kind=device_done detail=device=belt:slot:0 action=7",
+        "ticket=1 phase=Parking->Parked t=29000",
+    ]
+
+
 def test_repl_preloads_scenario(scenario_file, capsys, monkeypatch):
     assert _run_repl(monkeypatch, "run\nreport csv\n", ["--scenario", str(scenario_file)]) == 0
     out = capsys.readouterr().out
@@ -293,11 +310,12 @@ def test_entry_exits_with_main_status(scenario_file, monkeypatch):
     assert err.value.code == 0
 
 
-def test_python_dash_m_runs_the_command_line():
+@pytest.mark.parametrize("module", ["autopark", "autopark.cli"])
+def test_python_dash_m_runs_the_command_line(module):
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "autopark", "check", "--count", "1"],
+        [sys.executable, "-m", module, "check", "--count", "1"],
         capture_output=True,
         text=True,
         env=env,

@@ -509,9 +509,7 @@ def test_every_slot_angle_of_a_valid_garage_is_aligned():
 
 
 def _shift_counts(session: GarageSession) -> None:
-    counts = session.garage.slots._counts
-    counts[SlotState.VACANT] -= 1
-    counts[SlotState.OCCUPIED] += 1
+    session.garage.slots.occupied += 1
 
 
 INDEX_CORRUPTIONS = {
@@ -525,9 +523,7 @@ INDEX_CORRUPTIONS = {
     ),
     "cell_counts_drift": (
         _shift_counts,
-        "cell counts {<SlotState.VACANT: 'vacant'>: 12, <SlotState.RESERVED: 'reserved'>: 1, "
-        "<SlotState.OCCUPIED: 'occupied'>: 5} != cells {<SlotState.VACANT: 'vacant'>: 13, "
-        "<SlotState.RESERVED: 'reserved'>: 1, <SlotState.OCCUPIED: 'occupied'>: 4}",
+        "occupied count 5 != 4 occupied cells",
     ),
 }
 
@@ -535,7 +531,7 @@ INDEX_CORRUPTIONS = {
 @pytest.mark.parametrize("name", sorted(INDEX_CORRUPTIONS))
 def test_corrupt_index_fails_scan(name):
     """State the earlier scan had no counterpart for: the active-ticket and
-    phone indexes, and the per-state cell counts."""
+    phone indexes, and the occupied count."""
     corrupt, message = INDEX_CORRUPTIONS[name]
     session = busy_session()
     corrupt(session)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from autopark.model import (
     GarageConfig,
+    GarageState,
     InvalidConfigError,
     KinematicsConfig,
     NegativeDurationError,
@@ -181,6 +182,7 @@ def test_slot_counts_match_a_recount_after_every_set_cell(data):
     floors = data.draw(st.integers(1, 5), label="floors")
     per_floor = data.draw(st.integers(1, 8), label="slots_per_floor")
     slots = SlotMatrix(floors, per_floor)
+    garage = GarageState(GarageConfig(), slots)  # occupancy_count reads only the slots
     cell = st.tuples(
         st.integers(0, floors - 1), st.integers(0, per_floor - 1), st.sampled_from(SlotState)
     )
@@ -189,11 +191,10 @@ def test_slot_counts_match_a_recount_after_every_set_cell(data):
         owner = None if state is SlotState.VACANT else ticket_id
         slots.set_cell(SlotAddress(floor, slot), state, owner)
         recount = {s: sum(c is s for row in slots._state for c in row) for s in SlotState}
-        assert slots.counts() == recount
+        assert slots.occupied == recount[SlotState.OCCUPIED]
         peak = max(peak, recount[SlotState.OCCUPIED])
         assert slots.occupied_peak == peak
-        slots.counts()[state] += 1  # a copy: the caller cannot shift the tally
-        assert slots.counts() == recount
+        assert occupancy_count(garage) == (recount[SlotState.OCCUPIED], recount[SlotState.VACANT])
 
 
 def test_slot_matrix_consistency_guard():

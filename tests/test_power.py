@@ -1,20 +1,16 @@
 import math
 import random
 import struct
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from autopark import power
 from autopark.power import (
-    DEFAULT_CURVE,
-    BatteryState,
-    ChargeControllerSpec,
-    PvMeasuredCurve,
+    MAX_CHARGE_CURRENT_A,
     PowerSystem,
-    power_tick,
-    pv_charge_current,
     pv_current_at,
     pv_max_power,
     required_battery_current,
@@ -64,13 +60,6 @@ def test_max_power_point_sits_at_knee():
     assert p_half == pytest.approx(p / 2, abs=1e-9)
 
 
-def test_curve_validation():
-    with pytest.raises(ValueError):
-        PvMeasuredCurve(points=((0.0, 0.5), (10.0, 0.6), (20.0, 0.0)))
-    with pytest.raises(ValueError):
-        PvMeasuredCurve(points=((10.0, 0.5), (10.0, 0.4)))
-
-
 def test_motor_current_draw():
     assert required_battery_current(2) == pytest.approx(20.0 / 12.0, abs=1e-15)
     assert required_battery_current(1, 10.0, 12.0) == pytest.approx(10.0 / 12.0)
@@ -78,77 +67,77 @@ def test_motor_current_draw():
 
 
 def test_one_hour_charge_from_half():
-    battery = BatteryState(soc=0.5)
-    tick = power_tick(battery, pv_charge_current(12.0, 1.0), 0.0, 3600.0)
-    assert battery.soc - 0.5 == pytest.approx(0.08016153127917834, abs=1e-12)
+    system = PowerSystem(soc=0.5, irradiance_w_per_m2=1000.0)
+    tick = system.advance(0.0, 3600.0)
+    assert system.soc - 0.5 == pytest.approx(0.08016153127917834, abs=1e-12)
     assert tick.grid_wh == 0.0
     assert tick.pv_wh == pytest.approx(BUS_CURRENT_FULL_SUN * 12.0, abs=1e-9)
 
 
 def test_one_hour_two_motor_discharge_in_the_dark():
-    battery = BatteryState(soc=1.0)
-    tick = power_tick(battery, pv_charge_current(12.0, 0.0), 20.0, 3600.0)
-    assert 1.0 - battery.soc == pytest.approx(0.23809523809523808, abs=1e-12)
+    system = PowerSystem(soc=1.0, irradiance_w_per_m2=0.0)
+    tick = system.advance(20.0, 3600.0)
+    assert 1.0 - system.soc == pytest.approx(0.23809523809523808, abs=1e-12)
     assert tick.grid_wh == 0.0
     assert tick.load_wh == pytest.approx(20.0, abs=1e-12)
 
 
 def test_full_battery_curtails_surplus():
-    battery = BatteryState(soc=1.0)
-    tick = power_tick(battery, pv_charge_current(12.0, 1.0), 0.0, 3600.0)
-    assert battery.soc == 1.0
+    system = PowerSystem(soc=1.0, irradiance_w_per_m2=1000.0)
+    tick = system.advance(0.0, 3600.0)
+    assert system.soc == 1.0
     assert tick.pv_wh == 0.0
     assert tick.battery_delta_wh == 0.0
 
 
 def test_empty_battery_falls_back_to_grid():
-    battery = BatteryState(soc=0.0)
-    tick = power_tick(battery, pv_charge_current(12.0, 0.0), 10.0, 1800.0)
-    assert battery.soc == 0.0
+    system = PowerSystem(soc=0.0, irradiance_w_per_m2=0.0)
+    tick = system.advance(10.0, 1800.0)
+    assert system.soc == 0.0
     assert tick.grid_wh == pytest.approx(5.0, abs=1e-12)
     assert tick.load_wh == pytest.approx(5.0, abs=1e-12)
 
 
-def test_charge_controller_caps_input_current():
-    hot = PvMeasuredCurve(points=((0.0, 8.0), (12.0, 7.0), (22.31, 0.0)))
-    battery = BatteryState(soc=0.0)
-    power_tick(battery, pv_charge_current(12.0, 1.0, hot), 0.0, 3600.0)
-    assert battery.soc == pytest.approx(3.0 / 7.0, abs=1e-12)
-    relaxed = ChargeControllerSpec(max_charge_current_a=5.0)
-    battery_relaxed = BatteryState(soc=0.0)
-    power_tick(battery_relaxed, pv_charge_current(12.0, 1.0, hot, relaxed), 0.0, 3600.0)
-    assert battery_relaxed.soc == pytest.approx(5.0 / 7.0, abs=1e-12)
+def test_charge_controller_caps_input_current(monkeypatch):
+    monkeypatch.setattr(power, "PV_CURVE", ((0.0, 8.0), (12.0, 7.0), (22.31, 0.0)))
+    system = PowerSystem(soc=0.0, irradiance_w_per_m2=1000.0)
+    system.advance(0.0, 3600.0)
+    assert system.soc == pytest.approx(3.0 / 7.0, abs=1e-12)
+    monkeypatch.setattr(power, "MAX_CHARGE_CURRENT_A", 5.0)
+    relaxed = PowerSystem(soc=0.0, irradiance_w_per_m2=1000.0)
+    relaxed.advance(0.0, 3600.0)
+    assert relaxed.soc == pytest.approx(5.0 / 7.0, abs=1e-12)
 
 
 def test_energy_is_conserved_every_tick():
     rng = random.Random(99)
-    battery = BatteryState(soc=0.7)
+    system = PowerSystem(soc=0.7)
     for _ in range(500):
-        scale = rng.uniform(0.0, 1.0)
+        system.set_irradiance(rng.uniform(0.0, 1000.0))
         load = rng.choice([0.0, 10.0, 20.0])
         dt = rng.uniform(0.1, 900.0)
-        tick = power_tick(battery, pv_charge_current(12.0, scale), load, dt)
+        tick = system.advance(load, dt)
         assert tick.pv_wh + tick.grid_wh == pytest.approx(
             tick.load_wh + tick.battery_delta_wh, abs=1e-9
         )
-        assert 0.0 <= battery.soc <= 1.0
+        assert 0.0 <= system.soc <= 1.0
 
 
 def test_power_system_meters_accumulate():
-    system = PowerSystem(BatteryState(soc=0.5))
+    system = PowerSystem(soc=0.5)
     system.set_irradiance(1000.0)
     system.advance(0.0, 1800.0)
     system.set_irradiance(0.0)
     system.advance(20.0, 1800.0)
-    assert system.meters.load_wh == pytest.approx(10.0, abs=1e-12)
-    assert system.meters.pv_wh == pytest.approx(BUS_CURRENT_FULL_SUN * 12.0 / 2, abs=1e-9)
-    assert system.meters.min_soc < 0.5 + 0.05
+    assert system.load_wh == pytest.approx(10.0, abs=1e-12)
+    assert system.pv_wh == pytest.approx(BUS_CURRENT_FULL_SUN * 12.0 / 2, abs=1e-9)
+    assert system.min_soc < 0.5 + 0.05
     assert len(system.ticks) == 2
 
 
 def test_energy_log_keeps_the_sign_of_zero():
     # An empty battery in the dark gives nothing to the load: its delta is -0.0.
-    system = PowerSystem(BatteryState(soc=0.0), irradiance_scale=0.0)
+    system = PowerSystem(soc=0.0, irradiance_w_per_m2=0.0)
     tick = system.advance(10.0, 60.0)
     assert math.copysign(1.0, tick.battery_delta_wh) == -1.0
     [logged] = system.ticks
@@ -179,9 +168,7 @@ def oracle_power_tick(
     (pv_wh, grid_wh, load_wh, battery_delta_wh, soc_after)."""
     dt_h = dt_s / 3600.0
     bus_v = battery.bus_voltage_v
-    pv_current = min(
-        pv_current_at(bus_v, irradiance_scale), ChargeControllerSpec().max_charge_current_a
-    )
+    pv_current = min(pv_current_at(bus_v, irradiance_scale), MAX_CHARGE_CURRENT_A)
     pv_ah = pv_current * dt_h
     load_ah = (load_w / bus_v) * dt_h
     net_ah = pv_ah - load_ah
@@ -228,22 +215,20 @@ _STEP = st.one_of(
     capacity_ah=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
     soc=st.floats(0.0, 1.0),
     bus_voltage_v=st.one_of(st.just(12.0), st.floats(0.5, 30.0)),
-    irradiance_scale=st.floats(0.0, 1.0),
+    irradiance_w_per_m2=st.floats(0.0, 1000.0),
     steps=st.lists(_STEP, max_size=40),
 )
 # A tie: the charge equals the headroom exactly, and fills the battery.
-@example(1.0, 1.0 - BUS_CURRENT_FULL_SUN, 12.0, 1.0, [(0.0, 3600.0)])
+@example(1.0, 1.0 - BUS_CURRENT_FULL_SUN, 12.0, 1000.0, [(0.0, 3600.0)])
 # A charge capped by the headroom lands on 1.0; a draw capped by the charge on 0.0.
-@example(1.0, 0.5, 12.0, 1.0, [(0.0, 36000.0)])
+@example(1.0, 0.5, 12.0, 1000.0, [(0.0, 36000.0)])
 @example(1.0, 0.5, 12.0, 0.0, [(10.0, 3600.0)])
 def test_power_system_is_bit_equal_to_the_per_tick_oracle(
-    capacity_ah, soc, bus_voltage_v, irradiance_scale, steps
+    capacity_ah, soc, bus_voltage_v, irradiance_w_per_m2, steps
 ):
-    system = PowerSystem(
-        BatteryState(capacity_ah, soc, bus_voltage_v), irradiance_scale=irradiance_scale
-    )
+    system = PowerSystem(capacity_ah, soc, bus_voltage_v, irradiance_w_per_m2)
     battery = OracleBattery(capacity_ah, soc, bus_voltage_v)
-    scale = irradiance_scale
+    scale = irradiance_w_per_m2 / 1000.0
     pv_wh = grid_wh = load_wh = 0.0
     min_soc = soc
     ticks = []
@@ -261,6 +246,8 @@ def test_power_system_is_bit_equal_to_the_per_tick_oracle(
         load_wh += expected[2]
         min_soc = min(min_soc, expected[4])
         ticks.append(expected)
-    assert _bits(system.battery.soc) == _bits(battery.soc)
-    assert _bits(*astuple(system.meters)) == _bits(pv_wh, grid_wh, load_wh, min_soc)
+    assert _bits(system.soc) == _bits(battery.soc)
+    assert _bits(system.pv_wh, system.grid_wh, system.load_wh, system.min_soc) == _bits(
+        pv_wh, grid_wh, load_wh, min_soc
+    )
     assert [_bits(*_tick_fields(t)) for t in system.ticks] == [_bits(*t) for t in ticks]
