@@ -5,6 +5,8 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autopark.controller import (
     EXIT_PLAN,
@@ -32,6 +34,7 @@ from autopark.engine import (
 )
 from autopark.model import (
     GarageConfig,
+    KinematicsConfig,
     SlotAddress,
     SlotState,
     TicketPhase,
@@ -620,3 +623,47 @@ def test_every_start_names_the_device_its_request_named(seed):
         else:
             assert waiting.get(ticket) == device, line
             waiting[ticket] = None
+
+
+# -- closed form ---------------------------------------------------------------
+
+# Slot counts whose pitch the default 0.6 degree platform step divides.
+_SLOT_COUNTS = [n for n in range(1, 31) if 600 % n == 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    slots_per_floor=st.sampled_from(_SLOT_COUNTS),
+    floors=st.integers(1, 20),
+    cell=st.floats(0, 1, exclude_max=True),
+    timings_ms=st.tuples(*[st.integers(1, 30_000)] * 5),
+)
+def test_lone_car_parks_in_the_sum_of_its_steps(slots_per_floor, floors, cell, timings_ms):
+    """With the cells before its own taken, a lone car takes two gate swings,
+    two belt runs, one platform load, the lift to its floor and the turn to
+    its slot by the shorter arc, one after another."""
+    gate_ms, belt_ms, load_ms, floor_ms, face_ms = timings_ms
+    kinematics = KinematicsConfig(
+        belt_transit_s=belt_ms / 1000,
+        platform_load_s=load_ms / 1000,
+        elevation_per_floor_s=floor_ms / 1000,
+        rotation_per_slot_s=face_ms / 1000,
+        gate_actuation_s=gate_ms / 1000,
+    )
+    config = GarageConfig(floors=floors, slots_per_floor=slots_per_floor, kinematics=kinematics)
+    index = int(cell * floors * slots_per_floor)
+    target = SlotAddress(*divmod(index, slots_per_floor))
+    # The earlier cells belong to no ticket of the run, so the scan is off.
+    session = GarageSession(config, check=False)
+    for earlier in range(index):
+        taken = SlotAddress(*divmod(earlier, slots_per_floor))
+        session.garage.slots.set_cell(taken, SlotState.OCCUPIED, 1000 + earlier)
+    session.sim.schedule(7000, Arrival(vehicle(1)))
+    session.run_until_idle()
+    ticket = session.garage.tickets[1]
+    assert ticket.slot == target and ticket.phase is TicketPhase.PARKED
+    faces = min(target.slot, slots_per_floor - target.slot)
+    expected_ms = (
+        2 * gate_ms + 2 * belt_ms + load_ms + target.floor * floor_ms + faces * face_ms
+    )
+    assert ticket.parked_ms - ticket.entry_ms == expected_ms
