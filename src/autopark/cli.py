@@ -204,6 +204,8 @@ def _cmd_repl(args: argparse.Namespace) -> int:
         try:
             if not _repl_command(session, line):
                 break
+        except InvariantViolationError:
+            raise  # the session is broken: main reports it and exits 2
         except AutoparkError as exc:
             print(f"error: {exc}")
     return 0

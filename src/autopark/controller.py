@@ -17,7 +17,6 @@ retrieval request, both captured on the millisecond clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from enum import Enum
 from functools import cache
@@ -136,7 +135,6 @@ def _plan(*steps: Step) -> tuple[Step, ...]:
     return tuple(planned)
 
 
-@dataclass(eq=False)
 class Program:
     """A ticket's progress through its steps.
 
@@ -145,19 +143,25 @@ class Program:
     slot share one step tuple; each keeps its own ``idx``.
     """
 
-    label: str  # parking | retrieval | exit | homing
-    steps: tuple[Step, ...]
-    ticket_id: int | None = None
-    vehicle_id: str | None = None
-    idx: int = 0
-    ticket_label: str = field(init=False, repr=False)
+    __slots__ = ("label", "steps", "ticket_id", "vehicle_id", "idx", "ticket_label", "__weakref__")
 
-    def __post_init__(self) -> None:
-        self.ticket_label = "-" if self.ticket_id is None else str(self.ticket_id)
+    def __init__(
+        self,
+        label: str,  # parking | retrieval | exit | homing
+        steps: tuple[Step, ...],
+        ticket_id: int | None = None,
+        vehicle_id: str | None = None,
+        idx: int = 0,
+    ):
+        self.label = label
+        self.steps = steps
+        self.ticket_id = ticket_id
+        self.vehicle_id = vehicle_id
+        self.idx = idx
+        self.ticket_label = "-" if ticket_id is None else str(ticket_id)
 
 
-@dataclass(frozen=True)
-class ArrivalRecord:
+class ArrivalRecord(NamedTuple):
     at_ms: int
     vehicle: Vehicle
     accepted: bool
@@ -487,7 +491,8 @@ class GarageController:
             ticket.closed_ms = now_ms
             del self.garage.active[ticket.ticket_id]
             del self.garage.active_by_phone[ticket.vehicle.phone]
-            self.garage.tickets[ticket.ticket_id] = ClosedTicket(**vars(ticket))
+            closed = [getattr(ticket, name) for name in ClosedTicket._fields]
+            self.garage.tickets[ticket.ticket_id] = ClosedTicket._make(closed)
         self._trace(phase_line, now_ms, ticket.ticket_id, old.value, phase.value)
 
     def _send_sms(self, kind: str, ticket: ParkingTicket, now_ms: int) -> None:

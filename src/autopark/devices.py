@@ -10,7 +10,6 @@ time. Devices hold no policy: sequencing and queueing live in the controller.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .model import AutoparkError, GarageConfig, ms_from_s
@@ -126,44 +125,46 @@ class RelayBank:
         return MOTOR_LOAD_W * len(self.powered)
 
 
-@dataclass(kw_only=True)
 class Device:
     """What every moving device has: the action it is running, if any."""
 
-    action_id: int | None = None
+    __slots__ = ("action_id",)
 
     @property
     def busy(self) -> bool:
         return self.action_id is not None
 
 
-@dataclass
 class Belt(Device):
-    belt_id: BeltId
-    occupant: str | None = None  # vehicle currently sitting on the belt
-    faulted: bool = False
-    device_id: str = field(init=False, repr=False)
+    __slots__ = ("belt_id", "occupant", "faulted", "device_id")
 
-    def __post_init__(self) -> None:
-        self.device_id = device_name("belt", self.belt_id)
+    def __init__(self, belt_id: BeltId, occupant: str | None = None, faulted: bool = False):
+        self.action_id = None
+        self.belt_id = belt_id
+        self.occupant = occupant  # vehicle currently sitting on the belt
+        self.faulted = faulted
+        self.device_id = device_name("belt", belt_id)
 
 
-@dataclass
 class PlatformState(Device):
     """The shared lift-and-turn platform the whole garage funnels through."""
 
-    floor_pos: int = 0
-    angle_deg: float = 0.0  # always in [0, 360)
+    __slots__ = ("floor_pos", "angle_deg")
+
+    def __init__(self, floor_pos: int = 0, angle_deg: float = 0.0):
+        self.action_id = None
+        self.floor_pos = floor_pos
+        self.angle_deg = angle_deg  # always in [0, 360)
 
 
-@dataclass
 class GateState(Device):
-    name: str  # entrance | exit
-    angle_deg: float = 0.0  # 0 closed, 90 open
-    device_id: str = field(init=False, repr=False)
+    __slots__ = ("name", "angle_deg", "device_id")
 
-    def __post_init__(self) -> None:
-        self.device_id = device_name("gate", self.name)
+    def __init__(self, name: str, angle_deg: float = 0.0):
+        self.action_id = None
+        self.name = name  # entrance | exit
+        self.angle_deg = angle_deg  # 0 closed, 90 open
+        self.device_id = device_name("gate", name)
 
 
 class Action(NamedTuple):

@@ -17,7 +17,6 @@ A ``PackedList`` holds the records, each finished chunk of them pickled.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -31,69 +30,97 @@ class SchedulingInPastError(AutoparkError):
     """An event was scheduled before the current simulation time."""
 
 
-@dataclass(frozen=True)
-class Arrival:
-    vehicle: Vehicle
+class InputEvent:
+    """What the scenario payloads share: equal only to a payload of the same
+    type with equal fields (a payment for ticket 1 is no irradiance of 1.0),
+    a hash and a repr from those fields, and a weak reference."""
 
+    __slots__ = ("__weakref__",)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+
+class Arrival(InputEvent):
+    __slots__ = ("vehicle",)
     kind = "arrival"
+
+    def __init__(self, vehicle: Vehicle):
+        self.vehicle = vehicle
 
     def detail(self) -> str:
         v = self.vehicle
         return f"vehicle={v.vehicle_id} length_mm={v.length_mm} phone={v.phone}"
 
 
-@dataclass(frozen=True)
-class InboundSms:
-    phone: str
-    body: str
-
+class InboundSms(InputEvent):
+    __slots__ = ("phone", "body")
     kind = "sms_in"
+
+    def __init__(self, phone: str, body: str):
+        self.phone = phone
+        self.body = body
 
     def detail(self) -> str:
         return f"phone={self.phone} body={self.body}"
 
 
-@dataclass(frozen=True)
-class PaymentConfirmed:
-    ticket_id: int
-
+class PaymentConfirmed(InputEvent):
+    __slots__ = ("ticket_id",)
     kind = "payment"
+
+    def __init__(self, ticket_id: int):
+        self.ticket_id = ticket_id
 
     def detail(self) -> str:
         return f"ticket={self.ticket_id}"
 
 
 class DeviceDone(NamedTuple):
-    """A device motion has finished. One per motion, so a plain tuple; the
-    scenario payloads stay dataclasses, whose equality includes their type.
-    The engine traces it with ``device_done_line``."""
+    """A device motion has finished. One per motion, so a plain tuple, though
+    unlike an ``InputEvent`` it equals any tuple of equal values. The engine
+    traces it with ``device_done_line``."""
 
     device_id: str
     action_id: int
 
 
-@dataclass(frozen=True)
-class IrradianceChange:
-    w_per_m2: float
-
+class IrradianceChange(InputEvent):
+    __slots__ = ("w_per_m2",)
     kind = "irradiance"
+
+    def __init__(self, w_per_m2: float):
+        self.w_per_m2 = w_per_m2
 
     def detail(self) -> str:
         return f"w_per_m2={self.w_per_m2:g}"
 
 
-@dataclass(frozen=True)
-class BeltFault:
-    belt_id: str
-
+class BeltFault(InputEvent):
+    __slots__ = ("belt_id",)
     kind = "fault"
+
+    def __init__(self, belt_id: str):
+        self.belt_id = belt_id
 
     def detail(self) -> str:
         return f"belt={self.belt_id}"
 
 
-@dataclass(frozen=True)
-class FaultCleared:
+class FaultCleared(InputEvent):
+    __slots__ = ()
     kind = "fault_cleared"
 
     def detail(self) -> str:

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from enum import Enum
+from functools import total_ordering
+from typing import NamedTuple
 
 MS_PER_SECOND = 1000
 MS_PER_MINUTE = 60_000
@@ -69,8 +70,7 @@ def is_valid_phone(number: str) -> bool:
     return _PHONE_RE.fullmatch(number) is not None
 
 
-@dataclass(frozen=True)
-class KinematicsConfig:
+class KinematicsConfig(NamedTuple):
     """Motion timings and stepper geometry for every powered axis."""
 
     belt_transit_s: float = 10.0  # one full conveyor run
@@ -125,15 +125,14 @@ def _divides(angle: float, step: float, tol: float = 1e-9) -> bool:
     return abs(ratio - round(ratio)) <= tol
 
 
-@dataclass(frozen=True)
-class GarageConfig:
+class GarageConfig(NamedTuple):
     """Static description of one garage installation."""
 
     floors: int = 3
     slots_per_floor: int = 6
     max_vehicle_length_mm: int = 5000
     billing_rate_per_minute: Decimal = Decimal("0.05")
-    kinematics: KinematicsConfig = field(default_factory=KinematicsConfig)
+    kinematics: KinematicsConfig = KinematicsConfig()
     bus_voltage_v: float = 12.0
 
     def validate(self) -> None:
@@ -155,31 +154,48 @@ class GarageConfig:
         return 360.0 / self.slots_per_floor
 
 
-@dataclass(frozen=True)
-class Vehicle:
+class Vehicle(namedtuple("Vehicle", "vehicle_id length_mm phone")):
     """One customer car as seen at the entrance."""
 
-    vehicle_id: str
-    length_mm: int
-    phone: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.vehicle_id:
+    def __new__(cls, vehicle_id: str, length_mm: int, phone: str) -> Vehicle:
+        if not vehicle_id:
             raise ValueError("vehicle_id must be non-empty")
-        if "," in self.vehicle_id:
-            raise ValueError(f"vehicle_id must not contain ',': {self.vehicle_id!r}")
-        if self.length_mm <= 0:
+        if "," in vehicle_id:
+            raise ValueError(f"vehicle_id must not contain ',': {vehicle_id!r}")
+        if length_mm <= 0:
             raise ValueError("length_mm must be > 0")
-        if not is_valid_phone(self.phone):
-            raise ValueError(f"invalid phone number: {self.phone!r}")
+        if not is_valid_phone(phone):
+            raise ValueError(f"invalid phone number: {phone!r}")
+        return tuple.__new__(cls, (vehicle_id, length_mm, phone))
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class SlotAddress:
-    """Zero-based (floor, slot) position in the garage."""
+    """Zero-based (floor, slot) position in the garage, ordered floor first.
+    Not a named tuple: the scan reads both fields of every live ticket's slot
+    on every event, and a slot attribute reads in about half the time."""
 
-    floor: int
-    slot: int
+    __slots__ = ("floor", "slot")
+
+    def __init__(self, floor: int, slot: int):
+        self.floor = floor
+        self.slot = slot
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SlotAddress and self.floor == other.floor and self.slot == other.slot
+
+    def __lt__(self, other):
+        if type(other) is not SlotAddress:
+            return NotImplemented
+        return (self.floor, self.slot) < (other.floor, other.slot)
+
+    def __hash__(self) -> int:
+        return hash((self.floor, self.slot))
+
+    def __repr__(self) -> str:
+        return f"SlotAddress(floor={self.floor}, slot={self.slot})"
 
     def __str__(self) -> str:
         return f"{self.floor}/{self.slot}"
@@ -207,20 +223,28 @@ AWAITING_ENTRY, PARKING, PARKED, RETRIEVING, AWAITING_PAYMENT, CLOSED = TicketPh
 _PHASE_ORDER = list(TicketPhase)
 
 
-@dataclass
 class ParkingTicket:
     """Lifecycle record for one accepted vehicle."""
 
-    ticket_id: int
-    vehicle: Vehicle
-    slot: SlotAddress
-    entry_ms: int
-    phase: TicketPhase = TicketPhase.AWAITING_ENTRY
-    exit_ms: int | None = None  # the retrieval request stops the billing clock
-    parked_ms: int | None = None  # the car is in its slot
-    ready_ms: int | None = None  # the car is on the exit belt and billed
-    closed_ms: int | None = None  # paid
-    amount_due: Decimal | None = None
+    __slots__ = ("ticket_id", "vehicle", "slot", "entry_ms", "phase",
+                 "exit_ms", "parked_ms", "ready_ms", "closed_ms", "amount_due")
+
+    def __init__(
+        self,
+        ticket_id: int,
+        vehicle: Vehicle,
+        slot: SlotAddress,
+        entry_ms: int,
+        phase: TicketPhase = AWAITING_ENTRY,
+        exit_ms: int | None = None,  # the retrieval request stops the billing clock
+        parked_ms: int | None = None,  # the car is in its slot
+        ready_ms: int | None = None,  # the car is on the exit belt and billed
+        closed_ms: int | None = None,  # paid
+        amount_due: Decimal | None = None,
+    ):
+        self.ticket_id, self.vehicle, self.slot, self.entry_ms = ticket_id, vehicle, slot, entry_ms
+        self.phase, self.exit_ms, self.parked_ms = phase, exit_ms, parked_ms
+        self.ready_ms, self.closed_ms, self.amount_due = ready_ms, closed_ms, amount_due
 
     def advance(self, phase: TicketPhase) -> None:
         """Move to the next lifecycle phase; phases never go backwards."""
@@ -230,7 +254,7 @@ class ParkingTicket:
 
 
 # A paid ticket: the fields of ``ParkingTicket``, none of them writable.
-ClosedTicket = namedtuple("ClosedTicket", [f.name for f in fields(ParkingTicket)])
+ClosedTicket = namedtuple("ClosedTicket", ParkingTicket.__slots__)
 
 
 class SlotMatrix:
@@ -281,7 +305,6 @@ class SlotMatrix:
         self._ticket[addr.floor][addr.slot] = ticket_id
 
 
-@dataclass
 class GarageState:
     """Everything that changes as the garage runs: the slot grid and the tickets.
 
@@ -292,11 +315,21 @@ class GarageState:
     in ``tickets`` becomes a frozen ``ClosedTicket``.
     """
 
-    config: GarageConfig
-    slots: SlotMatrix
-    tickets: dict[int, ParkingTicket] = field(default_factory=dict)
-    active: dict[int, ParkingTicket] = field(default_factory=dict)
-    active_by_phone: dict[str, ParkingTicket] = field(default_factory=dict)
+    __slots__ = ("config", "slots", "tickets", "active", "active_by_phone")
+
+    def __init__(
+        self,
+        config: GarageConfig,
+        slots: SlotMatrix,
+        tickets: dict[int, ParkingTicket] | None = None,
+        active: dict[int, ParkingTicket] | None = None,
+        active_by_phone: dict[str, ParkingTicket] | None = None,
+    ):
+        self.config = config
+        self.slots = slots
+        self.tickets = {} if tickets is None else tickets
+        self.active = {} if active is None else active
+        self.active_by_phone = {} if active_by_phone is None else active_by_phone
 
     @property
     def vehicles_entered(self) -> int:

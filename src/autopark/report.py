@@ -9,10 +9,9 @@ millisecond precision), so reports can be diffed, hashed, and re-read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from types import NoneType
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from .model import AutoparkError, parse_number
 
@@ -23,8 +22,7 @@ class ReportFormatError(AutoparkError):
     """Text being parsed is not a report in the named format."""
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """Milestones for one arrival; rejected cars only carry entry and status."""
 
     vehicle_id: str
@@ -39,8 +37,7 @@ class ReportRow:
     amount: Decimal | None = None
 
 
-@dataclass(frozen=True)
-class Aggregates:
+class Aggregates(NamedTuple):
     max_parking_latency_ms: int | None
     max_retrieval_latency_ms: int | None
     occupancy_peak: int
@@ -51,8 +48,7 @@ class Aggregates:
     max_concurrent_motors: int
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     rows: tuple[ReportRow, ...]
     aggregates: Aggregates
 
@@ -98,7 +94,7 @@ def parse_report(text: str, fmt: str) -> RunReport:
 
 def _row_cells(row: ReportRow) -> list[str]:
     cells = []
-    for name, value in vars(row).items():
+    for name, value in zip(row._fields, row):
         if value is None:
             cells.append("")
         elif name.endswith("_ms"):
@@ -127,7 +123,7 @@ def _number(kind: type, text: str):
 
 
 def _aggregate_pairs(agg: Aggregates) -> list[tuple[str, str]]:
-    return [(name, "-" if value is None else repr(value)) for name, value in vars(agg).items()]
+    return [(name, "-" if value is None else repr(value)) for name, value in agg._asdict().items()]
 
 
 def _parse_aggregate(name: str, text: str):
@@ -175,10 +171,11 @@ def _parse_csv(text: str) -> RunReport:
 
 
 def _json_object(record) -> dict:
-    """A report dataclass as JSON values: a Decimal as its text, all else as is."""
+    """A report record's ``_asdict()`` as JSON values: a Decimal as its text,
+    all else as is."""
     return {
         name: str(value) if isinstance(value, Decimal) else value
-        for name, value in vars(record).items()
+        for name, value in record._asdict().items()
     }
 
 
@@ -209,7 +206,8 @@ def _json_value(types: dict[str, tuple[type, bool]], name: str, value):
 
 
 def _parse_json_record(cls, types: dict[str, tuple[type, bool]], obj):
-    """A report dataclass from a JSON object, each value of its field's type."""
+    """A report record from a JSON object, each value of its field's type, by
+    keyword: a key that is no field, or a field with no key, is a TypeError."""
     if type(obj) is not dict:
         raise TypeError(f"not a JSON object: {obj!r}")
     return cls(**{name: _json_value(types, name, value) for name, value in obj.items()})

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import random
 import weakref
-from dataclasses import MISSING, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from functools import partial
 from typing import Callable, NamedTuple
@@ -75,8 +74,7 @@ class UnsortedEventsError(ScenarioParseError):
     """Event times must be non-decreasing."""
 
 
-@dataclass(frozen=True)
-class SimSettings:
+class SimSettings(NamedTuple):
     """Run-level knobs that sit outside the garage geometry."""
 
     battery_capacity_ah: float = 7.0  # 0 means no battery
@@ -92,31 +90,29 @@ class SimSettings:
             raise InvalidConfigError("irradiance_w_per_m2 must be in [0, 1000]")
 
 
-@dataclass(frozen=True)
-class ScenarioEvent:
+class ScenarioEvent(NamedTuple):
     t_ms: int
     payload: Payload
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     config: GarageConfig
     settings: SimSettings
     events: tuple[ScenarioEvent, ...]
 
 
-def _config_fields(cls) -> list:
-    """The ``config`` keys a dataclass holds: its fields with a default value
-    (the nested kinematics has a default factory instead)."""
-    return [f for f in fields(cls) if f.default is not MISSING]
+def _config_fields(cls) -> list[str]:
+    """The ``config`` keys a config record holds: the fields in its
+    ``_field_defaults``, less a nested record (the kinematics)."""
+    return [name for name, default in cls._field_defaults.items() if not isinstance(default, tuple)]
 
 
-# Each config key: the dataclass it sets, and the type of its default, which
+# Each config key: the record it sets, and the type of its default, which
 # parses it.
 _CONFIG_KEYS = {
-    f.name: (cls, type(f.default))
+    name: (cls, type(cls._field_defaults[name]))
     for cls in (GarageConfig, KinematicsConfig, SimSettings)
-    for f in _config_fields(cls)
+    for name in _config_fields(cls)
 }
 
 
@@ -321,9 +317,9 @@ def _config_pairs(record) -> list[str]:
     """``key=value`` for each config key of a record: a Decimal as its text, all
     else as its repr."""
     pairs = []
-    for f in _config_fields(type(record)):
-        value = getattr(record, f.name)
-        pairs.append(f"{f.name}={str(value) if isinstance(value, Decimal) else repr(value)}")
+    for name in _config_fields(type(record)):
+        value = getattr(record, name)
+        pairs.append(f"{name}={str(value) if isinstance(value, Decimal) else repr(value)}")
     return pairs
 
 
@@ -468,8 +464,7 @@ class GarageSession:
         )
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     report: RunReport
     trace: Trace  # the session's own trace, not a copy
     session: GarageSession

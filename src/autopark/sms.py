@@ -11,7 +11,7 @@ exchanges can be golden-tested.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .engine import PackedList
 from .model import AutoparkError, MS_PER_SECOND, ParkingTicket, billed_minutes
@@ -39,15 +39,13 @@ class MissingFieldError(AutoparkError):
 # -- modem emulation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmsMessage:
-    number: str
-    body: str
-    at_ms: int
+class SmsMessage(namedtuple("SmsMessage", "number body at_ms")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.body) > MAX_BODY_CHARS:
-            raise BodyTooLongError(f"{len(self.body)} chars exceeds {MAX_BODY_CHARS}")
+    def __new__(cls, number: str, body: str, at_ms: int) -> SmsMessage:
+        if len(body) > MAX_BODY_CHARS:
+            raise BodyTooLongError(f"{len(body)} chars exceeds {MAX_BODY_CHARS}")
+        return tuple.__new__(cls, (number, body, at_ms))
 
 
 def _printable(line: str) -> str:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from autopark import cli
+from autopark import cli, scenario
 from autopark.controller import InvariantViolationError
 from autopark.model import AutoparkError
 from autopark.report import CSV_HEADER, parse_report
@@ -261,6 +261,17 @@ def test_repl_reports_errors_and_continues(capsys, monkeypatch):
         "t=0 seq=0 kind=fault_cleared detail=-",
     ]
     assert "mode=Normal" in after_run[2]
+
+
+def test_repl_stops_on_an_invariant_violation(capsys, monkeypatch):
+    def explode(controller):
+        raise InvariantViolationError("forced for the test")
+
+    monkeypatch.setattr(scenario, "check_invariants", explode)
+    assert _run_repl(monkeypatch, "t=0 kind=fault_cleared\ntick 1\nstate\n") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "invariant violation: forced for the test\n"
+    assert captured.out == "scheduled fault_cleared at t=0.000s\n"  # no state line
 
 
 def test_repl_rejects_a_time_past_the_clock(capsys, monkeypatch):
