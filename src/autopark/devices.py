@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Callable, NamedTuple
 
-from .model import AutoparkError, GarageConfig, ms_from_s
+from .model import AutoparkError, GarageConfig, ms_from_s, validated_make
 
 
 class PowerBudgetExceededError(AutoparkError):
@@ -61,6 +61,8 @@ class BeltId(namedtuple("BeltId", "kind face")):
         if (kind == "slot") != (face is not None):
             raise ValueError("face is required exactly for slot belts")
         return tuple.__new__(cls, (kind, face))
+
+    _make = classmethod(validated_make)
 
     def __str__(self) -> str:
         return self.kind if self.face is None else f"{self.kind}:{self.face}"

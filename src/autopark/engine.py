@@ -11,7 +11,8 @@ anywhere.
 The trace is held as records, not lines: each record is the function that
 renders its line followed by the values it renders, and a line is built only
 when it is read. Every renderer lives in this module, one per line shape.
-A ``PackedList`` holds the records, each finished chunk of them pickled.
+A ``PackedList`` holds the records, each finished chunk of them pickled. The
+engine itself adds no record: its handler writes each dispatch record.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ class SchedulingInPastError(AutoparkError):
 class InputEvent:
     """What the scenario payloads share: equal only to a payload of the same
     type with equal fields (a payment for ticket 1 is no irradiance of 1.0),
-    a hash and a repr from those fields, and a weak reference."""
+    a hash and a repr from those fields, and a weak reference. Each payload's
+    ``kind`` keys its entry in ``scenario.EVENT_KINDS``, which describes its
+    fields, its trace text and its handling."""
 
     __slots__ = ("__weakref__",)
 
@@ -60,10 +63,6 @@ class Arrival(InputEvent):
     def __init__(self, vehicle: Vehicle):
         self.vehicle = vehicle
 
-    def detail(self) -> str:
-        v = self.vehicle
-        return f"vehicle={v.vehicle_id} length_mm={v.length_mm} phone={v.phone}"
-
 
 class InboundSms(InputEvent):
     __slots__ = ("phone", "body")
@@ -73,9 +72,6 @@ class InboundSms(InputEvent):
         self.phone = phone
         self.body = body
 
-    def detail(self) -> str:
-        return f"phone={self.phone} body={self.body}"
-
 
 class PaymentConfirmed(InputEvent):
     __slots__ = ("ticket_id",)
@@ -84,14 +80,11 @@ class PaymentConfirmed(InputEvent):
     def __init__(self, ticket_id: int):
         self.ticket_id = ticket_id
 
-    def detail(self) -> str:
-        return f"ticket={self.ticket_id}"
-
 
 class DeviceDone(NamedTuple):
     """A device motion has finished. One per motion, so a plain tuple, though
-    unlike an ``InputEvent`` it equals any tuple of equal values. The engine
-    traces it with ``device_done_line``."""
+    unlike an ``InputEvent`` it equals any tuple of equal values. The
+    session's handler traces it with ``device_done_line``."""
 
     device_id: str
     action_id: int
@@ -104,9 +97,6 @@ class IrradianceChange(InputEvent):
     def __init__(self, w_per_m2: float):
         self.w_per_m2 = w_per_m2
 
-    def detail(self) -> str:
-        return f"w_per_m2={self.w_per_m2:g}"
-
 
 class BeltFault(InputEvent):
     __slots__ = ("belt_id",)
@@ -115,27 +105,13 @@ class BeltFault(InputEvent):
     def __init__(self, belt_id: str):
         self.belt_id = belt_id
 
-    def detail(self) -> str:
-        return f"belt={self.belt_id}"
-
 
 class FaultCleared(InputEvent):
     __slots__ = ()
     kind = "fault_cleared"
 
-    def detail(self) -> str:
-        return "-"
 
-
-Payload = (
-    Arrival
-    | InboundSms
-    | PaymentConfirmed
-    | DeviceDone
-    | IrradianceChange
-    | BeltFault
-    | FaultCleared
-)
+Payload = InputEvent | DeviceDone
 
 
 class SimEvent(NamedTuple):
@@ -147,14 +123,19 @@ class SimEvent(NamedTuple):
 # -- trace records -----------------------------------------------------------
 #
 # One renderer per record kind; each takes the record's time first. A record's
-# values are ints, strs, Decimals and BeltIds, never a payload, ticket or
-# program, so the trace keeps nothing else of a run alive and a line reads
-# the same whenever it is rendered.
+# values are ints, floats, strs, Decimals, BeltIds and tuples of them, never a
+# payload, ticket or program, so the trace keeps nothing else of a run alive
+# and a line reads the same whenever it is rendered.
 
 
-def event_line(t_ms: int, seq: int, tail: str) -> str:
-    """A dispatched input event; ``tail`` is its ``kind=… detail=…``."""
-    return f"t={t_ms} seq={seq} {tail}"
+def event_line(t_ms: int, seq: int, kind: str, fields: tuple[str, ...], values: tuple) -> str:
+    """A dispatched input event: its field pairs, or ``-`` when it has none."""
+    return f"t={t_ms} seq={seq} kind={kind} detail={' '.join(field_pairs(fields, values)) or '-'}"
+
+
+def field_pairs(fields: tuple[str, ...], values: tuple) -> list[str]:
+    """An input event's ``key=value`` pairs, on its scenario and dispatch lines."""
+    return [f"{key}={value}" for key, value in zip(fields, values)]
 
 
 def device_done_line(t_ms: int, seq: int, device: str, action: int) -> str:
@@ -316,12 +297,12 @@ class Simulation:
     handler receives each event in dispatch order; advance is called with the
     elapsed milliseconds before each clock move (for time integration such
     as battery bookkeeping); check runs after every dispatch so invariant
-    scans sit directly on the event boundary. ``trace`` is a ``Trace``: the
-    engine adds one record per dispatched event, and the parts add their
-    domain records (phase changes, action starts, ...) in between through
-    ``trace.add``. Lines are rendered only when the trace is read, and each
-    finished chunk of records is held pickled, so a long run's history costs
-    about 25 bytes a record.
+    scans sit directly on the event boundary. ``trace`` is a ``Trace``, to
+    which the engine adds nothing itself: the handler adds each event's
+    dispatch record, and the parts add their domain records (phase changes,
+    action starts, ...) after it, all through ``trace.add``. Lines are
+    rendered only when the trace is read, and each finished chunk of records
+    is held pickled, so a long run's history costs about 25 bytes a record.
 
     The simulation holds its hooks and they hold the parts they drive, never
     the simulation. A part that schedules events itself (a ``GarageSession``'s
@@ -363,13 +344,7 @@ class Simulation:
             self.clock_ms = to_ms
 
     def _dispatch(self, event: SimEvent) -> None:
-        at_ms, seq, payload = event
-        self._advance_clock(at_ms)
-        if type(payload) is DeviceDone:
-            self.trace.add(device_done_line, at_ms, seq, payload.device_id, payload.action_id)
-        else:
-            tail = f"kind={payload.kind} detail={payload.detail()}"
-            self.trace.add(event_line, at_ms, seq, tail)
+        self._advance_clock(event[0])
         if self.handler is not None:
             self.handler(event)
         if self.check is not None:

@@ -154,6 +154,11 @@ class GarageConfig(NamedTuple):
         return 360.0 / self.slots_per_floor
 
 
+def validated_make(cls, iterable):
+    """``_make`` for a named tuple that checks in ``__new__``, so ``_replace`` checks too."""
+    return cls(*iterable)
+
+
 class Vehicle(namedtuple("Vehicle", "vehicle_id length_mm phone")):
     """One customer car as seen at the entrance."""
 
@@ -169,6 +174,8 @@ class Vehicle(namedtuple("Vehicle", "vehicle_id length_mm phone")):
         if not is_valid_phone(phone):
             raise ValueError(f"invalid phone number: {phone!r}")
         return tuple.__new__(cls, (vehicle_id, length_mm, phone))
+
+    _make = classmethod(validated_make)
 
 
 @total_ordering

@@ -38,11 +38,14 @@ from .engine import (
     FaultCleared,
     InboundSms,
     IrradianceChange,
-    Payload,
+    InputEvent,
     PaymentConfirmed,
     SimEvent,
     Simulation,
     Trace,
+    device_done_line,
+    event_line,
+    field_pairs,
 )
 from .model import (
     AutoparkError,
@@ -92,7 +95,7 @@ class SimSettings(NamedTuple):
 
 class ScenarioEvent(NamedTuple):
     t_ms: int
-    payload: Payload
+    payload: InputEvent
 
 
 class Scenario(NamedTuple):
@@ -148,14 +151,14 @@ def _field(pairs: dict[str, str], line_no: int, key: str, convert=str):
 
 class EventKind(NamedTuple):
     """One scenario event kind: its line fields, how to build its payload from
-    them (a ValueError is a parse error), the field values the payload renders,
-    and how the controller or the power system handles it. The table key is
-    the payload's kind."""
+    them (a ValueError is a parse error), the field values the payload renders
+    on its scenario line and its dispatch line, and how the controller or the
+    power system handles it. The table key is the payload's kind."""
 
     fields: tuple[str, ...]
-    build: Callable[[Callable[..., object], GarageConfig], Payload]
-    values: Callable[[Payload], tuple]
-    handle: Callable[[GarageController, PowerSystem, Payload, int], None]
+    build: Callable[[Callable[..., object], GarageConfig], InputEvent]
+    values: Callable[[InputEvent], tuple]
+    handle: Callable[[GarageController, PowerSystem, InputEvent, int], None]
 
 
 def _irradiance(field: Callable[..., object], config: GarageConfig) -> IrradianceChange:
@@ -309,8 +312,8 @@ def _format_t(t_ms: int) -> str:
 def render_event(event: ScenarioEvent) -> str:
     p = event.payload
     spec = EVENT_KINDS[p.kind]
-    pairs = "".join([f" {key}={value}" for key, value in zip(spec.fields, spec.values(p))])
-    return f"t={_format_t(event.t_ms)} kind={p.kind}{pairs}"
+    pairs = field_pairs(spec.fields, spec.values(p))
+    return " ".join([f"t={_format_t(event.t_ms)} kind={p.kind}", *pairs])
 
 
 def _config_pairs(record) -> list[str]:
@@ -333,13 +336,19 @@ def render_scenario(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _handle(controller: GarageController, power: PowerSystem, event: SimEvent) -> None:
-    """The engine's handler: each event to the part that acts on it."""
-    p = event.payload
-    if isinstance(p, DeviceDone):
-        controller.on_device_done(p.device_id, p.action_id, event.at_ms)
+def _handle(
+    controller: GarageController, power: PowerSystem, trace: Callable[..., None], event: SimEvent
+) -> None:
+    """The engine's handler: each event's dispatch record (an input event's from
+    its ``EVENT_KINDS`` entry), then the event to the part that acts on it."""
+    at_ms, seq, p = event
+    if type(p) is DeviceDone:  # one per motion, so kept lean
+        trace(device_done_line, at_ms, seq, p.device_id, p.action_id)
+        controller.on_device_done(p.device_id, p.action_id, at_ms)
     else:
-        EVENT_KINDS[p.kind].handle(controller, power, p, event.at_ms)
+        spec = EVENT_KINDS[p.kind]
+        trace(event_line, at_ms, seq, p.kind, spec.fields, spec.values(p))
+        spec.handle(controller, power, p, at_ms)
 
 
 def _advance(power: PowerSystem, relays: RelayBank, dt_ms: int) -> None:
@@ -371,7 +380,8 @@ class GarageSession:
 
     The session owns its parts as a tree. The engine's hooks hold the parts
     they drive (controller, power system, relay bank), never the session; the
-    controller adds its trace records straight to the engine's ``Trace``;
+    handler adds each event's dispatch record and the controller its own
+    records straight to the engine's ``Trace``;
     and the fleet reaches the engine through a weak proxy. So a dropped
     session is freed by reference counting, without the cyclic collector. The
     fleet cannot start a motion once its session is gone.
@@ -400,7 +410,7 @@ class GarageSession:
         self.controller = GarageController(
             self.garage, self.fleet, self.gateway, trace=self.sim.trace.add
         )
-        self.sim.handler = partial(_handle, self.controller, self.power)
+        self.sim.handler = partial(_handle, self.controller, self.power, self.sim.trace.add)
         self.sim.advance = partial(_advance, self.power, self.fleet.relays)
         self.sim.check = partial(check_invariants, self.controller) if check else None
 

@@ -14,7 +14,7 @@ import re
 from collections import namedtuple
 
 from .engine import PackedList
-from .model import AutoparkError, MS_PER_SECOND, ParkingTicket, billed_minutes
+from .model import AutoparkError, MS_PER_SECOND, ParkingTicket, billed_minutes, validated_make
 
 CTRL_Z = "\x1a"
 MAX_BODY_CHARS = 160
@@ -46,6 +46,8 @@ class SmsMessage(namedtuple("SmsMessage", "number body at_ms")):
         if len(body) > MAX_BODY_CHARS:
             raise BodyTooLongError(f"{len(body)} chars exceeds {MAX_BODY_CHARS}")
         return tuple.__new__(cls, (number, body, at_ms))
+
+    _make = classmethod(validated_make)
 
 
 def _printable(line: str) -> str:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from autopark.engine import (
     Arrival,
+    DeviceDone,
     FaultCleared,
     IrradianceChange,
     PackedList,
@@ -95,24 +96,15 @@ def test_check_hook_runs_after_each_dispatch():
     assert calls == [10, 20]
 
 
-def test_trace_lines_are_exact():
+def test_the_engine_adds_no_trace_record():
+    # Dispatch records are the handler's to write (a session writes them).
     sim = Simulation()
-    vehicle = Vehicle("v1", 4200, "+97455512345")
-    sim.schedule(5000, Arrival(vehicle))
+    sim.schedule(5000, Arrival(Vehicle("v1", 4200, "+97455512345")))
     sim.schedule(6000, IrradianceChange(250.0))
+    sim.schedule(6000, DeviceDone("belt:slot:0", 1))
     sim.run_until_idle()
-    assert list(sim.trace) == [
-        "t=5000 seq=0 kind=arrival detail=vehicle=v1 length_mm=4200 phone=+97455512345",
-        "t=6000 seq=1 kind=irradiance detail=w_per_m2=250",
-    ]
-
-
-def test_note_interleaves_with_dispatch_lines():
-    sim = Simulation()
-    sim.handler = lambda e: sim.trace.add(resumed_line, e.at_ms)
-    sim.schedule(1, FaultCleared())
-    sim.run_until_idle()
-    assert list(sim.trace) == ["t=1 seq=0 kind=fault_cleared detail=-", "t=1 mode=Normal"]
+    assert len(sim.trace) == 0
+    assert list(sim.trace) == []
 
 
 @pytest.mark.parametrize("chunk", [PackedList.CHUNK, 2], ids=["open", "packed"])
@@ -175,13 +167,8 @@ class Unordered:
     """A payload that defines no ordering, so comparing two raises TypeError.
     Each dispatch schedules one follow-up per delay in ``followups``."""
 
-    kind = "unordered"
-
     def __init__(self, followups: tuple[int, ...] = ()):
         self.followups = followups
-
-    def detail(self) -> str:
-        return "-"
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import autopark
+from autopark.devices import BeltId
 from autopark.engine import (
     Arrival,
     BeltFault,
@@ -73,6 +74,28 @@ def test_sms_message_validates_on_construction():
         SmsMessage("+97455512345", "x" * (MAX_BODY_CHARS + 1), 0)
     with pytest.raises(BodyTooLongError):
         SmsMessage(number="+97455512345", body="x" * (MAX_BODY_CHARS + 1), at_ms=0)
+
+
+@pytest.mark.parametrize(
+    "record, bad, error",
+    [
+        (CAR, {"length_mm": 0}, ValueError),
+        (BeltId("entrance"), {"kind": "nope"}, ValueError),
+        (
+            SmsMessage("+97455512345", "hi", 0),
+            {"body": "x" * (MAX_BODY_CHARS + 1)},
+            BodyTooLongError,
+        ),
+    ],
+    ids=["Vehicle", "BeltId", "SmsMessage"],
+)
+def test_replace_and_make_validate_like_construction(record, bad, error):
+    cls = type(record)
+    assert cls._make(record) == record and type(cls._make(record)) is cls
+    with pytest.raises(error):
+        record._replace(**bad)
+    with pytest.raises(error):
+        cls._make((record._asdict() | bad).values())
 
 
 def test_slot_addresses_order_by_floor_then_slot():

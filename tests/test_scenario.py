@@ -2,6 +2,7 @@
 
 import gc
 import pickle  # noqa: F401  (see test_a_dropped_session_is_freed_without_the_collector)
+import re
 import string
 import weakref
 from decimal import Decimal
@@ -11,11 +12,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autopark.devices import BeltId, belt_roster
-from autopark.model import AutoparkError, GarageConfig, InvalidConfigError, TicketPhase
+from autopark.model import (
+    AutoparkError,
+    GarageConfig,
+    InvalidConfigError,
+    TicketPhase,
+    Vehicle,
+)
 from autopark.scenario import (
     EVENT_KINDS,
     GarageSession,
     Scenario,
+    ScenarioEvent,
     ScenarioParseError,
     SimSettings,
     UnsortedEventsError,
@@ -26,7 +34,16 @@ from autopark.scenario import (
     render_scenario,
     run_scenario,
 )
-from autopark.engine import InboundSms, PackedList, bill_line, halted_line
+from autopark.engine import (
+    Arrival,
+    BeltFault,
+    FaultCleared,
+    InboundSms,
+    IrradianceChange,
+    PackedList,
+    bill_line,
+    halted_line,
+)
 
 from test_golden_digests import paid_day
 
@@ -323,6 +340,57 @@ def test_trace_is_nonempty_and_ordered():
     assert dispatches
     times = [int(line.split()[0].removeprefix("t=")) for line in dispatches]
     assert times == sorted(times)
+
+
+def test_dispatch_lines_are_exact():
+    session = GarageSession()
+    session.schedule(ScenarioEvent(5000, Arrival(Vehicle("v1", 4200, "+97455512345"))))
+    session.schedule(ScenarioEvent(6000, IrradianceChange(250.0)))
+    session.run_until(6000)
+    assert list(session.sim.trace) == [
+        "t=5000 seq=0 kind=arrival detail=vehicle=v1 length_mm=4200 phone=+97455512345",
+        "ticket=1 phase=AwaitingEntry->Parking t=5000",
+        "t=5000 act=request device=gate:entrance ticket=1",
+        "t=5000 timer=start ticket=1",
+        "t=5000 sms=out kind=welcome number=+97455512345 ref=1",
+        "t=5000 act=start device=gate:entrance action=1 op=open ticket=1",
+        "t=6000 seq=1 kind=irradiance detail=w_per_m2=250.0",
+    ]
+
+
+def test_records_of_the_handling_follow_their_dispatch_line():
+    session = GarageSession()
+    session.schedule(ScenarioEvent(1, BeltFault("entrance")))
+    session.schedule(ScenarioEvent(2, FaultCleared()))
+    session.run_until_idle()
+    assert list(session.sim.trace) == [
+        "t=1 seq=0 kind=fault detail=belt=entrance",
+        "t=1 mode=Halted reason=belt:entrance",
+        "t=2 seq=1 kind=fault_cleared detail=-",
+        "t=2 mode=Normal",
+    ]
+
+
+def test_irradiance_traces_every_digit_of_its_scenario_value():
+    result = run_scenario(parse_scenario("t=1 kind=irradiance w_per_m2=123.4567\n"))
+    assert list(result.trace) == ["t=1000 seq=0 kind=irradiance detail=w_per_m2=123.4567"]
+
+
+def test_dispatch_detail_is_the_tail_of_the_scenario_line():
+    """Each input event's dispatch line shows its ``kind=`` and, as
+    ``detail=``, the pairs its scenario line writes (``-`` for none)."""
+    for seed in range(50):
+        scenario = random_scenario(seed, 18)
+        # The input events are scheduled first and in order, so seq i is event i.
+        tails = {}
+        for line in run_scenario(scenario).trace:
+            match = re.fullmatch(r"t=\d+ seq=(\d+) (kind=.*)", line)
+            if match and int(match[1]) < len(scenario.events):
+                tails[int(match[1])] = match[2]
+        assert len(tails) == len(scenario.events), seed
+        for seq, event in enumerate(scenario.events):
+            kind, _, pairs = render_event(event).split(" ", 1)[1].partition(" ")
+            assert tails[seq] == f"{kind} detail={pairs or '-'}", (seed, seq)
 
 
 def test_random_scenarios_run_clean_with_invariants():
