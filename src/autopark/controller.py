@@ -2,14 +2,18 @@
 
 Arrivals, retrieval requests, payments, and device completions all funnel
 through here. Each accepted vehicle gets a step program (a fixed sequence of
-gate, belt, and platform motions); programs compete for three scarce things:
-the entrance/exit bays, the single platform, and the two-motor relay budget.
-Each step is one record holding everything about its motion: the device it
-drives and names in the trace, the belts its car moves between, the lock it
-runs under and whether it is the last step under that lock; the controller
-starts it on the fleet directly. Contention is resolved by a FIFO wait
-queue. A belt fault halts the issuing of new motions garage-wide until the
-fault is cleared; motions already in flight run to completion.
+gate, belt, and platform motions); programs compete for the long-held
+resources (the entrance and exit bays, the single platform, and the
+entrance and exit belts a car sits on) and for the two-motor relay budget.
+One table, ``GarageController.claims``, records who holds each long-held
+resource: a ticket id, or ``"homing"`` for the homing program. A claim
+belongs to the ticket, so one can pass from a ticket's retrieval to its
+exit. Each step is one record holding everything about its motion: the
+device it drives and names in the trace, the claims its ticket must hold
+and those it frees when it ends; the controller starts it on the fleet
+directly. Contention is resolved by a FIFO wait queue. A belt fault halts
+the issuing of new motions garage-wide until the fault is cleared; motions
+already in flight run to completion.
 
 Billing charges every started minute between the entrance acceptance and the
 retrieval request, both captured on the millisecond clock.
@@ -103,25 +107,23 @@ NORMAL, HALTED = ControllerMode  # module constants, as in model.py
 
 
 class Step(NamedTuple):
-    """One motion in a program: the device it drives, the belts its car moves
-    between, and the long-held lock it runs under."""
+    """One motion in a program: the device it drives and the long-held
+    resources its ticket holds while it runs."""
 
     kind: StepKind
     gate: str | None = None
     belt: BeltId | None = None
     target: int | None = None  # floor or slot index
-    car_onto: BeltId | None = None  # the car moves onto this idle, empty belt at start
-    car_rides: bool = False  # the car must already sit on the belt this step runs
-    car_off: BeltId | None = None  # the car has left this belt when the step ends
-    lock: str | None = None  # entrance | exit | platform, held during this step
-    releases: bool = False  # the last step under its lock: frees it when it ends
+    claims: tuple[str | BeltId, ...] = ()  # what the ticket must hold, taken in order
+    frees: tuple[str | BeltId, ...] = ()  # the claims released when the step ends
     device: str = ""  # the device named in the trace
 
 
-def _plan(*steps: Step) -> tuple[Step, ...]:
-    """The steps with the device each drives named and the last step under
-    each lock marked as releasing it."""
-    last = {step.lock: i for i, step in enumerate(steps)}
+def _plan(*steps: Step, kept: tuple[BeltId, ...] = ()) -> tuple[Step, ...]:
+    """The steps with the device each drives named and each claim freed by
+    the last step that lists it, except the ``kept`` claims, which pass to
+    the ticket's next program."""
+    last = {claim: i for i, step in enumerate(steps) for claim in step.claims}
     planned = []
     for i, step in enumerate(steps):
         if step.gate:
@@ -130,33 +132,33 @@ def _plan(*steps: Step) -> tuple[Step, ...]:
             device = device_name("belt", step.belt)
         else:
             device = ELEVATOR_MOTOR if step.kind is ELEVATE else ROTATOR
-        releases = step.lock is not None and last[step.lock] == i
-        planned.append(step._replace(device=device, releases=releases))
+        frees = tuple(c for c in step.claims if last[c] == i and c not in kept)
+        planned.append(step._replace(device=device, frees=frees))
     return tuple(planned)
 
 
 class Program:
     """A ticket's progress through its steps.
 
-    Programs compare and hash by identity: the wait queue and the lock owners
-    track the program object, not its current field values. Programs for one
-    slot share one step tuple; each keeps its own ``idx``.
+    Programs compare and hash by identity: the wait queue tracks the program
+    object, not its current field values. Its claims are held in the name of
+    its ``holder``, the ticket id or ``"homing"``. Programs for one slot
+    share one step tuple; each keeps its own ``idx``.
     """
 
-    __slots__ = ("label", "steps", "ticket_id", "vehicle_id", "idx", "ticket_label", "__weakref__")
+    __slots__ = ("label", "steps", "ticket_id", "holder", "idx", "ticket_label", "__weakref__")
 
     def __init__(
         self,
         label: str,  # parking | retrieval | exit | homing
         steps: tuple[Step, ...],
         ticket_id: int | None = None,
-        vehicle_id: str | None = None,
         idx: int = 0,
     ):
         self.label = label
         self.steps = steps
         self.ticket_id = ticket_id
-        self.vehicle_id = vehicle_id
+        self.holder = "homing" if ticket_id is None else ticket_id
         self.idx = idx
         self.ticket_label = "-" if ticket_id is None else str(ticket_id)
 
@@ -195,38 +197,40 @@ def compute_bill(entry_ms: int, exit_ms: int, rate_per_minute: Decimal) -> Decim
 @cache
 def _parking_plan(slot: SlotAddress) -> tuple[Step, ...]:
     return _plan(
-        Step(OPEN_GATE, gate="entrance", lock="entrance"),
-        Step(CONVEY, belt=ENTRANCE_BELT, car_onto=ENTRANCE_BELT, lock="entrance"),
-        Step(CLOSE_GATE, gate="entrance", lock="entrance"),
-        Step(LOAD_PLATFORM, belt=PLATFORM_BELT, car_off=ENTRANCE_BELT, lock="platform"),
-        Step(ELEVATE, target=slot.floor, lock="platform"),
-        Step(ROTATE, target=slot.slot, lock="platform"),
-        Step(TRANSFER_TO_SLOT, belt=BeltId("slot", slot.slot), lock="platform"),
+        Step(OPEN_GATE, gate="entrance", claims=("entrance",)),
+        Step(CONVEY, belt=ENTRANCE_BELT, claims=("entrance", ENTRANCE_BELT)),
+        Step(CLOSE_GATE, gate="entrance", claims=("entrance",)),
+        Step(LOAD_PLATFORM, belt=PLATFORM_BELT, claims=("platform", ENTRANCE_BELT)),
+        Step(ELEVATE, target=slot.floor, claims=("platform",)),
+        Step(ROTATE, target=slot.slot, claims=("platform",)),
+        Step(TRANSFER_TO_SLOT, belt=BeltId("slot", slot.slot), claims=("platform",)),
     )
 
 
 @cache
 def _retrieval_plan(slot: SlotAddress) -> tuple[Step, ...]:
+    # The car stays on the exit belt until it leaves: the exit program frees it.
     return _plan(
-        Step(ELEVATE, target=slot.floor, lock="platform"),
-        Step(ROTATE, target=slot.slot, lock="platform"),
-        Step(TRANSFER_FROM_SLOT, belt=BeltId("slot", slot.slot), lock="platform"),
-        Step(ELEVATE, target=0, lock="platform"),
-        Step(ROTATE, target=0, lock="platform"),
-        Step(LOAD_PLATFORM, belt=PLATFORM_BELT, car_onto=EXIT_BELT, lock="platform"),
-        Step(CONVEY, belt=EXIT_BELT, car_rides=True),
+        Step(ELEVATE, target=slot.floor, claims=("platform",)),
+        Step(ROTATE, target=slot.slot, claims=("platform",)),
+        Step(TRANSFER_FROM_SLOT, belt=BeltId("slot", slot.slot), claims=("platform",)),
+        Step(ELEVATE, target=0, claims=("platform",)),
+        Step(ROTATE, target=0, claims=("platform",)),
+        Step(LOAD_PLATFORM, belt=PLATFORM_BELT, claims=("platform", EXIT_BELT)),
+        Step(CONVEY, belt=EXIT_BELT, claims=(EXIT_BELT,)),
+        kept=(EXIT_BELT,),
     )
 
 
 EXIT_PLAN = _plan(
-    Step(OPEN_GATE, gate="exit", lock="exit"),
-    Step(CONVEY, belt=EXIT_BELT, car_rides=True, car_off=EXIT_BELT, lock="exit"),
-    Step(CLOSE_GATE, gate="exit", lock="exit"),
+    Step(OPEN_GATE, gate="exit", claims=("exit",)),
+    Step(CONVEY, belt=EXIT_BELT, claims=("exit", EXIT_BELT)),
+    Step(CLOSE_GATE, gate="exit", claims=("exit",)),
 )
 
 HOMING_PLAN = _plan(
-    Step(ELEVATE, target=0, lock="platform"),
-    Step(ROTATE, target=0, lock="platform"),
+    Step(ELEVATE, target=0, claims=("platform",)),
+    Step(ROTATE, target=0, claims=("platform",)),
 )
 
 
@@ -253,9 +257,9 @@ class GarageController:
         self.arrivals: list[ArrivalRecord] = []
         self._trace = trace if trace is not None else lambda *record: None
         self._wait_q: dict[Program, None] = {}  # insertion-ordered: request order
-        locks = ("entrance", "exit", "platform")
-        self._lock_owner: dict[str, Program | None] = dict.fromkeys(locks)
-        self._homing: Program | None = None
+        # Each held resource ("entrance", "exit", "platform", ENTRANCE_BELT,
+        # EXIT_BELT) and its holder: a ticket id or "homing".
+        self.claims: dict[str | BeltId, int | str] = {}
 
     # -- event entry points ------------------------------------------------
 
@@ -279,7 +283,7 @@ class GarageController:
         ticket = self.garage.issue_ticket(vehicle, slot, now_ms)
         self.arrivals.append(ArrivalRecord(now_ms, vehicle, True, ticket.ticket_id, None))
         self._set_phase(ticket, PARKING, now_ms)
-        program = Program("parking", _parking_plan(slot), ticket.ticket_id, vehicle.vehicle_id)
+        program = Program("parking", _parking_plan(slot), ticket.ticket_id)
         self._request_step(program, now_ms)
         self._trace(timer_line, now_ms, "start", ticket.ticket_id)
         self._send_sms("welcome", ticket, now_ms)
@@ -319,12 +323,7 @@ class GarageController:
         ticket.exit_ms = now_ms
         self._trace(timer_line, now_ms, "stop", ticket.ticket_id)
         self._set_phase(ticket, RETRIEVING, now_ms)
-        program = Program(
-            "retrieval",
-            _retrieval_plan(ticket.slot),
-            ticket.ticket_id,
-            ticket.vehicle.vehicle_id,
-        )
+        program = Program("retrieval", _retrieval_plan(ticket.slot), ticket.ticket_id)
         self._request_step(program, now_ms)
         self._pump(now_ms)
 
@@ -338,7 +337,7 @@ class GarageController:
             self._trace(reject_ticket_line, now_ms, "WrongPhase", ticket_id)
             return
         self._set_phase(ticket, CLOSED, now_ms)
-        program = Program("exit", EXIT_PLAN, ticket_id, ticket.vehicle.vehicle_id)
+        program = Program("exit", EXIT_PLAN, ticket_id)
         self._request_step(program, now_ms)
         self._pump(now_ms)
 
@@ -366,16 +365,14 @@ class GarageController:
         except KeyError:
             raise UnknownActionError(f"no program owns action {action_id} ({device_id})") from None
         step = program.steps[program.idx]
-        if step.car_off is not None:
-            self.fleet.belts[step.car_off].occupant = None
+        for claim in step.frees:
+            del self.claims[claim]
         if step.kind is TRANSFER_TO_SLOT:
             ticket = self.garage.tickets[program.ticket_id]
             self.garage.slots.set_cell(ticket.slot, OCCUPIED, ticket.ticket_id)
         elif step.kind is TRANSFER_FROM_SLOT:
             ticket = self.garage.tickets[program.ticket_id]
             self.garage.slots.set_cell(ticket.slot, VACANT, None)
-        if step.releases:
-            self._lock_owner[step.lock] = None
         program.idx += 1
         if program.idx == len(program.steps):
             self._finish_program(program, now_ms)
@@ -402,20 +399,16 @@ class GarageController:
 
     def _try_launch(self, program: Program, now_ms: int) -> bool:
         step = program.steps[program.idx]
-        # Long-held locks are claimed as soon as they are free even if the
+        # Long-held claims are taken as soon as they are free even if the
         # motion itself cannot start yet; this keeps the platform and the bays
         # FIFO while motor power churns.
-        if step.lock is not None:
-            if self._lock_owner[step.lock] not in (None, program):
+        claims, holder = self.claims, program.holder
+        for claim in step.claims:
+            if claims.setdefault(claim, holder) != holder:
                 return False
-            self._lock_owner[step.lock] = program
-        if not self._car_can_move(program, step):
-            return False
         action = self._start_motion(step, program, now_ms)
         if action is None:
             return False
-        if step.car_onto is not None:
-            self.fleet.belts[step.car_onto].occupant = program.vehicle_id
         self._trace(
             start_line, now_ms, action.device_id, action.action_id, action.op, program.ticket_label
         )
@@ -447,16 +440,7 @@ class GarageController:
             return None
         return fleet.platform_rotate_to_slot(step.target, now_ms, program)
 
-    def _car_can_move(self, program: Program, step: Step) -> bool:
-        """The belt the car moves onto is idle and empty; the one it rides holds it."""
-        onto = self.fleet.belts[step.car_onto] if step.car_onto is not None else None
-        if onto is not None and (onto.busy or onto.occupant is not None):
-            return False
-        return not step.car_rides or self.fleet.belts[step.belt].occupant == program.vehicle_id
-
     def _finish_program(self, program: Program, now_ms: int) -> None:
-        if program is self._homing:
-            self._homing = None
         if program.label == "parking":
             ticket = self.garage.tickets[program.ticket_id]
             self._set_phase(ticket, PARKED, now_ms)
@@ -475,13 +459,12 @@ class GarageController:
         """Park the idle platform back at floor 0, angle 0."""
         if self.mode is HALTED:
             return
-        if self._lock_owner["platform"] is not None or self._homing is not None:
+        if "platform" in self.claims:  # in use, or already homing
             return
         platform = self.fleet.platform
         if platform.floor_pos == 0 and platform.angle_deg == 0.0:
             return
-        self._homing = Program("homing", HOMING_PLAN)
-        self._request_step(self._homing, now_ms)
+        self._request_step(Program("homing", HOMING_PLAN), now_ms)
         self._pump(now_ms)
 
     def _set_phase(self, ticket: ParkingTicket, phase: TicketPhase, now_ms: int) -> None:
@@ -512,8 +495,9 @@ def check_invariants(controller: GarageController) -> None:
     Verifies the ticket/slot bijection, each live ticket's billing clock
     (running exactly until the car is asked back), the occupied count, the relay
     budget, that each running motion drives its device and alone powers its
-    motors, belt exclusivity, and platform alignment. Closed tickets are
-    frozen and not rescanned, so a long day does not slow it down.
+    motors, that no ticket's car sits on two belts, and platform alignment.
+    Closed tickets are frozen and not rescanned, so a long day does not slow
+    it down.
 
     Per event the Python-level work is one pass over the live tickets, each
     reading its own cell (``_claimed_counts``), two C-level ``list.count``
@@ -552,9 +536,9 @@ def check_invariants(controller: GarageController) -> None:
     if busy != len(fleet.active):
         raise InvariantViolationError(f"{busy} busy devices but {len(fleet.active)} actions")
 
-    occupants = [b.occupant for b in fleet.belts.values() if b.occupant is not None]
-    if len(occupants) != len(set(occupants)):
-        raise InvariantViolationError(f"a vehicle sits on two belts: {occupants}")
+    riders = [holder for claim, holder in controller.claims.items() if type(claim) is BeltId]
+    if len(riders) != len(set(riders)):
+        raise InvariantViolationError(f"a ticket's car sits on two belts: {riders}")
 
     platform = fleet.platform
     if not 0 <= platform.floor_pos < garage.config.floors:

@@ -138,12 +138,11 @@ class Device:
 
 
 class Belt(Device):
-    __slots__ = ("belt_id", "occupant", "faulted", "device_id")
+    __slots__ = ("belt_id", "faulted", "device_id")
 
-    def __init__(self, belt_id: BeltId, occupant: str | None = None, faulted: bool = False):
+    def __init__(self, belt_id: BeltId, faulted: bool = False):
         self.action_id = None
         self.belt_id = belt_id
-        self.occupant = occupant  # vehicle currently sitting on the belt
         self.faulted = faulted
         self.device_id = device_name("belt", belt_id)
 

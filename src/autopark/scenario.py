@@ -164,7 +164,7 @@ class EventKind(NamedTuple):
 def _irradiance(field: Callable[..., object], config: GarageConfig) -> IrradianceChange:
     w = field("w_per_m2", float)
     if not 0 <= w <= 1000:
-        raise ValueError(f"w_per_m2 out of range [0, 1000]: {w:g}")
+        raise ValueError(f"w_per_m2 out of range [0, 1000]: {field('w_per_m2')}")
     return IrradianceChange(w)
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: run, check, repl, and exit codes."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -13,6 +14,7 @@ from autopark.controller import InvariantViolationError
 from autopark.model import AutoparkError
 from autopark.report import CSV_HEADER, parse_report
 from autopark.scenario import parse_scenario, run_scenario
+from test_controller import SHARED_VEHICLE_ID
 
 SCENARIO = (
     "config floors=3 slots_per_floor=6\n"
@@ -88,6 +90,24 @@ def test_run_parks_six_cars_on_a_25_slot_garage(tmp_path, capsys):
     assert cli.main(["run", str(path), "--report", "csv"]) == 0
     report = parse_report(capsys.readouterr().out, "csv")
     assert [row.status for row in report.rows] == ["Parked"] * 6
+
+
+def test_run_lets_two_cars_share_a_vehicle_id(tmp_path, capsys):
+    """The first v1 waits for payment on the exit belt while the second v1
+    rides the entrance belt; checked and unchecked runs agree."""
+    path = tmp_path / "shared.scn"
+    path.write_text(SHARED_VEHICLE_ID, encoding="utf-8")
+    digests = []
+    for flags in ([], ["--no-check"]):
+        trace_path = tmp_path / f"trace{len(digests)}.log"
+        argv = ["run", str(path), "--report", "csv", "--trace", str(trace_path), *flags]
+        assert cli.main(argv) == 0
+        report = capsys.readouterr().out
+        trace = trace_path.read_bytes()
+        digests.append([hashlib.sha256(data).hexdigest() for data in (trace, report.encode())])
+    assert digests[0] == digests[1]
+    statuses = [row.status for row in parse_report(report, "csv").rows]
+    assert statuses == ["AwaitingPayment", "Parked"]
 
 
 def test_missing_file_is_exit_1(tmp_path, capsys):

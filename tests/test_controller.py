@@ -5,7 +5,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autopark.controller import (
@@ -41,7 +41,9 @@ from autopark.model import (
     Vehicle,
     new_garage,
 )
-from autopark.scenario import GarageSession, random_scenario, run_scenario
+from autopark.report import format_report
+from autopark.scenario import GarageSession, parse_scenario, random_scenario, run_scenario
+from test_golden_digests import paid_day
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -468,6 +470,100 @@ def test_unknown_device_completion_is_an_error():
         session.controller.on_device_done("belt:entrance", 999, 0)
 
 
+# -- claims ---------------------------------------------------------------------
+
+# Two cars with one vehicle id: the first waits for payment on the exit belt
+# while the second rides the entrance belt.
+SHARED_VEHICLE_ID = (
+    "t=0 kind=arrival vehicle=v1 length_mm=4000 phone=+1111\n"
+    "t=100 kind=sms_in phone=+1111 body=back\n"
+    "t=200 kind=arrival vehicle=v1 length_mm=4000 phone=+2222\n"
+)
+
+
+def _shared_id_scenario(cars) -> str:
+    """Cars drawing their vehicle ids from a small pool, each with its own
+    phone: an arrival, maybe a retrieval text, maybe a payment after it.
+    Every car is accepted, so tickets follow the order of arrival."""
+    events = []
+    for ticket_id, (arrive_s, vehicle_id, retrieve_after_s, pay_after_s) in enumerate(
+        sorted(cars, key=lambda car: car[0]), start=1
+    ):
+        phone = f"+974555{ticket_id:05d}"
+        events.append((arrive_s, f"kind=arrival vehicle={vehicle_id} length_mm=4200 phone={phone}"))
+        if retrieve_after_s is None:
+            continue
+        events.append((arrive_s + retrieve_after_s, f"kind=sms_in phone={phone} body=out"))
+        if pay_after_s is not None:
+            pay_s = arrive_s + retrieve_after_s + pay_after_s
+            events.append((pay_s, f"kind=payment ticket={ticket_id}"))
+    events.sort(key=lambda event: event[0])
+    return "".join(f"t={t_s} {rest}\n" for t_s, rest in events)
+
+
+def _cars(pool: list[str]):
+    car = st.tuples(
+        st.integers(0, 600),
+        st.sampled_from(pool),
+        st.one_of(st.none(), st.integers(30, 900)),
+        st.one_of(st.none(), st.integers(0, 600)),
+    )
+    return st.lists(car, min_size=1, max_size=8)
+
+
+shared_id_scenarios = st.integers(2, 3).flatmap(
+    lambda n: _cars([f"v{i}" for i in range(1, n + 1)])
+).map(_shared_id_scenario)
+
+
+@example(SHARED_VEHICLE_ID)
+@settings(max_examples=60, deadline=None)
+@given(shared_id_scenarios)
+def test_cars_may_share_a_vehicle_id(text):
+    """Claims belong to tickets, which are unique; a vehicle id need not be."""
+    scenario = parse_scenario(text)
+    checked = run_scenario(scenario)
+    unchecked = run_scenario(scenario, check=False)
+    assert list(checked.trace) == list(unchecked.trace)
+    for fmt in ("csv", "json-lines"):
+        assert format_report(checked.report, fmt) == format_report(unchecked.report, fmt)
+
+
+def test_every_claim_is_freed_after_a_paid_day():
+    session = run_scenario(paid_day("floors=3 slots_per_floor=6", 12)).session
+    assert all(t.phase is TicketPhase.CLOSED for t in session.garage.tickets.values())
+    assert session.controller.claims == {}
+
+
+def test_an_unpaid_car_keeps_its_exit_belt_claim_until_it_leaves():
+    """The retrieval claims the exit belt for its ticket and keeps it; the
+    exit program, under the same ticket, frees it once the car is through."""
+    session = GarageSession()
+    claims = session.controller.claims
+    scan = session.sim.check
+    held: list[int | None] = []
+
+    def record() -> None:
+        scan()
+        held.append(claims.get(EXIT_BELT))
+
+    session.sim.check = record
+    session.sim.schedule(0, Arrival(vehicle(1)))
+    session.sim.schedule(100_000, InboundSms(vehicle(1).phone, "out"))
+    session.run_until_idle()
+    assert session.garage.tickets[1].phase is TicketPhase.AWAITING_PAYMENT
+    assert claims == {EXIT_BELT: 1}
+    session.sim.schedule(300_000, PaymentConfirmed(1))
+    session.run_until_idle()
+    assert session.garage.tickets[1].phase is TicketPhase.CLOSED
+    assert claims == {}
+    # One unbroken hold by ticket 1, from the platform load to the exit belt's run.
+    first = held.index(1)
+    last = len(held) - held[::-1].index(1)
+    assert set(held[first:last]) == {1}
+    assert set(held[:first]) | set(held[last:]) == {None}
+
+
 # -- plans ---------------------------------------------------------------------
 # The frozen step record, the four step-list builders and the per-program lock
 # scan that the cached plans replaced, kept as the reference they must match.
@@ -538,30 +634,51 @@ def oracle_lock_scan(steps: list[OracleStep]) -> tuple[str | None, int, int]:
     )
 
 
-# The oracle's motion fields, which a step keeps as they were; its bay name and
-# platform flag became the step's one lock, and the lock scan's last indices
-# its ``releases`` flag.
-MOTION_FIELDS = [f for f in dataclasses.fields(OracleStep) if f.name not in ("bay", "platform")]
+# The oracle's motion fields, which a step keeps as they were. Its bay name,
+# platform flag and car fields became the step's claims, and the lock scan's
+# last indices and ``car_off`` its frees.
+CLAIM_FIELDS = ("car_onto", "car_rides", "car_off", "bay", "platform")
+MOTION_FIELDS = [f for f in dataclasses.fields(OracleStep) if f.name not in CLAIM_FIELDS]
+
+
+def oracle_claims(steps: list[OracleStep]) -> list[tuple[tuple, tuple]]:
+    """Each step's (claims, frees). The step claims its bay or the platform,
+    the belt its car moves onto, the belt it rides and the belt it leaves;
+    it frees the belt its car leaves, and its lock if it is the last step
+    under it. So the retrieval's exit belt, which no retrieval step leaves,
+    is kept for the exit program."""
+    _, bay_last, platform_last = oracle_lock_scan(steps)
+    expected = []
+    for i, step in enumerate(steps):
+        lock = step.bay or ("platform" if step.platform else None)
+        rides = step.belt if step.car_rides else None
+        named = (lock, step.car_onto, rides, step.car_off)
+        claims = tuple(dict.fromkeys(claim for claim in named if claim is not None))
+        frees = tuple(
+            claim
+            for claim in claims
+            if claim == step.car_off or (claim == lock and i in (bay_last, platform_last))
+        )
+        expected.append((claims, frees))
+    return expected
 
 
 def assert_plan_matches(steps, expected: list[OracleStep]) -> None:
     assert len(steps) == len(expected)
-    _, bay_last, platform_last = oracle_lock_scan(expected)
-    for i, (step, want) in enumerate(zip(steps, expected)):
+    for step, want, (claims, frees) in zip(steps, expected, oracle_claims(expected)):
         assert type(step) is Step
         for f in MOTION_FIELDS:
             got, wanted = getattr(step, f.name), getattr(want, f.name)
             assert got == wanted and type(got) is type(wanted), (f.name, step, want)
-        assert step.lock == (want.bay or ("platform" if want.platform else None)), (step, want)
-        assert step.releases == (i in (bay_last, platform_last)), (i, step)
+        assert (step.claims, step.frees) == (claims, frees), (step, want)
 
 
 def test_step_keeps_its_field_names_order_and_defaults():
-    assert Step._fields == (*(f.name for f in MOTION_FIELDS), "lock", "releases", "device")
+    assert Step._fields == (*(f.name for f in MOTION_FIELDS), "claims", "frees", "device")
     assert Step._field_defaults == {
         **{f.name: f.default for f in MOTION_FIELDS if f.default is not dataclasses.MISSING},
-        "lock": None,
-        "releases": False,
+        "claims": (),
+        "frees": (),
         "device": "",
     }
 
@@ -595,8 +712,8 @@ def test_step_device_is_the_device_the_fleet_starts(floors, slots_per_floor):
 
 
 def test_programs_for_one_slot_share_the_plan_but_not_their_place():
-    first = Program("retrieval", _retrieval_plan(SlotAddress(1, 4)), 1, "v1")
-    second = Program("retrieval", _retrieval_plan(SlotAddress(1, 4)), 2, "v2")
+    first = Program("retrieval", _retrieval_plan(SlotAddress(1, 4)), 1)
+    second = Program("retrieval", _retrieval_plan(SlotAddress(1, 4)), 2)
     assert first.steps is second.steps
     assert (first.ticket_label, second.ticket_label) == ("1", "2")
     first.idx += 3

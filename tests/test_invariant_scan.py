@@ -37,7 +37,7 @@ from autopark.controller import (
     _scan_cells,
     check_invariants,
 )
-from autopark.devices import ELEVATOR_MOTOR, ENTRANCE_BELT, EXIT_BELT, ROTATOR_MOTORS
+from autopark.devices import ELEVATOR_MOTOR, ENTRANCE_BELT, EXIT_BELT, ROTATOR_MOTORS, BeltId
 from autopark.engine import Arrival, InboundSms, PaymentConfirmed
 from autopark.model import (
     GarageConfig,
@@ -142,9 +142,9 @@ def oracle_check_invariants(controller: GarageController) -> None:
         if action.device.action_id != action_id:
             raise InvariantViolationError(f"action {action_id} does not drive its device")
 
-    occupants = [b.occupant for b in fleet.belts.values() if b.occupant is not None]
+    occupants = [h for claim, h in controller.claims.items() if isinstance(claim, BeltId)]
     if len(occupants) != len(set(occupants)):
-        raise InvariantViolationError(f"a vehicle sits on two belts: {occupants}")
+        raise InvariantViolationError(f"a ticket's car sits on two belts: {occupants}")
 
     platform = fleet.platform
     if not 0 <= platform.floor_pos < garage.config.floors:
@@ -291,7 +291,8 @@ def _move_timed_ticket_off_grid(session: GarageSession) -> None:
 
 
 def _belts_share_car(session: GarageSession) -> None:
-    session.fleet.belts[EXIT_BELT].occupant = session.fleet.belts[ENTRANCE_BELT].occupant
+    claims = session.controller.claims
+    claims[EXIT_BELT] = claims[ENTRANCE_BELT]
 
 
 def _action_takes_motors_of_other(session: GarageSession) -> None:
@@ -458,7 +459,7 @@ MUTATIONS = {
         _set_belt_action(ENTRANCE_BELT, None),
         "action 74 does not drive belt:entrance",
     ),
-    "two_belts_one_car": (_belts_share_car, "a vehicle sits on two belts: ['v7', 'v7']"),
+    "two_belts_one_car": (_belts_share_car, "a ticket's car sits on two belts: [7, 7]"),
     "platform_floor_out_of_range": (
         _set_platform(floor_pos=3),
         "platform floor 3 out of range",
@@ -618,14 +619,15 @@ def test_closed_ticket_reopened_by_direct_write_is_caught():
 
 def _motion_writes(session: GarageSession):
     """Direct writes to the motion state: the relay bank's powered set, the
-    active actions, the action a device is busy with, and belt occupants,
-    drawn from the values the busy garage already holds plus a few it must
-    not."""
+    active actions, the action a device is busy with, and the claims on the
+    belts, drawn from the values the busy garage already holds plus a few it
+    must not."""
     fleet = session.fleet
     devices = [*fleet.belts.values(), fleet.platform, *fleet.gates.values()]
     action_ids = sorted(fleet.active)
     motors = sorted({*fleet.relays.powered, ELEVATOR_MOTOR, *ROTATOR_MOTORS})
-    cars = sorted({b.occupant for b in fleet.belts.values() if b.occupant} | {"v4"})
+    claims = session.controller.claims
+    cars = sorted({h for claim, h in claims.items() if isinstance(claim, BeltId)} | {4})
 
     def power(motor, on):
         change = fleet.relays.powered.add if on else fleet.relays.powered.discard
@@ -645,7 +647,13 @@ def _motion_writes(session: GarageSession):
         return lambda: setattr(device, "action_id", action_id), ("busy", device, action_id)
 
     def ride(belt, car):
-        return lambda: setattr(belt, "occupant", car), ("ride", belt.belt_id, car)
+        def apply():
+            if car is None:
+                claims.pop(belt.belt_id, None)
+            else:
+                claims[belt.belt_id] = car
+
+        return apply, ("ride", belt.belt_id, car)
 
     motor_sets = st.lists(st.sampled_from(motors), max_size=3).map(tuple)
     ids, belts = st.sampled_from(action_ids), list(fleet.belts.values())

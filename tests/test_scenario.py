@@ -144,6 +144,9 @@ def test_config_after_events_rejected():
         ("t=inf kind=fault_cleared", "t must be >= 0"),
         ("t=-inf kind=fault_cleared", "t must be >= 0"),
         ("t=0 kind=irradiance w_per_m2=nan", "out of range"),
+        # The refused value as written: %g would name 1000, inside the range.
+        ("t=0 kind=irradiance w_per_m2=1000.0000001", r"\[0, 1000\]: 1000\.0000001$"),
+        ("t=0 kind=irradiance w_per_m2=-0.0000001", r"\[0, 1000\]: -0\.0000001$"),
         ("t=1e306 kind=fault_cleared", "line 7: 1e\\+306 s does not fit the millisecond clock"),
         (f"t=0 kind=sms_in phone=+1 body={'x' * 161}", "line 7: body of 161 chars exceeds 160"),
         ("t=1_000 kind=fault_cleared", "bad value for t: '1_000'"),
