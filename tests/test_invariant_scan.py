@@ -2,16 +2,18 @@
 
 ``oracle_check_invariants`` is the earlier scan, kept as the reference: a
 pass over every cell built as ``SlotAddress`` objects and three passes over
-every ticket ever issued. It is copied unchanged except for five things.
+every ticket ever issued. It is copied unchanged except for six things.
 ``not ticket.is_active``, since deleted from ``ParkingTicket``, is spelled out
 as ``ticket.phase is TicketPhase.CLOSED``. The per-cell timer grid it
 compared, since deleted, is replaced by the clock it mirrored: each ticket's
 ``exit_ms`` is None exactly while the ticket is AwaitingEntry, Parking or
 Parked, and a vacant cell names no ticket. It reads the running motions from
 ``fleet.active`` and the powered motors as a set, the one record of each that
-is left. And it checks by brute force what the scan now checks by counts:
-every busy device is busy with the active action that drives it, and every
-active action is the one its device is busy with. Its alignment test, like
+is left. It reads who sits on each belt from the controller's claim table,
+which holds ticket ids where the belts held vehicle ids, so its message
+names a ticket's car. And it checks by brute force what the scan now
+checks by counts: every busy device is busy with the active action that
+drives it, and every active action is the one its device is busy with. Its alignment test, like
 the scan's, takes the platform's distance to the nearest multiple of the
 slot pitch: a remainder ``angle % pitch`` just under the pitch, as for slot 5
 of 25 (72.0 % 14.4), flagged a valid garage. The current scan must
