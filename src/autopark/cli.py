@@ -156,12 +156,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     max_motors = 0
     for offset in range(args.count):
         seed = base + offset
-        scenario = random_scenario(seed)
         try:
+            scenario = random_scenario(seed)  # its dry run is a checked run too
             result = run_scenario(scenario)
         except InvariantViolationError as exc:
             print(f"seed {seed}: invariant violation: {exc}", file=sys.stderr)
             return 2
+        except AutoparkError as exc:
+            print(f"seed {seed}: error: {exc}", file=sys.stderr)
+            return 1
         agg = result.report.aggregates
         if agg.max_concurrent_motors > 2:
             print(

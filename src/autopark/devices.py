@@ -10,6 +10,7 @@ time. Devices hold no policy: sequencing and queueing live in the controller.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .model import AutoparkError, GarageConfig, ms_from_s, validated_make
@@ -186,6 +187,21 @@ class Action(NamedTuple):
     owner: object = None
 
 
+# An action's op text is built once per distinct text, so every action and
+# trace record of one lift or turn holds the same string, which a packed
+# trace chunk then stores once.
+
+
+@cache
+def _lift_op(floor: int, travel: int) -> str:
+    return f"lift floor={floor} travel={travel}"
+
+
+@cache
+def _rotate_op(slot: int, direction: str, faces: float) -> str:
+    return f"rotate slot={slot} dir={direction} faces={faces:g}"
+
+
 MOTOR_LOAD_W = 10.0  # what every powered motor draws
 ELEVATOR_MOTOR = "elevator"
 ROTATOR = "rotator"
@@ -277,7 +293,7 @@ class DeviceFleet:
         return self._start(
             self.platform,
             ELEVATOR_MOTOR,
-            f"lift floor={target_floor} travel={travel}",
+            _lift_op(target_floor, travel),
             now_ms,
             duration_ms,
             (ELEVATOR_MOTOR,),
@@ -307,7 +323,7 @@ class DeviceFleet:
         return self._start(
             self.platform,
             ROTATOR,
-            f"rotate slot={slot_index} dir={direction} faces={faces:g}",
+            _rotate_op(slot_index, direction, faces),
             now_ms,
             duration_ms,
             ROTATOR_MOTORS,

@@ -11,13 +11,15 @@ anywhere.
 The trace is held as records, not lines: each record is the function that
 renders its line followed by the values it renders, and a line is built only
 when it is read. Every renderer lives in this module, one per line shape.
-A ``PackedList`` holds the records, each finished chunk of them pickled. The
-engine itself adds no record: its handler writes each dispatch record.
+A ``PackedList`` holds the records, each finished chunk of them pickled as
+one flat list of values. The engine itself adds no record: its handler writes
+each dispatch record.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from decimal import Decimal
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -192,37 +194,37 @@ def sms_out_line(t_ms: int, kind: str, number: str, ref: int) -> str:
 
 
 class PackedList:
-    """A growing list held mostly as pickled bytes.
+    """A growing list held mostly as packed bytes.
 
-    New items go into an open list. When it holds ``CHUNK`` items it is
-    pickled into one bytes object and dropped, so a finished stretch of items
-    costs its pickle (a small int or a repeated str takes a few bytes) rather
-    than a list slot and an object each. Every chunk but the open one holds
-    exactly ``CHUNK`` items, so an index finds its chunk by division.
+    New items go into an open list. When it holds ``CHUNK`` items the
+    ``dump`` hook packs it into one bytes object and it is dropped, so a
+    finished stretch of items costs its packed bytes rather than a list slot
+    and an object each; ``load`` turns those bytes back into the items. Every
+    chunk but the open one holds exactly ``CHUNK`` items, so an index finds
+    its chunk by division.
 
     Reading works like a list's: ``len``, iteration, an index (negative ones
-    too), ``in``, and a slice, which returns a list. Iteration unpickles one
-    chunk at a time; an index keeps the one chunk it last unpickled. Only
-    bytes that this object pickled in this process are ever unpickled.
+    too), ``in``, and a slice, which returns a list. Iteration unpacks one
+    chunk at a time; an index keeps the one chunk it last unpacked. Only
+    bytes that this object packed in this process are ever unpacked.
     """
 
-    __slots__ = ("_chunks", "_open", "_unpickled")
+    __slots__ = ("_chunks", "_open", "_unpacked", "_dump", "_load")
 
-    CHUNK = 1024  # items per pickled chunk
+    CHUNK = 1024  # items per packed chunk
 
-    def __init__(self) -> None:
+    def __init__(self, dump: Callable[[list], bytes], load: Callable[[bytes], list]) -> None:
         self._chunks: list[bytes] = []
         self._open: list = []
-        self._unpickled: tuple[int, list] = (-1, [])  # the last chunk an index unpickled
+        self._unpacked: tuple[int, list] = (-1, [])  # the last chunk an index unpacked
+        self._dump = dump
+        self._load = load
 
     def append(self, item) -> None:
         items = self._open
         items.append(item)
         if len(items) >= self.CHUNK:
-            # Imported here: a history shorter than one chunk never loads pickle.
-            import pickle
-
-            self._chunks.append(pickle.dumps(items, pickle.HIGHEST_PROTOCOL))
+            self._chunks.append(self._dump(items))
             self._open = []
 
     def __len__(self) -> int:
@@ -231,11 +233,9 @@ class PackedList:
     def _chunk(self, k: int) -> list:
         if k == len(self._chunks):
             return self._open
-        if self._unpickled[0] != k:
-            import pickle
-
-            self._unpickled = (k, pickle.loads(self._chunks[k]))
-        return self._unpickled[1]
+        if self._unpacked[0] != k:
+            self._unpacked = (k, self._load(self._chunks[k]))
+        return self._unpacked[1]
 
     def __getitem__(self, index: int | slice):
         count = len(self)
@@ -249,19 +249,47 @@ class PackedList:
         return self._chunk(k)[i]
 
     def __iter__(self):
-        if self._chunks:
-            import pickle
-
-            for chunk in self._chunks:
-                yield from pickle.loads(chunk)
+        load = self._load
+        for chunk in self._chunks:
+            yield from load(chunk)
         yield from self._open
+
+
+# The pickle imports sit in the hooks: a history shorter than one chunk never
+# loads pickle.
+
+
+def _dump_records(records: list[tuple]) -> bytes:
+    """A chunk of trace records pickled as one flat list of values: each
+    renderer, then the values it renders. With no tuple per record, the
+    pickle holds little beyond the values."""
+    import pickle
+
+    return pickle.dumps(list(chain.from_iterable(records)), pickle.HIGHEST_PROTOCOL)
+
+
+def _load_records(data: bytes) -> list[tuple]:
+    """Regroup a flat chunk into record tuples: each renderer takes as many
+    values as its argument count."""
+    import pickle
+
+    values = pickle.loads(data)
+    records = []
+    start, end = 0, len(values)
+    while start < end:
+        stop = start + 1 + values[start].__code__.co_argcount
+        records.append(tuple(values[start:stop]))
+        start = stop
+    return records
 
 
 class Trace:
     """A run's trace: its records in order, read as lines.
 
     Each record is a tuple of the renderer and the values it renders, held in
-    a ``PackedList``, so a finished record costs about 25 bytes of pickle. A
+    a ``PackedList``. A finished chunk is pickled as one flat list, each
+    renderer followed by its values, and read back into tuples by each
+    renderer's argument count, so a finished record costs about 16 bytes. A
     record is one item, so a chunk closes between records, never inside one.
     Reading renders: ``len``, iteration, an index (negative ones too), ``in``
     and a slice, which gives a list of lines, so the console's last ``n``
@@ -271,7 +299,7 @@ class Trace:
     __slots__ = ("_records",)
 
     def __init__(self) -> None:
-        self._records = PackedList()
+        self._records = PackedList(_dump_records, _load_records)
 
     def add(self, *record) -> None:
         """Append one record: a renderer, then the values it renders."""
@@ -302,7 +330,8 @@ class Simulation:
     dispatch record, and the parts add their domain records (phase changes,
     action starts, ...) after it, all through ``trace.add``. Lines are
     rendered only when the trace is read, and each finished chunk of records
-    is held pickled, so a long run's history costs about 25 bytes a record.
+    is held pickled as flat values, so a long run's history costs about 16
+    bytes a record.
 
     The simulation holds its hooks and they hold the parts they drive, never
     the simulation. A part that schedules events itself (a ``GarageSession``'s

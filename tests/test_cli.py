@@ -192,6 +192,26 @@ def test_check_small_corpus(capsys):
     assert "max_motors=2" in out
 
 
+@pytest.mark.parametrize(
+    "error,code,message",
+    [
+        (InvariantViolationError, 2, "seed 7: invariant violation: boom"),
+        (AutoparkError, 1, "seed 7: error: boom"),
+    ],
+    ids=["invariant_violation", "other_error"],
+)
+def test_check_names_the_seed_of_a_failure(capsys, monkeypatch, error, code, message):
+    """The scan also runs in the generator's dry run, before the checked run:
+    a failure there names its seed too."""
+
+    def fail(controller):
+        raise error("boom")
+
+    monkeypatch.setattr(scenario, "check_invariants", fail)
+    assert cli.main(["check", "--seed", "7", "--count", "2"]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_check_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("AUTOPARK_SEED", "31")
     assert cli.main(["check", "--count", "2"]) == 0

@@ -1,9 +1,13 @@
+import inspect
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autopark import engine
+from autopark.devices import BeltId
 from autopark.engine import (
     Arrival,
     DeviceDone,
@@ -14,7 +18,19 @@ from autopark.engine import (
     SchedulingInPastError,
     Simulation,
     Trace,
+    bill_line,
+    device_done_line,
+    duplicate_line,
+    event_line,
+    halted_line,
+    phase_line,
+    reject_phone_line,
+    reject_ticket_line,
+    reject_vehicle_line,
+    request_line,
     resumed_line,
+    sms_out_line,
+    start_line,
     timer_line,
 )
 from autopark.model import Vehicle
@@ -128,6 +144,73 @@ def test_trace_reads_like_a_list_of_lines(monkeypatch, chunk):
     for index in (6, -7):
         with pytest.raises(IndexError):
             trace[index]
+
+
+RENDERERS = [value for name, value in vars(engine).items() if name.endswith("_line")]
+
+
+def test_every_renderer_takes_a_fixed_count_of_values():
+    """A packed chunk regroups its flat values by each renderer's argument
+    count, so no renderer may take a default or ``*args``."""
+    for render in RENDERERS:
+        code = render.__code__
+        assert render.__defaults__ is None and code.co_kwonlyargcount == 0, render
+        assert not code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS), render
+
+
+times = st.integers(0, 2**40)
+ids = st.integers(0, 10**6)
+texts = st.text(max_size=6)
+belts = st.one_of(
+    st.sampled_from(["entrance", "exit", "platform"]).map(BeltId),
+    st.integers(0, 30).map(lambda face: BeltId("slot", face)),
+)
+amounts = st.decimals(allow_nan=False, allow_infinity=False, places=2)
+event_values = st.lists(st.one_of(texts, ids, st.floats(0, 1000)), max_size=3).map(tuple)
+
+# The values after the time that each renderer takes, each of the type a run
+# records there; an input event's field names and values may both be empty.
+VALUES = {
+    event_line: (ids, texts, st.lists(texts, max_size=3).map(tuple), event_values),
+    device_done_line: (ids, texts, ids),
+    request_line: (texts, texts),
+    start_line: (texts, ids, texts, texts),
+    phase_line: (ids, texts, texts),
+    timer_line: (texts, ids),
+    reject_vehicle_line: (texts, texts),
+    reject_phone_line: (texts, texts),
+    reject_ticket_line: (texts, ids),
+    duplicate_line: (ids,),
+    halted_line: (belts,),
+    resumed_line: (),
+    bill_line: (ids, ids, amounts),
+    sms_out_line: (texts, texts, ids),
+}
+records = st.one_of([st.tuples(st.just(render), times, *values) for render, values in VALUES.items()])
+
+
+def test_the_record_strategies_cover_every_renderer():
+    assert set(VALUES) == set(RENDERERS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunk=st.sampled_from([1, 2, 3, 7]), added=st.lists(records, max_size=40))
+def test_packed_records_read_back_record_for_record(chunk, added):
+    """Records packed as flat values come back as the same tuples, each value
+    of its own type (a ``Decimal`` stays one, a ``BeltId`` too), and render
+    the same lines, read by iteration, index and slice."""
+    lines = [record[0](*record[1:]) for record in added]
+    with mock.patch.object(PackedList, "CHUNK", chunk):
+        trace = Trace()
+        for record in added:
+            trace.add(*record)
+        read = list(trace._records)
+        assert read == added
+        assert [tuple(map(type, r)) for r in read] == [tuple(map(type, r)) for r in added]
+        assert [trace._records[i] for i in range(len(added))] == added
+        assert list(trace) == lines
+        assert [trace[i] for i in range(-len(added), 0)] == lines
+        assert trace[1::2] == lines[1::2]
 
 
 def test_runaway_schedule_is_caught():

@@ -1,16 +1,21 @@
 """Scenario text parsing, rendering, and end-to-end runs."""
 
 import gc
+import os
 import pickle  # noqa: F401  (see test_a_dropped_session_is_freed_without_the_collector)
 import re
 import string
+import subprocess
+import sys
 import weakref
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import autopark
 from autopark.devices import BeltId, belt_roster
 from autopark.model import (
     AutoparkError,
@@ -547,6 +552,44 @@ def test_a_packed_bill_and_halt_read_back_the_same(monkeypatch):
     assert type(trace._records[halt][-1]) is BeltId
     assert trace[bill] == bill_line(*records[bill][1:])
     assert trace[halt] == halted_line(*records[halt][1:])
+
+
+def _packed_bytes_per_item(packed: PackedList) -> float:
+    chunks = packed._chunks
+    assert chunks
+    return sum(map(len, chunks)) / (len(chunks) * PackedList.CHUNK)
+
+
+def test_a_long_day_packs_its_history_small():
+    """A packed trace record is a renderer's memo reference and its values,
+    with no tuple around them, and a packed log chunk is compressed: the AT
+    exchanges repeat the same few lines."""
+    session = run_scenario(paid_day("irradiance_w_per_m2=250", 120), check=False).session
+    assert _packed_bytes_per_item(session.sim.trace._records) < 19
+    assert _packed_bytes_per_item(session.gateway.log) < 6
+
+
+def test_a_short_run_loads_neither_pickle_nor_zlib():
+    """History shorter than one chunk is never packed. ``-S`` keeps ``site``
+    from importing either module on its own."""
+    src = str(Path(autopark.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "from autopark import random_scenario, run_scenario\n"
+        "from autopark.engine import PackedList\n"
+        "session = run_scenario(random_scenario(3, 18)).session\n"
+        "assert len(session.sim.trace) < PackedList.CHUNK > len(session.gateway.log)\n"
+        "print(sorted({'pickle', 'zlib'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_a_paid_cycle_leaves_no_program_behind(collector_off):
