@@ -19,8 +19,8 @@ each dispatch record.
 from __future__ import annotations
 
 import heapq
-from itertools import chain
 from decimal import Decimal
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .model import AutoparkError, Vehicle
@@ -287,9 +287,8 @@ class Trace:
     """A run's trace: its records in order, read as lines.
 
     Each record is a tuple of the renderer and the values it renders, held in
-    a ``PackedList``. A finished chunk is pickled as one flat list, each
-    renderer followed by its values, and read back into tuples by each
-    renderer's argument count, so a finished record costs about 16 bytes. A
+    a ``PackedList`` that pickles each finished chunk as flat values
+    (``_dump_records``), so a finished record costs about 16 bytes. A
     record is one item, so a chunk closes between records, never inside one.
     Reading renders: ``len``, iteration, an index (negative ones too), ``in``
     and a slice, which gives a list of lines, so the console's last ``n``
