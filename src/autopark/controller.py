@@ -63,7 +63,6 @@ from .model import (
     SlotMatrix,
     TicketPhase,
     Vehicle,
-    _divides,
     billed_minutes,
 )
 from .sms import SmsGateway, compose_message
@@ -501,9 +500,12 @@ def check_invariants(controller: GarageController) -> None:
 
     Per event the Python-level work is one pass over the live tickets, each
     reading its own cell (``_claimed_counts``), two C-level ``list.count``
-    calls per floor, and counts over the few running motions and the
-    devices. The loop over every cell (``_scan_cells``) runs only to name a
-    grid fault; it is the authority, and if it finds no fault the state stands.
+    calls per floor, and plain loops over the few running motions, the
+    devices and the claims. A passing call builds two small sets, the
+    running motors and the cars on belts, and no list, and calls no Python
+    function but ``_claimed_counts``. The loop over every cell
+    (``_scan_cells``) runs only to name a grid fault; it is the authority,
+    and if it finds no fault the state stands.
     """
     garage = controller.garage
     fleet = controller.fleet
@@ -523,29 +525,39 @@ def check_invariants(controller: GarageController) -> None:
     powered = fleet.relays.powered
     if len(powered) > fleet.relays.budget:
         raise InvariantViolationError("relay budget exceeded")
-    motors = [motor for action in fleet.active.values() for motor in action.motors]
-    if len(motors) != len(set(motors)):
+    motors, held = set(), 0  # held counts the actions' motors with repeats
+    for action in fleet.active.values():
+        motors.update(action.motors)
+        held += len(action.motors)
+    if held != len(motors):
         raise InvariantViolationError("a motor is held by two actions")
-    if powered != set(motors):
-        raise InvariantViolationError(f"powered {sorted(powered)} != active {sorted(set(motors))}")
+    if powered != motors:
+        raise InvariantViolationError(f"powered {sorted(powered)} != active {sorted(motors)}")
     for action_id, action in fleet.active.items():
         if action.device.action_id != action_id:
             raise InvariantViolationError(f"action {action_id} does not drive {action.device_id}")
     # Each action drives its own busy device, so equal counts leave no stray busy device.
-    busy = len([device for device in fleet.devices if device.action_id is not None])
+    busy = 0
+    for device in fleet.devices:
+        if device.action_id is not None:
+            busy += 1
     if busy != len(fleet.active):
         raise InvariantViolationError(f"{busy} busy devices but {len(fleet.active)} actions")
 
-    riders = [holder for claim, holder in controller.claims.items() if type(claim) is BeltId]
-    if len(riders) != len(set(riders)):
-        raise InvariantViolationError(f"a ticket's car sits on two belts: {riders}")
+    riders = set()
+    for claim, holder in controller.claims.items():
+        if type(claim) is BeltId:
+            if holder in riders:
+                cars = [h for c, h in controller.claims.items() if type(c) is BeltId]
+                raise InvariantViolationError(f"a ticket's car sits on two belts: {cars}")
+            riders.add(holder)
 
     platform = fleet.platform
     if not 0 <= platform.floor_pos < garage.config.floors:
         raise InvariantViolationError(f"platform floor {platform.floor_pos} out of range")
-    if not platform.busy:
-        pitch = garage.config.slot_angle_deg
-        if not _divides(platform.angle_deg, pitch) or not 0 <= platform.angle_deg < 360:
+    if platform.action_id is None:  # at rest: within ``_divides``'s 1e-9 of a slot face
+        faces = platform.angle_deg / (360.0 / garage.config.slots_per_floor)
+        if not abs(faces - round(faces)) <= 1e-9 or not 0 <= platform.angle_deg < 360:
             raise InvariantViolationError(f"platform angle {platform.angle_deg} misaligned")
 
 
@@ -600,11 +612,12 @@ def _claimed_counts(garage: GarageState) -> int | None:
                 return None
     except IndexError:
         return None
-    unclaimed = floors * n - reserved - occupied
-    if (
-        sum(map(list.count, held, [None] * floors)) != unclaimed
-        or sum(map(list.count, states, [VACANT] * floors)) != unclaimed
-    ):
+    unnamed = vacant = floors * n - reserved - occupied  # the unclaimed cells
+    for row in held:
+        unnamed -= row.count(None)
+    for row in states:
+        vacant -= row.count(VACANT)
+    if unnamed or vacant:
         return None
     if wrong_clock is not None:
         raise _clock_fault(wrong_clock)

@@ -11,7 +11,7 @@ import pytest
 
 from autopark import cli, scenario
 from autopark.controller import InvariantViolationError
-from autopark.model import AutoparkError
+from autopark.model import AutoparkError, SlotMatrix
 from autopark.report import CSV_HEADER, parse_report
 from autopark.scenario import parse_scenario, run_scenario
 from test_controller import SHARED_VEHICLE_ID
@@ -174,6 +174,23 @@ def test_input_out_of_bounds_is_exit_1_before_the_run(tmp_path, capsys, text, me
     path.write_text(text, encoding="utf-8")
     assert cli.main(["run", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_garage_too_large_to_hold_is_exit_1_before_its_grid(tmp_path, capsys, monkeypatch):
+    def refuse(self, floors, slots_per_floor):
+        raise AssertionError(f"built a {floors}x{slots_per_floor} grid")
+
+    monkeypatch.setattr(SlotMatrix, "__init__", refuse)
+    path = tmp_path / "huge.scn"
+    path.write_text(
+        "config floors=100000000 slots_per_floor=6\n"
+        "t=5 kind=arrival vehicle=car-1 length_mm=4200 phone=+97455512345\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: floors * slots_per_floor must be <= 100000, not 600000000\n"
+    )
 
 
 def test_invariant_violation_is_exit_2(scenario_file, capsys, monkeypatch):

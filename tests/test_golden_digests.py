@@ -18,6 +18,9 @@ range on each commit and compares the outputs, without touching the files:
 
 import argparse
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,6 +102,28 @@ def test_grid_scenario_draws_on_the_grid(name):
 
 def test_grid_scenarios_match_golden_digests():
     assert grid_digests() == GRID_GOLDEN.read_text(encoding="utf-8").splitlines()
+
+
+def test_digests_do_not_depend_on_the_hash_seed():
+    """String hashing is salted per process (``PYTHONHASHSEED``), so a set's
+    order that leaked into a trace or a report would differ between
+    processes. Two processes with different salts print the golden lines."""
+    tests = Path(__file__).parent
+    code = "import test_golden_digests as g; print(*g.corpus_digests(range(8)), sep='\\n')"
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+            timeout=120,
+            check=True,
+        ).stdout
+        for hash_seed in ("0", "777")
+    ]
+    golden = GOLDEN.read_text(encoding="utf-8").splitlines()[:8]
+    assert outputs[0] == outputs[1] == "\n".join(golden) + "\n"
 
 
 def _seed_range(text: str) -> range:

@@ -542,6 +542,57 @@ def test_corrupt_index_fails_scan(name):
     assert str(err.value) == message
 
 
+# Two corruptions at once, by name, and the message that wins. The scan
+# raises for the first check it fails, in a fixed order: the grid and the
+# billing clocks, the phone index, the occupied count, the relay budget, a
+# motor held twice, the powered motors, each action's device, the busy
+# devices, the cars on belts, the platform's floor, then its angle. Each
+# pair straddles one step of that order; the messages were recorded from
+# the scan before its loops were rewritten.
+FAULT_PAIRS = {
+    ("ticket_written_dead", "phone_missing_from_index"): "cell 0/3 held by dead ticket 404",
+    ("clock_stopped_on_parked_ticket", "phone_missing_from_index"): (
+        "ticket 4 (Parked) has exit_ms 200000"
+    ),
+    ("set_cell_dead_ticket", "clock_running_on_retrieving_ticket"): (
+        "cell 0/3 held by dead ticket 404"
+    ),
+    ("phone_missing_from_index", "cell_counts_drift"): "6 active tickets but 5 active phones",
+    ("cell_counts_drift", "relay_powers_idle_motor"): "occupied count 5 != 4 occupied cells",
+    ("relay_powers_idle_motor", "two_actions_one_motor"): "relay budget exceeded",
+    ("two_actions_one_motor", "relay_drops_running_motor"): "a motor is held by two actions",
+    ("two_actions_one_motor", "running_device_drops_its_action"): (
+        "a motor is held by two actions"
+    ),
+    ("relay_drops_running_motor", "running_device_drops_its_action"): (
+        "powered ['belt:slot:2'] != active ['belt:entrance', 'belt:slot:2']"
+    ),
+    ("running_device_drops_its_action", "idle_device_busy_with_inactive_action"): (
+        "action 74 does not drive belt:entrance"
+    ),
+    ("idle_device_busy_with_inactive_action", "two_belts_one_car"): (
+        "3 busy devices but 2 actions"
+    ),
+    ("two_belts_one_car", "platform_floor_out_of_range"): (
+        "a ticket's car sits on two belts: [7, 7]"
+    ),
+    ("platform_floor_out_of_range", "platform_angle_misaligned"): "platform floor 3 out of range",
+    ("platform_angle_misaligned", "cell_counts_drift"): "occupied count 5 != 4 occupied cells",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(FAULT_PAIRS), ids="+".join)
+def test_the_earlier_check_names_two_coexisting_faults(pair):
+    corruptions = {**MUTATIONS, **INDEX_CORRUPTIONS}
+    for names in (pair, pair[::-1]):
+        session = busy_session()
+        for name in names:
+            corruptions[name][0](session)
+        with pytest.raises(InvariantViolationError) as err:
+            check_invariants(session.controller)
+        assert str(err.value) == FAULT_PAIRS[pair]
+
+
 def _writes(session: GarageSession):
     """Direct writes to one grid cell or one live ticket's phase, slot or exit
     time, drawn from the values the busy garage already holds plus a few it

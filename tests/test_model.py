@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autopark.model import (
+    MAX_CELLS,
     GarageConfig,
     GarageState,
     InvalidConfigError,
@@ -47,6 +48,16 @@ def test_capacity_and_slot_angle():
 def test_bad_config_rejected(kwargs):
     with pytest.raises(InvalidConfigError):
         GarageConfig(**kwargs).validate()
+
+
+def test_a_garage_too_large_to_hold_is_refused():
+    """The cell count is bounded on the config alone, before any grid is built."""
+    GarageConfig(floors=MAX_CELLS // 5, slots_per_floor=5).validate()
+    for floors, slots_per_floor in ((MAX_CELLS // 5 + 1, 5), (100_000_000, 6)):
+        with pytest.raises(InvalidConfigError) as err:
+            GarageConfig(floors=floors, slots_per_floor=slots_per_floor).validate()
+        cells = floors * slots_per_floor
+        assert str(err.value) == f"floors * slots_per_floor must be <= {MAX_CELLS}, not {cells}"
 
 
 def test_gate_step_must_divide_quarter_turn():

@@ -12,7 +12,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import autopark
@@ -32,6 +32,7 @@ from autopark.scenario import (
     ScenarioParseError,
     SimSettings,
     UnsortedEventsError,
+    _format_t,
     parse_event_line,
     parse_scenario,
     random_scenario,
@@ -47,9 +48,12 @@ from autopark.engine import (
     IrradianceChange,
     PackedList,
     bill_line,
+    event_line,
+    field_pairs,
     halted_line,
 )
 
+from test_fuzz import event_line as fuzzed_event_line
 from test_golden_digests import paid_day
 
 SMALL = """
@@ -399,6 +403,72 @@ def test_dispatch_detail_is_the_tail_of_the_scenario_line():
         for seq, event in enumerate(scenario.events):
             kind, _, pairs = render_event(event).split(" ", 1)[1].partition(" ")
             assert tails[seq] == f"{kind} detail={pairs or '-'}", (seed, seq)
+
+
+def _input_events(trace, config: GarageConfig) -> tuple[ScenarioEvent, ...]:
+    """The input events a trace holds: each dispatch record written as a
+    scenario line in ``render_event``'s grammar, then parsed back."""
+    events = []
+    for record in trace._records:
+        if record[0] is event_line:
+            _, t_ms, _, kind, fields, values = record
+            line = " ".join([f"t={_format_t(t_ms)} kind={kind}", *field_pairs(fields, values)])
+            events.append(parse_event_line(line, config))
+    return tuple(events)
+
+
+def _assert_the_trace_rebuilds_its_scenario(scenario: Scenario, result) -> None:
+    events = _input_events(result.trace, scenario.config)
+    assert events == scenario.events
+    replay = run_scenario(scenario._replace(events=events))
+    assert list(replay.trace) == list(result.trace)
+
+
+@pytest.mark.parametrize("seed", range(0, 1000, 50))
+def test_a_corpus_trace_rebuilds_its_scenario(seed):
+    scenario = random_scenario(seed, 18)
+    _assert_the_trace_rebuilds_its_scenario(scenario, run_scenario(scenario))
+
+
+def _parsed(lines: list[str]) -> list[ScenarioEvent]:
+    """The lines that parse on the default garage, as events."""
+    events = []
+    for line in lines:
+        try:
+            events.append(parse_event_line(line, GarageConfig()))
+        except AutoparkError:
+            continue
+    return events
+
+
+def _canonical_lines(kind: str):
+    """Lines of one event kind as ``render_event`` writes them, each field
+    drawn from ``_FIELD_TEXT``."""
+    fields = EVENT_KINDS[kind].fields
+    return st.tuples(_T_TEXT, *[_FIELD_TEXT[key] for key in fields]).map(
+        lambda drawn: " ".join([f"t={drawn[0]}", f"kind={kind}", *field_pairs(fields, drawn[1:])])
+    )
+
+
+awkward_lines = st.one_of(
+    fuzzed_event_line, st.sampled_from(sorted(EVENT_KINDS)).flatmap(_canonical_lines)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 999), st.lists(awkward_lines, max_size=12))
+def test_a_fuzzed_trace_rebuilds_its_scenario(seed, lines):
+    """A corpus scenario with awkward event lines mixed in: the fuzz suite's
+    lines that parse, and canonical lines with any field value (bodies of
+    many words, unknown tickets, irradiance with every digit), at any time."""
+    scenario = random_scenario(seed, 18)
+    events = sorted(scenario.events + tuple(_parsed(lines)), key=lambda event: event.t_ms)
+    scenario = scenario._replace(events=tuple(events))
+    try:
+        result = run_scenario(scenario)
+    except AutoparkError:
+        return  # a run the package refuses, such as a bill too large to compute
+    _assert_the_trace_rebuilds_its_scenario(scenario, result)
 
 
 def test_random_scenarios_run_clean_with_invariants():
