@@ -8,12 +8,13 @@ so the charge current is a function of the irradiance alone: ``PowerSystem``
 works it out once per irradiance change. On every clock advance
 ``PowerSystem.advance`` integrates amp-hours at the bus voltage and updates
 the battery's charge in place; a metered grid backup covers any draw the
-battery cannot, so motors never stall for power.
+battery cannot, so motors never stall for power. A run keeps its ledger and a
+count of its ticks, not the ticks themselves, so its power costs the same
+memory however long the day.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import NamedTuple
 
 # Measured V-I anchors, ordered by voltage, current non-increasing.
@@ -89,32 +90,23 @@ class EnergyTick(NamedTuple):
 _new_tick = tuple.__new__  # builds an EnergyTick in C, not through its Python __new__
 
 
-class EnergyLog:
-    """Every tick of a run, in order: the five values of each lie flat in one
-    array of doubles, which holds each float exactly (the sign of -0.0
-    included). ``append(tick)`` is the array's own ``extend``; iteration
-    gives the ``EnergyTick``s back."""
+class TickCount:
+    """How many ticks a run has integrated, as its ``len()``; no tick is kept."""
 
-    __slots__ = ("_values", "append")
-    _WIDTH = len(EnergyTick._fields)
+    __slots__ = ("n",)
 
     def __init__(self) -> None:
-        self._values = array("d")
-        self.append = self._values.extend
+        self.n = 0
 
     def __len__(self) -> int:
-        return len(self._values) // self._WIDTH
-
-    def __iter__(self):
-        values, width = self._values, self._WIDTH
-        for start in range(0, len(values), width):
-            yield EnergyTick._make(values[start : start + width])
+        return self.n
 
 
 class PowerSystem:
     """A run's power: the battery's charge (``soc``, 0..1), the panel's
     charge current, the whole-run ledger (``pv_wh``, ``grid_wh``, ``load_wh``
-    and the lowest charge, ``min_soc``) and every tick, in ``ticks``.
+    and the lowest charge, ``min_soc``) and, in ``ticks``, how many ticks it
+    has integrated: ``len(ticks)`` is the count.
 
     A capacity of 0 means no battery: the grid meets every shortfall.
     """
@@ -132,7 +124,7 @@ class PowerSystem:
         self.set_irradiance(irradiance_w_per_m2)
         self.pv_wh = self.grid_wh = self.load_wh = 0.0
         self.min_soc = soc
-        self.ticks = EnergyLog()
+        self.ticks = TickCount()
 
     def set_irradiance(self, w_per_m2: float) -> None:
         """Irradiance is given in W/m2 against the 1000 W/m2 rating point;
@@ -142,8 +134,8 @@ class PowerSystem:
 
     def advance(self, load_w: float, dt_s: float) -> EnergyTick:
         """Advance the battery's charge by dt_s seconds under a constant load
-        and the present charge current, add the flows to the ledger and log
-        the tick, which it also returns.
+        and the present charge current, add the flows to the ledger, count
+        the tick and return it.
 
         Surplus beyond a full battery is curtailed at the panel; shortfall
         below an empty battery is met from the grid and metered.
@@ -187,5 +179,5 @@ class PowerSystem:
         self.load_wh += tick[2]
         if soc < self.min_soc:
             self.min_soc = soc
-        self.ticks.append(tick)
+        self.ticks.n += 1
         return tick

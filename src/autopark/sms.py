@@ -50,6 +50,10 @@ class SmsMessage(namedtuple("SmsMessage", "number body at_ms")):
     _make = classmethod(validated_make)
 
 
+_SEND_COMMAND_RE = re.compile(r'^AT\+CMGS="[^"]*"$')
+_DELETE_COMMAND_RE = re.compile(r"^AT\+CMGD=(\d+)$")
+
+
 def _printable(line: str) -> str:
     return line.rstrip("\r").replace(CTRL_Z, "<CTRL-Z>")
 
@@ -120,7 +124,7 @@ class SmsModem:
         if command == "AT+CMGF=1":
             self.text_mode = True
             return ["OK"]
-        if re.match(r'^AT\+CMGS="[^"]*"$', command):
+        if _SEND_COMMAND_RE.match(command):
             if not (self.registered and self.text_mode):
                 return ["ERROR"]
             self._awaiting_body = True
@@ -136,7 +140,7 @@ class SmsModem:
                 lines.append(message.body)
             lines.append("OK")
             return lines
-        if match := re.match(r"^AT\+CMGD=(\d+)$", command):
+        if match := _DELETE_COMMAND_RE.match(command):
             index = int(match.group(1))
             if index not in self.storage:
                 return ["ERROR"]

@@ -50,7 +50,7 @@ def test_a_traced_session_with_packed_history_reads_back(monkeypatch):
         session.run_until_idle()
     assert tracer.totals()["controller.check"][0] > 0
 
-    assert len(session.power.ticks) > 0
+    assert len(session.power.ticks) == tracer.totals()["power.advance"][0] > 0
     assert len(session.gateway.modem.log) > 3 * chunk
     lines = list(sim.trace)
     assert len(lines) == len(sim.trace) > 3 * chunk

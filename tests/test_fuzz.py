@@ -19,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from autopark import cli
-from autopark.model import AutoparkError
+from autopark.devices import belt_roster
+from autopark.model import AutoparkError, GarageConfig
 from autopark.report import format_report, parse_report
 from autopark.scenario import EVENT_KINDS, parse_scenario, render_scenario
 from test_report import SAMPLE
@@ -59,10 +60,38 @@ grammar_line = st.one_of(
     st.builds(lambda rest: " ".join(["config", *rest]), st.lists(pairs, max_size=3)),
     st.builds(" ".join, st.lists(st.one_of(pairs, values), max_size=5)),
 )
+# Event lines as ``render_event`` writes them, every value one the grammar
+# accepts, so that a scenario of them parses and runs a garage: cars park,
+# are asked for by text, pay, and meet faults and changes of light.
+PHONES = ["+97455500001", "+97455500002", "1"]
+valid_event = st.one_of(
+    st.builds(
+        "kind=arrival vehicle={} length_mm={} phone={}".format,
+        st.sampled_from(["v1", "v2", "car-3"]),
+        st.integers(1, 6000),
+        st.sampled_from(PHONES),
+    ),
+    st.builds(
+        "kind=sms_in phone={} body={}".format,
+        st.sampled_from(PHONES),
+        st.sampled_from(["retrieve", "please bring my car", "é"]),
+    ),
+    st.builds("kind=payment ticket={}".format, st.integers(1, 4)),
+    st.builds("kind=irradiance w_per_m2={}".format, st.sampled_from(["0", "0.5", "250", "1000.0"])),
+    st.builds(
+        "kind=fault belt={}".format,
+        st.sampled_from([str(belt) for belt in belt_roster(GarageConfig().slots_per_floor)]),
+    ),
+    st.just("kind=fault_cleared"),
+)
+garage_text = st.lists(st.tuples(st.integers(0, 600), valid_event), min_size=1, max_size=6).map(
+    lambda timed: "\n".join(f"t={t} {line}" for t, line in sorted(timed))
+)
 scenario_text = st.one_of(
     small_text,
     st.builds("\n".join, st.lists(event_line, max_size=6)),
     st.builds("\n".join, st.lists(st.one_of(grammar_line, small_text), max_size=6)),
+    garage_text,
 )
 
 

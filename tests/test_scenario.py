@@ -388,6 +388,15 @@ def test_irradiance_traces_every_digit_of_its_scenario_value():
     assert list(result.trace) == ["t=1000 seq=0 kind=irradiance detail=w_per_m2=123.4567"]
 
 
+def test_an_sms_body_traces_whole_on_its_dispatch_line():
+    session = GarageSession()
+    session.schedule(ScenarioEvent(1000, InboundSms("+97455512345", "please bring my car")))
+    session.run_until_idle()
+    assert list(session.sim.trace)[0] == (
+        "t=1000 seq=0 kind=sms_in detail=phone=+97455512345 body=please bring my car"
+    )
+
+
 def test_dispatch_detail_is_the_tail_of_the_scenario_line():
     """Each input event's dispatch line shows its ``kind=`` and, as
     ``detail=``, the pairs its scenario line writes (``-`` for none)."""
