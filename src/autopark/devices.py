@@ -2,9 +2,11 @@
 the two gates, and the relay bank that limits how many motors may draw power
 at once.
 
-Every motion is an Action with a fixed duration; completion is reported back
-through a scheduler callback so the event engine stays the single source of
-time. Devices hold no policy: sequencing and queueing live in the controller.
+Every motion is an Action with a fixed duration. The fleet hands each action
+it starts to a scheduler callback, so the event engine stays the single
+source of time and the action itself is the completion event: a motion makes
+one record. Devices hold no policy: sequencing and queueing live in the
+controller.
 """
 
 from __future__ import annotations
@@ -211,9 +213,9 @@ ROTATOR_MOTORS = ("rotator:a", "rotator:b")
 class DeviceFleet:
     """All simulated hardware for one garage plus the relay bank.
 
-    The scheduler callback receives (done_at_ms, device_id, action_id) for
-    every started action; the caller is expected to feed the completion back
-    into complete_action when that moment arrives. The fleet holds only its
+    The scheduler callback receives (done_at_ms, action) for every started
+    action; the caller is expected to feed the completion back into
+    complete_action when that moment arrives. The fleet holds only its
     devices and that callback; in a ``GarageSession`` the callback holds the
     engine weakly, because the engine holds the controller, which holds the
     fleet.
@@ -225,7 +227,7 @@ class DeviceFleet:
     def __init__(
         self,
         config: GarageConfig,
-        schedule_done: Callable[[int, str, int], None],
+        schedule_done: Callable[[int, Action], None],
     ):
         self.config = config
         self.schedule_done = schedule_done
@@ -259,10 +261,14 @@ class DeviceFleet:
             motors = ()
         action_id = self._next_action_id
         self._next_action_id += 1
-        action = Action(action_id, device_id, op, duration_ms, motors, device, end_state, owner)
+        # One a motion, so built in C rather than through the named tuple's
+        # Python-level __new__.
+        action = tuple.__new__(
+            Action, (action_id, device_id, op, duration_ms, motors, device, end_state, owner)
+        )
         self.active[action_id] = action
         device.action_id = action_id
-        self.schedule_done(now_ms + duration_ms, device_id, action_id)
+        self.schedule_done(now_ms + duration_ms, action)
         return action
 
     # -- belts ---------------------------------------------------------------

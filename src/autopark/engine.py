@@ -11,9 +11,12 @@ anywhere.
 The trace is held as records, not lines: each record is the function that
 renders its line followed by the values it renders, and a line is built only
 when it is read. Every renderer lives in this module, one per line shape.
-A ``PackedList`` holds the records, each finished chunk of them pickled as
-one flat list of values. The engine itself adds no record: its handler writes
-each dispatch record.
+The trace is a ``PackedList`` of the records, each finished chunk of them
+pickled as one flat list of values, and adding a record is one call. The
+engine itself adds no record: its handler writes each dispatch record.
+
+A payload is an ``InputEvent`` from the scenario or the ``Action`` of a
+device motion, which is its own completion event.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from __future__ import annotations
 import heapq
 from decimal import Decimal
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeAlias
 
 from .model import AutoparkError, Vehicle
 
 if TYPE_CHECKING:
-    from .devices import BeltId
+    from .devices import Action, BeltId
 
 
 class SchedulingInPastError(AutoparkError):
@@ -83,15 +86,6 @@ class PaymentConfirmed(InputEvent):
         self.ticket_id = ticket_id
 
 
-class DeviceDone(NamedTuple):
-    """A device motion has finished. One per motion, so a plain tuple, though
-    unlike an ``InputEvent`` it equals any tuple of equal values. The
-    session's handler traces it with ``device_done_line``."""
-
-    device_id: str
-    action_id: int
-
-
 class IrradianceChange(InputEvent):
     __slots__ = ("w_per_m2",)
     kind = "irradiance"
@@ -113,7 +107,7 @@ class FaultCleared(InputEvent):
     kind = "fault_cleared"
 
 
-Payload = InputEvent | DeviceDone
+Payload: TypeAlias = "InputEvent | Action"
 
 
 class SimEvent(NamedTuple):
@@ -283,38 +277,41 @@ def _load_records(data: bytes) -> list[tuple]:
     return records
 
 
-class Trace:
+class Trace(PackedList):
     """A run's trace: its records in order, read as lines.
 
-    Each record is a tuple of the renderer and the values it renders, held in
-    a ``PackedList`` that pickles each finished chunk as flat values
+    Each record is a tuple of the renderer and the values it renders, an item
+    of this ``PackedList``, which pickles each finished chunk as flat values
     (``_dump_records``), so a finished record costs about 16 bytes. A
     record is one item, so a chunk closes between records, never inside one.
     Reading renders: ``len``, iteration, an index (negative ones too), ``in``
     and a slice, which gives a list of lines, so the console's last ``n``
-    lines render only those.
+    lines render only those. ``PackedList.__getitem__`` and
+    ``PackedList.__iter__`` read the records themselves.
     """
 
-    __slots__ = ("_records",)
+    __slots__ = ()
 
     def __init__(self) -> None:
-        self._records = PackedList(_dump_records, _load_records)
+        super().__init__(_dump_records, _load_records)
 
     def add(self, *record) -> None:
-        """Append one record: a renderer, then the values it renders."""
-        self._records.append(record)
-
-    def __len__(self) -> int:
-        return len(self._records)
+        """Append one record: a renderer, then the values it renders. One call
+        a record, so it does ``append``'s work itself."""
+        items = self._open
+        items.append(record)
+        if len(items) >= self.CHUNK:
+            self._chunks.append(self._dump(items))
+            self._open = []
 
     def __getitem__(self, index: int | slice) -> str | list[str]:
         if isinstance(index, slice):
-            return [record[0](*record[1:]) for record in self._records[index]]
-        record = self._records[index]
+            return [self[i] for i in range(*index.indices(len(self)))]
+        record = PackedList.__getitem__(self, index)
         return record[0](*record[1:])
 
     def __iter__(self):
-        for record in self._records:
+        for record in PackedList.__iter__(self):
             yield record[0](*record[1:])
 
 
@@ -357,7 +354,9 @@ class Simulation:
             raise SchedulingInPastError(
                 f"cannot schedule at t={at_ms}ms, clock is {self.clock_ms}ms"
             )
-        event = SimEvent(at_ms, self._next_seq, payload)
+        # One an event, so built in C rather than through the named tuple's
+        # Python-level __new__.
+        event = tuple.__new__(SimEvent, (at_ms, self._next_seq, payload))
         self._next_seq += 1
         heapq.heappush(self._heap, event)
         return event

@@ -8,14 +8,12 @@ so the charge current is a function of the irradiance alone: ``PowerSystem``
 works it out once per irradiance change. On every clock advance
 ``PowerSystem.advance`` integrates amp-hours at the bus voltage and updates
 the battery's charge in place; a metered grid backup covers any draw the
-battery cannot, so motors never stall for power. A run keeps its ledger and a
-count of its ticks, not the ticks themselves, so its power costs the same
-memory however long the day.
+battery cannot, so motors never stall for power. A tick builds nothing: it
+adds its flows to the run's ledger and counts itself, so a run's power costs
+the same memory however long the day.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 # Measured V-I anchors, ordered by voltage, current non-increasing.
 PV_CURVE = (
@@ -77,19 +75,6 @@ def required_battery_current(
     return motor_count * motor_power_w / bus_voltage_v
 
 
-class EnergyTick(NamedTuple):
-    """Energy flows over one integration interval, all in watt-hours."""
-
-    pv_wh: float
-    grid_wh: float
-    load_wh: float
-    battery_delta_wh: float
-    soc_after: float
-
-
-_new_tick = tuple.__new__  # builds an EnergyTick in C, not through its Python __new__
-
-
 class TickCount:
     """How many ticks a run has integrated, as its ``len()``; no tick is kept."""
 
@@ -132,10 +117,10 @@ class PowerSystem:
         panel_a = pv_current_at(self.bus_voltage_v, w_per_m2 / 1000.0)
         self.charge_current_a = min(panel_a, MAX_CHARGE_CURRENT_A)
 
-    def advance(self, load_w: float, dt_s: float) -> EnergyTick:
+    def advance(self, load_w: float, dt_s: float) -> None:
         """Advance the battery's charge by dt_s seconds under a constant load
-        and the present charge current, add the flows to the ledger, count
-        the tick and return it.
+        and the present charge current, add the flows to the ledger and count
+        the tick. Nothing is built or returned: the ledger is the record.
 
         Surplus beyond a full battery is curtailed at the panel; shortfall
         below an empty battery is met from the grid and metered.
@@ -170,14 +155,9 @@ class PowerSystem:
         soc = self.soc + (battery_delta_ah / capacity_ah if capacity_ah else 0.0)
         soc = soc if soc > 0.0 else 0.0
         soc = self.soc = soc if soc < 1.0 else 1.0
-        tick = _new_tick(
-            EnergyTick,
-            (pv_used_ah * bus_v, grid_ah * bus_v, load_ah * bus_v, battery_delta_ah * bus_v, soc),
-        )
-        self.pv_wh += tick[0]
-        self.grid_wh += tick[1]
-        self.load_wh += tick[2]
+        self.pv_wh += pv_used_ah * bus_v
+        self.grid_wh += grid_ah * bus_v
+        self.load_wh += load_ah * bus_v
         if soc < self.min_soc:
             self.min_soc = soc
         self.ticks.n += 1
-        return tick

@@ -30,11 +30,10 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .controller import ArrivalRecord, GarageController, check_invariants
-from .devices import DeviceFleet, RelayBank, belt_roster, parse_belt_id
+from .devices import Action, DeviceFleet, RelayBank, belt_roster, parse_belt_id
 from .engine import (
     Arrival,
     BeltFault,
-    DeviceDone,
     FaultCleared,
     InboundSms,
     IrradianceChange,
@@ -342,7 +341,7 @@ def _handle(
     """The engine's handler: each event's dispatch record (an input event's from
     its ``EVENT_KINDS`` entry), then the event to the part that acts on it."""
     at_ms, seq, p = event
-    if type(p) is DeviceDone:  # one per motion, so kept lean
+    if type(p) is Action:  # a motion's completion, one per motion, so kept lean
         trace(device_done_line, at_ms, seq, p.device_id, p.action_id)
         controller.on_device_done(p.device_id, p.action_id, at_ms)
     else:
@@ -356,16 +355,19 @@ def _advance(power: PowerSystem, relays: RelayBank, dt_ms: int) -> None:
     power.advance(relays.total_load_w(), dt_ms / 1000)
 
 
-def _completion_scheduler(sim: Simulation) -> Callable[[int, str, int], None]:
-    """The fleet's completion callback: a ``DeviceDone`` on the engine.
+def _completion_scheduler(sim: Simulation) -> Callable[[int, Action], None]:
+    """The fleet's completion callback: the started ``Action`` itself, on the
+    engine as its own completion event.
 
     It holds the engine weakly. The engine's hooks hold the controller, and
-    through it the fleet, so a strong reference back would make a cycle.
+    through it the fleet, so a strong reference back would make a cycle. The
+    callback is a closure that calls through the proxy for that reason:
+    ``proxy.schedule`` is a bound method of the engine itself, which holds it.
     """
     engine = weakref.proxy(sim)
 
-    def schedule_done(at_ms: int, device_id: str, action_id: int) -> None:
-        engine.schedule(at_ms, DeviceDone(device_id, action_id))
+    def schedule_done(at_ms: int, action: Action) -> None:
+        engine.schedule(at_ms, action)
 
     return schedule_done
 

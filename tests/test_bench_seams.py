@@ -54,5 +54,7 @@ def test_a_traced_session_with_packed_history_reads_back(monkeypatch):
     assert len(session.gateway.modem.log) > 3 * chunk
     lines = list(sim.trace)
     assert len(lines) == len(sim.trace) > 3 * chunk
+    completions = sum(" kind=device_done " in line for line in lines)
+    assert tracer.totals()["devices.complete"][0] == completions > 0
     assert all(type(line) is str for line in lines)
     assert lines == list(run_scenario(scenario).trace)

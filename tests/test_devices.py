@@ -22,7 +22,7 @@ from autopark.model import GarageConfig
 @pytest.fixture
 def fleet():
     done = []
-    fleet = DeviceFleet(GarageConfig(), lambda at, dev, act: done.append((at, dev, act)))
+    fleet = DeviceFleet(GarageConfig(), lambda at, action: done.append((at, action)))
     fleet.done = done
     return fleet
 
@@ -72,7 +72,7 @@ def test_slot_belt_requires_face():
 
 
 def test_equal_belt_ids_find_the_same_belt_and_keep_their_text():
-    fleet = DeviceFleet(GarageConfig(floors=20, slots_per_floor=24), lambda *done: None)
+    fleet = DeviceFleet(GarageConfig(floors=20, slots_per_floor=24), lambda at, action: None)
     texts = ["entrance", "exit", "platform"] + [f"slot:{face}" for face in range(24)]
     assert [str(belt_id) for belt_id in fleet.belts] == texts
     for text, (belt_id, belt) in zip(texts, fleet.belts.items()):
@@ -114,7 +114,8 @@ def test_relay_rejects_double_grant_and_blind_release():
 def test_convey_occupies_one_relay_for_transit_time(fleet):
     action = fleet.belt_start_convey(ENTRANCE_BELT, 1000)
     assert action.duration_ms == 10_000
-    assert fleet.done == [(11_000, "belt:entrance", action.action_id)]
+    assert fleet.done == [(11_000, action)]
+    assert fleet.done[0][1] is action
     assert fleet.relays.available() == 1
     with pytest.raises(BeltBusyError):
         fleet.belt_start_convey(ENTRANCE_BELT, 1200)

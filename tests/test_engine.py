@@ -10,7 +10,6 @@ from autopark import engine
 from autopark.devices import BeltId
 from autopark.engine import (
     Arrival,
-    DeviceDone,
     FaultCleared,
     IrradianceChange,
     PackedList,
@@ -117,7 +116,7 @@ def test_the_engine_adds_no_trace_record():
     sim = Simulation()
     sim.schedule(5000, Arrival(Vehicle("v1", 4200, "+97455512345")))
     sim.schedule(6000, IrradianceChange(250.0))
-    sim.schedule(6000, DeviceDone("belt:slot:0", 1))
+    sim.schedule(6000, PaymentConfirmed(1))
     sim.run_until_idle()
     assert len(sim.trace) == 0
     assert list(sim.trace) == []
@@ -204,10 +203,10 @@ def test_packed_records_read_back_record_for_record(chunk, added):
         trace = Trace()
         for record in added:
             trace.add(*record)
-        read = list(trace._records)
+        read = list(PackedList.__iter__(trace))
         assert read == added
         assert [tuple(map(type, r)) for r in read] == [tuple(map(type, r)) for r in added]
-        assert [trace._records[i] for i in range(len(added))] == added
+        assert [PackedList.__getitem__(trace, i) for i in range(len(added))] == added
         assert list(trace) == lines
         assert [trace[i] for i in range(-len(added), 0)] == lines
         assert trace[1::2] == lines[1::2]

@@ -69,34 +69,33 @@ def test_motor_current_draw():
 
 def test_one_hour_charge_from_half():
     system = PowerSystem(soc=0.5, irradiance_w_per_m2=1000.0)
-    tick = system.advance(0.0, 3600.0)
+    system.advance(0.0, 3600.0)
     assert system.soc - 0.5 == pytest.approx(0.08016153127917834, abs=1e-12)
-    assert tick.grid_wh == 0.0
-    assert tick.pv_wh == pytest.approx(BUS_CURRENT_FULL_SUN * 12.0, abs=1e-9)
+    assert system.grid_wh == 0.0
+    assert system.pv_wh == pytest.approx(BUS_CURRENT_FULL_SUN * 12.0, abs=1e-9)
 
 
 def test_one_hour_two_motor_discharge_in_the_dark():
     system = PowerSystem(soc=1.0, irradiance_w_per_m2=0.0)
-    tick = system.advance(20.0, 3600.0)
+    system.advance(20.0, 3600.0)
     assert 1.0 - system.soc == pytest.approx(0.23809523809523808, abs=1e-12)
-    assert tick.grid_wh == 0.0
-    assert tick.load_wh == pytest.approx(20.0, abs=1e-12)
+    assert system.grid_wh == 0.0
+    assert system.load_wh == pytest.approx(20.0, abs=1e-12)
 
 
 def test_full_battery_curtails_surplus():
     system = PowerSystem(soc=1.0, irradiance_w_per_m2=1000.0)
-    tick = system.advance(0.0, 3600.0)
-    assert system.soc == 1.0
-    assert tick.pv_wh == 0.0
-    assert tick.battery_delta_wh == 0.0
+    system.advance(0.0, 3600.0)
+    assert system.soc == 1.0  # nothing stored
+    assert system.pv_wh == 0.0
 
 
 def test_empty_battery_falls_back_to_grid():
     system = PowerSystem(soc=0.0, irradiance_w_per_m2=0.0)
-    tick = system.advance(10.0, 1800.0)
+    system.advance(10.0, 1800.0)
     assert system.soc == 0.0
-    assert tick.grid_wh == pytest.approx(5.0, abs=1e-12)
-    assert tick.load_wh == pytest.approx(5.0, abs=1e-12)
+    assert system.grid_wh == pytest.approx(5.0, abs=1e-12)
+    assert system.load_wh == pytest.approx(5.0, abs=1e-12)
 
 
 def test_charge_controller_caps_input_current(monkeypatch):
@@ -111,16 +110,23 @@ def test_charge_controller_caps_input_current(monkeypatch):
 
 
 def test_energy_is_conserved_every_tick():
+    """Each tick's ledger deltas balance its change in stored charge."""
     rng = random.Random(99)
     system = PowerSystem(soc=0.7)
+    stored_wh_per_soc = system.capacity_ah * system.bus_voltage_v
     for _ in range(500):
         system.set_irradiance(rng.uniform(0.0, 1000.0))
         load = rng.choice([0.0, 10.0, 20.0])
         dt = rng.uniform(0.1, 900.0)
-        tick = system.advance(load, dt)
-        assert tick.pv_wh + tick.grid_wh == pytest.approx(
-            tick.load_wh + tick.battery_delta_wh, abs=1e-9
+        before = (system.pv_wh, system.grid_wh, system.load_wh, system.soc)
+        system.advance(load, dt)
+        pv_wh, grid_wh, load_wh, stored_wh = (
+            system.pv_wh - before[0],
+            system.grid_wh - before[1],
+            system.load_wh - before[2],
+            (system.soc - before[3]) * stored_wh_per_soc,
         )
+        assert pv_wh + grid_wh == pytest.approx(load_wh + stored_wh, abs=1e-9)
         assert 0.0 <= system.soc <= 1.0
 
 
@@ -134,13 +140,6 @@ def test_power_system_meters_accumulate():
     assert system.pv_wh == pytest.approx(BUS_CURRENT_FULL_SUN * 12.0 / 2, abs=1e-9)
     assert system.min_soc < 0.5 + 0.05
     assert len(system.ticks) == 2
-
-
-def test_a_returned_tick_keeps_the_sign_of_zero():
-    # An empty battery in the dark gives nothing to the load: its delta is -0.0.
-    system = PowerSystem(soc=0.0, irradiance_w_per_m2=0.0)
-    tick = system.advance(10.0, 60.0)
-    assert math.copysign(1.0, tick.battery_delta_wh) == -1.0
 
 
 def test_a_power_system_holds_nothing_per_tick():
@@ -209,10 +208,6 @@ def oracle_power_tick(
     return replace(battery, soc=soc), tick
 
 
-def _tick_fields(tick) -> tuple[float, ...]:
-    return (tick.pv_wh, tick.grid_wh, tick.load_wh, tick.battery_delta_wh, tick.soc_after)
-
-
 def _bits(*values: float) -> bytes:
     """The values' IEEE bytes, which tell -0.0 from 0.0 where == does not."""
     return struct.pack(f"{len(values)}d", *values)
@@ -240,7 +235,7 @@ _STEP = st.one_of(
 # A charge capped by the headroom lands on 1.0; a draw capped by the charge on 0.0.
 @example(1.0, 0.5, 12.0, 1000.0, [(0.0, 36000.0)])
 @example(1.0, 0.5, 12.0, 0.0, [(10.0, 3600.0)])
-def test_power_system_is_bit_equal_to_the_per_tick_oracle(
+def test_power_system_ledger_is_bit_equal_to_the_per_tick_oracle_after_every_step(
     capacity_ah, soc, bus_voltage_v, irradiance_w_per_m2, steps
 ):
     system = PowerSystem(capacity_ah, soc, bus_voltage_v, irradiance_w_per_m2)
@@ -253,18 +248,15 @@ def test_power_system_is_bit_equal_to_the_per_tick_oracle(
         if step[0] == "irradiance":
             system.set_irradiance(step[1])
             scale = min(step[1] / 1000.0, 1.0)
-            continue
-        load_w, dt_s = step
-        tick = system.advance(load_w, dt_s)
-        battery, expected = oracle_power_tick(battery, scale, load_w, dt_s)
-        assert _bits(*_tick_fields(tick)) == _bits(*expected)
-        pv_wh += expected[0]
-        grid_wh += expected[1]
-        load_wh += expected[2]
-        min_soc = min(min_soc, expected[4])
-        advanced += 1
-    assert _bits(system.soc) == _bits(battery.soc)
-    assert _bits(system.pv_wh, system.grid_wh, system.load_wh, system.min_soc) == _bits(
-        pv_wh, grid_wh, load_wh, min_soc
-    )
-    assert len(system.ticks) == advanced
+        else:
+            load_w, dt_s = step
+            assert system.advance(load_w, dt_s) is None
+            battery, expected = oracle_power_tick(battery, scale, load_w, dt_s)
+            pv_wh += expected[0]
+            grid_wh += expected[1]
+            load_wh += expected[2]
+            min_soc = min(min_soc, expected[4])
+            advanced += 1
+        ledger = (system.soc, system.pv_wh, system.grid_wh, system.load_wh, system.min_soc)
+        assert _bits(*ledger) == _bits(battery.soc, pv_wh, grid_wh, load_wh, min_soc)
+        assert len(system.ticks) == advanced

@@ -45,6 +45,7 @@ from autopark.engine import (
     BeltFault,
     FaultCleared,
     InboundSms,
+    InputEvent,
     IrradianceChange,
     PackedList,
     bill_line,
@@ -383,6 +384,36 @@ def test_records_of_the_handling_follow_their_dispatch_line():
     ]
 
 
+def test_a_motion_is_its_own_completion_event():
+    """Each completion the engine dispatches carries the very ``Action`` the
+    fleet started, and traces its ``device_done`` line from it as before."""
+    scenario = random_scenario(3, 18)
+    session = GarageSession(scenario.config, scenario.settings)
+    handle, fleet, trace = session.sim.handler, session.fleet, session.sim.trace
+    completions = []
+
+    def handler(event):
+        at_ms, seq, payload = event
+        if not isinstance(payload, InputEvent):
+            started = fleet.active.get(payload.action_id)
+            completions.append((len(trace), at_ms, seq, payload, started))
+        handle(event)
+
+    session.sim.handler = handler
+    for event in scenario.events:
+        session.schedule(event)
+    session.run_until_idle()
+    lines = list(trace)
+    assert completions
+    for index, at_ms, seq, payload, started in completions:
+        assert payload is started
+        assert lines[index] == (
+            f"t={at_ms} seq={seq} kind=device_done "
+            f"detail=device={started.device_id} action={started.action_id}"
+        )
+    assert lines == list(run_scenario(scenario).trace)
+
+
 def test_irradiance_traces_every_digit_of_its_scenario_value():
     result = run_scenario(parse_scenario("t=1 kind=irradiance w_per_m2=123.4567\n"))
     assert list(result.trace) == ["t=1000 seq=0 kind=irradiance detail=w_per_m2=123.4567"]
@@ -414,11 +445,17 @@ def test_dispatch_detail_is_the_tail_of_the_scenario_line():
             assert tails[seq] == f"{kind} detail={pairs or '-'}", (seed, seq)
 
 
+def _records(trace) -> list[tuple]:
+    """A trace's records rather than its lines: ``PackedList``'s own reads
+    give them unrendered."""
+    return list(PackedList.__iter__(trace))
+
+
 def _input_events(trace, config: GarageConfig) -> tuple[ScenarioEvent, ...]:
     """The input events a trace holds: each dispatch record written as a
     scenario line in ``render_event``'s grammar, then parsed back."""
     events = []
-    for record in trace._records:
+    for record in _records(trace):
         if record[0] is event_line:
             _, t_ms, _, kind, fields, values = record
             line = " ".join([f"t={_format_t(t_ms)} kind={kind}", *field_pairs(fields, values)])
@@ -582,7 +619,7 @@ def _reads_like(packed, plain: list) -> None:
 def _histories(session: GarageSession) -> tuple:
     """The session's trace records, trace lines and modem lines, read plainly."""
     trace = session.sim.trace
-    return list(trace._records), list(trace), list(session.gateway.log)
+    return _records(trace), list(trace), list(session.gateway.log)
 
 
 @pytest.mark.parametrize(
@@ -622,13 +659,13 @@ def test_a_packed_bill_and_halt_read_back_the_same(monkeypatch):
     their pickled chunk equal and of their own types."""
     monkeypatch.setattr(PackedList, "CHUNK", SMALL_CHUNK)
     trace = run_scenario(random_scenario(LIFETIME_SEED, 18)).trace
-    records = list(trace._records)
+    records = _records(trace)
     packed = len(records) - len(records) % SMALL_CHUNK
     bill = next(i for i, record in enumerate(records) if record[0] is bill_line)
     halt = next(i for i, record in enumerate(records) if record[0] is halted_line)
     assert bill < packed and halt < packed
-    assert type(trace._records[bill][-1]) is Decimal
-    assert type(trace._records[halt][-1]) is BeltId
+    assert type(PackedList.__getitem__(trace, bill)[-1]) is Decimal
+    assert type(PackedList.__getitem__(trace, halt)[-1]) is BeltId
     assert trace[bill] == bill_line(*records[bill][1:])
     assert trace[halt] == halted_line(*records[halt][1:])
 
@@ -644,7 +681,7 @@ def test_a_long_day_packs_its_history_small():
     with no tuple around them, and a packed log chunk is compressed: the AT
     exchanges repeat the same few lines."""
     session = run_scenario(paid_day("irradiance_w_per_m2=250", 120), check=False).session
-    assert _packed_bytes_per_item(session.sim.trace._records) < 19
+    assert _packed_bytes_per_item(session.sim.trace) < 19
     assert _packed_bytes_per_item(session.gateway.log) < 6
 
 
