@@ -360,7 +360,7 @@ class GarageController:
     def on_device_done(self, device_id: str, action_id: int, now_ms: int) -> None:
         """Advance the owning program past its completed motion."""
         try:
-            program = self.fleet.complete_action(action_id).owner
+            program = self.fleet.complete_action(device_id, action_id).owner
         except KeyError:
             raise UnknownActionError(f"no program owns action {action_id} ({device_id})") from None
         step = program.steps[program.idx]
@@ -417,18 +417,19 @@ class GarageController:
         """Start the step's motion for the program if its device and the motor
         power it needs are free; a platform already in place needs no power."""
         fleet = self.fleet
+        running = fleet.active
         if step.gate is not None:
-            if fleet.gates[step.gate].busy:
+            if fleet.gates[step.gate] in running:
                 return None
             command = "open" if step.kind is OPEN_GATE else "close"
             return fleet.gate_actuate(step.gate, command, now_ms, program)
         if step.belt is not None:
             belt = fleet.belts[step.belt]
-            if belt.busy or belt.faulted or fleet.relays.available() < 1:
+            if belt in running or belt.faulted or fleet.relays.available() < 1:
                 return None
             return fleet.belt_start_convey(step.belt, now_ms, program)
         platform = fleet.platform
-        if platform.busy:
+        if platform in running:
             return None
         if step.kind is ELEVATE:
             if platform.floor_pos != step.target and fleet.relays.available() < 1:
@@ -493,19 +494,20 @@ def check_invariants(controller: GarageController) -> None:
 
     Verifies the ticket/slot bijection, each live ticket's billing clock
     (running exactly until the car is asked back), the occupied count, the relay
-    budget, that each running motion drives its device and alone powers its
-    motors, that no ticket's car sits on two belts, and platform alignment.
-    Closed tickets are frozen and not rescanned, so a long day does not slow
-    it down.
+    budget, that each running motion alone powers its motors and is filed
+    under the device it names, that no ticket's car sits on two belts, and
+    platform alignment. Closed tickets are frozen and not rescanned, so a
+    long day does not slow it down.
 
     Per event the Python-level work is one pass over the live tickets, each
     reading its own cell (``_claimed_counts``), two C-level ``list.count``
-    calls per floor, and plain loops over the few running motions, the
-    devices and the claims. A passing call builds two small sets, the
-    running motors and the cars on belts, and no list, and calls no Python
-    function but ``_claimed_counts``. The loop over every cell
-    (``_scan_cells``) runs only to name a grid fault; it is the authority,
-    and if it finds no fault the state stands.
+    calls per floor, and plain loops over the few running motions (at most
+    about five) and the claims; no loop walks the devices, since
+    ``fleet.active`` is the one record of which are busy. A passing call
+    builds two small sets, the running motors and the cars on belts, and no
+    list, and calls no Python function but ``_claimed_counts``. The loop over
+    every cell (``_scan_cells``) runs only to name a grid fault; it is the
+    authority, and if it finds no fault the state stands.
     """
     garage = controller.garage
     fleet = controller.fleet
@@ -533,16 +535,12 @@ def check_invariants(controller: GarageController) -> None:
         raise InvariantViolationError("a motor is held by two actions")
     if powered != motors:
         raise InvariantViolationError(f"powered {sorted(powered)} != active {sorted(motors)}")
-    for action_id, action in fleet.active.items():
-        if action.device.action_id != action_id:
-            raise InvariantViolationError(f"action {action_id} does not drive {action.device_id}")
-    # Each action drives its own busy device, so equal counts leave no stray busy device.
-    busy = 0
-    for device in fleet.devices:
-        if device.action_id is not None:
-            busy += 1
-    if busy != len(fleet.active):
-        raise InvariantViolationError(f"{busy} busy devices but {len(fleet.active)} actions")
+    named = fleet.by_name
+    for device, action in fleet.active.items():
+        if named.get(action.device_id) is not device:
+            raise InvariantViolationError(
+                f"action {action.action_id} on {action.device_id} is filed under another device"
+            )
 
     riders = set()
     for claim, holder in controller.claims.items():
@@ -555,7 +553,7 @@ def check_invariants(controller: GarageController) -> None:
     platform = fleet.platform
     if not 0 <= platform.floor_pos < garage.config.floors:
         raise InvariantViolationError(f"platform floor {platform.floor_pos} out of range")
-    if platform.action_id is None:  # at rest: within ``_divides``'s 1e-9 of a slot face
+    if platform not in fleet.active:  # at rest: within ``_divides``'s 1e-9 of a slot face
         faces = platform.angle_deg / (360.0 / garage.config.slots_per_floor)
         if not abs(faces - round(faces)) <= 1e-9 or not 0 <= platform.angle_deg < 360:
             raise InvariantViolationError(f"platform angle {platform.angle_deg} misaligned")
@@ -590,13 +588,15 @@ def _claimed_counts(garage: GarageState) -> int | None:
             phase = ticket.phase
             addr = ticket.slot
             floor, slot = addr.floor, addr.slot
-            if (floor | slot) < 0:  # Python would read a negative index from the end
+            if floor < 0 or slot < 0:  # Python would read a negative index from the end
                 return None
             if phase is PARKED:
-                state = OCCUPIED
+                if states[floor][slot] is not OCCUPIED or held[floor][slot] != ticket_id:
+                    return None
                 occupied += 1
             elif phase is AWAITING_ENTRY or phase is PARKING:
-                state = RESERVED
+                if states[floor][slot] is not RESERVED or held[floor][slot] != ticket_id:
+                    return None
                 reserved += 1
             else:
                 if ticket.exit_ms is None:
@@ -608,8 +608,6 @@ def _claimed_counts(garage: GarageState) -> int | None:
                 continue
             if ticket.exit_ms is not None:
                 wrong_clock = wrong_clock or ticket
-            if held[floor][slot] != ticket_id or states[floor][slot] is not state:
-                return None
     except IndexError:
         return None
     unnamed = vacant = floors * n - reserved - occupied  # the unclaimed cells

@@ -5,8 +5,8 @@ at once.
 Every motion is an Action with a fixed duration. The fleet hands each action
 it starts to a scheduler callback, so the event engine stays the single
 source of time and the action itself is the completion event: a motion makes
-one record. Devices hold no policy: sequencing and queueing live in the
-controller.
+one record, filed under the device it moves while it runs. Devices hold no
+policy: sequencing and queueing live in the controller.
 """
 
 from __future__ import annotations
@@ -130,53 +130,43 @@ class RelayBank:
         return MOTOR_LOAD_W * len(self.powered)
 
 
-class Device:
-    """What every moving device has: the action it is running, if any."""
-
-    __slots__ = ("action_id",)
-
-    @property
-    def busy(self) -> bool:
-        return self.action_id is not None
-
-
-class Belt(Device):
+class Belt:
     __slots__ = ("belt_id", "faulted", "device_id")
 
     def __init__(self, belt_id: BeltId, faulted: bool = False):
-        self.action_id = None
         self.belt_id = belt_id
         self.faulted = faulted
         self.device_id = device_name("belt", belt_id)
 
 
-class PlatformState(Device):
+class PlatformState:
     """The shared lift-and-turn platform the whole garage funnels through."""
 
     __slots__ = ("floor_pos", "angle_deg")
 
     def __init__(self, floor_pos: int = 0, angle_deg: float = 0.0):
-        self.action_id = None
         self.floor_pos = floor_pos
         self.angle_deg = angle_deg  # always in [0, 360)
 
 
-class GateState(Device):
+class GateState:
     __slots__ = ("name", "angle_deg", "device_id")
 
     def __init__(self, name: str, angle_deg: float = 0.0):
-        self.action_id = None
         self.name = name  # entrance | exit
         self.angle_deg = angle_deg  # 0 closed, 90 open
         self.device_id = device_name("gate", name)
 
 
+Device = Belt | PlatformState | GateState
+
+
 class Action(NamedTuple):
     """The one record of an in-flight device motion and the motors it powers.
 
-    ``device`` is the belt, platform or gate it moves; ``end_state`` is the
-    (attribute, value) that device takes when the motion completes, if any;
-    ``owner`` is the controller program that started it.
+    ``device_id`` names the belt, platform or gate it moves; ``end_state``
+    is the (attribute, value) that device takes when the motion completes,
+    if any; ``owner`` is the controller program that started it.
     """
 
     action_id: int
@@ -184,7 +174,6 @@ class Action(NamedTuple):
     op: str
     duration_ms: int
     motors: tuple[str, ...]
-    device: Device
     end_state: tuple[str, float] | None = None
     owner: object = None
 
@@ -220,8 +209,12 @@ class DeviceFleet:
     engine weakly, because the engine holds the controller, which holds the
     fleet.
 
-    Starting a motion powers its motors (zero-duration motions need no power)
-    and files it in ``active``; complete_action releases both.
+    ``active`` is the one record of what runs: each busy device and its one
+    ``Action``, the platform one key for its lifts and its turns. ``by_name``
+    finds a device by the name its motions go by in the trace (``elevator``
+    and ``rotator`` both name the platform). Starting a motion powers its
+    motors (zero-duration motions need no power) and files it in ``active``;
+    complete_action releases both.
     """
 
     def __init__(
@@ -237,9 +230,11 @@ class DeviceFleet:
         }
         self.platform = PlatformState()
         self.gates = {"entrance": GateState("entrance"), "exit": GateState("exit")}
-        self.devices = (*self.belts.values(), self.platform, *self.gates.values())
+        self.by_name: dict[str, Device] = {ELEVATOR_MOTOR: self.platform, ROTATOR: self.platform}
+        for device in (*self.belts.values(), *self.gates.values()):
+            self.by_name[device.device_id] = device
         self._next_action_id = 1
-        self.active: dict[int, Action] = {}
+        self.active: dict[Device, Action] = {}
 
     # -- internals ---------------------------------------------------------
 
@@ -264,10 +259,9 @@ class DeviceFleet:
         # One a motion, so built in C rather than through the named tuple's
         # Python-level __new__.
         action = tuple.__new__(
-            Action, (action_id, device_id, op, duration_ms, motors, device, end_state, owner)
+            Action, (action_id, device_id, op, duration_ms, motors, end_state, owner)
         )
-        self.active[action_id] = action
-        device.action_id = action_id
+        self.active[device] = action
         self.schedule_done(now_ms + duration_ms, action)
         return action
 
@@ -279,8 +273,8 @@ class DeviceFleet:
         belt = self.belts[belt_id]
         if belt.faulted:
             raise BeltFaultedError(f"belt {belt_id} is faulted")
-        if belt.busy:
-            raise BeltBusyError(f"belt {belt_id} is busy with action {belt.action_id}")
+        if belt in self.active:
+            raise BeltBusyError(f"belt {belt_id} is busy with action {self.active[belt].action_id}")
         kin = self.config.kinematics
         seconds = kin.platform_load_s if belt_id == PLATFORM_BELT else kin.belt_transit_s
         name = belt.device_id
@@ -292,7 +286,7 @@ class DeviceFleet:
         """Drive the platform vertically; zero travel completes immediately."""
         if not 0 <= target_floor < self.config.floors:
             raise ValueError(f"floor {target_floor} out of range")
-        if self.platform.busy:
+        if self.platform in self.active:
             raise PlatformBusyError("platform is moving")
         travel = abs(target_floor - self.platform.floor_pos)
         duration_ms = ms_from_s(travel * self.config.kinematics.elevation_per_floor_s)
@@ -315,7 +309,7 @@ class DeviceFleet:
         slots = self.config.slots_per_floor
         if not 0 <= slot_index < slots:
             raise ValueError(f"slot {slot_index} out of range")
-        if self.platform.busy:
+        if self.platform in self.active:
             raise PlatformBusyError("platform is moving")
         slot_angle = self.config.slot_angle_deg
         current = self.platform.angle_deg / slot_angle
@@ -347,7 +341,7 @@ class DeviceFleet:
         if command not in ("open", "close"):
             raise ValueError(f"unknown gate command: {command!r}")
         gate = self.gates[name]
-        if gate.busy:
+        if gate in self.active:
             raise GateBusyError(f"gate {name} is mid-swing")
         target = 90.0 if command == "open" else 0.0
         duration_ms = 0 if gate.angle_deg == target else ms_from_s(
@@ -359,12 +353,16 @@ class DeviceFleet:
 
     # -- completion --------------------------------------------------------------
 
-    def complete_action(self, action_id: int) -> Action:
-        """Apply the end state of a motion and release its power grants."""
-        action = self.active.pop(action_id)
+    def complete_action(self, device_id: str, action_id: int) -> Action:
+        """Apply the end state of the named device's motion and release its
+        power grants; a KeyError if no such device runs that motion."""
+        device = self.by_name[device_id]
+        action = self.active[device]
+        if action.action_id != action_id:
+            raise KeyError(action_id)
+        del self.active[device]
         for motor in action.motors:
             self.relays.release_power(motor)
-        action.device.action_id = None
         if action.end_state is not None:
-            setattr(action.device, *action.end_state)
+            setattr(device, *action.end_state)
         return action

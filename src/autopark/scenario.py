@@ -16,8 +16,9 @@ Line grammar (one record per line, ``#`` starts a comment):
 
 Tokens are space-separated ``key=value`` pairs; a bare token (no ``=``)
 continues the previous value, which is how message bodies carry spaces.
-Values therefore cannot contain ``=``. Times are seconds and must be
-non-decreasing; ``config`` lines must precede all events.
+Values therefore cannot contain ``=``, nor ``#``, which starts a comment in
+a file. A ``config`` line's first token is exactly ``config``. Times are
+seconds and must be non-decreasing; ``config`` lines must precede all events.
 """
 
 from __future__ import annotations
@@ -230,6 +231,8 @@ def parse_event_line(
     line: str, config: GarageConfig, line_no: int = 1
 ) -> ScenarioEvent:
     """One ``t=... kind=...`` record, validated against the garage config."""
+    if "#" in line:
+        raise ScenarioParseError(line_no, "event values cannot contain '#'")
     pairs = _split_pairs(line.split(), line_no)
     if "t" not in pairs or "kind" not in pairs:
         raise ScenarioParseError(line_no, "event needs t= and kind=")
@@ -282,7 +285,7 @@ def parse_scenario(text: str) -> Scenario:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("config"):
+        if line.split(None, 1)[0] == "config":
             if events:
                 raise ScenarioParseError(line_no, "config lines must precede events")
             config_pairs.update(_split_pairs(line.split()[1:], line_no))

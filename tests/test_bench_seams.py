@@ -4,10 +4,14 @@
 ``__dict__``, wraps a session's engine hooks, and the traced round reads the
 power ticks, the modem log and every trace line. A change that moves one of
 these, or breaks reading a packed history, fails here rather than only in a
-``--trace 1`` benchmark run.
+``--trace 1`` benchmark run. The last test runs that pass itself on the two
+workloads whose history fills a packed chunk.
 """
 
 import importlib.util
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,8 @@ import pytest
 from autopark import GarageSession, random_scenario, run_scenario
 from autopark.engine import PackedList
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -58,3 +63,24 @@ def test_a_traced_session_with_packed_history_reads_back(monkeypatch):
     assert tracer.totals()["devices.complete"][0] == completions > 0
     assert all(type(line) is str for line in lines)
     assert lines == list(run_scenario(scenario).trace)
+
+
+@pytest.mark.parametrize("workload", ["big_garage", "churn_day"])
+def test_the_traced_pass_exits_0(workload, tmp_path):
+    """One round of ``bench/run.py --trace 1``, run from a copy of the
+    package, the benchmark and its declaration, so that its result files
+    land in the copy and not in the checkout's ``.bench_out/``."""
+    skip = shutil.ignore_patterns("__pycache__", ".bench_out")
+    for tree in ("src", "bench"):
+        shutil.copytree(ROOT / tree, tmp_path / tree, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    command = ["bench/run.py", "--workload", workload, "--seed", "0", "--seconds", "0"]
+    proc = subprocess.run(
+        [sys.executable, *command, "--trace", "1"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "bench: gate passed" in proc.stdout

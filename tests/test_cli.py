@@ -320,6 +320,25 @@ def test_repl_reports_errors_and_continues(capsys, monkeypatch):
     assert "mode=Normal" in after_run[2]
 
 
+def test_repl_refuses_a_hash_in_an_event_value(capsys, monkeypatch):
+    """A scenario file would read ``#5 please`` as a comment, so the console
+    refuses the line rather than schedule an event no file can hold."""
+    script = (
+        "t=2 kind=sms_in phone=+1 body=car #5 please\n"
+        "t=2 kind=sms_in phone=+1 body=car 5 please\n"
+        "run\n"
+        "trace 2\n"
+    )
+    assert _run_repl(monkeypatch, script) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "error: line 1: event values cannot contain '#'",
+        "scheduled sms_in at t=2.000s",
+        "t=2.000s idle",
+        "t=2000 seq=0 kind=sms_in detail=phone=+1 body=car 5 please",
+        "t=2000 reject=UnknownPhone phone=+1",
+    ]
+
+
 def test_repl_stops_on_an_invariant_violation(capsys, monkeypatch):
     def explode(controller):
         raise InvariantViolationError("forced for the test")

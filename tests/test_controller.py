@@ -708,7 +708,7 @@ def test_step_device_is_the_device_the_fleet_starts(floors, slots_per_floor):
             action = session.controller._start_motion(step, program, 0)
             assert action is not None and action.device_id == step.device, step
             assert action.owner is program
-            session.fleet.complete_action(action.action_id)
+            session.fleet.complete_action(action.device_id, action.action_id)
 
 
 def test_programs_for_one_slot_share_the_plan_but_not_their_place():

@@ -119,9 +119,9 @@ def test_convey_occupies_one_relay_for_transit_time(fleet):
     assert fleet.relays.available() == 1
     with pytest.raises(BeltBusyError):
         fleet.belt_start_convey(ENTRANCE_BELT, 1200)
-    fleet.complete_action(action.action_id)
+    fleet.complete_action(action.device_id, action.action_id)
     assert fleet.relays.available() == 2
-    assert not fleet.belts[ENTRANCE_BELT].busy
+    assert fleet.active == {}
 
 
 def test_platform_belt_uses_load_time(fleet):
@@ -146,7 +146,7 @@ def test_elevator_time_scales_with_floors(fleet):
     assert action.motors == ("elevator",)
     with pytest.raises(PlatformBusyError):
         fleet.elevator_goto_floor(1, 1000)
-    fleet.complete_action(action.action_id)
+    fleet.complete_action(action.device_id, action.action_id)
     assert fleet.platform.floor_pos == 2
     down = fleet.elevator_goto_floor(1, 20_000)
     assert down.duration_ms == 8_000
@@ -156,7 +156,7 @@ def test_elevator_same_floor_is_instant_and_unpowered(fleet):
     action = fleet.elevator_goto_floor(0, 500)
     assert action.duration_ms == 0
     assert fleet.relays.available() == 2
-    fleet.complete_action(action.action_id)
+    fleet.complete_action(action.device_id, action.action_id)
 
 
 def test_elevator_floor_must_exist(fleet):
@@ -172,7 +172,7 @@ def test_rotation_takes_shortest_arc(fleet):
     assert action.duration_ms == 3_000
     assert "dir=ccw faces=1" in action.op
     assert set(action.motors) == {"rotator:a", "rotator:b"}
-    fleet.complete_action(action.action_id)
+    fleet.complete_action(action.device_id, action.action_id)
     assert fleet.platform.angle_deg == 300.0
 
 
@@ -204,9 +204,9 @@ def test_gate_swing_takes_actuation_time(fleet):
     assert action.motors == ()
     with pytest.raises(GateBusyError):
         fleet.gate_actuate("entrance", "close", 100)
-    fleet.complete_action(action.action_id)
+    fleet.complete_action(action.device_id, action.action_id)
     gate = fleet.gates["entrance"]
-    assert gate.angle_deg == 90.0 and not gate.busy
+    assert gate.angle_deg == 90.0 and gate not in fleet.active
 
 
 def test_gate_never_draws_relay_power(fleet):
@@ -222,4 +222,48 @@ def test_gate_to_same_position_is_instant(fleet):
 
 def test_unknown_action_cannot_complete(fleet):
     with pytest.raises(KeyError):
-        fleet.complete_action(404)
+        fleet.complete_action("belt:entrance", 404)
+    action = fleet.belt_start_convey(ENTRANCE_BELT, 0)
+    for device_id, action_id in [("belt:entrance", 404), ("belt:exit", action.action_id),
+                                 ("belt:nowhere", action.action_id)]:
+        with pytest.raises(KeyError):
+            fleet.complete_action(device_id, action_id)
+    assert fleet.active == {fleet.belts[ENTRANCE_BELT]: action}
+    assert fleet.relays.powered == {"belt:entrance"}
+
+
+# -- the running record ----------------------------------------------------------
+
+
+def test_each_running_motion_is_filed_under_the_device_it_moves(fleet):
+    convey = fleet.belt_start_convey(BeltId("slot", 2), 0)
+    swing = fleet.gate_actuate("exit", "open", 0)
+    lift = fleet.elevator_goto_floor(1, 0)
+    assert fleet.active == {
+        fleet.belts[BeltId("slot", 2)]: convey,
+        fleet.gates["exit"]: swing,
+        fleet.platform: lift,
+    }
+    for action in (convey, swing, lift):
+        assert fleet.active[fleet.by_name[action.device_id]] is action
+
+
+def test_lifts_and_turns_share_the_platform_key(fleet):
+    assert fleet.by_name["elevator"] is fleet.by_name["rotator"] is fleet.platform
+    lift = fleet.elevator_goto_floor(1, 0)
+    with pytest.raises(PlatformBusyError):
+        fleet.platform_rotate_to_slot(1, 0)
+    with pytest.raises(KeyError):  # the platform runs the lift, not a turn of that id
+        fleet.complete_action("rotator", lift.action_id + 1)
+    assert fleet.complete_action("elevator", lift.action_id) is lift
+    turn = fleet.platform_rotate_to_slot(1, 8_000)
+    assert fleet.active == {fleet.platform: turn}
+    fleet.complete_action("rotator", turn.action_id)
+    assert fleet.active == {} and fleet.platform.angle_deg == 60.0
+
+
+def test_by_name_names_every_device_once():
+    fleet = DeviceFleet(GarageConfig(floors=20, slots_per_floor=24), lambda at, action: None)
+    assert len(fleet.by_name) == 27 + 2 + 2
+    devices = [*fleet.belts.values(), *fleet.gates.values()]
+    assert [fleet.by_name[device.device_id] for device in devices] == devices

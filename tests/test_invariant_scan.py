@@ -8,15 +8,17 @@ as ``ticket.phase is TicketPhase.CLOSED``. The per-cell timer grid it
 compared, since deleted, is replaced by the clock it mirrored: each ticket's
 ``exit_ms`` is None exactly while the ticket is AwaitingEntry, Parking or
 Parked, and a vacant cell names no ticket. It reads the running motions from
-``fleet.active`` and the powered motors as a set, the one record of each that
-is left. It reads who sits on each belt from the controller's claim table,
-which holds ticket ids where the belts held vehicle ids, so its message
-names a ticket's car. And it checks by brute force what the scan now
-checks by counts: every busy device is busy with the active action that
-drives it, and every active action is the one its device is busy with. Its alignment test, like
-the scan's, takes the platform's distance to the nearest multiple of the
-slot pitch: a remainder ``angle % pitch`` just under the pitch, as for slot 5
-of 25 (72.0 % 14.4), flagged a valid garage. The current scan must
+``fleet.active``, which files each under the device it moves, and the
+powered motors as a set, the one record of each that is left; so where it
+cross-checked each busy device's action against each action's device, it
+now checks by brute force, walking every device for the names its motions
+go by, that each running motion is filed under the device it names. It
+reads who sits on each belt from the controller's claim table, which holds
+ticket ids where the belts held vehicle ids, so its message names a
+ticket's car. Its alignment test, like the scan's, takes the platform's
+distance to the nearest multiple of the slot pitch: a remainder
+``angle % pitch`` just under the pitch, as for slot 5 of 25
+(72.0 % 14.4), flagged a valid garage. The current scan must
 accept every state the reference accepts on the seeded corpus, and reject
 every corruption of a guarded field that the reference rejects, with the
 message its loop over every cell gives.
@@ -39,7 +41,14 @@ from autopark.controller import (
     _scan_cells,
     check_invariants,
 )
-from autopark.devices import ELEVATOR_MOTOR, ENTRANCE_BELT, EXIT_BELT, ROTATOR_MOTORS, BeltId
+from autopark.devices import (
+    ELEVATOR_MOTOR,
+    ENTRANCE_BELT,
+    EXIT_BELT,
+    ROTATOR,
+    ROTATOR_MOTORS,
+    BeltId,
+)
 from autopark.engine import Arrival, InboundSms, PaymentConfirmed
 from autopark.model import (
     GarageConfig,
@@ -135,14 +144,9 @@ def oracle_check_invariants(controller: GarageController) -> None:
         raise InvariantViolationError(
             f"powered {sorted(fleet.relays.powered)} != active {sorted(set(active_motors))}"
         )
-    for device in [*fleet.belts.values(), fleet.platform, *fleet.gates.values()]:
-        if device.busy:
-            action = fleet.active.get(device.action_id)
-            if action is None or action.device is not device:
-                raise InvariantViolationError(f"{device} is busy with a stray action")
-    for action_id, action in fleet.active.items():
-        if action.device.action_id != action_id:
-            raise InvariantViolationError(f"action {action_id} does not drive its device")
+    for device, action in fleet.active.items():
+        if action.device_id not in _device_names(fleet, device):
+            raise InvariantViolationError(f"action {action.action_id} is misfiled")
 
     occupants = [h for claim, h in controller.claims.items() if isinstance(claim, BeltId)]
     if len(occupants) != len(set(occupants)):
@@ -151,10 +155,24 @@ def oracle_check_invariants(controller: GarageController) -> None:
     platform = fleet.platform
     if not 0 <= platform.floor_pos < garage.config.floors:
         raise InvariantViolationError(f"platform floor {platform.floor_pos} out of range")
-    if not platform.busy:
+    if platform not in fleet.active:
         pitch = garage.config.slot_angle_deg
         if not _divides(platform.angle_deg, pitch) or not 0 <= platform.angle_deg < 360:
             raise InvariantViolationError(f"platform angle {platform.angle_deg} misaligned")
+
+
+def _device_names(fleet, device) -> tuple[str, ...]:
+    """The names a device's motions go by in the trace, found by walking
+    every device of the fleet."""
+    if device is fleet.platform:
+        return (ELEVATOR_MOTOR, ROTATOR)
+    for belt_id, belt in fleet.belts.items():
+        if device is belt:
+            return (f"belt:{belt_id}",)
+    for name, gate in fleet.gates.items():
+        if device is gate:
+            return (f"gate:{name}",)
+    return ()
 
 
 def scan_both(seed: int) -> int:
@@ -223,7 +241,7 @@ def test_busy_session_has_every_live_phase():
     }
     assert session.garage.slots.ticket_at(SlotAddress(0, 2)) == 3
     assert session.garage.slots.ticket_at(SlotAddress(0, 0)) == 7
-    assert not session.fleet.platform.busy
+    assert session.fleet.platform not in session.fleet.active
     assert len(session.fleet.relays.powered) == 2
     oracle_check_invariants(session.controller)
     check_invariants(session.controller)
@@ -301,13 +319,27 @@ def _action_takes_motors_of_other(session: GarageSession) -> None:
     """The two running conveyors (belt:slot:2 and belt:entrance) both claim
     belt:entrance's motor; the relay bank still powers the same two."""
     active = session.fleet.active
-    first, second = active.values()
-    active[first.action_id] = first._replace(motors=second.motors)
+    (first_device, first), (_, second) = active.items()
+    active[first_device] = first._replace(motors=second.motors)
 
 
-def _set_belt_action(belt_id, action_id: int | None):
-    """Write the action a belt says it is busy with."""
-    return lambda session: setattr(session.fleet.belts[belt_id], "action_id", action_id)
+def _refile_entrance_motion(session: GarageSession) -> None:
+    """The entrance belt's conveying is filed under the idle exit belt."""
+    fleet = session.fleet
+    fleet.active[fleet.belts[EXIT_BELT]] = fleet.active.pop(fleet.belts[ENTRANCE_BELT])
+
+
+def _file_gate_motion_under_both_gates(session: GarageSession) -> None:
+    """The exit gate starts to open, and its one motion is filed under the
+    entrance gate as well."""
+    fleet = session.fleet
+    swing = fleet.gate_actuate("exit", "open", session.sim.clock_ms)
+    fleet.active[fleet.gates["entrance"]] = swing
+
+
+def _drop_entrance_motion(session: GarageSession) -> None:
+    """The entrance belt's conveying leaves the table; its motor stays powered."""
+    session.fleet.active.pop(session.fleet.belts[ENTRANCE_BELT])
 
 
 def _set_platform(**values):
@@ -447,19 +479,17 @@ MUTATIONS = {
         "powered ['belt:slot:2'] != active ['belt:entrance', 'belt:slot:2']",
     ),
     "two_actions_one_motor": (_action_takes_motors_of_other, "a motor is held by two actions"),
-    "idle_device_busy_with_inactive_action": (
-        _set_belt_action(EXIT_BELT, 404),
-        "3 busy devices but 2 actions",
+    "motion_filed_under_other_device": (
+        _refile_entrance_motion,
+        "action 74 on belt:entrance is filed under another device",
     ),
-    "idle_device_busy_with_other_devices_action": (
-        lambda session: setattr(
-            session.fleet.platform, "action_id", session.fleet.belts[ENTRANCE_BELT].action_id
-        ),
-        "3 busy devices but 2 actions",
+    "gate_motion_filed_under_both_gates": (
+        _file_gate_motion_under_both_gates,
+        "action 75 on gate:exit is filed under another device",
     ),
-    "running_device_drops_its_action": (
-        _set_belt_action(ENTRANCE_BELT, None),
-        "action 74 does not drive belt:entrance",
+    "motion_dropped_with_motors_powered": (
+        _drop_entrance_motion,
+        "powered ['belt:entrance', 'belt:slot:2'] != active ['belt:slot:2']",
     ),
     "two_belts_one_car": (_belts_share_car, "a ticket's car sits on two belts: [7, 7]"),
     "platform_floor_out_of_range": (
@@ -545,10 +575,12 @@ def test_corrupt_index_fails_scan(name):
 # Two corruptions at once, by name, and the message that wins. The scan
 # raises for the first check it fails, in a fixed order: the grid and the
 # billing clocks, the phone index, the occupied count, the relay budget, a
-# motor held twice, the powered motors, each action's device, the busy
-# devices, the cars on belts, the platform's floor, then its angle. Each
-# pair straddles one step of that order; the messages were recorded from
-# the scan before its loops were rewritten.
+# motor held twice, the powered motors, the device each motion is filed
+# under, the cars on belts, the platform's floor, then its angle. Each pair
+# straddles one step of that order; the messages were recorded from the scan
+# before its loops were rewritten, except those of the pairs with a
+# misfiled motion, which were recorded when the fleet's table of running
+# motions became the one record of them.
 FAULT_PAIRS = {
     ("ticket_written_dead", "phone_missing_from_index"): "cell 0/3 held by dead ticket 404",
     ("clock_stopped_on_parked_ticket", "phone_missing_from_index"): (
@@ -561,17 +593,14 @@ FAULT_PAIRS = {
     ("cell_counts_drift", "relay_powers_idle_motor"): "occupied count 5 != 4 occupied cells",
     ("relay_powers_idle_motor", "two_actions_one_motor"): "relay budget exceeded",
     ("two_actions_one_motor", "relay_drops_running_motor"): "a motor is held by two actions",
-    ("two_actions_one_motor", "running_device_drops_its_action"): (
+    ("two_actions_one_motor", "motion_filed_under_other_device"): (
         "a motor is held by two actions"
     ),
-    ("relay_drops_running_motor", "running_device_drops_its_action"): (
+    ("relay_drops_running_motor", "motion_filed_under_other_device"): (
         "powered ['belt:slot:2'] != active ['belt:entrance', 'belt:slot:2']"
     ),
-    ("running_device_drops_its_action", "idle_device_busy_with_inactive_action"): (
-        "action 74 does not drive belt:entrance"
-    ),
-    ("idle_device_busy_with_inactive_action", "two_belts_one_car"): (
-        "3 busy devices but 2 actions"
+    ("motion_filed_under_other_device", "two_belts_one_car"): (
+        "action 74 on belt:entrance is filed under another device"
     ),
     ("two_belts_one_car", "platform_floor_out_of_range"): (
         "a ticket's car sits on two belts: [7, 7]"
@@ -672,12 +701,13 @@ def test_closed_ticket_reopened_by_direct_write_is_caught():
 
 def _motion_writes(session: GarageSession):
     """Direct writes to the motion state: the relay bank's powered set, the
-    active actions, the action a device is busy with, and the claims on the
-    belts, drawn from the values the busy garage already holds plus a few it
-    must not."""
+    running motions and the devices they are filed under, and the claims on
+    the belts, drawn from the values the busy garage already holds plus a few
+    it must not."""
     fleet = session.fleet
     devices = [*fleet.belts.values(), fleet.platform, *fleet.gates.values()]
-    action_ids = sorted(fleet.active)
+    running, actions = list(fleet.active), list(fleet.active.values())
+    names = [*fleet.by_name, "belt:nowhere"]
     motors = sorted({*fleet.relays.powered, ELEVATOR_MOTOR, *ROTATOR_MOTORS})
     claims = session.controller.claims
     cars = sorted({h for claim, h in claims.items() if isinstance(claim, BeltId)} | {4})
@@ -686,18 +716,18 @@ def _motion_writes(session: GarageSession):
         change = fleet.relays.powered.add if on else fleet.relays.powered.discard
         return lambda: change(motor), ("powered", motor, on)
 
-    def rewrite(action_id, field, value):
+    def rewrite(device, field, value):
         def apply():
-            if action_id in fleet.active:
-                fleet.active[action_id] = fleet.active[action_id]._replace(**{field: value})
+            if device in fleet.active:
+                fleet.active[device] = fleet.active[device]._replace(**{field: value})
 
-        return apply, ("action", action_id, field, value)
+        return apply, ("action", device, field, value)
 
-    def drop(action_id):
-        return lambda: fleet.active.pop(action_id, None), ("drop", action_id)
+    def drop(device):
+        return lambda: fleet.active.pop(device, None), ("drop", device)
 
-    def busy(device, action_id):
-        return lambda: setattr(device, "action_id", action_id), ("busy", device, action_id)
+    def file(device, action):
+        return lambda: fleet.active.__setitem__(device, action), ("file", device, action)
 
     def ride(belt, car):
         def apply():
@@ -709,13 +739,13 @@ def _motion_writes(session: GarageSession):
         return apply, ("ride", belt.belt_id, car)
 
     motor_sets = st.lists(st.sampled_from(motors), max_size=3).map(tuple)
-    ids, belts = st.sampled_from(action_ids), list(fleet.belts.values())
+    busy, belts = st.sampled_from(running), list(fleet.belts.values())
     return st.one_of(
         st.builds(power, st.sampled_from(motors), st.booleans()),
-        st.builds(rewrite, ids, st.just("motors"), motor_sets),
-        st.builds(rewrite, ids, st.just("device"), st.sampled_from(devices)),
-        st.builds(drop, ids),
-        st.builds(busy, st.sampled_from(devices), st.sampled_from([None, *action_ids, 404])),
+        st.builds(rewrite, busy, st.just("motors"), motor_sets),
+        st.builds(rewrite, busy, st.just("device_id"), st.sampled_from(names)),
+        st.builds(drop, busy),
+        st.builds(file, st.sampled_from(devices), st.sampled_from(actions)),
         st.builds(ride, st.sampled_from(belts), st.sampled_from([None, *cars])),
     )
 
@@ -723,8 +753,8 @@ def _motion_writes(session: GarageSession):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_motion_checks_agree_with_the_oracle(data):
-    """The scan's count of busy devices and its checks of the running motions
-    give the verdict of the oracle's loop over every device and action: it
+    """The scan's checks of the running motions, which read the devices
+    by name, give the verdict of the oracle's walk over every device: it
     rejects what the oracle rejects, and only that."""
     session = busy_session()
     writes = data.draw(st.lists(_motion_writes(session), min_size=1, max_size=3))

@@ -133,6 +133,33 @@ def test_config_after_events_rejected():
 
 
 @pytest.mark.parametrize(
+    "text,message",
+    [
+        ("configfloors=5\n", "line 1: event needs t= and kind="),
+        ("config_x floors=5\n", "line 1: stray token 'config_x'"),
+    ],
+)
+def test_only_the_word_config_starts_a_config_line(text, message):
+    """A line whose first token is not exactly ``config`` is an event line,
+    and these are not valid ones."""
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+    assert parse_scenario("config  floors=5\n").config.floors == 5
+
+
+def test_an_event_value_cannot_hold_a_hash():
+    """In a file ``#`` starts a comment, so a value holding one would lose
+    its tail on the way through ``render_scenario`` and ``parse_scenario``;
+    the event line is refused where it is read."""
+    line = "t=2 kind=sms_in phone=+1 body=car #5 please"
+    with pytest.raises(ScenarioParseError) as err:
+        parse_event_line(line, GarageConfig())
+    assert str(err.value) == "line 1: event values cannot contain '#'"
+    assert parse_scenario(line).events[0].payload.body == "car"
+
+
+@pytest.mark.parametrize(
     "line,fragment",
     [
         ("t=0 kind=teleport", "unknown event kind"),
@@ -254,7 +281,7 @@ _T_TEXT = st.integers(0, 10**9).map(
     lambda ms: f"{ms // 1000}.{ms % 1000:03d}".rstrip("0").rstrip(".")
 )
 _WORD = st.text(
-    st.characters(min_codepoint=33, max_codepoint=126, blacklist_characters="="), min_size=1
+    st.characters(min_codepoint=33, max_codepoint=126, blacklist_characters="=#"), min_size=1
 )
 _FIELD_TEXT = {
     "vehicle": st.text(string.ascii_letters + string.digits + "-_", min_size=1, max_size=12),
@@ -395,7 +422,7 @@ def test_a_motion_is_its_own_completion_event():
     def handler(event):
         at_ms, seq, payload = event
         if not isinstance(payload, InputEvent):
-            started = fleet.active.get(payload.action_id)
+            started = fleet.active.get(fleet.by_name[payload.device_id])
             completions.append((len(trace), at_ms, seq, payload, started))
         handle(event)
 
@@ -581,6 +608,32 @@ def test_a_trace_read_mid_run_begins_the_final_trace(seed):
     read = []
     for event in scenario.events:
         session.run_until(event.t_ms)
+        read.append(list(session.sim.trace))
+    session.run_until_idle()
+    final = list(session.sim.trace)
+    assert final == list(run_scenario(scenario).trace)
+    for lines in read:
+        assert final[: len(lines)] == lines
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 999), data=st.data())
+def test_a_trace_read_at_any_cut_begins_the_final_trace(seed, data):
+    """As above, with run_until cuts anywhere on the clock: between events,
+    before the first and past the last. Only traces are compared, since a
+    report depends on where the clock stops."""
+    scenario = random_scenario(seed, 18)
+    first, last = scenario.events[0].t_ms, scenario.events[-1].t_ms
+    cut = st.one_of(
+        st.integers(0, first), st.integers(first, last), st.integers(last, last + 600_000)
+    )
+    cuts = sorted(data.draw(st.lists(cut, max_size=8), label="cuts"))
+    session = GarageSession(scenario.config, scenario.settings)
+    for event in scenario.events:
+        session.schedule(event)
+    read = []
+    for t_ms in cuts:
+        session.run_until(t_ms)
         read.append(list(session.sim.trace))
     session.run_until_idle()
     final = list(session.sim.trace)
