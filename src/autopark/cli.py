@@ -240,8 +240,9 @@ def _repl_command(session: GarageSession, line: str) -> bool:
     elif words[0] == "state":
         occupied, vacant = occupancy_count(session.garage)
         platform = session.fleet.platform
+        mode = "Halted" if session.fleet.faulted else "Normal"
         print(
-            f"t={session.sim.clock_ms / 1000:.3f}s mode={session.controller.mode.value} "
+            f"t={session.sim.clock_ms / 1000:.3f}s mode={mode} "
             f"occupied={occupied} vacant={vacant} "
             f"platform=floor:{platform.floor_pos} angle:{platform.angle_deg:g} "
             f"soc={session.power.soc:.3f} pending={session.sim.pending()}"

@@ -13,7 +13,8 @@ device it drives and names in the trace, the claims its ticket must hold
 and those it frees when it ends; the controller starts it on the fleet
 directly. Contention is resolved by a FIFO wait queue. A belt fault halts
 the issuing of new motions garage-wide until the fault is cleared; motions
-already in flight run to completion.
+already in flight run to completion. The fleet's ``faulted`` set is the one
+record of a fault: the garage is halted while it is non-empty.
 
 Billing charges every started minute between the entrance acceptance and the
 retrieval request, both captured on the millisecond clock.
@@ -84,11 +85,6 @@ class InvariantViolationError(AutoparkError):
     """A structural invariant of the garage state failed."""
 
 
-class ControllerMode(str, Enum):
-    NORMAL = "Normal"
-    HALTED = "Halted"
-
-
 class StepKind(str, Enum):
     OPEN_GATE = "open_gate"
     CLOSE_GATE = "close_gate"
@@ -100,7 +96,6 @@ class StepKind(str, Enum):
     TRANSFER_FROM_SLOT = "transfer_from_slot"
 
 
-NORMAL, HALTED = ControllerMode  # module constants, as in model.py
 (OPEN_GATE, CLOSE_GATE, CONVEY, LOAD_PLATFORM, ELEVATE, ROTATE,
  TRANSFER_TO_SLOT, TRANSFER_FROM_SLOT) = StepKind
 
@@ -152,21 +147,19 @@ class Program:
         label: str,  # parking | retrieval | exit | homing
         steps: tuple[Step, ...],
         ticket_id: int | None = None,
-        idx: int = 0,
     ):
         self.label = label
         self.steps = steps
         self.ticket_id = ticket_id
         self.holder = "homing" if ticket_id is None else ticket_id
-        self.idx = idx
+        self.idx = 0
         self.ticket_label = "-" if ticket_id is None else str(ticket_id)
 
 
 class ArrivalRecord(NamedTuple):
     at_ms: int
     vehicle: Vehicle
-    accepted: bool
-    ticket_id: int | None
+    ticket_id: int | None  # None when the car is turned away
     reason: str | None  # TooLong | NoVacancy | DuplicatePhone | Halted
 
 
@@ -247,14 +240,13 @@ class GarageController:
         garage: GarageState,
         fleet: DeviceFleet,
         gateway: SmsGateway,
-        trace: Callable[..., None] | None = None,
+        trace: Callable[..., None],
     ):
         self.garage = garage
         self.fleet = fleet
         self.gateway = gateway
-        self.mode = NORMAL
         self.arrivals: list[ArrivalRecord] = []
-        self._trace = trace if trace is not None else lambda *record: None
+        self._trace = trace
         self._wait_q: dict[Program, None] = {}  # insertion-ordered: request order
         # Each held resource ("entrance", "exit", "platform", ENTRANCE_BELT,
         # EXIT_BELT) and its holder: a ticket id or "homing".
@@ -277,10 +269,10 @@ class GarageController:
                 reason = "NoVacancy"
         if reason is not None:
             self._trace(reject_vehicle_line, now_ms, reason, vehicle.vehicle_id)
-            self.arrivals.append(ArrivalRecord(now_ms, vehicle, False, None, reason))
+            self.arrivals.append(ArrivalRecord(now_ms, vehicle, None, reason))
             return
         ticket = self.garage.issue_ticket(vehicle, slot, now_ms)
-        self.arrivals.append(ArrivalRecord(now_ms, vehicle, True, ticket.ticket_id, None))
+        self.arrivals.append(ArrivalRecord(now_ms, vehicle, ticket.ticket_id, None))
         self._set_phase(ticket, PARKING, now_ms)
         program = Program("parking", _parking_plan(slot), ticket.ticket_id)
         self._request_step(program, now_ms)
@@ -290,7 +282,7 @@ class GarageController:
 
     def _screen_arrival(self, vehicle: Vehicle) -> str | None:
         """The reason to turn the car away before looking for a slot, if any."""
-        if self.mode is HALTED:
+        if self.fleet.faulted:
             return "Halted"
         sensors = read_length_sensors(vehicle.length_mm, self.garage.config)
         if all(sensors):
@@ -307,7 +299,7 @@ class GarageController:
 
     def handle_retrieval_request(self, phone: str, now_ms: int) -> None:
         """Any text from a phone with a parked car asks for that car back."""
-        if self.mode is HALTED:
+        if self.fleet.faulted:
             self._trace(reject_phone_line, now_ms, "Halted", phone)
             return
         ticket = self.garage.active_by_phone.get(phone)
@@ -342,17 +334,14 @@ class GarageController:
 
     def on_fault(self, belt_id: BeltId, now_ms: int) -> None:
         """A belt malfunction raises the alarm: finish in-flight motions only."""
-        self.fleet.belts[belt_id].faulted = True
-        self.mode = HALTED
+        self.fleet.faulted.add(self.fleet.belts[belt_id])
         self._trace(halted_line, now_ms, belt_id)
 
     def on_fault_cleared(self, now_ms: int) -> None:
-        """Resume deferred work in request order; a no-op when not halted."""
-        if self.mode is not HALTED:
+        """Clear every fault and resume deferred work in request order, if halted."""
+        if not self.fleet.faulted:
             return
-        for belt in self.fleet.belts.values():
-            belt.faulted = False
-        self.mode = NORMAL
+        self.fleet.faulted.clear()
         self._trace(resumed_line, now_ms)
         self._pump(now_ms)
         self._maybe_home(now_ms)
@@ -390,7 +379,7 @@ class GarageController:
     def _pump(self, now_ms: int) -> None:
         """Serve the wait queue in request order; launches never free anything,
         so one pass per wake-up is enough."""
-        if self.mode is HALTED:
+        if self.fleet.faulted:
             return
         for program in list(self._wait_q):
             if self._try_launch(program, now_ms):
@@ -425,7 +414,7 @@ class GarageController:
             return fleet.gate_actuate(step.gate, command, now_ms, program)
         if step.belt is not None:
             belt = fleet.belts[step.belt]
-            if belt in running or belt.faulted or fleet.relays.available() < 1:
+            if belt in running or fleet.relays.available() < 1:
                 return None
             return fleet.belt_start_convey(step.belt, now_ms, program)
         platform = fleet.platform
@@ -457,7 +446,7 @@ class GarageController:
 
     def _maybe_home(self, now_ms: int) -> None:
         """Park the idle platform back at floor 0, angle 0."""
-        if self.mode is HALTED:
+        if self.fleet.faulted:
             return
         if "platform" in self.claims:  # in use, or already homing
             return

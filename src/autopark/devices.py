@@ -110,14 +110,16 @@ class RelayBank:
     def available(self) -> int:
         return self.budget - len(self.powered)
 
-    def request_power(self, motor_id: str) -> None:
-        if motor_id in self.powered:
-            raise ValueError(f"motor {motor_id} is already powered")
-        if len(self.powered) >= self.budget:
+    def request_power(self, *motor_ids: str) -> None:
+        """Power every motor named, or, if that would break the budget, none."""
+        for motor_id in motor_ids:
+            if motor_id in self.powered:
+                raise ValueError(f"motor {motor_id} is already powered")
+        if len(self.powered) + len(motor_ids) > self.budget:
             raise PowerBudgetExceededError(
                 f"power budget {self.budget} in use: {sorted(self.powered)}"
             )
-        self.powered.add(motor_id)
+        self.powered.update(motor_ids)
         self.max_concurrent = max(self.max_concurrent, len(self.powered))
 
     def release_power(self, motor_id: str) -> None:
@@ -131,11 +133,9 @@ class RelayBank:
 
 
 class Belt:
-    __slots__ = ("belt_id", "faulted", "device_id")
+    __slots__ = ("device_id",)
 
-    def __init__(self, belt_id: BeltId, faulted: bool = False):
-        self.belt_id = belt_id
-        self.faulted = faulted
+    def __init__(self, belt_id: BeltId):
         self.device_id = device_name("belt", belt_id)
 
 
@@ -144,17 +144,16 @@ class PlatformState:
 
     __slots__ = ("floor_pos", "angle_deg")
 
-    def __init__(self, floor_pos: int = 0, angle_deg: float = 0.0):
-        self.floor_pos = floor_pos
-        self.angle_deg = angle_deg  # always in [0, 360)
+    def __init__(self):
+        self.floor_pos = 0
+        self.angle_deg = 0.0  # always in [0, 360)
 
 
 class GateState:
-    __slots__ = ("name", "angle_deg", "device_id")
+    __slots__ = ("angle_deg", "device_id")
 
-    def __init__(self, name: str, angle_deg: float = 0.0):
-        self.name = name  # entrance | exit
-        self.angle_deg = angle_deg  # 0 closed, 90 open
+    def __init__(self, name: str):  # entrance | exit
+        self.angle_deg = 0.0  # 0 closed, 90 open
         self.device_id = device_name("gate", name)
 
 
@@ -214,7 +213,9 @@ class DeviceFleet:
     finds a device by the name its motions go by in the trace (``elevator``
     and ``rotator`` both name the platform). Starting a motion powers its
     motors (zero-duration motions need no power) and files it in ``active``;
-    complete_action releases both.
+    complete_action releases both. ``faulted`` is the one record of a belt
+    fault: the belts faulted since the last clearing, which refuse to start;
+    the garage is halted while it is non-empty.
     """
 
     def __init__(
@@ -235,6 +236,7 @@ class DeviceFleet:
             self.by_name[device.device_id] = device
         self._next_action_id = 1
         self.active: dict[Device, Action] = {}
+        self.faulted: set[Belt] = set()
 
     # -- internals ---------------------------------------------------------
 
@@ -250,8 +252,7 @@ class DeviceFleet:
         end_state: tuple[str, float] | None = None,
     ) -> Action:
         if duration_ms > 0:
-            for motor in motors:
-                self.relays.request_power(motor)
+            self.relays.request_power(*motors)
         else:
             motors = ()
         action_id = self._next_action_id
@@ -271,7 +272,7 @@ class DeviceFleet:
         """Run one conveyor for its transit time; on the platform belt that is
         the time to load a car onto the platform or off it."""
         belt = self.belts[belt_id]
-        if belt.faulted:
+        if belt in self.faulted:
             raise BeltFaultedError(f"belt {belt_id} is faulted")
         if belt in self.active:
             raise BeltBusyError(f"belt {belt_id} is busy with action {self.active[belt].action_id}")

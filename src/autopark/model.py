@@ -249,22 +249,14 @@ class ParkingTicket:
     __slots__ = ("ticket_id", "vehicle", "slot", "entry_ms", "phase",
                  "exit_ms", "parked_ms", "ready_ms", "closed_ms", "amount_due")
 
-    def __init__(
-        self,
-        ticket_id: int,
-        vehicle: Vehicle,
-        slot: SlotAddress,
-        entry_ms: int,
-        phase: TicketPhase = AWAITING_ENTRY,
-        exit_ms: int | None = None,  # the retrieval request stops the billing clock
-        parked_ms: int | None = None,  # the car is in its slot
-        ready_ms: int | None = None,  # the car is on the exit belt and billed
-        closed_ms: int | None = None,  # paid
-        amount_due: Decimal | None = None,
-    ):
+    def __init__(self, ticket_id: int, vehicle: Vehicle, slot: SlotAddress, entry_ms: int):
         self.ticket_id, self.vehicle, self.slot, self.entry_ms = ticket_id, vehicle, slot, entry_ms
-        self.phase, self.exit_ms, self.parked_ms = phase, exit_ms, parked_ms
-        self.ready_ms, self.closed_ms, self.amount_due = ready_ms, closed_ms, amount_due
+        self.phase = AWAITING_ENTRY
+        self.exit_ms: int | None = None  # the retrieval request stops the billing clock
+        self.parked_ms: int | None = None  # the car is in its slot
+        self.ready_ms: int | None = None  # the car is on the exit belt and billed
+        self.closed_ms: int | None = None  # paid
+        self.amount_due: Decimal | None = None
 
     def advance(self, phase: TicketPhase) -> None:
         """Move to the next lifecycle phase; phases never go backwards."""
@@ -337,19 +329,12 @@ class GarageState:
 
     __slots__ = ("config", "slots", "tickets", "active", "active_by_phone")
 
-    def __init__(
-        self,
-        config: GarageConfig,
-        slots: SlotMatrix,
-        tickets: dict[int, ParkingTicket] | None = None,
-        active: dict[int, ParkingTicket] | None = None,
-        active_by_phone: dict[str, ParkingTicket] | None = None,
-    ):
+    def __init__(self, config: GarageConfig, slots: SlotMatrix):
         self.config = config
         self.slots = slots
-        self.tickets = {} if tickets is None else tickets
-        self.active = {} if active is None else active
-        self.active_by_phone = {} if active_by_phone is None else active_by_phone
+        self.tickets: dict[int, ParkingTicket] = {}
+        self.active: dict[int, ParkingTicket] = {}
+        self.active_by_phone: dict[str, ParkingTicket] = {}
 
     @property
     def vehicles_entered(self) -> int:

@@ -312,9 +312,18 @@ def _format_t(t_ms: int) -> str:
 
 
 def render_event(event: ScenarioEvent) -> str:
+    """The event's scenario line; a ValueError if a text value would not read
+    back the same: it holds ``#``, a word after its first holds ``=``, or
+    its words are not joined by single spaces."""
     p = event.payload
     spec = EVENT_KINDS[p.kind]
-    pairs = field_pairs(spec.fields, spec.values(p))
+    values = spec.values(p)
+    for key, value in zip(spec.fields, values):
+        if type(value) is str and (
+            "#" in value or "=" in value.partition(" ")[2] or " ".join(value.split()) != value
+        ):
+            raise ValueError(f"kind={p.kind} {key}={value!r} would not read back the same")
+    pairs = field_pairs(spec.fields, values)
     return " ".join([f"t={_format_t(event.t_ms)} kind={p.kind}", *pairs])
 
 
@@ -450,7 +459,7 @@ class GarageSession:
         return RunReport(tuple(rows), aggregates)
 
     def _row_for(self, rec: ArrivalRecord) -> ReportRow:
-        if not rec.accepted:
+        if rec.ticket_id is None:
             return ReportRow(
                 vehicle_id=rec.vehicle.vehicle_id,
                 status=f"rejected:{rec.reason}",

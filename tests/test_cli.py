@@ -320,6 +320,16 @@ def test_repl_reports_errors_and_continues(capsys, monkeypatch):
     assert "mode=Normal" in after_run[2]
 
 
+def test_repl_state_shows_the_halt(capsys, monkeypatch):
+    script = "t=0 kind=fault belt=exit\ntick 1\nstate\nt=2 kind=fault_cleared\ntick 2\nstate\n"
+    assert _run_repl(monkeypatch, script) == 0
+    states = [line for line in capsys.readouterr().out.splitlines() if " mode=" in line]
+    assert [line.split()[:2] for line in states] == [
+        ["t=1.000s", "mode=Halted"],
+        ["t=3.000s", "mode=Normal"],
+    ]
+
+
 def test_repl_refuses_a_hash_in_an_event_value(capsys, monkeypatch):
     """A scenario file would read ``#5 please`` as a comment, so the console
     refuses the line rather than schedule an event no file can hold."""

@@ -207,7 +207,7 @@ def test_phone_reusable_after_ticket_closes():
             (600_000, Arrival(Vehicle("v2", 4000, "+9745500001"))),
         ]
     )
-    assert session.controller.arrivals[1].accepted
+    assert session.controller.arrivals[1].ticket_id == 2
     assert session.garage.tickets[2].phase is TicketPhase.PARKED
 
 
@@ -362,7 +362,7 @@ def test_arrival_during_halt_is_rejected():
         ]
     )
     assert session.controller.arrivals[0].reason == "Halted"
-    assert session.controller.arrivals[1].accepted
+    assert session.controller.arrivals[1].ticket_id == 1
 
 
 def test_retrieval_during_halt_is_rejected():
@@ -392,6 +392,33 @@ def test_payment_during_halt_closes_but_defers_motion():
     exit_gate_starts = starts(session, "gate:exit")
     first = int(exit_gate_starts[0].split()[0].removeprefix("t="))
     assert first == 260_000  # deferred to the all-clear
+
+
+def test_one_clearing_resumes_every_faulted_belt():
+    """Faults on the entrance and the exit belt, then one ``fault_cleared``:
+    a whole cycle through both belts runs after it."""
+    session = drive(
+        [
+            (0, BeltFault("entrance")),
+            (1000, BeltFault("exit")),
+            (2000, FaultCleared()),
+            (3000, Arrival(vehicle(1))),
+            (120_000, InboundSms("+9745500001", "out")),
+            (300_000, PaymentConfirmed(1)),
+        ]
+    )
+    assert sum("mode=Normal" in line for line in session.sim.trace) == 1
+    assert len(starts(session, "belt:entrance")) == 1
+    assert len(starts(session, "belt:exit")) == 2  # onto the exit belt, then out
+    assert session.garage.tickets[1].phase is TicketPhase.CLOSED
+    assert session.fleet.gates["exit"].angle_deg == 0.0  # the exit program ran to its end
+
+
+def test_fault_on_a_belt_the_garage_lacks_fails_at_dispatch():
+    session = GarageSession()
+    session.sim.schedule(1000, BeltFault("slot:99"))  # the 3x6 garage has slots 0-5
+    with pytest.raises(KeyError):
+        session.run_until_idle()
 
 
 def test_clear_without_fault_is_a_noop():

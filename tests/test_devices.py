@@ -130,10 +130,10 @@ def test_platform_belt_uses_load_time(fleet):
 
 
 def test_faulted_belt_refuses_to_start(fleet):
-    fleet.belts[EXIT_BELT].faulted = True
+    fleet.faulted.add(fleet.belts[EXIT_BELT])
     with pytest.raises(BeltFaultedError):
         fleet.belt_start_convey(EXIT_BELT, 0)
-    fleet.belts[EXIT_BELT].faulted = False
+    fleet.faulted.clear()
     fleet.belt_start_convey(EXIT_BELT, 0)
 
 
@@ -187,6 +187,17 @@ def test_rotation_uses_both_relay_channels(fleet):
     assert fleet.relays.available() == 0
     with pytest.raises(PowerBudgetExceededError):
         fleet.belt_start_convey(ENTRANCE_BELT, 0)
+
+
+def test_refused_rotation_powers_no_motor(fleet):
+    """A turn needs both ring motors; with one relay free it is refused whole."""
+    fleet.belt_start_convey(ENTRANCE_BELT, 0)
+    powered, active = set(fleet.relays.powered), dict(fleet.active)
+    refused = r"power budget 2 in use: \['belt:entrance'\]"
+    with pytest.raises(PowerBudgetExceededError, match=refused):
+        fleet.platform_rotate_to_slot(3, 0)
+    assert fleet.relays.powered == powered
+    assert fleet.active == active
 
 
 def test_rotation_to_current_slot_is_instant(fleet):

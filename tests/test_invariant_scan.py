@@ -732,14 +732,14 @@ def _motion_writes(session: GarageSession):
     def ride(belt, car):
         def apply():
             if car is None:
-                claims.pop(belt.belt_id, None)
+                claims.pop(belt, None)
             else:
-                claims[belt.belt_id] = car
+                claims[belt] = car
 
-        return apply, ("ride", belt.belt_id, car)
+        return apply, ("ride", belt, car)
 
     motor_sets = st.lists(st.sampled_from(motors), max_size=3).map(tuple)
-    busy, belts = st.sampled_from(running), list(fleet.belts.values())
+    busy, belts = st.sampled_from(running), list(fleet.belts)
     return st.one_of(
         st.builds(power, st.sampled_from(motors), st.booleans()),
         st.builds(rewrite, busy, st.just("motors"), motor_sets),

@@ -276,6 +276,13 @@ def test_render_event_round_trips():
         assert render_event(event) == line
 
 
+@pytest.mark.parametrize("body", ["car #5 x=y", "car  5", "car 5 x=y"])
+def test_render_event_refuses_a_value_that_would_not_read_back(body):
+    event = ScenarioEvent(2000, InboundSms("+1", body))
+    with pytest.raises(ValueError, match=re.escape(f"kind=sms_in body={body!r}")):
+        render_event(event)
+
+
 # Canonical text for every field any event kind has, as render_event writes it.
 _T_TEXT = st.integers(0, 10**9).map(
     lambda ms: f"{ms // 1000}.{ms % 1000:03d}".rstrip("0").rstrip(".")
