@@ -10,11 +10,15 @@ resource: a ticket id, or ``"homing"`` for the homing program. A claim
 belongs to the ticket, so one can pass from a ticket's retrieval to its
 exit. Each step is one record holding everything about its motion: the
 device it drives and names in the trace, the claims its ticket must hold
-and those it frees when it ends; the controller starts it on the fleet
-directly. Contention is resolved by a FIFO wait queue. A belt fault halts
-the issuing of new motions garage-wide until the fault is cleared; motions
-already in flight run to completion. The fleet's ``faulted`` set is the one
-record of a fault: the garage is halted while it is non-empty.
+and those it frees when it ends. A program runs a plan of steps and then
+its finish. The controller reads no device state: the fleet refuses a
+motion its relays cannot power, and the program retries once a motor
+frees. A device moves only under the claim covering it, so no session
+reaches a busy error. Contention is resolved by a FIFO wait queue. A belt
+fault halts the issuing of new motions garage-wide until the fault is
+cleared; motions already in flight run to completion. The fleet's
+``faulted`` set is the one record of a fault: the garage is halted while it
+is non-empty.
 
 Billing charges every started minute between the entrance acceptance and the
 retrieval request, both captured on the millisecond clock.
@@ -36,6 +40,7 @@ from .devices import (
     Action,
     BeltId,
     DeviceFleet,
+    PowerBudgetExceededError,
     device_name,
     read_length_sensors,
 )
@@ -137,20 +142,22 @@ class Program:
     Programs compare and hash by identity: the wait queue tracks the program
     object, not its current field values. Its claims are held in the name of
     its ``holder``, the ticket id or ``"homing"``. Programs for one slot
-    share one step tuple; each keeps its own ``idx``.
+    share one step tuple; each keeps its own ``idx``. ``finish``, run on the
+    ticket after the last step, is an unbound ``GarageController`` function
+    or None, so that a program held by its motions holds no controller.
     """
 
-    __slots__ = ("label", "steps", "ticket_id", "holder", "idx", "ticket_label", "__weakref__")
+    __slots__ = ("steps", "ticket_id", "finish", "holder", "idx", "ticket_label", "__weakref__")
 
     def __init__(
         self,
-        label: str,  # parking | retrieval | exit | homing
         steps: tuple[Step, ...],
         ticket_id: int | None = None,
+        finish: Callable[..., None] | None = None,
     ):
-        self.label = label
         self.steps = steps
         self.ticket_id = ticket_id
+        self.finish = finish
         self.holder = "homing" if ticket_id is None else ticket_id
         self.idx = 0
         self.ticket_label = "-" if ticket_id is None else str(ticket_id)
@@ -274,7 +281,7 @@ class GarageController:
         ticket = self.garage.issue_ticket(vehicle, slot, now_ms)
         self.arrivals.append(ArrivalRecord(now_ms, vehicle, ticket.ticket_id, None))
         self._set_phase(ticket, PARKING, now_ms)
-        program = Program("parking", _parking_plan(slot), ticket.ticket_id)
+        program = Program(_parking_plan(slot), ticket.ticket_id, GarageController._parked)
         self._request_step(program, now_ms)
         self._trace(timer_line, now_ms, "start", ticket.ticket_id)
         self._send_sms("welcome", ticket, now_ms)
@@ -314,7 +321,7 @@ class GarageController:
         ticket.exit_ms = now_ms
         self._trace(timer_line, now_ms, "stop", ticket.ticket_id)
         self._set_phase(ticket, RETRIEVING, now_ms)
-        program = Program("retrieval", _retrieval_plan(ticket.slot), ticket.ticket_id)
+        program = Program(_retrieval_plan(ticket.slot), ticket.ticket_id, GarageController._bill)
         self._request_step(program, now_ms)
         self._pump(now_ms)
 
@@ -328,7 +335,7 @@ class GarageController:
             self._trace(reject_ticket_line, now_ms, "WrongPhase", ticket_id)
             return
         self._set_phase(ticket, CLOSED, now_ms)
-        program = Program("exit", EXIT_PLAN, ticket_id)
+        program = Program(EXIT_PLAN, ticket_id)
         self._request_step(program, now_ms)
         self._pump(now_ms)
 
@@ -362,10 +369,10 @@ class GarageController:
             ticket = self.garage.tickets[program.ticket_id]
             self.garage.slots.set_cell(ticket.slot, VACANT, None)
         program.idx += 1
-        if program.idx == len(program.steps):
-            self._finish_program(program, now_ms)
-        else:
+        if program.idx < len(program.steps):
             self._request_step(program, now_ms)
+        elif program.finish is not None:
+            program.finish(self, self.garage.tickets[program.ticket_id], now_ms)
         self._pump(now_ms)
         self._maybe_home(now_ms)
 
@@ -403,46 +410,35 @@ class GarageController:
         return True
 
     def _start_motion(self, step: Step, program: Program, now_ms: int) -> Action | None:
-        """Start the step's motion for the program if its device and the motor
-        power it needs are free; a platform already in place needs no power."""
+        """Start the step's motion on the fleet, or None while the relays
+        cannot power it; the fleet alone knows what a motion draws."""
         fleet = self.fleet
-        running = fleet.active
-        if step.gate is not None:
-            if fleet.gates[step.gate] in running:
-                return None
-            command = "open" if step.kind is OPEN_GATE else "close"
-            return fleet.gate_actuate(step.gate, command, now_ms, program)
-        if step.belt is not None:
-            belt = fleet.belts[step.belt]
-            if belt in running or fleet.relays.available() < 1:
-                return None
-            return fleet.belt_start_convey(step.belt, now_ms, program)
-        platform = fleet.platform
-        if platform in running:
+        try:
+            if step.gate is not None:
+                command = "open" if step.kind is OPEN_GATE else "close"
+                return fleet.gate_actuate(step.gate, command, now_ms, program)
+            if step.belt is not None:
+                return fleet.belt_start_convey(step.belt, now_ms, program)
+            if step.kind is ELEVATE:
+                return fleet.elevator_goto_floor(step.target, now_ms, program)
+            return fleet.platform_rotate_to_slot(step.target, now_ms, program)
+        except PowerBudgetExceededError:
             return None
-        if step.kind is ELEVATE:
-            if platform.floor_pos != step.target and fleet.relays.available() < 1:
-                return None
-            return fleet.elevator_goto_floor(step.target, now_ms, program)
-        angle = (step.target * fleet.config.slot_angle_deg) % 360.0
-        if platform.angle_deg != angle and fleet.relays.available() < 2:
-            return None
-        return fleet.platform_rotate_to_slot(step.target, now_ms, program)
 
-    def _finish_program(self, program: Program, now_ms: int) -> None:
-        if program.label == "parking":
-            ticket = self.garage.tickets[program.ticket_id]
-            self._set_phase(ticket, PARKED, now_ms)
-            ticket.parked_ms = now_ms
-        elif program.label == "retrieval":
-            ticket = self.garage.tickets[program.ticket_id]
-            rate = self.garage.config.billing_rate_per_minute
-            ticket.amount_due = compute_bill(ticket.entry_ms, ticket.exit_ms, rate)
-            minutes = billed_minutes(ticket.entry_ms, ticket.exit_ms)
-            self._trace(bill_line, now_ms, ticket.ticket_id, minutes, ticket.amount_due)
-            self._set_phase(ticket, AWAITING_PAYMENT, now_ms)
-            ticket.ready_ms = now_ms
-            self._send_sms("bill", ticket, now_ms)
+    def _parked(self, ticket: ParkingTicket, now_ms: int) -> None:
+        """The parking program's finish: the car is in its slot."""
+        self._set_phase(ticket, PARKED, now_ms)
+        ticket.parked_ms = now_ms
+
+    def _bill(self, ticket: ParkingTicket, now_ms: int) -> None:
+        """The retrieval program's finish: the car is on the exit belt, so bill it."""
+        rate = self.garage.config.billing_rate_per_minute
+        ticket.amount_due = compute_bill(ticket.entry_ms, ticket.exit_ms, rate)
+        minutes = billed_minutes(ticket.entry_ms, ticket.exit_ms)
+        self._trace(bill_line, now_ms, ticket.ticket_id, minutes, ticket.amount_due)
+        self._set_phase(ticket, AWAITING_PAYMENT, now_ms)
+        ticket.ready_ms = now_ms
+        self._send_sms("bill", ticket, now_ms)
 
     def _maybe_home(self, now_ms: int) -> None:
         """Park the idle platform back at floor 0, angle 0."""
@@ -453,7 +449,7 @@ class GarageController:
         platform = self.fleet.platform
         if platform.floor_pos == 0 and platform.angle_deg == 0.0:
             return
-        self._request_step(Program("homing", HOMING_PLAN), now_ms)
+        self._request_step(Program(HOMING_PLAN), now_ms)
         self._pump(now_ms)
 
     def _set_phase(self, ticket: ParkingTicket, phase: TicketPhase, now_ms: int) -> None:

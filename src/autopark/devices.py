@@ -5,8 +5,11 @@ at once.
 Every motion is an Action with a fixed duration. The fleet hands each action
 it starts to a scheduler callback, so the event engine stays the single
 source of time and the action itself is the completion event: a motion makes
-one record, filed under the device it moves while it runs. Devices hold no
-policy: sequencing and queueing live in the controller.
+one record, filed under the device it moves while it runs. The starters
+alone decide whether a motion can start: they refuse one the relays cannot
+power, and the controller retries it once a motor frees. No session reaches
+a busy error. Devices hold no policy: sequencing and queueing live in the
+controller.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ class PowerBudgetExceededError(AutoparkError):
 
 
 class BeltBusyError(AutoparkError):
-    """The belt is already running an action."""
+    """The belt is already running an action (no session reaches this)."""
 
 
 class BeltFaultedError(AutoparkError):
@@ -31,11 +34,11 @@ class BeltFaultedError(AutoparkError):
 
 
 class PlatformBusyError(AutoparkError):
-    """The platform is already moving."""
+    """The platform is already moving (no session reaches this)."""
 
 
 class GateBusyError(AutoparkError):
-    """The gate is mid-swing."""
+    """The gate is mid-swing (no session reaches this)."""
 
 
 def read_length_sensors(vehicle_length_mm: int, config: GarageConfig) -> tuple[bool, bool, bool]:
@@ -99,6 +102,8 @@ class RelayBank:
 
     ``powered`` is the set of motors switched on, each drawing ``MOTOR_LOAD_W``;
     the power model reads their load and reports the high-water motor count.
+    ``request_power``'s refusal is the only device error a session meets:
+    the motion waits and is retried.
     """
 
     budget = 2  # motors that may draw power at once
@@ -106,9 +111,6 @@ class RelayBank:
     def __init__(self):
         self.powered: set[str] = set()
         self.max_concurrent = 0
-
-    def available(self) -> int:
-        return self.budget - len(self.powered)
 
     def request_power(self, *motor_ids: str) -> None:
         """Power every motor named, or, if that would break the budget, none."""

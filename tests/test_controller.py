@@ -730,7 +730,7 @@ def test_plans_match_the_step_builders_they_replaced(floors, slots_per_floor):
 def test_step_device_is_the_device_the_fleet_starts(floors, slots_per_floor):
     session = GarageSession(GarageConfig(floors=floors, slots_per_floor=slots_per_floor))
     for steps, _ in every_plan(session.config):
-        program = Program("test", steps)
+        program = Program(steps)
         for step in steps:
             action = session.controller._start_motion(step, program, 0)
             assert action is not None and action.device_id == step.device, step
@@ -738,14 +738,36 @@ def test_step_device_is_the_device_the_fleet_starts(floors, slots_per_floor):
             session.fleet.complete_action(action.device_id, action.action_id)
 
 
+def _covering_claim(step: Step) -> str | BeltId:
+    """The claim a step must hold to move its device: a gate's bay, the
+    entrance or exit belt itself, and the platform for every other device."""
+    if step.gate is not None:
+        return step.gate
+    if step.belt in (ENTRANCE_BELT, EXIT_BELT):
+        return step.belt
+    return "platform"
+
+
+@pytest.mark.parametrize("floors,slots_per_floor", [(3, 6), (20, 24)])
+def test_every_step_holds_the_claim_covering_its_device(floors, slots_per_floor):
+    """No two programs move one device at once, so the controller never
+    meets a busy device and waits only for relay power."""
+    config = GarageConfig(floors=floors, slots_per_floor=slots_per_floor)
+    plans = [steps for steps, _ in every_plan(config)]
+    assert plans[-2:] == [EXIT_PLAN, HOMING_PLAN]
+    for steps in plans:
+        for step in steps:
+            assert _covering_claim(step) in step.claims, step
+
+
 def test_programs_for_one_slot_share_the_plan_but_not_their_place():
-    first = Program("retrieval", _retrieval_plan(SlotAddress(1, 4)), 1)
-    second = Program("retrieval", _retrieval_plan(SlotAddress(1, 4)), 2)
+    first = Program(_retrieval_plan(SlotAddress(1, 4)), 1)
+    second = Program(_retrieval_plan(SlotAddress(1, 4)), 2)
     assert first.steps is second.steps
     assert (first.ticket_label, second.ticket_label) == ("1", "2")
     first.idx += 3
     assert second.idx == 0
-    assert Program("homing", HOMING_PLAN).ticket_label == "-"
+    assert Program(HOMING_PLAN).ticket_label == "-"
 
 
 _MOTION_LINE = re.compile(r"^t=\d+ act=(request|start) device=(\S+) .*ticket=(\S+)$")

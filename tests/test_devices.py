@@ -90,7 +90,7 @@ def test_relay_budget_is_two_motors():
     bank = RelayBank()
     bank.request_power("a")
     bank.request_power("b")
-    assert bank.available() == 0
+    assert bank.powered == {"a", "b"}
     assert bank.total_load_w() == 20.0
     with pytest.raises(PowerBudgetExceededError):
         bank.request_power("c")
@@ -116,11 +116,11 @@ def test_convey_occupies_one_relay_for_transit_time(fleet):
     assert action.duration_ms == 10_000
     assert fleet.done == [(11_000, action)]
     assert fleet.done[0][1] is action
-    assert fleet.relays.available() == 1
+    assert fleet.relays.powered == {"belt:entrance"}
     with pytest.raises(BeltBusyError):
         fleet.belt_start_convey(ENTRANCE_BELT, 1200)
     fleet.complete_action(action.device_id, action.action_id)
-    assert fleet.relays.available() == 2
+    assert fleet.relays.powered == set()
     assert fleet.active == {}
 
 
@@ -155,7 +155,7 @@ def test_elevator_time_scales_with_floors(fleet):
 def test_elevator_same_floor_is_instant_and_unpowered(fleet):
     action = fleet.elevator_goto_floor(0, 500)
     assert action.duration_ms == 0
-    assert fleet.relays.available() == 2
+    assert fleet.relays.powered == set()
     fleet.complete_action(action.device_id, action.action_id)
 
 
@@ -184,7 +184,7 @@ def test_rotation_tie_turns_clockwise(fleet):
 
 def test_rotation_uses_both_relay_channels(fleet):
     fleet.platform_rotate_to_slot(1, 0)
-    assert fleet.relays.available() == 0
+    assert fleet.relays.powered == {"rotator:a", "rotator:b"}
     with pytest.raises(PowerBudgetExceededError):
         fleet.belt_start_convey(ENTRANCE_BELT, 0)
 
@@ -203,7 +203,7 @@ def test_refused_rotation_powers_no_motor(fleet):
 def test_rotation_to_current_slot_is_instant(fleet):
     action = fleet.platform_rotate_to_slot(0, 0)
     assert action.duration_ms == 0
-    assert fleet.relays.available() == 2
+    assert fleet.relays.powered == set()
 
 
 # -- gates -----------------------------------------------------------------------

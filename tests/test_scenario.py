@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import autopark
+from autopark.controller import EXIT_PLAN, _parking_plan, _retrieval_plan
 from autopark.devices import BeltId, belt_roster
 from autopark.model import (
     AutoparkError,
@@ -479,6 +480,20 @@ def test_dispatch_detail_is_the_tail_of_the_scenario_line():
             assert tails[seq] == f"{kind} detail={pairs or '-'}", (seed, seq)
 
 
+def test_an_input_due_as_a_motion_completes_dispatches_first():
+    """A file run schedules every input before any motion, so an input at the
+    millisecond of a completion takes the lower seq and dispatches first."""
+    scenario = parse_scenario(
+        "t=0 kind=arrival vehicle=v1 length_mm=4200 phone=+97455000001\n"
+        "t=2 kind=irradiance w_per_m2=300\n"
+    )
+    at_2000 = [line for line in run_scenario(scenario).trace if line.startswith("t=2000 seq=")]
+    assert at_2000 == [
+        "t=2000 seq=1 kind=irradiance detail=w_per_m2=300.0",
+        "t=2000 seq=2 kind=device_done detail=device=gate:entrance action=1",
+    ]
+
+
 def _records(trace) -> list[tuple]:
     """A trace's records rather than its lines: ``PackedList``'s own reads
     give them unrendered."""
@@ -779,10 +794,12 @@ def test_a_paid_cycle_leaves_no_program_behind(collector_off):
     def note_programs():
         for action in fleet.active.values():
             if all(ref() is not action.owner for _, ref in programs):
-                programs.append((action.owner.label, weakref.ref(action.owner)))
+                programs.append((action.owner.steps, weakref.ref(action.owner)))
 
     session.sim.check = note_programs
     session.run_until_idle()
-    assert session.garage.tickets[1].phase is TicketPhase.CLOSED
-    assert [label for label, _ in programs] == ["parking", "retrieval", "exit"]
+    ticket = session.garage.tickets[1]
+    assert ticket.phase is TicketPhase.CLOSED
+    plans = [_parking_plan(ticket.slot), _retrieval_plan(ticket.slot), EXIT_PLAN]
+    assert [steps for steps, _ in programs] == plans
     assert [ref() for _, ref in programs] == [None, None, None]
