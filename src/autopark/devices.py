@@ -18,7 +18,7 @@ from collections import namedtuple
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .model import AutoparkError, GarageConfig, ms_from_s, validated_make
+from .model import AutoparkError, GarageConfig, ms_from_s, parse_number, validated_make
 
 
 class PowerBudgetExceededError(AutoparkError):
@@ -86,7 +86,7 @@ def device_name(kind: str, name: object) -> str:
 
 def parse_belt_id(text: str) -> BeltId:
     if text.startswith("slot:"):
-        return BeltId("slot", int(text.split(":", 1)[1]))
+        return BeltId("slot", parse_number(int, text[5:]))
     return BeltId(text)
 
 

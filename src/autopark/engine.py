@@ -26,7 +26,9 @@ from decimal import Decimal
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple, TypeAlias
 
-from .model import AutoparkError, Vehicle
+from .devices import belt_roster, parse_belt_id
+from .model import MAX_BODY_CHARS, AutoparkError, GarageConfig, InvalidEventError, Vehicle
+from .model import check_text, is_valid_phone
 
 if TYPE_CHECKING:
     from .devices import Action, BeltId
@@ -37,24 +39,36 @@ class SchedulingInPastError(AutoparkError):
 
 
 class InputEvent:
-    """What the scenario payloads share: equal only to a payload of the same
-    type with equal fields (a payment for ticket 1 is no irradiance of 1.0),
-    a hash and a repr from those fields, and a weak reference. Each payload's
-    ``kind`` keys its entry in ``scenario.EVENT_KINDS``, which describes its
-    fields, its trace text and its handling."""
+    """An input event from outside the garage, and the one description of its
+    kind: its ``kind``, its line ``fields`` and the ``types`` their text
+    parses to; ``values()`` and ``from_values`` to read and build it. The
+    constructor refuses a value no scenario line could hold, and ``check``
+    one the garage cannot take, with an ``InvalidEventError``. A payload
+    equals only one of its type with equal values (a payment for ticket 1
+    is no irradiance of 1.0), hashes and prints by them, and is weakly
+    referable."""
 
     __slots__ = ("__weakref__",)
+    fields: tuple[str, ...] = ()
+    types: tuple[type, ...] = ()
 
-    def _values(self) -> tuple:
+    @classmethod
+    def from_values(cls, *values) -> InputEvent:
+        return cls(*values)
+
+    def values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
+
+    def check(self, config: GarageConfig) -> None:
+        """Refuse a payload that this garage cannot take; most kinds fit any garage."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self.values() == other.values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self.values())
 
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
@@ -64,16 +78,34 @@ class InputEvent:
 class Arrival(InputEvent):
     __slots__ = ("vehicle",)
     kind = "arrival"
+    fields = ("vehicle", "length_mm", "phone")
+    types = (str, int, str)
 
     def __init__(self, vehicle: Vehicle):
+        if not isinstance(vehicle, Vehicle):
+            raise InvalidEventError(f"not a Vehicle: {vehicle!r}")
         self.vehicle = vehicle
+
+    @classmethod
+    def from_values(cls, vehicle_id: str, length_mm: int, phone: str) -> Arrival:
+        return cls(Vehicle(vehicle_id, length_mm, phone))
+
+    def values(self) -> tuple:
+        return tuple(self.vehicle)
 
 
 class InboundSms(InputEvent):
     __slots__ = ("phone", "body")
     kind = "sms_in"
+    fields = ("phone", "body")
+    types = (str, str)
 
     def __init__(self, phone: str, body: str):
+        if not is_valid_phone(phone):
+            raise InvalidEventError(f"invalid phone number: {phone!r}")
+        check_text("body", body)
+        if len(body) > MAX_BODY_CHARS:
+            raise InvalidEventError(f"body of {len(body)} chars exceeds {MAX_BODY_CHARS}")
         self.phone = phone
         self.body = body
 
@@ -81,25 +113,43 @@ class InboundSms(InputEvent):
 class PaymentConfirmed(InputEvent):
     __slots__ = ("ticket_id",)
     kind = "payment"
+    fields = ("ticket",)
+    types = (int,)
 
     def __init__(self, ticket_id: int):
+        if type(ticket_id) is not int:
+            raise InvalidEventError(f"ticket must be an int, not {ticket_id!r}")
         self.ticket_id = ticket_id
 
 
 class IrradianceChange(InputEvent):
     __slots__ = ("w_per_m2",)
     kind = "irradiance"
+    fields = ("w_per_m2",)
+    types = (float,)
 
     def __init__(self, w_per_m2: float):
-        self.w_per_m2 = w_per_m2
+        if type(w_per_m2) not in (int, float) or not 0 <= w_per_m2 <= 1000:
+            raise InvalidEventError(f"w_per_m2 out of range [0, 1000]: {w_per_m2!r}")
+        self.w_per_m2 = float(w_per_m2)  # as a scenario line's value parses
 
 
 class BeltFault(InputEvent):
     __slots__ = ("belt_id",)
     kind = "fault"
+    fields = ("belt",)
+    types = (str,)
 
     def __init__(self, belt_id: str):
-        self.belt_id = belt_id
+        check_text("belt", belt_id)
+        try:
+            self.belt_id = str(parse_belt_id(belt_id))  # so slot:03 is slot:3
+        except ValueError as exc:
+            raise InvalidEventError(str(exc)) from None
+
+    def check(self, config: GarageConfig) -> None:
+        if parse_belt_id(self.belt_id) not in belt_roster(config.slots_per_floor):
+            raise InvalidEventError(f"no such belt: {self.belt_id}")
 
 
 class FaultCleared(InputEvent):

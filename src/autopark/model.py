@@ -35,6 +35,10 @@ class NegativeDurationError(AutoparkError):
     """A stay was billed with an exit time before its entry time."""
 
 
+class InvalidEventError(AutoparkError, ValueError):
+    """An input event holds a value that no scenario line could."""
+
+
 def ms_from_s(seconds: float) -> int:
     """Convert seconds to the internal integer-millisecond clock unit; a time
     too large for it is a ValueError."""
@@ -63,11 +67,22 @@ def parse_number(kind: type, text: str):
 
 
 _PHONE_RE = re.compile(r"\+?[0-9]+")
+MAX_BODY_CHARS = 160  # one SMS
 
 
 def is_valid_phone(number: str) -> bool:
     """A phone number is one or more ASCII digits with an optional leading '+'."""
-    return _PHONE_RE.fullmatch(number) is not None
+    return type(number) is str and _PHONE_RE.fullmatch(number) is not None
+
+
+def check_text(name: str, value: str) -> None:
+    """Refuse a text field that would not read back the same from a scenario
+    line: it is not a str, holds ``#``, a word after its first holds ``=``,
+    or its words are not joined by single spaces."""
+    if type(value) is not str:
+        raise InvalidEventError(f"{name} must be text, not {value!r}")
+    if "#" in value or "=" in value.partition(" ")[2] or " ".join(value.split()) != value:
+        raise InvalidEventError(f"{name}={value!r} would not read back the same")
 
 
 class KinematicsConfig(NamedTuple):
@@ -178,14 +193,17 @@ class Vehicle(namedtuple("Vehicle", "vehicle_id length_mm phone")):
     __slots__ = ()
 
     def __new__(cls, vehicle_id: str, length_mm: int, phone: str) -> Vehicle:
+        check_text("vehicle_id", vehicle_id)
         if not vehicle_id:
-            raise ValueError("vehicle_id must be non-empty")
+            raise InvalidEventError("vehicle_id must be non-empty")
         if "," in vehicle_id:
-            raise ValueError(f"vehicle_id must not contain ',': {vehicle_id!r}")
+            raise InvalidEventError(f"vehicle_id must not contain ',': {vehicle_id!r}")
+        if type(length_mm) is not int:
+            raise InvalidEventError(f"length_mm must be an int, not {length_mm!r}")
         if length_mm <= 0:
-            raise ValueError("length_mm must be > 0")
+            raise InvalidEventError("length_mm must be > 0")
         if not is_valid_phone(phone):
-            raise ValueError(f"invalid phone number: {phone!r}")
+            raise InvalidEventError(f"invalid phone number: {phone!r}")
         return tuple.__new__(cls, (vehicle_id, length_mm, phone))
 
     _make = classmethod(validated_make)

@@ -52,16 +52,16 @@ from .model import (
     GarageConfig,
     GarageState,
     InvalidConfigError,
+    InvalidEventError,
     KinematicsConfig,
     Vehicle,
-    is_valid_phone,
     ms_from_s,
     new_garage,
     parse_number,
 )
 from .power import PowerSystem
 from .report import Aggregates, ReportRow, RunReport
-from .sms import MAX_BODY_CHARS, SmsGateway, SmsModem
+from .sms import SmsGateway, SmsModem
 
 
 class ScenarioParseError(AutoparkError):
@@ -149,82 +149,16 @@ def _field(pairs: dict[str, str], line_no: int, key: str, convert=str):
         raise ScenarioParseError(line_no, f"bad value for {key}: {text!r}") from exc
 
 
-class EventKind(NamedTuple):
-    """One scenario event kind: its line fields, how to build its payload from
-    them (a ValueError is a parse error), the field values the payload renders
-    on its scenario line and its dispatch line, and how the controller or the
-    power system handles it. The table key is the payload's kind."""
-
-    fields: tuple[str, ...]
-    build: Callable[[Callable[..., object], GarageConfig], InputEvent]
-    values: Callable[[InputEvent], tuple]
-    handle: Callable[[GarageController, PowerSystem, InputEvent, int], None]
-
-
-def _irradiance(field: Callable[..., object], config: GarageConfig) -> IrradianceChange:
-    w = field("w_per_m2", float)
-    if not 0 <= w <= 1000:
-        raise ValueError(f"w_per_m2 out of range [0, 1000]: {field('w_per_m2')}")
-    return IrradianceChange(w)
-
-
-def _inbound_sms(field: Callable[..., object], config: GarageConfig) -> InboundSms:
-    phone = field("phone")
-    if not is_valid_phone(phone):
-        raise ValueError(f"invalid phone number: {phone!r}")
-    body = field("body")
-    if len(body) > MAX_BODY_CHARS:
-        raise ValueError(f"body of {len(body)} chars exceeds {MAX_BODY_CHARS}")
-    return InboundSms(phone, body)
-
-
-def _fault(field: Callable[..., object], config: GarageConfig) -> BeltFault:
-    belt = parse_belt_id(field("belt"))
-    if belt not in belt_roster(config.slots_per_floor):
-        raise ValueError(f"no such belt: {field('belt')}")
-    return BeltFault(str(belt))
-
-
-EVENT_KINDS: dict[str, EventKind] = {
-    "arrival": EventKind(
-        ("vehicle", "length_mm", "phone"),
-        lambda field, config: Arrival(
-            Vehicle(field("vehicle"), field("length_mm", int), field("phone"))
-        ),
-        lambda p: (p.vehicle.vehicle_id, p.vehicle.length_mm, p.vehicle.phone),
-        lambda controller, power, p, t: controller.handle_arrival(p.vehicle, t),
-    ),
-    "sms_in": EventKind(
-        ("phone", "body"),
-        _inbound_sms,
-        lambda p: (p.phone, p.body),
-        lambda controller, power, p, t: controller.on_inbound_sms(p.phone, p.body, t),
-    ),
-    "payment": EventKind(
-        ("ticket",),
-        lambda field, config: PaymentConfirmed(field("ticket", int)),
-        lambda p: (p.ticket_id,),
-        lambda controller, power, p, t: controller.handle_payment(p.ticket_id, t),
-    ),
-    "irradiance": EventKind(
-        ("w_per_m2",),
-        _irradiance,
-        lambda p: (p.w_per_m2,),
-        lambda controller, power, p, t: power.set_irradiance(p.w_per_m2),
-    ),
-    "fault": EventKind(
-        ("belt",),
-        _fault,
-        lambda p: (p.belt_id,),
-        lambda controller, power, p, t: controller.on_fault(parse_belt_id(p.belt_id), t),
-    ),
-    "fault_cleared": EventKind(
-        (),
-        lambda field, config: FaultCleared(),
-        lambda p: (),
-        lambda controller, power, p, t: controller.on_fault_cleared(t),
-    ),
+# How the controller or the power system acts on each input-event kind.
+_HANDLERS: dict[type[InputEvent], Callable[..., None]] = {
+    Arrival: lambda controller, power, p, t: controller.handle_arrival(p.vehicle, t),
+    InboundSms: lambda controller, power, p, t: controller.on_inbound_sms(p.phone, p.body, t),
+    PaymentConfirmed: lambda controller, power, p, t: controller.handle_payment(p.ticket_id, t),
+    IrradianceChange: lambda controller, power, p, t: power.set_irradiance(p.w_per_m2),
+    BeltFault: lambda controller, power, p, t: controller.on_fault(parse_belt_id(p.belt_id), t),
+    FaultCleared: lambda controller, power, p, t: controller.on_fault_cleared(t),
 }
+EVENT_KINDS: dict[str, type[InputEvent]] = {cls.kind: cls for cls in _HANDLERS}
 
 
 def parse_event_line(
@@ -241,17 +175,19 @@ def parse_event_line(
     del pairs["t"]
     if not 0 <= t_s < math.inf:
         raise ScenarioParseError(line_no, "t must be >= 0 and finite")
-    spec = EVENT_KINDS.get(kind)
-    if spec is None:
+    cls = EVENT_KINDS.get(kind)
+    if cls is None:
         raise ScenarioParseError(line_no, f"unknown event kind {kind!r}")
     for key in pairs:
-        if key not in spec.fields:
+        if key not in cls.fields:
             raise ScenarioParseError(line_no, f"unknown field {key!r} for kind={kind}")
-    for key in spec.fields:
+    for key in cls.fields:
         if key not in pairs:
             raise ScenarioParseError(line_no, f"kind={kind} needs {key}=")
     try:
-        return ScenarioEvent(ms_from_s(t_s), spec.build(partial(_field, pairs, line_no), config))
+        payload = cls.from_values(*map(partial(_field, pairs, line_no), cls.fields, cls.types))
+        payload.check(config)
+        return ScenarioEvent(ms_from_s(t_s), payload)
     except ValueError as exc:
         raise ScenarioParseError(line_no, str(exc)) from exc
 
@@ -312,18 +248,9 @@ def _format_t(t_ms: int) -> str:
 
 
 def render_event(event: ScenarioEvent) -> str:
-    """The event's scenario line; a ValueError if a text value would not read
-    back the same: it holds ``#``, a word after its first holds ``=``, or
-    its words are not joined by single spaces."""
+    """The event's scenario line, which reads back as the event."""
     p = event.payload
-    spec = EVENT_KINDS[p.kind]
-    values = spec.values(p)
-    for key, value in zip(spec.fields, values):
-        if type(value) is str and (
-            "#" in value or "=" in value.partition(" ")[2] or " ".join(value.split()) != value
-        ):
-            raise ValueError(f"kind={p.kind} {key}={value!r} would not read back the same")
-    pairs = field_pairs(spec.fields, values)
+    pairs = field_pairs(p.fields, p.values())
     return " ".join([f"t={_format_t(event.t_ms)} kind={p.kind}", *pairs])
 
 
@@ -350,16 +277,15 @@ def render_scenario(scenario: Scenario) -> str:
 def _handle(
     controller: GarageController, power: PowerSystem, trace: Callable[..., None], event: SimEvent
 ) -> None:
-    """The engine's handler: each event's dispatch record (an input event's from
-    its ``EVENT_KINDS`` entry), then the event to the part that acts on it."""
+    """The engine's handler: each event's dispatch record, then the event to
+    the part that acts on it."""
     at_ms, seq, p = event
     if type(p) is Action:  # a motion's completion, one per motion, so kept lean
         trace(device_done_line, at_ms, seq, p.device_id, p.action_id)
         controller.on_device_done(p.device_id, p.action_id, at_ms)
     else:
-        spec = EVENT_KINDS[p.kind]
-        trace(event_line, at_ms, seq, p.kind, spec.fields, spec.values(p))
-        spec.handle(controller, power, p, at_ms)
+        trace(event_line, at_ms, seq, p.kind, p.fields, p.values())
+        _HANDLERS[type(p)](controller, power, p, at_ms)
 
 
 def _advance(power: PowerSystem, relays: RelayBank, dt_ms: int) -> None:
@@ -431,7 +357,12 @@ class GarageSession:
     # -- driving ------------------------------------------------------------
 
     def schedule(self, event: ScenarioEvent) -> None:
-        self.sim.schedule(event.t_ms, event.payload)
+        """Queue an input event, or refuse it as its scenario line would be."""
+        t_ms, payload = event
+        if type(t_ms) is not int or type(payload) not in _HANDLERS:
+            raise InvalidEventError(f"not an input event at a whole millisecond: {event!r}")
+        payload.check(self.config)
+        self.sim.schedule(t_ms, payload)
 
     def run_until(self, t_ms: int) -> None:
         self.sim.run_until(t_ms)

@@ -14,10 +14,10 @@ import re
 from collections import namedtuple
 
 from .engine import PackedList
-from .model import AutoparkError, MS_PER_SECOND, ParkingTicket, billed_minutes, validated_make
+from .model import MAX_BODY_CHARS, MS_PER_SECOND, AutoparkError, ParkingTicket
+from .model import billed_minutes, validated_make
 
 CTRL_Z = "\x1a"
-MAX_BODY_CHARS = 160
 
 
 class NotRegisteredError(AutoparkError):

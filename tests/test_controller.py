@@ -34,6 +34,7 @@ from autopark.engine import (
 )
 from autopark.model import (
     GarageConfig,
+    InvalidEventError,
     KinematicsConfig,
     SlotAddress,
     SlotState,
@@ -42,7 +43,13 @@ from autopark.model import (
     new_garage,
 )
 from autopark.report import format_report
-from autopark.scenario import GarageSession, parse_scenario, random_scenario, run_scenario
+from autopark.scenario import (
+    GarageSession,
+    ScenarioEvent,
+    parse_scenario,
+    random_scenario,
+    run_scenario,
+)
 from test_golden_digests import paid_day
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -419,6 +426,13 @@ def test_fault_on_a_belt_the_garage_lacks_fails_at_dispatch():
     session.sim.schedule(1000, BeltFault("slot:99"))  # the 3x6 garage has slots 0-5
     with pytest.raises(KeyError):
         session.run_until_idle()
+
+
+def test_fault_on_a_belt_the_garage_lacks_is_refused_when_scheduled():
+    session = GarageSession()
+    with pytest.raises(InvalidEventError, match="no such belt: slot:99"):
+        session.schedule(ScenarioEvent(1000, BeltFault("slot:99")))
+    assert session.sim.pending() == 0
 
 
 def test_clear_without_fault_is_a_noop():

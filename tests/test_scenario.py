@@ -1,6 +1,7 @@
 """Scenario text parsing, rendering, and end-to-end runs."""
 
 import gc
+import math
 import os
 import pickle  # noqa: F401  (see test_a_dropped_session_is_freed_without_the_collector)
 import re
@@ -22,10 +23,12 @@ from autopark.model import (
     AutoparkError,
     GarageConfig,
     InvalidConfigError,
+    InvalidEventError,
     TicketPhase,
     Vehicle,
 )
 from autopark.scenario import (
+    _HANDLERS,
     EVENT_KINDS,
     GarageSession,
     Scenario,
@@ -49,6 +52,7 @@ from autopark.engine import (
     InputEvent,
     IrradianceChange,
     PackedList,
+    PaymentConfirmed,
     bill_line,
     event_line,
     field_pairs,
@@ -184,13 +188,17 @@ def test_an_event_value_cannot_hold_a_hash():
         ("t=0 kind=irradiance w_per_m2=nan", "out of range"),
         # The refused value as written: %g would name 1000, inside the range.
         ("t=0 kind=irradiance w_per_m2=1000.0000001", r"\[0, 1000\]: 1000\.0000001$"),
-        ("t=0 kind=irradiance w_per_m2=-0.0000001", r"\[0, 1000\]: -0\.0000001$"),
+        # The payload sees a float, not its text; repr names it exactly too.
+        ("t=0 kind=irradiance w_per_m2=-0.0000001", r"\[0, 1000\]: -1e-07$"),
         ("t=1e306 kind=fault_cleared", "line 7: 1e\\+306 s does not fit the millisecond clock"),
         (f"t=0 kind=sms_in phone=+1 body={'x' * 161}", "line 7: body of 161 chars exceeds 160"),
         ("t=1_000 kind=fault_cleared", "bad value for t: '1_000'"),
         ("t=1 kind=payment ticket=\u0661\u0662", "bad value for ticket"),
         ("t=0 kind=irradiance w_per_m2=\u0665\u0660", "bad value for w_per_m2"),
         ("t=0 kind=arrival vehicle=v length_mm=4_000 phone=+9741234567", "bad value for length"),
+        ("t=0 kind=fault belt=slot:\u0663", "not a number"),
+        ("t=0 kind=fault belt=slot:0_3", "not a number"),
+        ("t=0 kind=fault belt=slot: 3", "not a number"),
     ],
 )
 def test_bad_event_lines(line, fragment):
@@ -278,10 +286,37 @@ def test_render_event_round_trips():
 
 
 @pytest.mark.parametrize("body", ["car #5 x=y", "car  5", "car 5 x=y"])
-def test_render_event_refuses_a_value_that_would_not_read_back(body):
-    event = ScenarioEvent(2000, InboundSms("+1", body))
-    with pytest.raises(ValueError, match=re.escape(f"kind=sms_in body={body!r}")):
-        render_event(event)
+def test_a_body_that_would_not_read_back_is_refused_when_built(body):
+    with pytest.raises(InvalidEventError, match=re.escape(f"body={body!r} would not read back")):
+        InboundSms("+1", body)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ScenarioEvent(1000, BeltFault("bogus")),
+        lambda: ScenarioEvent(1000, IrradianceChange(5000.0)),
+        lambda: ScenarioEvent(1000, IrradianceChange(math.nan)),
+        lambda: ScenarioEvent(1000, InboundSms("+1", 1000 * "x")),
+        lambda: ScenarioEvent(1000, InboundSms("not a phone", "hi")),
+        lambda: ScenarioEvent(1000, InboundSms("+1", "car #5")),
+        lambda: ScenarioEvent(1000, PaymentConfirmed("7")),
+        lambda: ScenarioEvent(1000, Arrival(Vehicle("v1", 4200.5, "+1"))),
+        lambda: ScenarioEvent(1.5, FaultCleared()),
+    ],
+    ids=[
+        "belt-bogus", "sun-too-bright", "sun-nan", "body-too-long",
+        "phone-bad", "body-with-hash", "ticket-as-text", "length-fractional", "t-fractional",
+    ],
+)
+def test_an_event_no_scenario_line_could_hold_is_refused_before_the_run(make):
+    """A library caller meets the checks a scenario line meets: the event is
+    refused when it is built or scheduled, and nothing is queued (a belt the
+    garage lacks: ``tests/test_controller.py``)."""
+    session = GarageSession()
+    with pytest.raises(AutoparkError):
+        session.schedule(make())
+    assert session.sim.pending() == 0
 
 
 # Canonical text for every field any event kind has, as render_event writes it.
@@ -308,6 +343,50 @@ def test_render_event_inverts_parse_for_every_kind(kind, data):
     pairs = [f"{key}={data.draw(_FIELD_TEXT[key], label=key)}" for key in EVENT_KINDS[kind].fields]
     line = " ".join([f"t={data.draw(_T_TEXT, label='t')}", f"kind={kind}", *pairs])
     assert render_event(parse_event_line(line, GarageConfig())) == line
+
+
+def test_every_event_kind_is_described_whole():
+    """Each payload class is a kind with a type for each line field and a
+    handler, and the tests here can draw text for each of its fields."""
+    assert set(EVENT_KINDS.values()) == set(_HANDLERS) == set(InputEvent.__subclasses__())
+    for kind, cls in EVENT_KINDS.items():
+        assert cls.kind == kind
+        assert len(cls.types) == len(cls.fields)
+        assert set(cls.fields) <= set(_FIELD_TEXT)
+
+
+# Values a library caller might pass for any field: unicode text, ints,
+# floats and bools, and some that a scenario line cannot hold as they are.
+_ANY_VALUE = st.one_of(
+    st.sampled_from(["", "car #5", "car  5", "a b=c", "slot:03", "slot:99", 250, 4200.5, True]),
+    st.text(),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(EVENT_KINDS)), data=st.data())
+def test_a_payload_from_any_values_is_refused_or_reads_back_and_runs_as_its_line(kind, data):
+    cls = EVENT_KINDS[kind]
+    values = [
+        data.draw(st.one_of(_FIELD_TEXT[key].map(convert), _ANY_VALUE), label=key)
+        for key, convert in zip(cls.fields, cls.types)
+    ]
+    config = GarageConfig()
+    try:
+        payload = cls.from_values(*values)
+        payload.check(config)
+    except InvalidEventError:
+        return
+    event = ScenarioEvent(1000, payload)
+    line = render_event(event)
+    assert parse_event_line(line, config) == event
+    session = GarageSession(config)
+    session.schedule(event)
+    session.run_until(event.t_ms)
+    assert session.sim.trace[0] == run_scenario(parse_scenario(line)).trace[0]
 
 
 def test_render_scenario_round_trips():

@@ -11,6 +11,7 @@ idle, and every bill is paid.
 What holds for every such day:
 - the invariant scan passes after every event (the session is checked), and
   no motion meets a busy device;
+- a fault on a belt the garage lacks is refused when it is scheduled;
 - ``run_until_idle`` ends;
 - the trace's dispatch records rebuild the inputs, in dispatch order;
 - a file run of those inputs makes the same trace once ``seq=`` is
@@ -24,6 +25,7 @@ Tier-1 draws the same 100 examples on every run. For a deeper pass:
 import argparse
 import re
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -42,15 +44,15 @@ from autopark.engine import (
     IrradianceChange,
     PaymentConfirmed,
 )
-from autopark.model import AWAITING_PAYMENT, PARKED, GarageConfig, TicketPhase, Vehicle
+from autopark.model import AWAITING_PAYMENT, PARKED, AutoparkError, GarageConfig, TicketPhase
+from autopark.model import Vehicle
 from autopark.scenario import GarageSession, Scenario, ScenarioEvent, run_scenario
 from test_scenario import _input_events
 
 CONFIG = GarageConfig(floors=3, slots_per_floor=6)
 PHONES = [f"+9745500000{i}" for i in range(8)]
-# Faults only on belts the garage has: a belt it lacks is not refused when
-# scheduled, so the run would die at dispatch.
 BELTS = [str(belt) for belt in belt_roster(CONFIG.slots_per_floor)]
+LACKING_BELTS = [f"slot:{face}" for face in range(CONFIG.slots_per_floor, 10)]
 _SEQ = re.compile(r" seq=\d+")
 _DISPATCH = re.compile(r"t=(\d+) seq=\d+ kind=(\w+)")
 
@@ -100,9 +102,17 @@ class GarageDay(RuleBasedStateMachine):
     def pay_any_ticket(self, delay, ticket_id):
         self._schedule(delay, PaymentConfirmed(ticket_id))
 
-    @rule(delay=delays, belt=st.sampled_from(BELTS), lasts_s=st.integers(1, 20))
+    @rule(delay=delays, belt=st.sampled_from(BELTS + LACKING_BELTS), lasts_s=st.integers(1, 20))
     def fault(self, delay, belt, lasts_s):
-        """A belt fault and, ``lasts_s`` later, its clearing."""
+        """A belt fault and, ``lasts_s`` later, its clearing. A fault on a
+        belt the garage lacks is refused when scheduled, and nothing queued."""
+        if belt in LACKING_BELTS:
+            session = self.session
+            pending = session.sim.pending()
+            with pytest.raises(AutoparkError, match=f"no such belt: {belt}$"):
+                session.schedule(ScenarioEvent(session.sim.clock_ms + delay, BeltFault(belt)))
+            assert session.sim.pending() == pending
+            return
         self._schedule(delay, BeltFault(belt))
         self._schedule(delay + 1000 * lasts_s, FaultCleared())
 
