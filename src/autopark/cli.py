@@ -157,7 +157,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for offset in range(args.count):
         seed = base + offset
         try:
-            scenario = random_scenario(seed)  # its dry run is a checked run too
+            # The generator's dry run is unchecked; this checked run repeats
+            # it up to its one bill.
+            scenario = random_scenario(seed)
             result = run_scenario(scenario)
         except InvariantViolationError as exc:
             print(f"seed {seed}: invariant violation: {exc}", file=sys.stderr)

@@ -247,6 +247,14 @@ def _format_t(t_ms: int) -> str:
     return text or "0"
 
 
+def _t_reads_back(t_ms: int) -> bool:
+    """Whether ``t=`` with the time as ``_format_t`` writes it parses back to it."""
+    try:
+        return t_ms >= 0 and ms_from_s(float(_format_t(t_ms))) == t_ms
+    except (OverflowError, ValueError):
+        return False
+
+
 def render_event(event: ScenarioEvent) -> str:
     """The event's scenario line, which reads back as the event."""
     p = event.payload
@@ -361,6 +369,8 @@ class GarageSession:
         t_ms, payload = event
         if type(t_ms) is not int or type(payload) not in _HANDLERS:
             raise InvalidEventError(f"not an input event at a whole millisecond: {event!r}")
+        if not _t_reads_back(t_ms):
+            raise InvalidEventError(f"t={t_ms}ms would not read back from a scenario line")
         payload.check(self.config)
         self.sim.schedule(t_ms, payload)
 
@@ -436,10 +446,13 @@ def run_scenario(scenario: Scenario, check: bool = True) -> RunResult:
 def random_scenario(seed: int, max_vehicles: int = 12) -> Scenario:
     """Seeded scenario generator for the self-check corpus.
 
-    Payments are timed from a first pass without them: the dry run reveals
-    when each ticket becomes payable, and the payment events are merged in
-    for the final schedule. The result is a plain scenario that renders and
-    parses like any hand-written one.
+    Payments are timed from an unchecked dry run without them: it reveals
+    when a ticket becomes payable, and the payment events are merged in for
+    the final schedule. With no payments nothing frees the one exit belt, so
+    the dry run bills at most one car, and it stops at that bill. A payment
+    comes at least 30 s after its bill, so up to the bill the dry run is the
+    start of the final run, which a checked run scans. The result is a plain
+    scenario that renders and parses like any hand-written one.
     """
     rng = random.Random(seed)
     config = GarageConfig()
@@ -482,12 +495,20 @@ def random_scenario(seed: int, max_vehicles: int = 12) -> Scenario:
         )
 
     events.sort(key=lambda e: e.t_ms)
-    dry = run_scenario(Scenario(config, settings, tuple(events)))
+    dry = GarageSession(config, settings, check=False)
+    for event in events:
+        dry.schedule(event)
+    for event in events:
+        dry.run_until(event.t_ms)
+        if any(ticket.ready_ms is not None for ticket in dry.garage.active.values()):
+            break
+    else:
+        dry.run_until_idle()
     payments: list[ScenarioEvent] = []
-    for rec in dry.session.controller.arrivals:
+    for rec in dry.controller.arrivals:
         if rec.ticket_id is None:
             continue
-        ready_ms = dry.session.garage.tickets[rec.ticket_id].ready_ms
+        ready_ms = dry.garage.tickets[rec.ticket_id].ready_ms
         if ready_ms is not None and rng.random() < 0.85:
             t_pay = ready_ms + round(rng.uniform(30.0, 900.0) * 1000)
             payments.append(ScenarioEvent(t_pay, PaymentConfirmed(rec.ticket_id)))

@@ -218,8 +218,8 @@ def test_check_small_corpus(capsys):
     ids=["invariant_violation", "other_error"],
 )
 def test_check_names_the_seed_of_a_failure(capsys, monkeypatch, error, code, message):
-    """The scan also runs in the generator's dry run, before the checked run:
-    a failure there names its seed too."""
+    """A failure in the checked run names its seed. The generator's dry run
+    is unchecked, so the scan first fails in the checked run."""
 
     def fail(controller):
         raise error("boom")

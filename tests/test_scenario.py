@@ -303,10 +303,17 @@ def test_a_body_that_would_not_read_back_is_refused_when_built(body):
         lambda: ScenarioEvent(1000, PaymentConfirmed("7")),
         lambda: ScenarioEvent(1000, Arrival(Vehicle("v1", 4200.5, "+1"))),
         lambda: ScenarioEvent(1.5, FaultCleared()),
+        # _format_t writes a time through a float, so past 2**53 ms not every
+        # whole millisecond has a line, and past a float's range none has.
+        lambda: ScenarioEvent(2**60 + 1, FaultCleared()),
+        lambda: ScenarioEvent(9007199254740993, FaultCleared()),
+        lambda: ScenarioEvent(10**23, FaultCleared()),
+        lambda: ScenarioEvent(10**309, FaultCleared()),
     ],
     ids=[
         "belt-bogus", "sun-too-bright", "sun-nan", "body-too-long",
         "phone-bad", "body-with-hash", "ticket-as-text", "length-fractional", "t-fractional",
+        "t-2**60+1", "t-2**53+1", "t-10**23", "t-10**309",
     ],
 )
 def test_an_event_no_scenario_line_could_hold_is_refused_before_the_run(make):
@@ -314,9 +321,45 @@ def test_an_event_no_scenario_line_could_hold_is_refused_before_the_run(make):
     refused when it is built or scheduled, and nothing is queued (a belt the
     garage lacks: ``tests/test_controller.py``)."""
     session = GarageSession()
-    with pytest.raises(AutoparkError):
+    with pytest.raises(InvalidEventError):
         session.schedule(make())
     assert session.sim.pending() == 0
+
+
+@pytest.mark.parametrize(
+    "t_text, t_ms",
+    [("9007199254740.993", 9007199254740992), ("1e20", 99999999999999991611392)],
+)
+def test_a_large_time_a_line_holds_is_scheduled(t_text, t_ms):
+    event = parse_event_line(f"t={t_text} kind=fault_cleared", GarageConfig())
+    assert event.t_ms == t_ms
+    session = GarageSession()
+    session.schedule(event)
+    assert session.sim.pending() == 1
+
+
+# Times in milliseconds: within a day, and large ones, around where a float
+# stops holding every whole millisecond (2**53) and past a float's range.
+_ANY_T_MS = st.one_of(
+    st.integers(0, 10**9),
+    st.integers(2**52, 2**80),
+    st.integers(-1000, 10**400),
+)
+
+
+@given(t_ms=_ANY_T_MS)
+def test_a_time_is_scheduled_exactly_when_its_line_reads_back(t_ms):
+    event = ScenarioEvent(t_ms, FaultCleared())
+    try:
+        reads_back = parse_event_line(render_event(event), GarageConfig()) == event
+    except (OverflowError, ScenarioParseError):
+        reads_back = False
+    session = GarageSession()
+    if reads_back:
+        session.schedule(event)
+    else:
+        with pytest.raises(InvalidEventError):
+            session.schedule(event)
 
 
 # Canonical text for every field any event kind has, as render_event writes it.
@@ -375,16 +418,14 @@ def test_a_payload_from_any_values_is_refused_or_reads_back_and_runs_as_its_line
         for key, convert in zip(cls.fields, cls.types)
     ]
     config = GarageConfig()
+    session = GarageSession(config)
     try:
-        payload = cls.from_values(*values)
-        payload.check(config)
+        event = ScenarioEvent(data.draw(_ANY_T_MS, label="t_ms"), cls.from_values(*values))
+        session.schedule(event)
     except InvalidEventError:
         return
-    event = ScenarioEvent(1000, payload)
     line = render_event(event)
     assert parse_event_line(line, config) == event
-    session = GarageSession(config)
-    session.schedule(event)
     session.run_until(event.t_ms)
     assert session.sim.trace[0] == run_scenario(parse_scenario(line)).trace[0]
 
@@ -676,7 +717,7 @@ def _stepped_session(scenario: Scenario) -> GarageSession:
 
 
 def test_a_generated_scenario_leaves_nothing_for_the_collector(collector_off):
-    random_scenario(LIFETIME_SEED, 18)  # its dry run is a whole session
+    random_scenario(LIFETIME_SEED, 18)  # its dry run is a session of its own
     assert gc.collect() == 0
 
 
