@@ -11,14 +11,14 @@ belongs to the ticket, so one can pass from a ticket's retrieval to its
 exit. Each step is one record holding everything about its motion: the
 device it drives and names in the trace, the claims its ticket must hold
 and those it frees when it ends. A program runs a plan of steps and then
-its finish. The controller reads no device state: the fleet refuses a
-motion its relays cannot power, and the program retries once a motor
-frees. A device moves only under the claim covering it, so no session
-reaches a busy error. Contention is resolved by a FIFO wait queue. A belt
-fault halts the issuing of new motions garage-wide until the fault is
-cleared; motions already in flight run to completion. The fleet's
-``faulted`` set is the one record of a fault: the garage is halted while it
-is non-empty.
+its finish. The controller reads no device state but the platform's
+position, which decides whether to home it: the fleet refuses a motion its
+relays cannot power, and the program retries once a motor frees. A device
+moves only under the claim covering it, so no session reaches a busy error.
+Contention is resolved by a FIFO wait queue. A belt fault halts the issuing
+of new motions garage-wide until the fault is cleared; motions already in
+flight run to completion. The fleet's ``faulted`` set is the one record of
+a fault: the garage is halted while it is non-empty.
 
 Billing charges every started minute between the entrance acceptance and the
 retrieval request, both captured on the millisecond clock.
@@ -441,13 +441,13 @@ class GarageController:
         self._send_sms("bill", ticket, now_ms)
 
     def _maybe_home(self, now_ms: int) -> None:
-        """Park the idle platform back at floor 0, angle 0."""
+        """Park the idle platform back at floor 0, facing slot 0."""
         if self.fleet.faulted:
             return
         if "platform" in self.claims:  # in use, or already homing
             return
         platform = self.fleet.platform
-        if platform.floor_pos == 0 and platform.angle_deg == 0.0:
+        if platform.floor_pos == 0 and platform.face == 0:
             return
         self._request_step(Program(HOMING_PLAN), now_ms)
         self._pump(now_ms)
@@ -481,8 +481,8 @@ def check_invariants(controller: GarageController) -> None:
     (running exactly until the car is asked back), the occupied count, the relay
     budget, that each running motion alone powers its motors and is filed
     under the device it names, that no ticket's car sits on two belts, and
-    platform alignment. Closed tickets are frozen and not rescanned, so a
-    long day does not slow it down.
+    that the platform is on a floor and faces a slot. Closed tickets are
+    frozen and not rescanned, so a long day does not slow it down.
 
     Per event the Python-level work is one pass over the live tickets, each
     reading its own cell (``_claimed_counts``), two C-level ``list.count``
@@ -538,10 +538,9 @@ def check_invariants(controller: GarageController) -> None:
     platform = fleet.platform
     if not 0 <= platform.floor_pos < garage.config.floors:
         raise InvariantViolationError(f"platform floor {platform.floor_pos} out of range")
-    if platform not in fleet.active:  # at rest: within ``_divides``'s 1e-9 of a slot face
-        faces = platform.angle_deg / (360.0 / garage.config.slots_per_floor)
-        if not abs(faces - round(faces)) <= 1e-9 or not 0 <= platform.angle_deg < 360:
-            raise InvariantViolationError(f"platform angle {platform.angle_deg} misaligned")
+    face = platform.face
+    if type(face) is not int or not 0 <= face < garage.config.slots_per_floor:
+        raise InvariantViolationError(f"platform face {face} out of range")
 
 
 def _claimed_counts(garage: GarageState) -> int | None:

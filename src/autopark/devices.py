@@ -144,18 +144,18 @@ class Belt:
 class PlatformState:
     """The shared lift-and-turn platform the whole garage funnels through."""
 
-    __slots__ = ("floor_pos", "angle_deg")
+    __slots__ = ("floor_pos", "face")
 
     def __init__(self):
         self.floor_pos = 0
-        self.angle_deg = 0.0  # always in [0, 360)
+        self.face = 0  # the slot the platform faces
 
 
 class GateState:
-    __slots__ = ("angle_deg", "device_id")
+    __slots__ = ("open", "device_id")
 
     def __init__(self, name: str):  # entrance | exit
-        self.angle_deg = 0.0  # 0 closed, 90 open
+        self.open = False
         self.device_id = device_name("gate", name)
 
 
@@ -175,7 +175,7 @@ class Action(NamedTuple):
     op: str
     duration_ms: int
     motors: tuple[str, ...]
-    end_state: tuple[str, float] | None = None
+    end_state: tuple[str, int] | None = None
     owner: object = None
 
 
@@ -190,8 +190,8 @@ def _lift_op(floor: int, travel: int) -> str:
 
 
 @cache
-def _rotate_op(slot: int, direction: str, faces: float) -> str:
-    return f"rotate slot={slot} dir={direction} faces={faces:g}"
+def _rotate_op(slot: int, direction: str, faces: int) -> str:
+    return f"rotate slot={slot} dir={direction} faces={faces}"
 
 
 MOTOR_LOAD_W = 10.0  # what every powered motor draws
@@ -251,7 +251,7 @@ class DeviceFleet:
         duration_ms: int,
         motors: tuple[str, ...],
         owner: object,
-        end_state: tuple[str, float] | None = None,
+        end_state: tuple[str, int] | None = None,
     ) -> Action:
         if duration_ms > 0:
             self.relays.request_power(*motors)
@@ -314,10 +314,9 @@ class DeviceFleet:
             raise ValueError(f"slot {slot_index} out of range")
         if self.platform in self.active:
             raise PlatformBusyError("platform is moving")
-        slot_angle = self.config.slot_angle_deg
-        current = self.platform.angle_deg / slot_angle
-        cw_faces = (slot_index - current) % slots
-        ccw_faces = (current - slot_index) % slots
+        face = self.platform.face
+        cw_faces = (slot_index - face) % slots
+        ccw_faces = (face - slot_index) % slots
         if cw_faces <= ccw_faces:
             direction, faces = "cw", cw_faces
         else:
@@ -331,7 +330,7 @@ class DeviceFleet:
             duration_ms,
             ROTATOR_MOTORS,
             owner,
-            ("angle_deg", (slot_index * slot_angle) % 360.0),
+            ("face", slot_index),
         )
 
     # -- gates -----------------------------------------------------------------
@@ -346,12 +345,12 @@ class DeviceFleet:
         gate = self.gates[name]
         if gate in self.active:
             raise GateBusyError(f"gate {name} is mid-swing")
-        target = 90.0 if command == "open" else 0.0
-        duration_ms = 0 if gate.angle_deg == target else ms_from_s(
+        target = command == "open"
+        duration_ms = 0 if gate.open is target else ms_from_s(
             self.config.kinematics.gate_actuation_s
         )
         return self._start(
-            gate, gate.device_id, command, now_ms, duration_ms, (), owner, ("angle_deg", target)
+            gate, gate.device_id, command, now_ms, duration_ms, (), owner, ("open", target)
         )
 
     # -- completion --------------------------------------------------------------

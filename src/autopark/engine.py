@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, TypeAlias
 
 from .devices import belt_roster, parse_belt_id
 from .model import MAX_BODY_CHARS, AutoparkError, GarageConfig, InvalidEventError, Vehicle
-from .model import check_text, is_valid_phone
+from .model import check_text, is_negative, is_valid_phone
 
 if TYPE_CHECKING:
     from .devices import Action, BeltId
@@ -129,7 +129,7 @@ class IrradianceChange(InputEvent):
     types = (float,)
 
     def __init__(self, w_per_m2: float):
-        if type(w_per_m2) not in (int, float) or not 0 <= w_per_m2 <= 1000:
+        if type(w_per_m2) not in (int, float) or is_negative(w_per_m2) or not w_per_m2 <= 1000:
             raise InvalidEventError(f"w_per_m2 out of range [0, 1000]: {w_per_m2!r}")
         self.w_per_m2 = float(w_per_m2)  # as a scenario line's value parses
 

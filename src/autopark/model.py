@@ -85,59 +85,55 @@ def check_text(name: str, value: str) -> None:
         raise InvalidEventError(f"{name}={value!r} would not read back the same")
 
 
+def check_types(record: NamedTuple) -> None:
+    """Refuse a field of a config record whose value is not of its default's
+    type. A float field also takes an int that a float holds exactly, so
+    that its scenario line reads back equal; no field takes a bool."""
+    for name, default in record._field_defaults.items():
+        kind, value = type(default), getattr(record, name)
+        if type(value) is kind:
+            continue
+        if kind is not float or type(value) is not int or abs(value) > 2**53:
+            raise InvalidConfigError(f"{name} must be {kind.__name__}, not {value!r}")
+
+
+def is_negative(number: float) -> bool:
+    """Whether a number is below zero or a negative zero."""
+    return number < 0 or (number == 0 and math.copysign(1.0, number) < 0)
+
+
+# Motor steps in one turn of the platform: a 1.8 degree motor step through
+# the 3:1 ring gear turns the platform 0.6 degrees a step. The platform stops
+# only at whole steps, so a garage's slot count must divide this.
+RING_STEPS = 600
+
+
 class KinematicsConfig(NamedTuple):
-    """Motion timings and stepper geometry for every powered axis."""
+    """Motion timings for every powered axis."""
 
     belt_transit_s: float = 10.0  # one full conveyor run
     platform_load_s: float = 5.0  # platform belt, car on/off the platform
     elevation_per_floor_s: float = 8.0  # vertical travel per floor
     rotation_per_slot_s: float = 3.0  # per slot face of rotation
     gate_actuation_s: float = 2.0  # 90 degree gate swing
-    step_angle_main_deg: float = 1.8  # elevation and rotation motors
-    step_angle_gate_deg: float = 7.5  # gate motors
-    rotation_gear_ratio: float = 3.0  # motor degrees per platform degree
 
     def validate(self, floors: int, slots_per_floor: int) -> None:
+        check_types(self)
         # The longest motion of each timing must fit the millisecond clock:
         # the full lift, and a half turn (rotation takes the shorter arc).
         motions = {"elevation_per_floor_s": floors - 1, "rotation_per_slot_s": slots_per_floor / 2}
-        for name in (
-            "belt_transit_s",
-            "platform_load_s",
-            "elevation_per_floor_s",
-            "rotation_per_slot_s",
-            "gate_actuation_s",
-        ):
-            seconds = getattr(self, name)
+        for name, seconds in zip(self._fields, self):
             if not 0 < seconds < math.inf:
                 raise InvalidConfigError(f"{name} must be > 0 and finite")
             try:
                 ms_from_s(seconds * motions.get(name, 1))
             except ValueError as exc:
                 raise InvalidConfigError(f"{name} is too large: a motion of {exc}") from None
-        for angle in (self.step_angle_main_deg, self.step_angle_gate_deg):
-            if not 0 < angle < math.inf:
-                raise InvalidConfigError("step angles must be > 0 and finite")
-        if not 1 <= self.rotation_gear_ratio < math.inf:
-            raise InvalidConfigError("rotation_gear_ratio must be >= 1 and finite")
-        if not _divides(90.0, self.step_angle_gate_deg):
+        if RING_STEPS % slots_per_floor:
             raise InvalidConfigError(
-                f"gate step angle {self.step_angle_gate_deg} does not divide 90"
+                f"platform step {360 / RING_STEPS} deg does not divide the "
+                f"{360.0 / slots_per_floor} deg slot pitch"
             )
-        # The platform ring is gear-driven, so one motor step turns the
-        # platform by step_angle_main_deg / rotation_gear_ratio degrees.
-        slot_angle = 360.0 / slots_per_floor
-        platform_step = self.step_angle_main_deg / self.rotation_gear_ratio
-        if not _divides(slot_angle, platform_step):
-            raise InvalidConfigError(
-                f"platform step {platform_step} deg does not divide the "
-                f"{slot_angle} deg slot pitch"
-            )
-
-
-def _divides(angle: float, step: float, tol: float = 1e-9) -> bool:
-    ratio = angle / step
-    return abs(ratio - round(ratio)) <= tol
 
 
 # The most cells a garage may have. The slot grid holds two 8-byte references
@@ -159,6 +155,7 @@ class GarageConfig(NamedTuple):
     bus_voltage_v: float = 12.0
 
     def validate(self) -> None:
+        check_types(self)
         if self.floors < 1:
             raise InvalidConfigError("floors must be >= 1")
         if self.slots_per_floor < 1:
@@ -166,7 +163,7 @@ class GarageConfig(NamedTuple):
         if self.max_vehicle_length_mm <= 0:
             raise InvalidConfigError("max_vehicle_length_mm must be > 0")
         rate = self.billing_rate_per_minute
-        if not rate.is_finite() or rate < 0:
+        if not rate.is_finite() or rate.is_signed():
             raise InvalidConfigError("billing_rate_per_minute must be >= 0 and finite")
         if not 0 < self.bus_voltage_v < math.inf:
             raise InvalidConfigError("bus_voltage_v must be > 0 and finite")

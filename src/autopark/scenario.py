@@ -55,6 +55,8 @@ from .model import (
     InvalidEventError,
     KinematicsConfig,
     Vehicle,
+    check_types,
+    is_negative,
     ms_from_s,
     new_garage,
     parse_number,
@@ -85,11 +87,12 @@ class SimSettings(NamedTuple):
     irradiance_w_per_m2: float = 1000.0
 
     def validate(self) -> None:
-        if not 0 <= self.battery_capacity_ah < math.inf:
+        check_types(self)
+        if is_negative(self.battery_capacity_ah) or not self.battery_capacity_ah < math.inf:
             raise InvalidConfigError("battery_capacity_ah must be >= 0 and finite")
-        if not 0 <= self.battery_initial_soc <= 1:
+        if is_negative(self.battery_initial_soc) or not self.battery_initial_soc <= 1:
             raise InvalidConfigError("battery_initial_soc must be in [0, 1]")
-        if not 0 <= self.irradiance_w_per_m2 <= 1000:
+        if is_negative(self.irradiance_w_per_m2) or not self.irradiance_w_per_m2 <= 1000:
             raise InvalidConfigError("irradiance_w_per_m2 must be in [0, 1000]")
 
 

@@ -330,6 +330,41 @@ def test_repl_state_shows_the_halt(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "config,cars,tick,line",
+    [
+        (
+            "floors=20 slots_per_floor=24",
+            2,
+            39,
+            "t=39.000s mode=Normal occupied=1 vacant=478 platform=floor:0 angle:15 "
+            "soc=0.999 pending=1",
+        ),
+        # 3 * 14.4 is 43.199999999999996 in binary floating point.
+        (
+            "floors=1 slots_per_floor=25",
+            4,
+            95,
+            "t=95.000s mode=Normal occupied=3 vacant=21 platform=floor:0 angle:43.2 "
+            "soc=0.998 pending=1",
+        ),
+    ],
+)
+def test_repl_state_names_the_angle_the_platform_faces(
+    tmp_path, capsys, monkeypatch, config, cars, tick, line
+):
+    """One car a second from t=0; the platform rests at slot ``cars - 1``
+    while the last car moves into that slot."""
+    path = tmp_path / "garage.scn"
+    path.write_text(f"config {config}\n", encoding="utf-8")
+    script = "".join(
+        f"t={i} kind=arrival vehicle=c{i} length_mm=4000 phone=+9745550000{i}\n"
+        for i in range(cars)
+    )
+    assert _run_repl(monkeypatch, script + f"tick {tick}\nstate\n", ["--scenario", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == line
+
+
 def test_repl_refuses_a_hash_in_an_event_value(capsys, monkeypatch):
     """A scenario file would read ``#5 please`` as a comment, so the console
     refuses the line rather than schedule an event no file can hold."""

@@ -418,7 +418,7 @@ def test_one_clearing_resumes_every_faulted_belt():
     assert len(starts(session, "belt:entrance")) == 1
     assert len(starts(session, "belt:exit")) == 2  # onto the exit belt, then out
     assert session.garage.tickets[1].phase is TicketPhase.CLOSED
-    assert session.fleet.gates["exit"].angle_deg == 0.0  # the exit program ran to its end
+    assert session.fleet.gates["exit"].open is False  # the exit program ran to its end
 
 
 def test_fault_on_a_belt_the_garage_lacks_fails_at_dispatch():
@@ -452,7 +452,7 @@ def test_platform_homes_after_work():
     )
     platform = session.fleet.platform
     assert platform.floor_pos == 0
-    assert platform.angle_deg == 0.0
+    assert platform.face == 0
     assert any("ticket=-" in line for line in session.sim.trace)
 
 
@@ -465,7 +465,7 @@ def test_homing_yields_to_new_work():
     )
     assert session.garage.tickets[1].phase is TicketPhase.AWAITING_PAYMENT
     assert session.fleet.platform.floor_pos == 0
-    assert session.fleet.platform.angle_deg == 0.0
+    assert session.fleet.platform.face == 0
 
 
 # -- billing math ---------------------------------------------------------------------

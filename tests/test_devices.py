@@ -173,7 +173,7 @@ def test_rotation_takes_shortest_arc(fleet):
     assert "dir=ccw faces=1" in action.op
     assert set(action.motors) == {"rotator:a", "rotator:b"}
     fleet.complete_action(action.device_id, action.action_id)
-    assert fleet.platform.angle_deg == 300.0
+    assert fleet.platform.face == 5
 
 
 def test_rotation_tie_turns_clockwise(fleet):
@@ -217,7 +217,7 @@ def test_gate_swing_takes_actuation_time(fleet):
         fleet.gate_actuate("entrance", "close", 100)
     fleet.complete_action(action.device_id, action.action_id)
     gate = fleet.gates["entrance"]
-    assert gate.angle_deg == 90.0 and gate not in fleet.active
+    assert gate.open is True and gate not in fleet.active
 
 
 def test_gate_never_draws_relay_power(fleet):
@@ -270,7 +270,7 @@ def test_lifts_and_turns_share_the_platform_key(fleet):
     turn = fleet.platform_rotate_to_slot(1, 8_000)
     assert fleet.active == {fleet.platform: turn}
     fleet.complete_action("rotator", turn.action_id)
-    assert fleet.active == {} and fleet.platform.angle_deg == 60.0
+    assert fleet.active == {} and fleet.platform.face == 1
 
 
 def test_by_name_names_every_device_once():

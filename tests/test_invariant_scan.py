@@ -15,10 +15,12 @@ now checks by brute force, walking every device for the names its motions
 go by, that each running motion is filed under the device it names. It
 reads who sits on each belt from the controller's claim table, which holds
 ticket ids where the belts held vehicle ids, so its message names a
-ticket's car. Its alignment test, like the scan's, takes the platform's
-distance to the nearest multiple of the slot pitch: a remainder
-``angle % pitch`` just under the pitch, as for slot 5 of 25
-(72.0 % 14.4), flagged a valid garage. The current scan must
+ticket's car. Its alignment test, which took the platform's float angle to
+the nearest multiple of the slot pitch, is now the scan's face test: the
+platform's turn is kept as the whole slot face it faces, an int in
+``range(slots_per_floor)``, at rest and mid-turn alike. (As a remainder
+``angle % pitch``, the alignment test once flagged slot 5 of a valid
+25-slot garage: 72.0 % 14.4 is just under the pitch.) The current scan must
 accept every state the reference accepts on the seeded corpus, and reject
 every corruption of a guarded field that the reference rejects, with the
 message its loop over every cell gives.
@@ -58,7 +60,6 @@ from autopark.model import (
     SlotState,
     TicketPhase,
     Vehicle,
-    _divides,
 )
 from autopark.scenario import GarageSession, random_scenario
 
@@ -70,7 +71,7 @@ def oracle_check_invariants(controller: GarageController) -> None:
     """Structural scan run after every event dispatch.
 
     Verifies the ticket/slot bijection, the billing clocks, the conservation
-    count, the relay budget, belt exclusivity, and platform alignment.
+    count, the relay budget, belt exclusivity, and the platform's face.
     """
     garage = controller.garage
     fleet = controller.fleet
@@ -155,10 +156,9 @@ def oracle_check_invariants(controller: GarageController) -> None:
     platform = fleet.platform
     if not 0 <= platform.floor_pos < garage.config.floors:
         raise InvariantViolationError(f"platform floor {platform.floor_pos} out of range")
-    if platform not in fleet.active:
-        pitch = garage.config.slot_angle_deg
-        if not _divides(platform.angle_deg, pitch) or not 0 <= platform.angle_deg < 360:
-            raise InvariantViolationError(f"platform angle {platform.angle_deg} misaligned")
+    face = platform.face
+    if type(face) is not int or not 0 <= face < garage.config.slots_per_floor:
+        raise InvariantViolationError(f"platform face {face} out of range")
 
 
 def _device_names(fleet, device) -> tuple[str, ...]:
@@ -497,14 +497,10 @@ MUTATIONS = {
         "platform floor 3 out of range",
     ),
     "platform_floor_negative": (_set_platform(floor_pos=-1), "platform floor -1 out of range"),
-    "platform_angle_misaligned": (
-        _set_platform(angle_deg=100.0),
-        "platform angle 100.0 misaligned",
-    ),
-    "platform_angle_full_turn": (
-        _set_platform(angle_deg=360.0),
-        "platform angle 360.0 misaligned",
-    ),
+    "platform_face_fractional": (_set_platform(face=1.5), "platform face 1.5 out of range"),
+    "platform_face_full_turn": (_set_platform(face=6), "platform face 6 out of range"),
+    "platform_face_negative": (_set_platform(face=-1), "platform face -1 out of range"),
+    "platform_face_float": (_set_platform(face=2.0), "platform face 2.0 out of range"),
 }
 
 
@@ -520,10 +516,27 @@ def test_corruption_fails_both_scans(name):
     assert str(err.value) == message
 
 
-def test_every_slot_angle_of_a_valid_garage_is_aligned():
-    """The platform at rest on any slot of any garage that validates passes
-    both scans, pitches not exact in binary included: on 25 slots, slot 5
-    sits at 72.0 degrees and 72.0 % 14.4 is just under the 14.4 pitch."""
+@pytest.mark.parametrize("face", [6, -1, 1.5, 2.0])
+def test_a_face_off_the_ring_fails_both_scans_mid_turn(face):
+    """As at rest (``MUTATIONS``), a turning platform's face is a whole slot
+    of the 3x6 garage's ring: 2.0 names slot 2 but is not an int."""
+    session = GarageSession()
+    session.fleet.platform_rotate_to_slot(3, 0)
+    assert session.fleet.platform in session.fleet.active
+    session.fleet.platform.face = face
+    with pytest.raises(InvariantViolationError):
+        oracle_check_invariants(session.controller)
+    with pytest.raises(InvariantViolationError) as err:
+        check_invariants(session.controller)
+    assert str(err.value) == f"platform face {face} out of range"
+
+
+def test_a_turn_on_any_valid_garage_is_whole_faces():
+    """On every garage that validates, the platform turns to each face, where
+    both scans accept it; a turn from a face to itself is clockwise by no
+    face, takes no time and powers no motor, and a half turn breaks its tie
+    clockwise. Pitches not exact in binary included: on 25 slots the float
+    angle once turned from slot 21 to itself by 3.55271e-15 faces ccw."""
     counts = []
     for slots in range(1, 601):  # a pitch under the 0.6 degree platform step never validates
         try:
@@ -532,11 +545,26 @@ def test_every_slot_angle_of_a_valid_garage_is_aligned():
             continue
         counts.append(slots)
         session = GarageSession(GarageConfig(floors=1, slots_per_floor=slots))
-        pitch = session.config.slot_angle_deg
-        for slot in range(slots):
-            session.fleet.platform.angle_deg = (slot * pitch) % 360.0
+        fleet = session.fleet
+        fleet.schedule_done = lambda at_ms, action: None  # completed by hand below
+
+        def turn(slot):
+            action = fleet.platform_rotate_to_slot(slot, 0)
+            fleet.complete_action(action.device_id, action.action_id)
+            return action
+
+        for face in range(slots):
+            turn(face)
+            assert fleet.platform.face == face
             oracle_check_invariants(session.controller)
             check_invariants(session.controller)
+            still = turn(face)
+            assert (still.op, still.duration_ms, still.motors) == (
+                f"rotate slot={face} dir=cw faces=0", 0, ()
+            )
+            if slots % 2 == 0:
+                half = turn((face + slots // 2) % slots)
+                assert half.op.endswith(f" dir=cw faces={slots // 2}")
     assert 25 in counts and 600 in counts
 
 
@@ -576,7 +604,7 @@ def test_corrupt_index_fails_scan(name):
 # raises for the first check it fails, in a fixed order: the grid and the
 # billing clocks, the phone index, the occupied count, the relay budget, a
 # motor held twice, the powered motors, the device each motion is filed
-# under, the cars on belts, the platform's floor, then its angle. Each pair
+# under, the cars on belts, the platform's floor, then its face. Each pair
 # straddles one step of that order; the messages were recorded from the scan
 # before its loops were rewritten, except those of the pairs with a
 # misfiled motion, which were recorded when the fleet's table of running
@@ -605,8 +633,8 @@ FAULT_PAIRS = {
     ("two_belts_one_car", "platform_floor_out_of_range"): (
         "a ticket's car sits on two belts: [7, 7]"
     ),
-    ("platform_floor_out_of_range", "platform_angle_misaligned"): "platform floor 3 out of range",
-    ("platform_angle_misaligned", "cell_counts_drift"): "occupied count 5 != 4 occupied cells",
+    ("platform_floor_out_of_range", "platform_face_fractional"): "platform floor 3 out of range",
+    ("platform_face_fractional", "cell_counts_drift"): "occupied count 5 != 4 occupied cells",
 }
 
 

@@ -42,6 +42,8 @@ def test_capacity_and_slot_angle():
         {"slots_per_floor": 0},
         {"max_vehicle_length_mm": 0},
         {"billing_rate_per_minute": Decimal("-1")},
+        {"billing_rate_per_minute": Decimal("-0")},  # it would bill Due: -0.00
+        {"billing_rate_per_minute": Decimal("-0E+3")},
         {"bus_voltage_v": 0.0},
     ],
 )
@@ -60,22 +62,53 @@ def test_a_garage_too_large_to_hold_is_refused():
         assert str(err.value) == f"floors * slots_per_floor must be <= {MAX_CELLS}, not {cells}"
 
 
-def test_gate_step_must_divide_quarter_turn():
-    kin = KinematicsConfig(step_angle_gate_deg=7.0)
-    with pytest.raises(InvalidConfigError):
-        GarageConfig(kinematics=kin).validate()
-
-
 def test_slot_pitch_must_be_integral_steps():
     # 7 slots: 360/7 degrees per face, not a multiple of the platform step
     with pytest.raises(InvalidConfigError):
         GarageConfig(slots_per_floor=7).validate()
+    # The slot counts that validate are those that divide the ring's steps.
+    valid = []
+    for slots in range(1, 1201):
+        try:
+            GarageConfig(floors=1, slots_per_floor=slots).validate()
+        except InvalidConfigError as err:
+            assert str(err) == (
+                f"platform step 0.6 deg does not divide the {360.0 / slots} deg slot pitch"
+            )
+        else:
+            valid.append(slots)
+    assert valid == [slots for slots in range(1, 601) if 600 % slots == 0]
 
 
-def test_gear_ratio_restores_integral_pitch():
-    # 0.9 degree platform step divides 45 degrees exactly
-    kin = KinematicsConfig(rotation_gear_ratio=2.0)
-    GarageConfig(slots_per_floor=8, kinematics=kin).validate()
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"floors": 2.0}, "floors must be int, not 2.0"),
+        ({"floors": True}, "floors must be int, not True"),
+        ({"slots_per_floor": 6.0}, "slots_per_floor must be int, not 6.0"),
+        ({"max_vehicle_length_mm": 5000.5}, "max_vehicle_length_mm must be int, not 5000.5"),
+        ({"billing_rate_per_minute": 0.05}, "billing_rate_per_minute must be Decimal, not 0.05"),
+        ({"billing_rate_per_minute": 1}, "billing_rate_per_minute must be Decimal, not 1"),
+        ({"bus_voltage_v": False}, "bus_voltage_v must be float, not False"),
+        ({"bus_voltage_v": "12"}, "bus_voltage_v must be float, not '12'"),
+        # An int past 2**53 would be written whole and read back rounded.
+        ({"bus_voltage_v": 2**53 + 1}, "bus_voltage_v must be float, not 9007199254740993"),
+        ({"kinematics": (10.0, 5.0, 8.0, 3.0, 2.0)}, "kinematics must be KinematicsConfig"),
+        (
+            {"kinematics": KinematicsConfig(gate_actuation_s=True)},
+            "gate_actuation_s must be float, not True",
+        ),
+    ],
+)
+def test_a_config_value_of_the_wrong_type_is_refused(kwargs, message):
+    with pytest.raises(InvalidConfigError) as err:
+        GarageConfig(**kwargs).validate()
+    assert str(err.value).startswith(message)
+
+
+def test_a_float_field_takes_an_int():
+    kinematics = KinematicsConfig(belt_transit_s=10, rotation_per_slot_s=3)
+    GarageConfig(bus_voltage_v=2**53, kinematics=kinematics).validate()
 
 
 def test_time_conversions_round_trip():
