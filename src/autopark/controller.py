@@ -172,12 +172,11 @@ class ArrivalRecord(NamedTuple):
 
 def allocate_slot(slots: SlotMatrix, ticket_id: int) -> SlotAddress:
     """Reserve the first vacant cell scanning floors bottom-up, slots in order."""
-    for floor, states in enumerate(slots._state):
-        if VACANT in states:
-            addr = SlotAddress(floor, states.index(VACANT))
-            slots.set_cell(addr, RESERVED, ticket_id)
-            return addr
-    raise NoVacancyError("no vacant slot")
+    addr = slots.first_vacant()
+    if addr is None:
+        raise NoVacancyError("no vacant slot")
+    slots.set_cell(addr, RESERVED, ticket_id)
+    return addr
 
 
 def compute_bill(entry_ms: int, exit_ms: int, rate_per_minute: Decimal) -> Decimal:
@@ -478,35 +477,30 @@ def check_invariants(controller: GarageController) -> None:
     """Structural scan run after every event dispatch.
 
     Verifies the ticket/slot bijection, each live ticket's billing clock
-    (running exactly until the car is asked back), the occupied count, the relay
-    budget, that each running motion alone powers its motors and is filed
-    under the device it names, that no ticket's car sits on two belts, and
-    that the platform is on a floor and faces a slot. Closed tickets are
-    frozen and not rescanned, so a long day does not slow it down.
+    (running exactly until the car is asked back), the relay budget, that
+    each running motion alone powers its motors and is filed under the
+    device it names, that no ticket's car sits on two belts, and that the
+    platform is on a floor and faces a slot. Closed tickets are frozen and
+    not rescanned, so a long day does not slow it down.
 
     Per event the Python-level work is one pass over the live tickets, each
-    reading its own cell (``_claimed_counts``), two C-level ``list.count``
-    calls per floor, and plain loops over the few running motions (at most
-    about five) and the claims; no loop walks the devices, since
-    ``fleet.active`` is the one record of which are busy. A passing call
-    builds two small sets, the running motors and the cars on belts, and no
-    list, and calls no Python function but ``_claimed_counts``. The loop over
-    every cell (``_scan_cells``) runs only to name a grid fault; it is the
-    authority, and if it finds no fault the state stands.
+    reading its own cell (``_claimed_counts``), and plain loops over the few
+    running motions (at most about five) and the claims; no loop walks the
+    cells or the devices, since the slot grid stores only its held cells and
+    ``fleet.active`` is the one record of which devices are busy. A passing
+    call builds two small sets, the running motors and the cars on belts,
+    and no list, and calls no Python function but ``_claimed_counts``. The
+    visit of the held cells (``_scan_cells``) runs only to name a grid fault;
+    it is the authority, and if it finds no fault the state stands.
     """
     garage = controller.garage
     fleet = controller.fleet
 
-    occupied = _claimed_counts(garage)
-    if occupied is None:
-        occupied = _scan_cells(garage)
+    if not _claimed_counts(garage):
+        _scan_cells(garage)
     if len(garage.active_by_phone) != len(garage.active):
         raise InvariantViolationError(
             f"{len(garage.active)} active tickets but {len(garage.active_by_phone)} active phones"
-        )
-    if garage.slots.occupied != occupied:
-        raise InvariantViolationError(
-            f"occupied count {garage.slots.occupied} != {occupied} occupied cells"
         )
 
     powered = fleet.relays.powered
@@ -543,67 +537,65 @@ def check_invariants(controller: GarageController) -> None:
         raise InvariantViolationError(f"platform face {face} out of range")
 
 
-def _claimed_counts(garage: GarageState) -> int | None:
-    """The occupied cells, if the slot grid holds just what the live tickets claim.
+def _claimed_counts(garage: GarageState) -> bool:
+    """Whether the slot grid holds just what the live tickets claim.
 
-    Each live ticket claims the pair (state, ticket id) at its slot:
-    AwaitingEntry and Parking a reserved cell, Parked an occupied one. A
-    Retrieving ticket claims its occupied cell only while the cell still
+    Each live ticket claims the entry of its slot's key naming it:
+    AwaitingEntry and Parking in ``_reserved``, Parked in ``_occupied``. A
+    Retrieving ticket claims its occupied entry only while the entry still
     names it: the transfer empties the cell before the phase moves on, and a
     new arrival may then reserve it. An AwaitingPayment ticket claims
-    nothing. Every cell not claimed must be vacant with no ticket.
+    nothing.
 
-    Each claiming ticket reads its own cell in place. Ticket ids differ, so
-    no two claim one cell; so when the unnamed and the vacant cells, counted
-    per floor by ``list.count``, each number the cells not claimed, every
-    unclaimed cell is vacant and unnamed. The same loop checks each billing
-    clock (``exit_ms`` is None exactly in AwaitingEntry, Parking and Parked),
-    but raises only once the grid is sound, so a grid fault is named first.
-    Returns None if a claimed cell differs, an unclaimed cell is held, or a
-    slot is off the grid; ``_scan_cells`` then names the fault.
+    Each claiming ticket reads its own entry. Ticket ids differ, so no two
+    claim one entry; so when each dict has as many entries as it has claims,
+    and no key is in both, the grid holds the claims and nothing else. The
+    same loop checks each billing clock (``exit_ms`` is None exactly in
+    AwaitingEntry, Parking and Parked), but raises only once the grid is
+    sound, so a grid fault is named first. Returns False if a claimed entry
+    is missing or names another ticket, an entry is not claimed, or a slot
+    is off the grid; ``_scan_cells`` then names the fault.
     """
     slots = garage.slots
     floors, n = slots.floors, slots.slots_per_floor
-    held, states = slots._ticket, slots._state
+    reserved_cells, occupied_cells = slots._reserved, slots._occupied
     reserved = occupied = 0
     wrong_clock = None
-    try:  # a slot past the grid's end raises IndexError
+    try:  # a claimed entry that is missing raises KeyError
         for ticket_id, ticket in garage.active.items():
             phase = ticket.phase
             addr = ticket.slot
             floor, slot = addr.floor, addr.slot
-            if floor < 0 or slot < 0:  # Python would read a negative index from the end
-                return None
+            if not (0 <= slot < n and 0 <= floor < floors):  # no key of another cell
+                return False
+            key = floor * n + slot
             if phase is PARKED:
-                if states[floor][slot] is not OCCUPIED or held[floor][slot] != ticket_id:
-                    return None
+                if occupied_cells[key] != ticket_id:
+                    return False
                 occupied += 1
             elif phase is AWAITING_ENTRY or phase is PARKING:
-                if states[floor][slot] is not RESERVED or held[floor][slot] != ticket_id:
-                    return None
+                if reserved_cells[key] != ticket_id:
+                    return False
                 reserved += 1
             else:
                 if ticket.exit_ms is None:
                     wrong_clock = wrong_clock or ticket
-                if phase is RETRIEVING and held[floor][slot] == ticket_id:
-                    if states[floor][slot] is not OCCUPIED:
-                        return None
+                if phase is RETRIEVING and occupied_cells.get(key) == ticket_id:
                     occupied += 1
                 continue
             if ticket.exit_ms is not None:
                 wrong_clock = wrong_clock or ticket
-    except IndexError:
-        return None
-    unnamed = vacant = floors * n - reserved - occupied  # the unclaimed cells
-    for row in held:
-        unnamed -= row.count(None)
-    for row in states:
-        vacant -= row.count(VACANT)
-    if unnamed or vacant:
-        return None
+    except KeyError:
+        return False
+    if (
+        len(occupied_cells) != occupied
+        or len(reserved_cells) != reserved
+        or not occupied_cells.keys().isdisjoint(reserved_cells)
+    ):
+        return False
     if wrong_clock is not None:
         raise _clock_fault(wrong_clock)
-    return occupied
+    return True
 
 
 def _clock_fault(ticket: ParkingTicket) -> InvariantViolationError:
@@ -612,70 +604,68 @@ def _clock_fault(ticket: ParkingTicket) -> InvariantViolationError:
     )
 
 
-def _scan_cells(garage: GarageState) -> int:
-    """Name the first fault in the slot grid by visiting every cell, else the
-    first wrong billing clock; return the occupied cells if there is none.
+def _scan_cells(garage: GarageState) -> None:
+    """Name the first fault in the slot grid by visiting the held cells in
+    key order, else the first wrong billing clock.
 
-    A held cell must be the own slot of an active ticket whose phase fits the
-    cell (reserved: AwaitingEntry or Parking; occupied: Parked or
-    Retrieving). A vacant cell names no ticket. A ticket has one slot, so no
-    ticket holds two cells. A closed ticket has left ``active``, so a cell it
-    still held fails as held by a dead ticket, and an AwaitingPayment ticket
-    holding a cell fails the phase test. The pass counts the tickets it found
-    at their slots in a timed phase (AwaitingEntry, Parking, Parked); every
-    active ticket in a timed phase must be among them, and only those may
-    have no ``exit_ms``.
+    Each entry of ``_reserved`` and ``_occupied`` maps an int key on the
+    grid to an int ticket id, and no key is in both. A held cell must be the
+    own slot of an active ticket whose phase fits the cell (reserved:
+    AwaitingEntry or Parking; occupied: Parked or Retrieving). A ticket has
+    one slot, so no ticket holds two cells. A closed ticket has left
+    ``active``, so a cell it still held fails as held by a dead ticket, and
+    an AwaitingPayment ticket holding a cell fails the phase test. The visit
+    notes the tickets it found at their slots in a timed phase
+    (AwaitingEntry, Parking, Parked); every active ticket in a timed phase
+    must be among them, and only those may have no ``exit_ms``.
     """
     slots = garage.slots
     active = garage.active
+    reserved, occupied = slots._reserved, slots._occupied
 
-    occupied_cells = timed_cells = 0
-    for floor, (states, owners) in enumerate(zip(slots._state, slots._ticket)):
-        for slot, (state, ticket_id) in enumerate(zip(states, owners)):
-            if state is VACANT:
-                if ticket_id is not None:
-                    raise InvariantViolationError(
-                        f"vacant cell {SlotAddress(floor, slot)} names ticket {ticket_id}"
-                    )
-                continue
-            ticket = active.get(ticket_id)
-            if ticket is None:
+    for entries in (reserved, occupied):
+        for key, ticket_id in entries.items():
+            if type(key) is not int or not 0 <= key < slots.cells:
                 raise InvariantViolationError(
-                    f"cell {SlotAddress(floor, slot)} held by dead ticket {ticket_id}"
+                    f"cell key {key!r} is not on the {slots.floors}x{slots.slots_per_floor} grid"
                 )
-            home = ticket.slot
-            if home.floor != floor or home.slot != slot:
+            if type(ticket_id) is not int:
                 raise InvariantViolationError(
-                    f"ticket {ticket_id} holds {SlotAddress(floor, slot)} but its slot is {home}"
+                    f"cell {slots.address(key)} names ticket {ticket_id!r}, not an int"
                 )
-            if state is RESERVED:
-                allowed = _RESERVED_PHASES
-            else:
-                occupied_cells += 1
-                allowed = _OCCUPIED_PHASES
-            phase = ticket.phase
-            if phase not in allowed:
-                raise InvariantViolationError(
-                    f"cell {home} is {state.value} but ticket {ticket_id} is {phase.value}"
-                )
-            timed_cells += phase in _TIMED_PHASES
-
-    timed = [ticket for ticket in active.values() if ticket.phase in _TIMED_PHASES]
-    if timed_cells != len(timed):
-        lost = next(
-            ticket
-            for ticket in timed
-            if not (
-                # A slot off the grid holds nothing.
-                0 <= ticket.slot.floor < slots.floors
-                and 0 <= ticket.slot.slot < slots.slots_per_floor
-                and slots.ticket_at(ticket.slot) == ticket.ticket_id
-            )
-        )
+    both = reserved.keys() & occupied.keys()
+    if both:
         raise InvariantViolationError(
-            f"ticket {lost.ticket_id} ({lost.phase.value}) does not hold its slot"
+            f"cell {slots.address(min(both))} is both reserved and occupied"
         )
+
+    timed = set()  # the tickets found at their slots in a timed phase
+    held = {key: (RESERVED, ticket_id) for key, ticket_id in reserved.items()}
+    held.update((key, (OCCUPIED, ticket_id)) for key, ticket_id in occupied.items())
+    for key in sorted(held):
+        state, ticket_id = held[key]
+        cell = slots.address(key)
+        ticket = active.get(ticket_id)
+        if ticket is None:
+            raise InvariantViolationError(f"cell {cell} held by dead ticket {ticket_id}")
+        home = ticket.slot
+        if home != cell:
+            raise InvariantViolationError(
+                f"ticket {ticket_id} holds {cell} but its slot is {home}"
+            )
+        phase = ticket.phase
+        if phase not in (_RESERVED_PHASES if state is RESERVED else _OCCUPIED_PHASES):
+            raise InvariantViolationError(
+                f"cell {home} is {state.value} but ticket {ticket_id} is {phase.value}"
+            )
+        if phase in _TIMED_PHASES:
+            timed.add(ticket_id)
+
+    for ticket in active.values():
+        if ticket.phase in _TIMED_PHASES and ticket.ticket_id not in timed:
+            raise InvariantViolationError(
+                f"ticket {ticket.ticket_id} ({ticket.phase.value}) does not hold its slot"
+            )
     for ticket in active.values():
         if (ticket.exit_ms is None) is not (ticket.phase in _TIMED_PHASES):
             raise _clock_fault(ticket)
-    return occupied_cells

@@ -11,6 +11,7 @@ Money is carried as Decimal to keep billing exact.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from collections import namedtuple
@@ -136,11 +137,13 @@ class KinematicsConfig(NamedTuple):
             )
 
 
-# The most cells a garage may have. The slot grid holds two 8-byte references
-# per cell, and the invariant scan counts every cell on every event: at this
-# bound the grid takes 1.6 MB and the count about 0.6 ms an event on a 2-CPU
-# x86-64 host. Unbounded, a mistyped floor count asks for gigabytes before
-# the first event. The benchmark's largest garage has 480 cells.
+# The most cells a garage may have. The slot grid stores only its held cells
+# and a passing invariant scan reads none of the others, so neither grows
+# with this bound. Two things still do: ``SlotMatrix.addresses()`` walks
+# every cell, and once the scan has found a fault it sorts the held cells to
+# name the first, up to every cell of a full garage. The bound is kept so
+# that a mistyped floor count is refused at validation. The benchmark's
+# largest garage has 480 cells.
 MAX_CELLS = 100_000
 
 
@@ -160,8 +163,9 @@ class GarageConfig(NamedTuple):
             raise InvalidConfigError("floors must be >= 1")
         if self.slots_per_floor < 1:
             raise InvalidConfigError("slots_per_floor must be >= 1")
-        if self.max_vehicle_length_mm <= 0:
-            raise InvalidConfigError("max_vehicle_length_mm must be > 0")
+        # The length sensors' beams sit at float positions up to this length.
+        if not 0 < self.max_vehicle_length_mm <= 2**53:
+            raise InvalidConfigError("max_vehicle_length_mm must be > 0 and <= 2**53")
         rate = self.billing_rate_per_minute
         if not rate.is_finite() or rate.is_signed():
             raise InvalidConfigError("billing_rate_per_minute must be >= 0 and finite")
@@ -285,27 +289,50 @@ ClosedTicket = namedtuple("ClosedTicket", ParkingTicket.__slots__)
 
 
 class SlotMatrix:
-    """Occupancy grid: every cell is vacant, reserved, or occupied.
+    """Occupancy grid of ``floors`` x ``slots_per_floor`` cells, of which it
+    stores only the held ones.
 
-    Reserved and occupied cells carry the owning ticket id; a ticket owns at
-    most one cell at any time. The occupied cells are counted as they are
-    set (``occupied``), and the most ever occupied at once is kept next to
-    that count (``occupied_peak``).
+    ``_reserved`` and ``_occupied`` each map a cell's key (``floor *
+    slots_per_floor + slot``) to the id of the ticket holding it; a cell in
+    neither is vacant, and a ticket owns at most one cell at any time. The
+    most cells ever occupied at once is kept as ``occupied_peak``. An
+    address off the grid is an IndexError.
+
+    First-free allocation does not walk the held cells: ``_fresh`` marks
+    where a walk of the keys never vacated resumes, and ``_vacated`` is a
+    min-heap of the keys freed below it, so every vacant key below
+    ``_fresh`` is in the heap. A key held again leaves the heap once it
+    comes to the top.
     """
 
     def __init__(self, floors: int, slots_per_floor: int):
         self.floors = floors
         self.slots_per_floor = slots_per_floor
-        self._state = [[VACANT] * slots_per_floor for _ in range(floors)]
-        self._ticket = [[None] * slots_per_floor for _ in range(floors)]
-        self.occupied = 0
+        self.cells = floors * slots_per_floor
+        self._reserved: dict[int, int] = {}
+        self._occupied: dict[int, int] = {}
+        self._vacated: list[int] = []
+        self._fresh = 0
         self.occupied_peak = 0
 
+    def key(self, addr: SlotAddress) -> int:
+        floor, slot, n = addr.floor, addr.slot, self.slots_per_floor
+        if type(floor) is int and type(slot) is int and 0 <= floor < self.floors and 0 <= slot < n:
+            return floor * n + slot
+        raise IndexError(f"no cell {addr} on the {self.floors}x{n} grid")
+
+    def address(self, key: int) -> SlotAddress:
+        return SlotAddress(*divmod(key, self.slots_per_floor))
+
     def state_at(self, addr: SlotAddress) -> SlotState:
-        return self._state[addr.floor][addr.slot]
+        key = self.key(addr)
+        if key in self._occupied:
+            return OCCUPIED
+        return RESERVED if key in self._reserved else VACANT
 
     def ticket_at(self, addr: SlotAddress) -> int | None:
-        return self._ticket[addr.floor][addr.slot]
+        key = self.key(addr)
+        return self._occupied.get(key, self._reserved.get(key))
 
     def addresses(self):
         """Yield every address in floor-major scan order."""
@@ -313,23 +340,39 @@ class SlotMatrix:
             for slot in range(self.slots_per_floor):
                 yield SlotAddress(floor, slot)
 
+    def first_vacant(self) -> SlotAddress | None:
+        """The vacant cell first in floor-major order, or None if every cell is held."""
+        reserved, occupied, vacated = self._reserved, self._occupied, self._vacated
+        while vacated:
+            key = vacated[0]
+            if key not in reserved and key not in occupied:
+                return self.address(key)
+            heapq.heappop(vacated)
+        key = self._fresh
+        while key < self.cells and (key in reserved or key in occupied):
+            key += 1
+        self._fresh = key
+        return self.address(key) if key < self.cells else None
+
     def set_cell(self, addr: SlotAddress, state: SlotState, ticket_id: int | None) -> None:
-        # The grid scans test members by identity; an equal string such as
-        # "reserved" would pass the row comparison and crash the cell loop.
+        # A value equal to a member but not one would match no branch below.
         if type(state) is not SlotState:
             raise ValueError(f"not a slot state: {state!r}")
         if state is VACANT and ticket_id is not None:
             raise ValueError("vacant cells carry no ticket")
-        if state is not VACANT and ticket_id is None:
-            raise ValueError(f"{state.value} cells need a ticket id")
-        row = self._state[addr.floor]
-        if row[addr.slot] is OCCUPIED:
-            self.occupied -= 1
-        if state is OCCUPIED:
-            self.occupied += 1
-            self.occupied_peak = max(self.occupied_peak, self.occupied)
-        row[addr.slot] = state
-        self._ticket[addr.floor][addr.slot] = ticket_id
+        if state is not VACANT and type(ticket_id) is not int:
+            raise ValueError(f"{state.value} cells need an int ticket id, not {ticket_id!r}")
+        key = self.key(addr)
+        reserved, occupied = self._reserved, self._occupied
+        if state is VACANT and key < self._fresh and (key in reserved or key in occupied):
+            heapq.heappush(self._vacated, key)
+        reserved.pop(key, None)
+        occupied.pop(key, None)
+        if state is RESERVED:
+            reserved[key] = ticket_id
+        elif state is OCCUPIED:
+            occupied[key] = ticket_id
+            self.occupied_peak = max(self.occupied_peak, len(occupied))
 
 
 class GarageState:
@@ -385,7 +428,7 @@ def new_garage(config: GarageConfig) -> GarageState:
 def occupancy_count(garage: GarageState) -> tuple[int, int]:
     """Return (occupied, vacant) cell counts; reserved cells are neither."""
     slots = garage.slots
-    return slots.occupied, sum(row.count(VACANT) for row in slots._state)
+    return len(slots._occupied), slots.cells - len(slots._occupied) - len(slots._reserved)
 
 
 def billed_minutes(entry_ms: int, exit_ms: int) -> int:

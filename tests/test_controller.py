@@ -178,6 +178,36 @@ def test_allocate_slot_matches_exhaustive_scan():
             assert allocate_slot(garage.slots, 1) == min(vacant)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_allocation_reuses_vacated_cells_first_free(data):
+    """Writes and allocations interleaved, vacating included: each allocation
+    takes the first vacant cell in floor-major order, reused cells and cells
+    never handed out alike."""
+    floors = data.draw(st.integers(1, 4), label="floors")
+    per_floor = data.draw(st.integers(1, 6), label="slots_per_floor")
+    slots = new_garage(GarageConfig(floors=floors, slots_per_floor=per_floor)).slots
+    write = st.tuples(
+        st.integers(0, floors - 1), st.integers(0, per_floor - 1), st.sampled_from(SlotState)
+    )
+    steps = st.lists(st.one_of(st.none(), write), max_size=40)  # None allocates
+    for ticket_id, step in enumerate(data.draw(steps, label="steps"), 1):
+        if step is not None:
+            floor, slot, state = step
+            owner = None if state is SlotState.VACANT else ticket_id
+            slots.set_cell(SlotAddress(floor, slot), state, owner)
+            continue
+        vacant = [a for a in slots.addresses() if slots.state_at(a) is SlotState.VACANT]
+        if not vacant:
+            with pytest.raises(NoVacancyError):
+                allocate_slot(slots, ticket_id)
+            continue
+        assert allocate_slot(slots, ticket_id) == vacant[0]
+        assert (slots.state_at(vacant[0]), slots.ticket_at(vacant[0])) == (
+            SlotState.RESERVED, ticket_id
+        )
+
+
 # -- rejections -------------------------------------------------------------------
 
 

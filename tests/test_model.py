@@ -52,6 +52,16 @@ def test_bad_config_rejected(kwargs):
         GarageConfig(**kwargs).validate()
 
 
+def test_a_vehicle_length_limit_with_no_exact_float_is_refused():
+    """The length sensors' beams sit at float positions: past 2**53 the first
+    arrival once ended in a bare OverflowError."""
+    GarageConfig(max_vehicle_length_mm=2**53).validate()
+    for length in (2**53 + 1, 10**400):
+        with pytest.raises(InvalidConfigError) as err:
+            GarageConfig(max_vehicle_length_mm=length).validate()
+        assert str(err.value) == "max_vehicle_length_mm must be > 0 and <= 2**53"
+
+
 def test_a_garage_too_large_to_hold_is_refused():
     """The cell count is bounded on the config alone, before any grid is built."""
     GarageConfig(floors=MAX_CELLS // 5, slots_per_floor=5).validate()
@@ -223,6 +233,8 @@ def test_occupancy_counts_track_cells():
 
 @given(st.data())
 def test_slot_counts_match_a_recount_after_every_set_cell(data):
+    """Every cell reads back what was last written to it, and the counts and
+    the peak match a recount of those writes."""
     floors = data.draw(st.integers(1, 5), label="floors")
     per_floor = data.draw(st.integers(1, 8), label="slots_per_floor")
     slots = SlotMatrix(floors, per_floor)
@@ -230,15 +242,22 @@ def test_slot_counts_match_a_recount_after_every_set_cell(data):
     cell = st.tuples(
         st.integers(0, floors - 1), st.integers(0, per_floor - 1), st.sampled_from(SlotState)
     )
+    written: dict[SlotAddress, tuple[SlotState, int | None]] = {}
     peak = 0
     for ticket_id, (floor, slot, state) in enumerate(data.draw(st.lists(cell, max_size=30)), 1):
         owner = None if state is SlotState.VACANT else ticket_id
         slots.set_cell(SlotAddress(floor, slot), state, owner)
-        recount = {s: sum(c is s for row in slots._state for c in row) for s in SlotState}
-        assert slots.occupied == recount[SlotState.OCCUPIED]
-        peak = max(peak, recount[SlotState.OCCUPIED])
+        written[SlotAddress(floor, slot)] = (state, owner)
+        for addr in slots.addresses():
+            assert (slots.state_at(addr), slots.ticket_at(addr)) == written.get(
+                addr, (SlotState.VACANT, None)
+            )
+        states = [state for state, _ in written.values()]
+        occupied = states.count(SlotState.OCCUPIED)
+        vacant = floors * per_floor - occupied - states.count(SlotState.RESERVED)
+        peak = max(peak, occupied)
         assert slots.occupied_peak == peak
-        assert occupancy_count(garage) == (recount[SlotState.OCCUPIED], recount[SlotState.VACANT])
+        assert occupancy_count(garage) == (occupied, vacant)
 
 
 def test_slot_matrix_consistency_guard():
@@ -247,13 +266,40 @@ def test_slot_matrix_consistency_guard():
         garage.slots.set_cell(SlotAddress(0, 0), SlotState.VACANT, 7)
     with pytest.raises(ValueError):
         garage.slots.set_cell(SlotAddress(0, 0), SlotState.OCCUPIED, None)
-    # A value equal to a member is not one: the grid scans test members by
-    # identity, so it would pass the row comparison and crash the cell loop.
+    # A held cell's ticket is an int: the scan names any other id a fault.
+    for ticket_id in ("7", 7.0, True):
+        with pytest.raises(ValueError, match="need an int ticket id"):
+            garage.slots.set_cell(SlotAddress(0, 0), SlotState.RESERVED, ticket_id)
+    # A value equal to a member is not one.
     for state, ticket_id in (("reserved", 7), ("occupied", 7), ("vacant", None)):
         with pytest.raises(ValueError, match="not a slot state"):
             garage.slots.set_cell(SlotAddress(0, 0), state, ticket_id)
     assert garage.slots.state_at(SlotAddress(0, 0)) is SlotState.VACANT
     assert occupancy_count(garage) == (0, 18)
+
+
+@pytest.mark.parametrize(
+    "addr",
+    [
+        SlotAddress(-1, 0),
+        SlotAddress(0, -1),
+        SlotAddress(3, 0),
+        SlotAddress(0, 6),
+        SlotAddress(1.0, 0),
+    ],
+    ids=str,
+)
+def test_an_address_off_the_grid_is_refused(addr):
+    """A negative index no longer reads a cell from the row's end, and one
+    past an edge no longer names a cell of the next floor."""
+    slots = SlotMatrix(3, 6)
+    with pytest.raises(IndexError, match=f"no cell {addr} on the 3x6 grid"):
+        slots.set_cell(addr, SlotState.RESERVED, 7)
+    with pytest.raises(IndexError):
+        slots.state_at(addr)
+    with pytest.raises(IndexError):
+        slots.ticket_at(addr)
+    assert not slots._reserved and not slots._occupied
 
 
 @pytest.mark.parametrize(
