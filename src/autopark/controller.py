@@ -9,12 +9,13 @@ One table, ``GarageController.claims``, records who holds each long-held
 resource: a ticket id, or ``"homing"`` for the homing program. A claim
 belongs to the ticket, so one can pass from a ticket's retrieval to its
 exit. Each step is one record holding everything about its motion: the
-device it drives and names in the trace, the claims its ticket must hold
-and those it frees when it ends. A program runs a plan of steps and then
-its finish. The controller reads no device state but the platform's
-position, which decides whether to home it: the fleet refuses a motion its
-relays cannot power, and the program retries once a motor frees. A device
-moves only under the claim covering it, so no session reaches a busy error.
+fleet starter that drives it, the device it names in the trace, the claims
+its ticket must hold and those it frees when it ends, and what its end does
+to the ticket (park it, empty its cell, bill it). A program runs a plan of
+steps. The controller reads no device state but the platform's position,
+which decides whether to home it: the fleet refuses a motion its relays
+cannot power, and the program retries once a motor frees. A device moves
+only under the claim covering it, so no session reaches a busy error.
 Contention is resolved by a FIFO wait queue. A belt fault halts the issuing
 of new motions garage-wide until the fault is cleared; motions already in
 flight run to completion. The fleet's ``faulted`` set is the one record of
@@ -27,7 +28,6 @@ retrieval request, both captured on the millisecond clock.
 from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
-from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple
 
@@ -90,50 +90,47 @@ class InvariantViolationError(AutoparkError):
     """A structural invariant of the garage state failed."""
 
 
-class StepKind(str, Enum):
-    OPEN_GATE = "open_gate"
-    CLOSE_GATE = "close_gate"
-    CONVEY = "convey"
-    LOAD_PLATFORM = "load_platform"
-    ELEVATE = "elevate"
-    ROTATE = "rotate"
-    TRANSFER_TO_SLOT = "transfer_to_slot"
-    TRANSFER_FROM_SLOT = "transfer_from_slot"
-
-
-(OPEN_GATE, CLOSE_GATE, CONVEY, LOAD_PLATFORM, ELEVATE, ROTATE,
- TRANSFER_TO_SLOT, TRANSFER_FROM_SLOT) = StepKind
-
-
 class Step(NamedTuple):
-    """One motion in a program: the device it drives and the long-held
-    resources its ticket holds while it runs."""
+    """One motion in a program, described once: the ``DeviceFleet`` starter
+    that moves it (by name, so a wrapped starter is the one called) and the
+    arguments it takes before the time and the owner, the device it names in
+    the trace, the long-held resources its ticket holds while it runs, and
+    what its end does to the ticket. ``done`` is an unbound
+    ``GarageController`` function or None, so that a plan, cached for the
+    whole process, holds no controller."""
 
-    kind: StepKind
-    gate: str | None = None
-    belt: BeltId | None = None
-    target: int | None = None  # floor or slot index
+    start: str
+    args: tuple
+    device: str
     claims: tuple[str | BeltId, ...] = ()  # what the ticket must hold, taken in order
     frees: tuple[str | BeltId, ...] = ()  # the claims released when the step ends
-    device: str = ""  # the device named in the trace
+    done: Callable[..., None] | None = None  # run on the ticket when the motion ends
+
+
+def _gate(name: str, command: str, *claims: str | BeltId) -> Step:
+    return Step("gate_actuate", (name, command), device_name("gate", name), claims)
+
+
+def _belt(belt: BeltId, *claims: str | BeltId, done: Callable[..., None] | None = None) -> Step:
+    return Step("belt_start_convey", (belt,), device_name("belt", belt), claims, done=done)
+
+
+def _lift(floor: int, *claims: str | BeltId) -> Step:
+    return Step("elevator_goto_floor", (floor,), ELEVATOR_MOTOR, claims)
+
+
+def _turn(slot: int, *claims: str | BeltId) -> Step:
+    return Step("platform_rotate_to_slot", (slot,), ROTATOR, claims)
 
 
 def _plan(*steps: Step, kept: tuple[BeltId, ...] = ()) -> tuple[Step, ...]:
-    """The steps with the device each drives named and each claim freed by
-    the last step that lists it, except the ``kept`` claims, which pass to
-    the ticket's next program."""
+    """The steps with each claim freed by the last step that lists it, except
+    the ``kept`` claims, which pass to the ticket's next program."""
     last = {claim: i for i, step in enumerate(steps) for claim in step.claims}
-    planned = []
-    for i, step in enumerate(steps):
-        if step.gate:
-            device = device_name("gate", step.gate)
-        elif step.belt:
-            device = device_name("belt", step.belt)
-        else:
-            device = ELEVATOR_MOTOR if step.kind is ELEVATE else ROTATOR
-        frees = tuple(c for c in step.claims if last[c] == i and c not in kept)
-        planned.append(step._replace(device=device, frees=frees))
-    return tuple(planned)
+    return tuple(
+        step._replace(frees=tuple(c for c in step.claims if last[c] == i and c not in kept))
+        for i, step in enumerate(steps)
+    )
 
 
 class Program:
@@ -142,22 +139,14 @@ class Program:
     Programs compare and hash by identity: the wait queue tracks the program
     object, not its current field values. Its claims are held in the name of
     its ``holder``, the ticket id or ``"homing"``. Programs for one slot
-    share one step tuple; each keeps its own ``idx``. ``finish``, run on the
-    ticket after the last step, is an unbound ``GarageController`` function
-    or None, so that a program held by its motions holds no controller.
+    share one step tuple; each keeps its own ``idx``.
     """
 
-    __slots__ = ("steps", "ticket_id", "finish", "holder", "idx", "ticket_label", "__weakref__")
+    __slots__ = ("steps", "ticket_id", "holder", "idx", "ticket_label", "__weakref__")
 
-    def __init__(
-        self,
-        steps: tuple[Step, ...],
-        ticket_id: int | None = None,
-        finish: Callable[..., None] | None = None,
-    ):
+    def __init__(self, steps: tuple[Step, ...], ticket_id: int | None = None):
         self.steps = steps
         self.ticket_id = ticket_id
-        self.finish = finish
         self.holder = "homing" if ticket_id is None else ticket_id
         self.idx = 0
         self.ticket_label = "-" if ticket_id is None else str(ticket_id)
@@ -195,13 +184,13 @@ def compute_bill(entry_ms: int, exit_ms: int, rate_per_minute: Decimal) -> Decim
 @cache
 def _parking_plan(slot: SlotAddress) -> tuple[Step, ...]:
     return _plan(
-        Step(OPEN_GATE, gate="entrance", claims=("entrance",)),
-        Step(CONVEY, belt=ENTRANCE_BELT, claims=("entrance", ENTRANCE_BELT)),
-        Step(CLOSE_GATE, gate="entrance", claims=("entrance",)),
-        Step(LOAD_PLATFORM, belt=PLATFORM_BELT, claims=("platform", ENTRANCE_BELT)),
-        Step(ELEVATE, target=slot.floor, claims=("platform",)),
-        Step(ROTATE, target=slot.slot, claims=("platform",)),
-        Step(TRANSFER_TO_SLOT, belt=BeltId("slot", slot.slot), claims=("platform",)),
+        _gate("entrance", "open", "entrance"),
+        _belt(ENTRANCE_BELT, "entrance", ENTRANCE_BELT),
+        _gate("entrance", "close", "entrance"),
+        _belt(PLATFORM_BELT, "platform", ENTRANCE_BELT),
+        _lift(slot.floor, "platform"),
+        _turn(slot.slot, "platform"),
+        _belt(BeltId("slot", slot.slot), "platform", done=GarageController._parked),
     )
 
 
@@ -209,27 +198,24 @@ def _parking_plan(slot: SlotAddress) -> tuple[Step, ...]:
 def _retrieval_plan(slot: SlotAddress) -> tuple[Step, ...]:
     # The car stays on the exit belt until it leaves: the exit program frees it.
     return _plan(
-        Step(ELEVATE, target=slot.floor, claims=("platform",)),
-        Step(ROTATE, target=slot.slot, claims=("platform",)),
-        Step(TRANSFER_FROM_SLOT, belt=BeltId("slot", slot.slot), claims=("platform",)),
-        Step(ELEVATE, target=0, claims=("platform",)),
-        Step(ROTATE, target=0, claims=("platform",)),
-        Step(LOAD_PLATFORM, belt=PLATFORM_BELT, claims=("platform", EXIT_BELT)),
-        Step(CONVEY, belt=EXIT_BELT, claims=(EXIT_BELT,)),
+        _lift(slot.floor, "platform"),
+        _turn(slot.slot, "platform"),
+        _belt(BeltId("slot", slot.slot), "platform", done=GarageController._vacate),
+        _lift(0, "platform"),
+        _turn(0, "platform"),
+        _belt(PLATFORM_BELT, "platform", EXIT_BELT),
+        _belt(EXIT_BELT, EXIT_BELT, done=GarageController._bill),
         kept=(EXIT_BELT,),
     )
 
 
 EXIT_PLAN = _plan(
-    Step(OPEN_GATE, gate="exit", claims=("exit",)),
-    Step(CONVEY, belt=EXIT_BELT, claims=("exit", EXIT_BELT)),
-    Step(CLOSE_GATE, gate="exit", claims=("exit",)),
+    _gate("exit", "open", "exit"),
+    _belt(EXIT_BELT, "exit", EXIT_BELT),
+    _gate("exit", "close", "exit"),
 )
 
-HOMING_PLAN = _plan(
-    Step(ELEVATE, target=0, claims=("platform",)),
-    Step(ROTATE, target=0, claims=("platform",)),
-)
+HOMING_PLAN = _plan(_lift(0, "platform"), _turn(0, "platform"))
 
 
 class GarageController:
@@ -280,7 +266,7 @@ class GarageController:
         ticket = self.garage.issue_ticket(vehicle, slot, now_ms)
         self.arrivals.append(ArrivalRecord(now_ms, vehicle, ticket.ticket_id, None))
         self._set_phase(ticket, PARKING, now_ms)
-        program = Program(_parking_plan(slot), ticket.ticket_id, GarageController._parked)
+        program = Program(_parking_plan(slot), ticket.ticket_id)
         self._request_step(program, now_ms)
         self._trace(timer_line, now_ms, "start", ticket.ticket_id)
         self._send_sms("welcome", ticket, now_ms)
@@ -320,7 +306,7 @@ class GarageController:
         ticket.exit_ms = now_ms
         self._trace(timer_line, now_ms, "stop", ticket.ticket_id)
         self._set_phase(ticket, RETRIEVING, now_ms)
-        program = Program(_retrieval_plan(ticket.slot), ticket.ticket_id, GarageController._bill)
+        program = Program(_retrieval_plan(ticket.slot), ticket.ticket_id)
         self._request_step(program, now_ms)
         self._pump(now_ms)
 
@@ -353,7 +339,8 @@ class GarageController:
         self._maybe_home(now_ms)
 
     def on_device_done(self, device_id: str, action_id: int, now_ms: int) -> None:
-        """Advance the owning program past its completed motion."""
+        """Advance the owning program past its completed motion: free the
+        step's claims, run what its end does, then request the next step."""
         try:
             program = self.fleet.complete_action(device_id, action_id).owner
         except KeyError:
@@ -361,17 +348,11 @@ class GarageController:
         step = program.steps[program.idx]
         for claim in step.frees:
             del self.claims[claim]
-        if step.kind is TRANSFER_TO_SLOT:
-            ticket = self.garage.tickets[program.ticket_id]
-            self.garage.slots.set_cell(ticket.slot, OCCUPIED, ticket.ticket_id)
-        elif step.kind is TRANSFER_FROM_SLOT:
-            ticket = self.garage.tickets[program.ticket_id]
-            self.garage.slots.set_cell(ticket.slot, VACANT, None)
         program.idx += 1
+        if step.done is not None:
+            step.done(self, self.garage.tickets[program.ticket_id], now_ms)
         if program.idx < len(program.steps):
             self._request_step(program, now_ms)
-        elif program.finish is not None:
-            program.finish(self, self.garage.tickets[program.ticket_id], now_ms)
         self._pump(now_ms)
         self._maybe_home(now_ms)
 
@@ -411,26 +392,23 @@ class GarageController:
     def _start_motion(self, step: Step, program: Program, now_ms: int) -> Action | None:
         """Start the step's motion on the fleet, or None while the relays
         cannot power it; the fleet alone knows what a motion draws."""
-        fleet = self.fleet
         try:
-            if step.gate is not None:
-                command = "open" if step.kind is OPEN_GATE else "close"
-                return fleet.gate_actuate(step.gate, command, now_ms, program)
-            if step.belt is not None:
-                return fleet.belt_start_convey(step.belt, now_ms, program)
-            if step.kind is ELEVATE:
-                return fleet.elevator_goto_floor(step.target, now_ms, program)
-            return fleet.platform_rotate_to_slot(step.target, now_ms, program)
+            return getattr(self.fleet, step.start)(*step.args, now_ms, program)
         except PowerBudgetExceededError:
             return None
 
     def _parked(self, ticket: ParkingTicket, now_ms: int) -> None:
-        """The parking program's finish: the car is in its slot."""
+        """The end of the transfer into the slot: the car is parked there."""
+        self.garage.slots.set_cell(ticket.slot, OCCUPIED, ticket.ticket_id)
         self._set_phase(ticket, PARKED, now_ms)
         ticket.parked_ms = now_ms
 
+    def _vacate(self, ticket: ParkingTicket, now_ms: int) -> None:
+        """The end of the transfer out of the slot: the cell is free again."""
+        self.garage.slots.set_cell(ticket.slot, VACANT, None)
+
     def _bill(self, ticket: ParkingTicket, now_ms: int) -> None:
-        """The retrieval program's finish: the car is on the exit belt, so bill it."""
+        """The end of the exit belt's run: the car is on the exit belt, so bill it."""
         rate = self.garage.config.billing_rate_per_minute
         ticket.amount_due = compute_bill(ticket.entry_ms, ticket.exit_ms, rate)
         minutes = billed_minutes(ticket.entry_ms, ticket.exit_ms)

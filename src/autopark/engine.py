@@ -1,10 +1,14 @@
 """Deterministic discrete-event engine.
 
 A single priority queue of events drives the whole simulation. Each event is
-a (timestamp, insertion sequence, payload) tuple and is its own heap entry.
-The sequence is unique, so the heap orders the tuples in C and never compares
-two payloads. Dispatch order is therefore a pure function of the schedule
-calls, and repeated runs of the same scenario produce byte-identical traces.
+a (timestamp, rank, insertion sequence, payload) tuple and is its own heap
+entry. The rank is 0 for an input event and 1 for a device completion, so at
+one millisecond every input dispatches before every completion, however late
+it was scheduled: a run that schedules its inputs as it goes dispatches them
+as a file run of the same inputs does. The sequence is unique, so the heap
+orders the tuples in C and never compares two payloads. Dispatch order is
+therefore a pure function of the schedule calls, and repeated runs of the
+same scenario produce byte-identical traces.
 The clock only moves when an event fires; there is no wall-clock coupling
 anywhere.
 
@@ -162,7 +166,8 @@ Payload: TypeAlias = "InputEvent | Action"
 
 class SimEvent(NamedTuple):
     at_ms: int
-    seq: int
+    rank: int  # 0 for an input, 1 for a device completion
+    seq: int  # the scheduling order, printed on the dispatch line
     payload: Payload
 
 
@@ -400,13 +405,21 @@ class Simulation:
         self.check = check
 
     def schedule(self, at_ms: int, payload: Payload) -> SimEvent:
+        """Queue an input event, ahead of every completion at its millisecond."""
+        return self._push(at_ms, 0, payload)
+
+    def schedule_done(self, at_ms: int, action: Action) -> SimEvent:
+        """Queue a device motion's completion, behind every input at its millisecond."""
+        return self._push(at_ms, 1, action)
+
+    def _push(self, at_ms: int, rank: int, payload: Payload) -> SimEvent:
         if at_ms < self.clock_ms:
             raise SchedulingInPastError(
                 f"cannot schedule at t={at_ms}ms, clock is {self.clock_ms}ms"
             )
         # One an event, so built in C rather than through the named tuple's
         # Python-level __new__.
-        event = tuple.__new__(SimEvent, (at_ms, self._next_seq, payload))
+        event = tuple.__new__(SimEvent, (at_ms, rank, self._next_seq, payload))
         self._next_seq += 1
         heapq.heappush(self._heap, event)
         return event

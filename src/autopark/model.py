@@ -17,7 +17,6 @@ import re
 from collections import namedtuple
 from decimal import Decimal
 from enum import Enum
-from functools import total_ordering
 from typing import NamedTuple
 
 MS_PER_SECOND = 1000
@@ -210,9 +209,8 @@ class Vehicle(namedtuple("Vehicle", "vehicle_id length_mm phone")):
     _make = classmethod(validated_make)
 
 
-@total_ordering
 class SlotAddress:
-    """Zero-based (floor, slot) position in the garage, ordered floor first.
+    """Zero-based (floor, slot) position in the garage.
     Not a named tuple: the scan reads both fields of every live ticket's slot
     on every event, and a slot attribute reads in about half the time."""
 
@@ -224,11 +222,6 @@ class SlotAddress:
 
     def __eq__(self, other) -> bool:
         return type(other) is SlotAddress and self.floor == other.floor and self.slot == other.slot
-
-    def __lt__(self, other):
-        if type(other) is not SlotAddress:
-            return NotImplemented
-        return (self.floor, self.slot) < (other.floor, other.slot)
 
     def __hash__(self) -> int:
         return hash((self.floor, self.slot))

@@ -290,7 +290,7 @@ def _handle(
 ) -> None:
     """The engine's handler: each event's dispatch record, then the event to
     the part that acts on it."""
-    at_ms, seq, p = event
+    at_ms, _, seq, p = event
     if type(p) is Action:  # a motion's completion, one per motion, so kept lean
         trace(device_done_line, at_ms, seq, p.device_id, p.action_id)
         controller.on_device_done(p.device_id, p.action_id, at_ms)
@@ -311,12 +311,13 @@ def _completion_scheduler(sim: Simulation) -> Callable[[int, Action], None]:
     It holds the engine weakly. The engine's hooks hold the controller, and
     through it the fleet, so a strong reference back would make a cycle. The
     callback is a closure that calls through the proxy for that reason:
-    ``proxy.schedule`` is a bound method of the engine itself, which holds it.
+    ``proxy.schedule_done`` is a bound method of the engine itself, which
+    holds it. A completion ranks behind every input at its millisecond.
     """
     engine = weakref.proxy(sim)
 
     def schedule_done(at_ms: int, action: Action) -> None:
-        engine.schedule(at_ms, action)
+        engine.schedule_done(at_ms, action)
 
     return schedule_done
 

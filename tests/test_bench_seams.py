@@ -17,7 +17,10 @@ from pathlib import Path
 import pytest
 
 from autopark import GarageSession, random_scenario, run_scenario
+from autopark.controller import EXIT_PLAN, HOMING_PLAN, _parking_plan, _retrieval_plan
+from autopark.devices import DeviceFleet
 from autopark.engine import PackedList
+from autopark.model import SlotAddress
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -37,6 +40,23 @@ SEAMS = [(cls, name) for cls, name, _ in spans.CLASS_SEAMS]
 @pytest.mark.parametrize("cls,name", SEAMS, ids=[f"{cls.__name__}.{name}" for cls, name in SEAMS])
 def test_every_class_seam_is_the_class_own_method(cls, name):
     assert callable(cls.__dict__[name])
+
+
+def test_every_plan_step_starts_a_traced_motion():
+    """A step names its fleet starter, and the controller looks it up on the
+    fleet at each start, so the traced pass counts a plan's motions as
+    ``devices.motion`` only while every starter a plan names is one that it
+    wraps under that span."""
+    motions = {
+        name
+        for cls, name, span in spans.CLASS_SEAMS
+        if cls is DeviceFleet and span == "devices.motion"
+    }
+    slots = [SlotAddress(floor, slot) for floor in range(3) for slot in range(6)]
+    plans = [EXIT_PLAN, HOMING_PLAN, *map(_parking_plan, slots), *map(_retrieval_plan, slots)]
+    starts = {step.start for plan in plans for step in plan}
+    assert starts <= motions
+    assert all(callable(DeviceFleet.__dict__[start]) for start in starts)
 
 
 def test_a_traced_session_with_packed_history_reads_back(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 from decimal import Decimal
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 from autopark.controller import (
     EXIT_PLAN,
     HOMING_PLAN,
+    GarageController,
     InvariantViolationError,
     NoVacancyError,
     Program,
     Step,
-    StepKind,
     UnknownActionError,
     _parking_plan,
     _retrieval_plan,
@@ -175,7 +176,7 @@ def test_allocate_slot_matches_exhaustive_scan():
             with pytest.raises(NoVacancyError):
                 allocate_slot(garage.slots, 1)
         else:
-            assert allocate_slot(garage.slots, 1) == min(vacant)
+            assert allocate_slot(garage.slots, 1) == vacant[0]  # addresses() is floor-major
 
 
 @settings(max_examples=200, deadline=None)
@@ -636,13 +637,25 @@ def test_an_unpaid_car_keeps_its_exit_belt_claim_until_it_leaves():
 
 
 # -- plans ---------------------------------------------------------------------
-# The frozen step record, the four step-list builders and the per-program lock
-# scan that the cached plans replaced, kept as the reference they must match.
+# The step kinds, the frozen step record, the four step-list builders and the
+# per-program lock scan that the cached plans replaced, kept as the reference
+# they must match.
+
+
+class Kind(Enum):
+    OPEN_GATE = "open_gate"
+    CLOSE_GATE = "close_gate"
+    CONVEY = "convey"
+    LOAD_PLATFORM = "load_platform"
+    ELEVATE = "elevate"
+    ROTATE = "rotate"
+    TRANSFER_TO_SLOT = "transfer_to_slot"
+    TRANSFER_FROM_SLOT = "transfer_from_slot"
 
 
 @dataclasses.dataclass(frozen=True)
 class OracleStep:
-    kind: StepKind
+    kind: Kind
     gate: str | None = None
     belt: BeltId | None = None
     target: int | None = None
@@ -651,46 +664,55 @@ class OracleStep:
     car_off: BeltId | None = None
     bay: str | None = None
     platform: bool = False
+    done: object = None  # what the motion's end does to the ticket
 
 
 def oracle_parking_steps(slot: SlotAddress) -> list[OracleStep]:
     return [
-        OracleStep(StepKind.OPEN_GATE, gate="entrance", bay="entrance"),
-        OracleStep(StepKind.CONVEY, belt=ENTRANCE_BELT, car_onto=ENTRANCE_BELT, bay="entrance"),
-        OracleStep(StepKind.CLOSE_GATE, gate="entrance", bay="entrance"),
+        OracleStep(Kind.OPEN_GATE, gate="entrance", bay="entrance"),
+        OracleStep(Kind.CONVEY, belt=ENTRANCE_BELT, car_onto=ENTRANCE_BELT, bay="entrance"),
+        OracleStep(Kind.CLOSE_GATE, gate="entrance", bay="entrance"),
+        OracleStep(Kind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_off=ENTRANCE_BELT, platform=True),
+        OracleStep(Kind.ELEVATE, target=slot.floor, platform=True),
+        OracleStep(Kind.ROTATE, target=slot.slot, platform=True),
         OracleStep(
-            StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_off=ENTRANCE_BELT, platform=True
+            Kind.TRANSFER_TO_SLOT,
+            belt=BeltId("slot", slot.slot),
+            platform=True,
+            done=GarageController._parked,
         ),
-        OracleStep(StepKind.ELEVATE, target=slot.floor, platform=True),
-        OracleStep(StepKind.ROTATE, target=slot.slot, platform=True),
-        OracleStep(StepKind.TRANSFER_TO_SLOT, belt=BeltId("slot", slot.slot), platform=True),
     ]
 
 
 def oracle_retrieval_steps(slot: SlotAddress) -> list[OracleStep]:
     return [
-        OracleStep(StepKind.ELEVATE, target=slot.floor, platform=True),
-        OracleStep(StepKind.ROTATE, target=slot.slot, platform=True),
-        OracleStep(StepKind.TRANSFER_FROM_SLOT, belt=BeltId("slot", slot.slot), platform=True),
-        OracleStep(StepKind.ELEVATE, target=0, platform=True),
-        OracleStep(StepKind.ROTATE, target=0, platform=True),
-        OracleStep(StepKind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_onto=EXIT_BELT, platform=True),
-        OracleStep(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True),
+        OracleStep(Kind.ELEVATE, target=slot.floor, platform=True),
+        OracleStep(Kind.ROTATE, target=slot.slot, platform=True),
+        OracleStep(
+            Kind.TRANSFER_FROM_SLOT,
+            belt=BeltId("slot", slot.slot),
+            platform=True,
+            done=GarageController._vacate,
+        ),
+        OracleStep(Kind.ELEVATE, target=0, platform=True),
+        OracleStep(Kind.ROTATE, target=0, platform=True),
+        OracleStep(Kind.LOAD_PLATFORM, belt=PLATFORM_BELT, car_onto=EXIT_BELT, platform=True),
+        OracleStep(Kind.CONVEY, belt=EXIT_BELT, car_rides=True, done=GarageController._bill),
     ]
 
 
 def oracle_exit_steps() -> list[OracleStep]:
     return [
-        OracleStep(StepKind.OPEN_GATE, gate="exit", bay="exit"),
-        OracleStep(StepKind.CONVEY, belt=EXIT_BELT, car_rides=True, car_off=EXIT_BELT, bay="exit"),
-        OracleStep(StepKind.CLOSE_GATE, gate="exit", bay="exit"),
+        OracleStep(Kind.OPEN_GATE, gate="exit", bay="exit"),
+        OracleStep(Kind.CONVEY, belt=EXIT_BELT, car_rides=True, car_off=EXIT_BELT, bay="exit"),
+        OracleStep(Kind.CLOSE_GATE, gate="exit", bay="exit"),
     ]
 
 
 def oracle_homing_steps() -> list[OracleStep]:
     return [
-        OracleStep(StepKind.ELEVATE, target=0, platform=True),
-        OracleStep(StepKind.ROTATE, target=0, platform=True),
+        OracleStep(Kind.ELEVATE, target=0, platform=True),
+        OracleStep(Kind.ROTATE, target=0, platform=True),
     ]
 
 
@@ -705,11 +727,16 @@ def oracle_lock_scan(steps: list[OracleStep]) -> tuple[str | None, int, int]:
     )
 
 
-# The oracle's motion fields, which a step keeps as they were. Its bay name,
-# platform flag and car fields became the step's claims, and the lock scan's
-# last indices and ``car_off`` its frees.
-CLAIM_FIELDS = ("car_onto", "car_rides", "car_off", "bay", "platform")
-MOTION_FIELDS = [f for f in dataclasses.fields(OracleStep) if f.name not in CLAIM_FIELDS]
+def oracle_motion(step: OracleStep) -> tuple[str, tuple]:
+    """The ``DeviceFleet`` starter and the arguments that move the oracle
+    step's device, as the controller once chose them from its kind."""
+    if step.gate is not None:
+        return "gate_actuate", (step.gate, "open" if step.kind is Kind.OPEN_GATE else "close")
+    if step.belt is not None:
+        return "belt_start_convey", (step.belt,)
+    if step.kind is Kind.ELEVATE:
+        return "elevator_goto_floor", (step.target,)
+    return "platform_rotate_to_slot", (step.target,)
 
 
 def oracle_claims(steps: list[OracleStep]) -> list[tuple[tuple, tuple]]:
@@ -735,23 +762,21 @@ def oracle_claims(steps: list[OracleStep]) -> list[tuple[tuple, tuple]]:
 
 
 def assert_plan_matches(steps, expected: list[OracleStep]) -> None:
+    """Each step starts its oracle's motion with arguments of the same types,
+    holds and frees its claims, and carries its end's effect."""
     assert len(steps) == len(expected)
     for step, want, (claims, frees) in zip(steps, expected, oracle_claims(expected)):
         assert type(step) is Step
-        for f in MOTION_FIELDS:
-            got, wanted = getattr(step, f.name), getattr(want, f.name)
-            assert got == wanted and type(got) is type(wanted), (f.name, step, want)
+        start, args = oracle_motion(want)
+        assert (step.start, step.args) == (start, args), (step, want)
+        assert list(map(type, step.args)) == list(map(type, args)), (step, want)
         assert (step.claims, step.frees) == (claims, frees), (step, want)
+        assert step.done is want.done, (step, want)
 
 
 def test_step_keeps_its_field_names_order_and_defaults():
-    assert Step._fields == (*(f.name for f in MOTION_FIELDS), "claims", "frees", "device")
-    assert Step._field_defaults == {
-        **{f.name: f.default for f in MOTION_FIELDS if f.default is not dataclasses.MISSING},
-        "claims": (),
-        "frees": (),
-        "device": "",
-    }
+    assert Step._fields == ("start", "args", "device", "claims", "frees", "done")
+    assert Step._field_defaults == {"claims": (), "frees": (), "done": None}
 
 
 def every_plan(config: GarageConfig):
@@ -785,10 +810,10 @@ def test_step_device_is_the_device_the_fleet_starts(floors, slots_per_floor):
 def _covering_claim(step: Step) -> str | BeltId:
     """The claim a step must hold to move its device: a gate's bay, the
     entrance or exit belt itself, and the platform for every other device."""
-    if step.gate is not None:
-        return step.gate
-    if step.belt in (ENTRANCE_BELT, EXIT_BELT):
-        return step.belt
+    if step.start == "gate_actuate":
+        return step.args[0]
+    if step.start == "belt_start_convey" and step.args[0] in (ENTRANCE_BELT, EXIT_BELT):
+        return step.args[0]
     return "platform"
 
 

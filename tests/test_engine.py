@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autopark import engine
-from autopark.devices import BeltId
+from autopark.devices import Action, BeltId
 from autopark.engine import (
     Arrival,
     FaultCleared,
@@ -212,6 +212,29 @@ def test_packed_records_read_back_record_for_record(chunk, added):
         assert trace[1::2] == lines[1::2]
 
 
+@pytest.mark.parametrize("input_first", [True, False])
+def test_an_input_dispatches_before_a_completion_at_its_millisecond(input_first):
+    """Whichever is scheduled first, an input at a motion's completion
+    millisecond dispatches before it, and each keeps the seq of its schedule
+    call; the clock still orders events of different milliseconds."""
+    seen = []
+    sim = Simulation(handler=seen.append)
+    early = Action(1, "rotator", "rotate slot=1 dir=cw faces=1", 1999, ())
+    done = Action(2, "gate:entrance", "open", 2000, ())
+    payload = IrradianceChange(250.0)
+    sim.schedule_done(1999, early)
+    if input_first:
+        sim.schedule(2000, payload)
+        sim.schedule_done(2000, done)
+    else:
+        sim.schedule_done(2000, done)
+        sim.run_until(1000)
+        sim.schedule(2000, payload)
+    sim.run_until_idle()
+    assert [event.payload for event in seen] == [early, payload, done]
+    assert [event.seq for event in seen] == ([0, 1, 2] if input_first else [0, 2, 1])
+
+
 def test_runaway_schedule_is_caught():
     sim = Simulation()
     sim.handler = lambda e: sim.schedule(e.at_ms, FaultCleared())
@@ -224,7 +247,8 @@ def test_an_event_is_its_own_heap_entry():
     sim = Simulation()
     payload = FaultCleared()
     event = sim.schedule(5, payload)
-    assert event == (5, 0, payload)
+    assert event == (5, 0, 0, payload)
+    assert (event.at_ms, event.seq, event.payload) == (5, 0, payload)
 
 
 def test_dispatched_events_are_not_retained():

@@ -194,9 +194,10 @@ def test_vehicle_rejects_bad_fields():
         Vehicle("v1", 4000, "not a phone")
 
 
-def test_slot_address_ordering_and_text():
-    assert SlotAddress(0, 5) < SlotAddress(1, 0)
+def test_slot_address_has_text_but_no_order():
     assert str(SlotAddress(2, 3)) == "2/3"
+    with pytest.raises(TypeError):
+        SlotAddress(0, 5) < SlotAddress(1, 0)
 
 
 def test_ticket_phases_only_advance():

@@ -98,11 +98,8 @@ def test_replace_and_make_validate_like_construction(record, bad, error):
         cls._make((record._asdict() | bad).values())
 
 
-def test_slot_addresses_order_by_floor_then_slot():
-    cells = [SlotAddress(1, 0), SlotAddress(0, 5), SlotAddress(2, 3), SlotAddress(0, 7)]
-    assert min(cells) == SlotAddress(0, 5)
-    assert sorted(cells) == [cells[1], cells[3], cells[0], cells[2]]
-    assert SlotAddress(0, 5) <= SlotAddress(0, 5) < SlotAddress(0, 6) < SlotAddress(1, 0)
+def test_slot_addresses_hash_and_compare_by_floor_and_slot():
+    assert SlotAddress(0, 5) == SlotAddress(0, 5) != SlotAddress(5, 0)
     assert hash(SlotAddress(2, 3)) == hash(SlotAddress(2, 3))
     assert len({SlotAddress(2, 3), SlotAddress(2, 3), SlotAddress(3, 2)}) == 2
 

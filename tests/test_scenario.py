@@ -598,7 +598,7 @@ def test_a_motion_is_its_own_completion_event():
     completions = []
 
     def handler(event):
-        at_ms, seq, payload = event
+        at_ms, _, seq, payload = event
         if not isinstance(payload, InputEvent):
             started = fleet.active.get(fleet.by_name[payload.device_id])
             completions.append((len(trace), at_ms, seq, payload, started))
@@ -664,11 +664,10 @@ def test_an_input_due_as_a_motion_completes_dispatches_first():
     ]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
 def test_an_input_scheduled_mid_run_replays_to_the_same_trace():
-    """Scheduled once the run is past 1 s, the same input takes a seq after
-    the gate swing's completion, which is already pending, so it dispatches
-    second; its file replay dispatches it first."""
+    """Scheduled once the run is past 1 s, the input takes a seq after the
+    gate swing's completion, which is already pending, yet dispatches first,
+    as its file replay does."""
     arrival = ScenarioEvent(0, Arrival(Vehicle("v1", 4200, "+97455000001")))
     irradiance = ScenarioEvent(2000, IrradianceChange(250.0))
     session = GarageSession()

@@ -4,9 +4,10 @@ Every other session test runs a scenario drawn up front. Here a
 ``hypothesis`` state machine drives one checked ``GarageSession`` on the 3x6
 garage: cars arrive, customers text and pay when they choose, belts fault
 and clear, the sun changes, and the clock is cut anywhere. Each input is
-scheduled 1-5,000 ms after the clock, and each fault clears 1-20 s after
-it. At the end of the day the faults are cleared, the session runs to
-idle, and every bill is paid.
+scheduled 1-5,000 ms after the clock, or at the millisecond the next
+pending motion completes, and each fault clears 1-20 s after it. At the end
+of the day the faults are cleared, the session runs to idle, and every bill
+is paid.
 
 What holds for every such day:
 - the invariant scan passes after every event (the session is checked), and
@@ -15,8 +16,8 @@ What holds for every such day:
 - ``run_until_idle`` ends;
 - the trace's dispatch records rebuild the inputs, in dispatch order;
 - a file run of those inputs makes the same trace once ``seq=`` is
-  stripped, unless an input fell on the millisecond of a motion's
-  completion: a file run dispatches that input first, a reactive run after.
+  stripped, also where an input falls on the millisecond of a motion's
+  completion, since the engine dispatches inputs first at one millisecond.
 
 Tier-1 draws the same 100 examples on every run. For a deeper pass:
 ``PYTHONPATH=src python tests/test_stateful.py --examples 2000``.
@@ -35,7 +36,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from autopark.devices import belt_roster
+from autopark.devices import Action, belt_roster
 from autopark.engine import (
     Arrival,
     BeltFault,
@@ -54,13 +55,23 @@ PHONES = [f"+9745500000{i}" for i in range(8)]
 BELTS = [str(belt) for belt in belt_roster(CONFIG.slots_per_floor)]
 LACKING_BELTS = [f"slot:{face}" for face in range(CONFIG.slots_per_floor, 10)]
 _SEQ = re.compile(r" seq=\d+")
-_DISPATCH = re.compile(r"t=(\d+) seq=\d+ kind=(\w+)")
 
 
 def _in_phase(session: GarageSession, phase: TicketPhase) -> list[int]:
     return [
         ticket_id for ticket_id, ticket in session.garage.active.items() if ticket.phase is phase
     ]
+
+
+def _next_completion_ms(session: GarageSession) -> int | None:
+    """The millisecond of the first pending motion completion after the clock."""
+    clock_ms = session.sim.clock_ms
+    due = [
+        event.at_ms
+        for event in session.sim._heap
+        if type(event.payload) is Action and event.at_ms > clock_ms
+    ]
+    return min(due, default=None)
 
 
 class GarageDay(RuleBasedStateMachine):
@@ -91,6 +102,15 @@ class GarageDay(RuleBasedStateMachine):
     def fetch_the_first_parked_car(self, delay):
         ticket_id = _in_phase(self.session, PARKED)[0]
         phone = self.session.garage.active[ticket_id].vehicle.phone
+        self._schedule(delay, InboundSms(phone, "my car please"))
+
+    @precondition(lambda self: _next_completion_ms(self.session) is not None)
+    @rule(phone=st.sampled_from(PHONES))
+    def text_as_a_motion_ends(self, phone):
+        """A text due at the millisecond the next pending motion completes,
+        which a file run schedules before that completion and a reactive run
+        after it."""
+        delay = _next_completion_ms(self.session) - self.session.sim.clock_ms
         self._schedule(delay, InboundSms(phone, "my car please"))
 
     @precondition(lambda self: _in_phase(self.session, AWAITING_PAYMENT))
@@ -144,10 +164,6 @@ class GarageDay(RuleBasedStateMachine):
         inputs = sorted(self.inputs, key=lambda event: event.t_ms)
         assert _input_events(session.sim.trace, CONFIG) == tuple(inputs)
 
-        dispatched = [match.groups() for match in map(_DISPATCH.match, trace) if match]
-        done_ms = {t for t, kind in dispatched if kind == "device_done"}
-        if any(t in done_ms for t, kind in dispatched if kind != "device_done"):
-            return  # the reactive order at a shared millisecond differs
         replay = run_scenario(Scenario(CONFIG, session.settings, tuple(inputs)))
         assert [_SEQ.sub("", line) for line in replay.trace] == [
             _SEQ.sub("", line) for line in trace
