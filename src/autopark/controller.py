@@ -239,6 +239,7 @@ class GarageController:
         self.gateway = gateway
         self.arrivals: list[ArrivalRecord] = []
         self._trace = trace
+        self._amounts: dict[int, Decimal] = {}  # this run's bill by billed minutes
         self._wait_q: dict[Program, None] = {}  # insertion-ordered: request order
         # Each held resource ("entrance", "exit", "platform", ENTRANCE_BELT,
         # EXIT_BELT) and its holder: a ticket id or "homing".
@@ -408,11 +409,20 @@ class GarageController:
         self.garage.slots.set_cell(ticket.slot, VACANT, None)
 
     def _bill(self, ticket: ParkingTicket, now_ms: int) -> None:
-        """The end of the exit belt's run: the car is on the exit belt, so bill it."""
-        rate = self.garage.config.billing_rate_per_minute
-        ticket.amount_due = compute_bill(ticket.entry_ms, ticket.exit_ms, rate)
+        """The end of the exit belt's run: the car is on the exit belt, so bill it.
+
+        The amount comes from ``_amounts``, this run's table of bills by
+        billed minutes at the garage's rate, so that every bill of equal
+        minutes, on its ticket and in its trace record, is one ``Decimal``.
+        """
         minutes = billed_minutes(ticket.entry_ms, ticket.exit_ms)
-        self._trace(bill_line, now_ms, ticket.ticket_id, minutes, ticket.amount_due)
+        amount = self._amounts.get(minutes)
+        if amount is None:
+            rate = self.garage.config.billing_rate_per_minute
+            amount = compute_bill(ticket.entry_ms, ticket.exit_ms, rate)
+            self._amounts[minutes] = amount
+        ticket.amount_due = amount
+        self._trace(bill_line, now_ms, ticket.ticket_id, minutes, amount)
         self._set_phase(ticket, AWAITING_PAYMENT, now_ms)
         ticket.ready_ms = now_ms
         self._send_sms("bill", ticket, now_ms)
@@ -525,14 +535,19 @@ def _claimed_counts(garage: GarageState) -> bool:
     new arrival may then reserve it. An AwaitingPayment ticket claims
     nothing.
 
-    Each claiming ticket reads its own entry. Ticket ids differ, so no two
-    claim one entry; so when each dict has as many entries as it has claims,
-    and no key is in both, the grid holds the claims and nothing else. The
-    same loop checks each billing clock (``exit_ms`` is None exactly in
-    AwaitingEntry, Parking and Parked), but raises only once the grid is
-    sound, so a grid fault is named first. Returns False if a claimed entry
-    is missing or names another ticket, an entry is not claimed, or a slot
-    is off the grid; ``_scan_cells`` then names the fault.
+    Each claiming ticket reads its own entry, which names it only if it is
+    the ticket's own id object or an int equal to it (``_names``): a float
+    or bool equal to the id is a fault, as ``_scan_cells`` finds. The
+    identity test comes first and inline: the controller writes each
+    ticket's own id object into its cells, so a sound entry passes on that
+    test alone. Ticket ids differ, so no two claim one entry; so when each
+    dict has as many entries as it has claims, and no key is in both, the
+    grid holds the claims and nothing else. The same loop checks each
+    billing clock (``exit_ms`` is None exactly in AwaitingEntry, Parking and
+    Parked), but raises only once the grid is sound, so a grid fault is
+    named first. Returns False if a claimed entry is missing or names
+    another ticket, an entry is not claimed, or a slot is off the grid;
+    ``_scan_cells`` then names the fault.
     """
     slots = garage.slots
     floors, n = slots.floors, slots.slots_per_floor
@@ -548,18 +563,22 @@ def _claimed_counts(garage: GarageState) -> bool:
                 return False
             key = floor * n + slot
             if phase is PARKED:
-                if occupied_cells[key] != ticket_id:
-                    return False
+                if occupied_cells[key] is not ticket_id:
+                    if not _names(occupied_cells[key], ticket_id):
+                        return False
                 occupied += 1
             elif phase is AWAITING_ENTRY or phase is PARKING:
-                if reserved_cells[key] != ticket_id:
-                    return False
+                if reserved_cells[key] is not ticket_id:
+                    if not _names(reserved_cells[key], ticket_id):
+                        return False
                 reserved += 1
             else:
                 if ticket.exit_ms is None:
                     wrong_clock = wrong_clock or ticket
-                if phase is RETRIEVING and occupied_cells.get(key) == ticket_id:
-                    occupied += 1
+                if phase is RETRIEVING:
+                    entry = occupied_cells.get(key)  # None once the car has left the cell
+                    if entry is ticket_id or (entry is not None and _names(entry, ticket_id)):
+                        occupied += 1
                 continue
             if ticket.exit_ms is not None:
                 wrong_clock = wrong_clock or ticket
@@ -574,6 +593,12 @@ def _claimed_counts(garage: GarageState) -> bool:
     if wrong_clock is not None:
         raise _clock_fault(wrong_clock)
     return True
+
+
+def _names(entry, ticket_id: int) -> bool:
+    """Whether a cell's entry names the ticket: it is the ticket's own id
+    object, or an int equal to it, and not a float or bool equal to it."""
+    return entry is ticket_id or (type(entry) is int and entry == ticket_id)
 
 
 def _clock_fault(ticket: ParkingTicket) -> InvariantViolationError:

@@ -5,10 +5,12 @@ a (timestamp, rank, insertion sequence, payload) tuple and is its own heap
 entry. The rank is 0 for an input event and 1 for a device completion, so at
 one millisecond every input dispatches before every completion, however late
 it was scheduled: a run that schedules its inputs as it goes dispatches them
-as a file run of the same inputs does. The sequence is unique, so the heap
-orders the tuples in C and never compares two payloads. Dispatch order is
-therefore a pure function of the schedule calls, and repeated runs of the
-same scenario produce byte-identical traces.
+as a file run of the same inputs does. An input for a millisecond that has
+already dispatched an event is refused, since it could no longer go first.
+The sequence is unique, so the heap orders the tuples in C and never
+compares two payloads. Dispatch order is therefore a pure function of the
+schedule calls, and repeated runs of the same scenario produce
+byte-identical traces.
 The clock only moves when an event fires; there is no wall-clock coupling
 anywhere.
 
@@ -400,12 +402,23 @@ class Simulation:
         self.trace = Trace()
         self._heap: list[SimEvent] = []
         self._next_seq = 0
+        self._dispatched_ms = -1  # the millisecond of the last dispatched event
         self.handler = handler
         self.advance = advance
         self.check = check
 
     def schedule(self, at_ms: int, payload: Payload) -> SimEvent:
-        """Queue an input event, ahead of every completion at its millisecond."""
+        """Queue an input event, ahead of every completion at its millisecond.
+
+        An input at a millisecond that has already dispatched an event is
+        refused: it would dispatch after that event, where a run of the same
+        inputs from a file dispatches it before. A millisecond the clock
+        reached without dispatching takes inputs still.
+        """
+        if at_ms == self._dispatched_ms:  # an earlier time fails in _push
+            raise SchedulingInPastError(
+                f"cannot schedule an input at t={at_ms}ms: an event at that time has dispatched"
+            )
         return self._push(at_ms, 0, payload)
 
     def schedule_done(self, at_ms: int, action: Action) -> SimEvent:
@@ -435,6 +448,7 @@ class Simulation:
 
     def _dispatch(self, event: SimEvent) -> None:
         self._advance_clock(event[0])
+        self._dispatched_ms = event[0]
         if self.handler is not None:
             self.handler(event)
         if self.check is not None:

@@ -289,7 +289,13 @@ class SlotMatrix:
     slots_per_floor + slot``) to the id of the ticket holding it; a cell in
     neither is vacant, and a ticket owns at most one cell at any time. The
     most cells ever occupied at once is kept as ``occupied_peak``. An
-    address off the grid is an IndexError.
+    address or key off the grid is an IndexError.
+
+    ``address`` hands out one ``SlotAddress`` per cell key for the life of
+    the grid, kept in ``_addresses`` once handed out, so that dict holds
+    only the cells used. Allocation goes through it, so every ticket that
+    used a cell, and the scan, share that cell's one address. Nothing
+    mutates an address: a ticket moves by rebinding its ``slot``.
 
     First-free allocation does not walk the held cells: ``_fresh`` marks
     where a walk of the keys never vacated resumes, and ``_vacated`` is a
@@ -304,6 +310,7 @@ class SlotMatrix:
         self.cells = floors * slots_per_floor
         self._reserved: dict[int, int] = {}
         self._occupied: dict[int, int] = {}
+        self._addresses: dict[int, SlotAddress] = {}
         self._vacated: list[int] = []
         self._fresh = 0
         self.occupied_peak = 0
@@ -315,7 +322,13 @@ class SlotMatrix:
         raise IndexError(f"no cell {addr} on the {self.floors}x{n} grid")
 
     def address(self, key: int) -> SlotAddress:
-        return SlotAddress(*divmod(key, self.slots_per_floor))
+        n = self.slots_per_floor
+        if type(key) is not int or not 0 <= key < self.cells:
+            raise IndexError(f"no cell key {key!r} on the {self.floors}x{n} grid")
+        addr = self._addresses.get(key)
+        if addr is None:
+            addr = self._addresses[key] = SlotAddress(*divmod(key, n))
+        return addr
 
     def state_at(self, addr: SlotAddress) -> SlotState:
         key = self.key(addr)
@@ -375,10 +388,12 @@ class GarageState:
     order, so its size is the count of cars let in. ``active`` and
     ``active_by_phone`` index the ones not yet ``CLOSED``, by ticket id and by
     the customer's phone; a ticket leaves both when it closes, and its entry
-    in ``tickets`` becomes a frozen ``ClosedTicket``.
+    in ``tickets`` becomes a frozen ``ClosedTicket``. ``next_ticket_id`` is
+    the id the next ticket gets, one object until it is issued, so the cell
+    the controller reserves under it and the ticket hold the same id.
     """
 
-    __slots__ = ("config", "slots", "tickets", "active", "active_by_phone")
+    __slots__ = ("config", "slots", "tickets", "active", "active_by_phone", "next_ticket_id")
 
     def __init__(self, config: GarageConfig, slots: SlotMatrix):
         self.config = config
@@ -386,17 +401,15 @@ class GarageState:
         self.tickets: dict[int, ParkingTicket] = {}
         self.active: dict[int, ParkingTicket] = {}
         self.active_by_phone: dict[str, ParkingTicket] = {}
+        self.next_ticket_id = 1
 
     @property
     def vehicles_entered(self) -> int:
         return len(self.tickets)
 
-    @property
-    def next_ticket_id(self) -> int:
-        return len(self.tickets) + 1
-
     def issue_ticket(self, vehicle: Vehicle, slot: SlotAddress, entry_ms: int) -> ParkingTicket:
         ticket = ParkingTicket(self.next_ticket_id, vehicle, slot, entry_ms)
+        self.next_ticket_id += 1
         self.tickets[ticket.ticket_id] = ticket
         self.active[ticket.ticket_id] = ticket
         self.active_by_phone[vehicle.phone] = ticket

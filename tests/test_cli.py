@@ -402,6 +402,27 @@ def test_repl_rejects_a_time_past_the_clock(capsys, monkeypatch):
     assert "pending=0" in out[1]
 
 
+def test_repl_refuses_an_input_at_a_dispatched_millisecond(capsys, monkeypatch):
+    """An event at 0 s has dispatched, so a text there could not replay in
+    place and is refused; the console carries on, and takes an input at a
+    time the clock reached without dispatching."""
+    script = (
+        "t=0 kind=fault_cleared\nrun\n"
+        "t=0 kind=sms_in phone=+97455501234 body=retrieve\n"
+        "t=0.001 kind=fault_cleared\ntick 2\nt=2 kind=fault_cleared\nrun\n"
+    )
+    assert _run_repl(monkeypatch, script) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "scheduled fault_cleared at t=0.000s",
+        "t=0.000s idle",
+        "error: cannot schedule an input at t=0ms: an event at that time has dispatched",
+        "scheduled fault_cleared at t=0.001s",
+        "t=2.000s pending=0",
+        "scheduled fault_cleared at t=2.000s",
+        "t=2.000s idle",
+    ]
+
+
 def test_repl_tick_takes_ascii_numbers_only(capsys, monkeypatch):
     assert _run_repl(monkeypatch, "tick 1_0\ntick \u0663\ntick 2.5\n") == 0
     assert capsys.readouterr().out.splitlines() == [

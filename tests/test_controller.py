@@ -41,6 +41,7 @@ from autopark.model import (
     SlotState,
     TicketPhase,
     Vehicle,
+    billed_minutes,
     new_garage,
 )
 from autopark.report import format_report
@@ -605,6 +606,35 @@ def test_every_claim_is_freed_after_a_paid_day():
     session = run_scenario(paid_day("floors=3 slots_per_floor=6", 12)).session
     assert all(t.phase is TicketPhase.CLOSED for t in session.garage.tickets.values())
     assert session.controller.claims == {}
+
+
+def test_a_day_shares_each_cell_address_and_each_bill():
+    """Twelve paying cars on the 3x6 garage, staying 15 to 17 minutes: every
+    ticket that used one cell holds the grid's one address for it, and every
+    bill of equal minutes is one amount object, closed tickets included."""
+    events = []
+    for i in range(12):
+        t_ms = 240_000 * (i + 1)
+        exit_ms = t_ms + 900_000 + 60_000 * (i % 3)
+        events += [
+            (t_ms, Arrival(vehicle(i + 1))),
+            (exit_ms, InboundSms(vehicle(i + 1).phone, "out")),
+            (exit_ms + 300_000, PaymentConfirmed(i + 1)),
+        ]
+    session = drive(events)
+    tickets = list(session.garage.tickets.values())
+    assert all(t.phase is TicketPhase.CLOSED for t in tickets)
+    slots = session.garage.slots
+    cells: dict[SlotAddress, list] = {}
+    bills: dict[int, list] = {}
+    for ticket in tickets:
+        assert ticket.slot is slots.address(slots.key(ticket.slot))
+        cells.setdefault(ticket.slot, []).append(ticket.slot)
+        minutes = billed_minutes(ticket.entry_ms, ticket.exit_ms)
+        bills.setdefault(minutes, []).append(ticket.amount_due)
+    assert len(cells) < len(tickets) and sorted(bills) == [15, 16, 17]
+    for shared in (*cells.values(), *bills.values()):
+        assert len({id(value) for value in shared}) == 1
 
 
 def test_an_unpaid_car_keeps_its_exit_belt_claim_until_it_leaves():

@@ -65,6 +65,29 @@ def test_scheduling_in_past_rejected():
     sim.schedule(5000, FaultCleared())  # at the clock is allowed
 
 
+def test_an_input_at_a_dispatched_millisecond_is_refused():
+    """After an event at 1000 ms has dispatched, an input at 1000 ms would
+    dispatch after it, where a file run puts it before; a completion there
+    is still taken."""
+    sim = Simulation()
+    sim.schedule(1000, FaultCleared())
+    sim.run_until(1000)
+    with pytest.raises(SchedulingInPastError, match="has dispatched"):
+        sim.schedule(1000, FaultCleared())
+    sim.schedule_done(1000, FaultCleared())
+    sim.schedule(1001, FaultCleared())
+
+
+def test_an_input_at_a_millisecond_reached_without_dispatch_is_taken():
+    seen = []
+    sim = Simulation(handler=lambda event: seen.append(event.at_ms))
+    sim.schedule(1000, FaultCleared())
+    sim.run_until(3000)
+    sim.schedule(3000, FaultCleared())  # the clock reached 3000 ms, but nothing dispatched there
+    sim.run_until_idle()
+    assert seen == [1000, 3000]
+
+
 def test_handler_may_schedule_followups():
     seen = []
     sim = Simulation()
@@ -237,7 +260,7 @@ def test_an_input_dispatches_before_a_completion_at_its_millisecond(input_first)
 
 def test_runaway_schedule_is_caught():
     sim = Simulation()
-    sim.handler = lambda e: sim.schedule(e.at_ms, FaultCleared())
+    sim.handler = lambda e: sim.schedule_done(e.at_ms, FaultCleared())
     sim.schedule(0, FaultCleared())
     with pytest.raises(Exception, match="runaway"):
         sim.run_until_idle(max_events=100)
@@ -287,9 +310,10 @@ class Unordered:
     cuts=st.lists(st.integers(0, 8), max_size=4),
 )
 def test_dispatch_order_is_time_then_schedule_order(schedule, cuts):
-    """Many events share a time and handlers schedule follow-ups at the
-    current clock; dispatch still follows (at_ms, seq), and cutting the run
-    with run_until changes nothing."""
+    """Many events share a time and handlers schedule follow-ups, those at
+    the current clock as completions (an input there is refused); dispatch
+    still follows (at_ms, seq), and cutting the run with run_until changes
+    nothing."""
 
     def run(cut_points):
         sim = Simulation()
@@ -298,7 +322,8 @@ def test_dispatch_order_is_time_then_schedule_order(schedule, cuts):
         def handler(event):
             dispatched.append((event.at_ms, event.seq))
             for delay in event.payload.followups:
-                followup = sim.schedule(sim.clock_ms + delay, Unordered())
+                push = sim.schedule if delay else sim.schedule_done
+                followup = push(sim.clock_ms + delay, Unordered())
                 scheduled.append((followup.at_ms, followup.seq))
 
         sim.handler = handler

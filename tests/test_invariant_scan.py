@@ -698,6 +698,20 @@ DICT_CORRUPTIONS = {
         lambda session: session.garage.slots._occupied.update({"3": 4}),
         "cell key '3' is not on the 3x6 grid",
     ),
+    # Ids equal to the claiming ticket's without being ints, in each of the
+    # fast path's three reads: Parked, Parking and Retrieving.
+    "parked_cell_names_float_id": (
+        _put_entry("_occupied", PARKED_CELL, 4.0),
+        "cell 0/3 names ticket 4.0, not an int",
+    ),
+    "reserved_cell_names_float_id": (
+        _put_entry("_reserved", SlotAddress(0, 0), 7.0),
+        "cell 0/0 names ticket 7.0, not an int",
+    ),
+    "retrieving_cell_names_float_id": (
+        _put_entry("_occupied", SlotAddress(0, 2), 3.0),
+        "cell 0/2 names ticket 3.0, not an int",
+    ),
 }
 
 
@@ -794,6 +808,9 @@ def _writes(session: GarageSession):
     ticket_ids = sorted(garage.tickets)
     live_ids = sorted(garage.active)
     exits = sorted({t.exit_ms for t in garage.tickets.values() if t.exit_ms is not None})
+    # Ids as drawn for a cell: None, every ticket's, a dead one, and values
+    # equal to an id without being an int (4.0 for 4, True for 1).
+    ids = [None, *ticket_ids, 404, *map(float, ticket_ids), True, False]
 
     def put(name, key, value):
         """Insert or overwrite; the key may be held in the other dict too."""
@@ -801,6 +818,16 @@ def _writes(session: GarageSession):
 
     def drop(name, key):
         return lambda: getattr(slots, name).pop(key, None), ("drop", name, key)
+
+    def retype(name, key):
+        """Swap a held entry's id for the float equal to it."""
+        cells = getattr(slots, name)
+
+        def apply():
+            if key in cells:
+                cells[key] = float(cells[key])
+
+        return apply, ("retype", name, key)
 
     def ticket_write(name: str, values):
         def write(ticket_id, value):
@@ -813,8 +840,9 @@ def _writes(session: GarageSession):
     # off-grid guards.
     addresses = st.builds(SlotAddress, st.integers(-1, 3), st.integers(-1, 6))
     return st.one_of(
-        st.builds(put, dicts, keys, st.sampled_from([None, *ticket_ids, 404])),
+        st.builds(put, dicts, keys, st.sampled_from(ids)),
         st.builds(drop, dicts, keys),
+        st.builds(retype, dicts, st.sampled_from(sorted({*slots._reserved, *slots._occupied}))),
         ticket_write("phase", st.sampled_from(TicketPhase)),
         ticket_write("exit_ms", st.sampled_from([None, *exits, 5000])),
         ticket_write("slot", addresses),
@@ -824,10 +852,11 @@ def _writes(session: GarageSession):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_fast_path_accepts_nothing_the_cell_loop_rejects(data):
-    """No key or id equal to an int without being one (4.0 for 4) is drawn:
-    the fast path finds such a key by hash and compares such an id with
-    ``!=``, so it accepts what the visit of the held cells names a fault.
-    ``set_cell`` refuses such an id, and computes every key itself."""
+    """Ids equal to a ticket's without being ints (4.0 for 4, True for 1)
+    are drawn, and the fast path declines them. Keys equal to an int without
+    being one (3.0 for 3) are not: the fast path finds such a key by hash, so
+    it accepts what the visit of the held cells names a fault. ``set_cell``
+    computes every key itself, so only a direct write makes one."""
     session = busy_session()
     writes = data.draw(st.lists(_writes(session), min_size=1, max_size=3))
     for apply, _ in writes:

@@ -224,6 +224,17 @@ def test_issue_ticket_counts_and_numbers():
     assert occupancy_count(garage) == (0, 18)
 
 
+def test_the_next_ticket_id_is_the_object_the_ticket_takes():
+    """The controller reserves a cell under ``next_ticket_id`` before it
+    issues the ticket, so both must hold one id object, past the ids Python
+    keeps one object each for."""
+    garage = new_garage(GarageConfig())
+    for i in range(300):
+        next_id = garage.next_ticket_id
+        ticket = garage.issue_ticket(Vehicle(f"v{i}", 4000, f"+974{i}"), SlotAddress(0, 0), 0)
+        assert ticket.ticket_id is next_id == i + 1
+
+
 def test_occupancy_counts_track_cells():
     garage = new_garage(GarageConfig())
     garage.slots.set_cell(SlotAddress(0, 0), SlotState.RESERVED, 1)
@@ -301,6 +312,24 @@ def test_an_address_off_the_grid_is_refused(addr):
     with pytest.raises(IndexError):
         slots.ticket_at(addr)
     assert not slots._reserved and not slots._occupied
+
+
+def test_a_cell_key_has_one_address_for_the_life_of_the_grid():
+    """On a 4x6 grid each key's address is its floor and slot, handed out as
+    one object before and after the cell is held and vacated; a key off the
+    grid has none."""
+    slots = SlotMatrix(4, 6)
+    first = [slots.address(key) for key in range(24)]
+    assert first == [SlotAddress(*divmod(key, 6)) for key in range(24)]
+    for key, addr in enumerate(first):
+        slots.set_cell(addr, SlotState.OCCUPIED, key + 1)
+        slots.set_cell(SlotAddress(*divmod(key, 6)), SlotState.VACANT, None)
+        assert slots.address(key) is addr == SlotAddress(*divmod(key, 6))
+    assert slots.first_vacant() is first[0]
+    for key in (-1, 24, 3.0, True, "3"):
+        with pytest.raises(IndexError, match=f"no cell key {key!r} on the 4x6 grid"):
+            slots.address(key)
+    assert len(slots._addresses) == 24
 
 
 @pytest.mark.parametrize(
