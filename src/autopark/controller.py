@@ -6,7 +6,7 @@ gate, belt, and platform motions); programs compete for the long-held
 resources (the entrance and exit bays, the single platform, and the
 entrance and exit belts a car sits on) and for the two-motor relay budget.
 One table, ``GarageController.claims``, records who holds each long-held
-resource: a ticket id, or ``"homing"`` for the homing program. A claim
+resource: a ticket's id, or ``"-"`` for the homing program. A claim
 belongs to the ticket, so one can pass from a ticket's retrieval to its
 exit. Each step is one record holding everything about its motion: the
 fleet starter that drives it, the device it names in the trace, the claims
@@ -37,7 +37,6 @@ from .devices import (
     ENTRANCE_BELT,
     PLATFORM_BELT,
     ROTATOR,
-    Action,
     BeltId,
     DeviceFleet,
     PowerBudgetExceededError,
@@ -137,19 +136,18 @@ class Program:
     """A ticket's progress through its steps.
 
     Programs compare and hash by identity: the wait queue tracks the program
-    object, not its current field values. Its claims are held in the name of
-    its ``holder``, the ticket id or ``"homing"``. Programs for one slot
-    share one step tuple; each keeps its own ``idx``.
+    object, not its current field values. Its ``holder`` names it once: the
+    ticket's own id object, or ``"-"`` for the homing program. Its claims
+    are held in that name, and its trace records print it as ``ticket=``.
+    Programs for one slot share one step tuple; each keeps its own ``idx``.
     """
 
-    __slots__ = ("steps", "ticket_id", "holder", "idx", "ticket_label", "__weakref__")
+    __slots__ = ("steps", "holder", "idx", "__weakref__")
 
-    def __init__(self, steps: tuple[Step, ...], ticket_id: int | None = None):
+    def __init__(self, steps: tuple[Step, ...], holder: int | str = "-"):
         self.steps = steps
-        self.ticket_id = ticket_id
-        self.holder = "homing" if ticket_id is None else ticket_id
+        self.holder = holder
         self.idx = 0
-        self.ticket_label = "-" if ticket_id is None else str(ticket_id)
 
 
 class ArrivalRecord(NamedTuple):
@@ -242,7 +240,7 @@ class GarageController:
         self._amounts: dict[int, Decimal] = {}  # this run's bill by billed minutes
         self._wait_q: dict[Program, None] = {}  # insertion-ordered: request order
         # Each held resource ("entrance", "exit", "platform", ENTRANCE_BELT,
-        # EXIT_BELT) and its holder: a ticket id or "homing".
+        # EXIT_BELT) and its holder: a ticket id, or "-" for homing.
         self.claims: dict[str | BeltId, int | str] = {}
 
     # -- event entry points ------------------------------------------------
@@ -321,7 +319,7 @@ class GarageController:
             self._trace(reject_ticket_line, now_ms, "WrongPhase", ticket_id)
             return
         self._set_phase(ticket, CLOSED, now_ms)
-        program = Program(EXIT_PLAN, ticket_id)
+        program = Program(EXIT_PLAN, ticket.ticket_id)
         self._request_step(program, now_ms)
         self._pump(now_ms)
 
@@ -351,7 +349,7 @@ class GarageController:
             del self.claims[claim]
         program.idx += 1
         if step.done is not None:
-            step.done(self, self.garage.tickets[program.ticket_id], now_ms)
+            step.done(self, self.garage.tickets[program.holder], now_ms)
         if program.idx < len(program.steps):
             self._request_step(program, now_ms)
         self._pump(now_ms)
@@ -361,7 +359,7 @@ class GarageController:
 
     def _request_step(self, program: Program, now_ms: int) -> None:
         device = program.steps[program.idx].device
-        self._trace(request_line, now_ms, device, program.ticket_label)
+        self._trace(request_line, now_ms, device, program.holder)
         self._wait_q[program] = None
 
     def _pump(self, now_ms: int) -> None:
@@ -382,21 +380,14 @@ class GarageController:
         for claim in step.claims:
             if claims.setdefault(claim, holder) != holder:
                 return False
-        action = self._start_motion(step, program, now_ms)
-        if action is None:
-            return False
-        self._trace(
-            start_line, now_ms, action.device_id, action.action_id, action.op, program.ticket_label
-        )
-        return True
-
-    def _start_motion(self, step: Step, program: Program, now_ms: int) -> Action | None:
-        """Start the step's motion on the fleet, or None while the relays
-        cannot power it; the fleet alone knows what a motion draws."""
+        # The fleet alone knows what a motion draws: it refuses one its
+        # relays cannot power, and the program waits for a motor to free.
         try:
-            return getattr(self.fleet, step.start)(*step.args, now_ms, program)
+            action = getattr(self.fleet, step.start)(*step.args, now_ms, program)
         except PowerBudgetExceededError:
-            return None
+            return False
+        self._trace(start_line, now_ms, action.device_id, action.action_id, action.op, holder)
+        return True
 
     def _parked(self, ticket: ParkingTicket, now_ms: int) -> None:
         """The end of the transfer into the slot: the car is parked there."""

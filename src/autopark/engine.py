@@ -195,11 +195,11 @@ def device_done_line(t_ms: int, seq: int, device: str, action: int) -> str:
     return f"t={t_ms} seq={seq} kind=device_done detail=device={device} action={action}"
 
 
-def request_line(t_ms: int, device: str, ticket: str) -> str:
+def request_line(t_ms: int, device: str, ticket: int | str) -> str:
     return f"t={t_ms} act=request device={device} ticket={ticket}"
 
 
-def start_line(t_ms: int, device: str, action: int, op: str, ticket: str) -> str:
+def start_line(t_ms: int, device: str, action: int, op: str, ticket: int | str) -> str:
     return f"t={t_ms} act=start device={device} action={action} op={op} ticket={ticket}"
 
 

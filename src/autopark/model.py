@@ -11,7 +11,6 @@ Money is carried as Decimal to keep billing exact.
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from collections import namedtuple
@@ -297,11 +296,10 @@ class SlotMatrix:
     used a cell, and the scan, share that cell's one address. Nothing
     mutates an address: a ticket moves by rebinding its ``slot``.
 
-    First-free allocation does not walk the held cells: ``_fresh`` marks
-    where a walk of the keys never vacated resumes, and ``_vacated`` is a
-    min-heap of the keys freed below it, so every vacant key below
-    ``_fresh`` is in the heap. A key held again leaves the heap once it
-    comes to the top.
+    First-free allocation keeps one low-water mark, ``_low``: every key
+    below it is held. ``first_vacant`` walks up from the mark past held
+    keys and keeps the key it stops at; vacating a key below the mark
+    lowers the mark to it.
     """
 
     def __init__(self, floors: int, slots_per_floor: int):
@@ -311,8 +309,7 @@ class SlotMatrix:
         self._reserved: dict[int, int] = {}
         self._occupied: dict[int, int] = {}
         self._addresses: dict[int, SlotAddress] = {}
-        self._vacated: list[int] = []
-        self._fresh = 0
+        self._low = 0
         self.occupied_peak = 0
 
     def key(self, addr: SlotAddress) -> int:
@@ -348,16 +345,11 @@ class SlotMatrix:
 
     def first_vacant(self) -> SlotAddress | None:
         """The vacant cell first in floor-major order, or None if every cell is held."""
-        reserved, occupied, vacated = self._reserved, self._occupied, self._vacated
-        while vacated:
-            key = vacated[0]
-            if key not in reserved and key not in occupied:
-                return self.address(key)
-            heapq.heappop(vacated)
-        key = self._fresh
+        reserved, occupied = self._reserved, self._occupied
+        key = self._low
         while key < self.cells and (key in reserved or key in occupied):
             key += 1
-        self._fresh = key
+        self._low = key
         return self.address(key) if key < self.cells else None
 
     def set_cell(self, addr: SlotAddress, state: SlotState, ticket_id: int | None) -> None:
@@ -370,8 +362,8 @@ class SlotMatrix:
             raise ValueError(f"{state.value} cells need an int ticket id, not {ticket_id!r}")
         key = self.key(addr)
         reserved, occupied = self._reserved, self._occupied
-        if state is VACANT and key < self._fresh and (key in reserved or key in occupied):
-            heapq.heappush(self._vacated, key)
+        if state is VACANT and key < self._low:
+            self._low = key
         reserved.pop(key, None)
         occupied.pop(key, None)
         if state is RESERVED:

@@ -29,24 +29,19 @@ def pv_current_at(voltage_v: float, irradiance_scale: float) -> float:
     """Panel current at a terminal voltage, scaled linearly by irradiance.
 
     Anchor voltages return their measured current exactly; beyond open
-    circuit the panel sources nothing.
+    circuit the panel sources nothing. The curve starts at 0 V, so every
+    voltage below open circuit falls in one pair of anchors.
     """
-    if voltage_v < 0:
+    if not voltage_v >= 0:
         raise ValueError("voltage_v must be >= 0")
     if not 0 <= irradiance_scale <= 1:
         raise ValueError("irradiance_scale must be in [0, 1]")
     points = PV_CURVE
     if voltage_v >= points[-1][0]:
         return 0.0
-    for v, i in points:
-        if voltage_v == v:
-            return i * irradiance_scale
     for (v0, i0), (v1, i1) in zip(points, points[1:]):
-        if v0 < voltage_v < v1:
-            i = i0 + (i1 - i0) * (voltage_v - v0) / (v1 - v0)
-            return i * irradiance_scale
-    # Below the first anchor only if the curve does not start at 0 V.
-    return points[0][1] * irradiance_scale
+        if voltage_v < v1:
+            return (i0 + (i1 - i0) * (voltage_v - v0) / (v1 - v0)) * irradiance_scale
 
 
 def pv_max_power(irradiance_scale: float) -> tuple[float, float]:

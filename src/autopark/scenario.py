@@ -509,12 +509,9 @@ def random_scenario(seed: int, max_vehicles: int = 12) -> Scenario:
     else:
         dry.run_until_idle()
     payments: list[ScenarioEvent] = []
-    for rec in dry.controller.arrivals:
-        if rec.ticket_id is None:
-            continue
-        ready_ms = dry.garage.tickets[rec.ticket_id].ready_ms
-        if ready_ms is not None and rng.random() < 0.85:
-            t_pay = ready_ms + round(rng.uniform(30.0, 900.0) * 1000)
-            payments.append(ScenarioEvent(t_pay, PaymentConfirmed(rec.ticket_id)))
+    for ticket in dry.garage.active.values():  # nothing is paid, so none has closed
+        if ticket.ready_ms is not None and rng.random() < 0.85:
+            t_pay = ticket.ready_ms + round(rng.uniform(30.0, 900.0) * 1000)
+            payments.append(ScenarioEvent(t_pay, PaymentConfirmed(ticket.ticket_id)))
     merged = sorted(events + payments, key=lambda e: e.t_ms)
     return Scenario(config, settings, tuple(merged))

@@ -210,6 +210,69 @@ def test_allocation_reuses_vacated_cells_first_free(data):
         )
 
 
+class _CountingCells(dict):
+    """A grid dict that counts every read allocation can make of it."""
+
+    reads = 0
+
+
+def _counted(name: str):
+    method = getattr(dict, name)
+
+    def read(self, *args):
+        _CountingCells.reads += 1
+        return method(self, *args)
+
+    return read
+
+
+for _name in ("__getitem__", "get", "__len__", "__contains__", "__iter__", "keys", "items"):
+    setattr(_CountingCells, _name, _counted(_name))
+
+
+def _counting_grid(floors: int, slots_per_floor: int):
+    slots = new_garage(GarageConfig(floors=floors, slots_per_floor=slots_per_floor)).slots
+    slots._reserved = _CountingCells(slots._reserved)
+    slots._occupied = _CountingCells(slots._occupied)
+    return slots
+
+
+def _allocation_reads(slots, ticket_id: int) -> int:
+    _CountingCells.reads = 0
+    allocate_slot(slots, ticket_id)
+    return _CountingCells.reads
+
+
+def test_filling_a_garage_bottom_up_reads_a_few_keys_per_allocation(monkeypatch):
+    """The low-water mark keeps each allocation's walk short: it steps past
+    the one key the last allocation took, whatever the garage has held."""
+    monkeypatch.setattr(_CountingCells, "reads", 0)
+    slots = _counting_grid(20, 24)
+    reads = [_allocation_reads(slots, ticket_id) for ticket_id in range(1, slots.cells + 1)]
+    assert max(reads) <= 3
+    assert [slots.address(key) for key in sorted(slots._reserved)] == list(slots.addresses())
+    with pytest.raises(NoVacancyError):
+        allocate_slot(slots, slots.cells + 1)
+
+
+def test_allocation_reads_do_not_grow_with_the_garage(monkeypatch):
+    """With five held cells, a 200x300 garage's allocations read no more
+    keys than a 3x6 garage's, vacated cells reused included."""
+    monkeypatch.setattr(_CountingCells, "reads", 0)
+
+    def reads(floors: int, slots_per_floor: int) -> list[int]:
+        slots = _counting_grid(floors, slots_per_floor)
+        out = [_allocation_reads(slots, ticket_id) for ticket_id in range(1, 6)]
+        for key in (3, 1):
+            slots.set_cell(slots.address(key), SlotState.VACANT, None)
+        out += [_allocation_reads(slots, ticket_id) for ticket_id in range(6, 9)]
+        assert sorted(slots._reserved) == [0, 1, 2, 3, 4, 5]
+        return out
+
+    small, big = reads(3, 6), reads(200, 300)
+    assert all(b <= s for b, s in zip(big, small, strict=True)), (big, small)
+
+
 # -- rejections -------------------------------------------------------------------
 
 
@@ -486,6 +549,23 @@ def test_platform_homes_after_work():
     assert platform.floor_pos == 0
     assert platform.face == 0
     assert any("ticket=-" in line for line in session.sim.trace)
+
+
+def test_homing_records_name_their_program_with_a_dash():
+    """The homing program's holder is ``"-"``: its claim on the platform is
+    held in that name and its request and start records read ``ticket=-``."""
+    session = GarageSession()
+    session.sim.schedule(0, Arrival(vehicle(1)))
+    session.sim.schedule(120_000, Arrival(vehicle(2)))  # slot 0/1 needs a rotation
+    session.run_until(152_000)
+    assert session.controller.claims == {"platform": "-"}
+    session.run_until_idle()
+    assert [line for line in session.sim.trace if line.endswith(" ticket=-")] == [
+        "t=152000 act=request device=elevator ticket=-",
+        "t=152000 act=start device=elevator action=15 op=lift floor=0 travel=0 ticket=-",
+        "t=152000 act=request device=rotator ticket=-",
+        "t=152000 act=start device=rotator action=16 op=rotate slot=0 dir=ccw faces=1 ticket=-",
+    ]
 
 
 def test_homing_yields_to_new_work():
@@ -831,8 +911,8 @@ def test_step_device_is_the_device_the_fleet_starts(floors, slots_per_floor):
     for steps, _ in every_plan(session.config):
         program = Program(steps)
         for step in steps:
-            action = session.controller._start_motion(step, program, 0)
-            assert action is not None and action.device_id == step.device, step
+            action = getattr(session.fleet, step.start)(*step.args, 0, program)
+            assert action.device_id == step.device, step
             assert action.owner is program
             session.fleet.complete_action(action.device_id, action.action_id)
 
@@ -863,10 +943,10 @@ def test_programs_for_one_slot_share_the_plan_but_not_their_place():
     first = Program(_retrieval_plan(SlotAddress(1, 4)), 1)
     second = Program(_retrieval_plan(SlotAddress(1, 4)), 2)
     assert first.steps is second.steps
-    assert (first.ticket_label, second.ticket_label) == ("1", "2")
+    assert (first.holder, second.holder) == (1, 2)
     first.idx += 3
     assert second.idx == 0
-    assert Program(HOMING_PLAN).ticket_label == "-"
+    assert Program(HOMING_PLAN).holder == "-"
 
 
 _MOTION_LINE = re.compile(r"^t=\d+ act=(request|start) device=(\S+) .*ticket=(\S+)$")

@@ -45,6 +45,12 @@ def test_current_is_zero_beyond_open_circuit():
     assert pv_current_at(30.0, 1.0) == 0.0
 
 
+def test_current_refuses_a_voltage_or_scale_off_the_curve():
+    for voltage_v, scale in ((-0.01, 1.0), (math.nan, 1.0), (1.0, 1.01), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            pv_current_at(voltage_v, scale)
+
+
 def test_current_never_increases_with_voltage():
     previous = math.inf
     for k in range(0, 2232):
