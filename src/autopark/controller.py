@@ -194,9 +194,11 @@ def _parking_plan(slot: SlotAddress) -> tuple[Step, ...]:
 
 @cache
 def _retrieval_plan(slot: SlotAddress) -> tuple[Step, ...]:
+    # The exit belt is claimed before the platform, so a retrieval waiting
+    # behind an unpaid car on it holds nothing that later programs need.
     # The car stays on the exit belt until it leaves: the exit program frees it.
     return _plan(
-        _lift(slot.floor, "platform"),
+        _lift(slot.floor, EXIT_BELT, "platform"),
         _turn(slot.slot, "platform"),
         _belt(BeltId("slot", slot.slot), "platform", done=GarageController._vacate),
         _lift(0, "platform"),

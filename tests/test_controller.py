@@ -739,11 +739,44 @@ def test_an_unpaid_car_keeps_its_exit_belt_claim_until_it_leaves():
     session.run_until_idle()
     assert session.garage.tickets[1].phase is TicketPhase.CLOSED
     assert claims == {}
-    # One unbroken hold by ticket 1, from the platform load to the exit belt's run.
+    # One unbroken hold by ticket 1, from the retrieval's first step to the
+    # exit program's run of the belt.
     first = held.index(1)
     last = len(held) - held[::-1].index(1)
     assert set(held[first:last]) == {1}
     assert set(held[:first]) | set(held[last:]) == {None}
+
+
+# Car v2 is asked back and never pays, so it waits on the exit belt; car v1
+# is then asked back and its retrieval waits to stage onto that belt. Cars
+# v3 and v4 arrive after both.
+UNPAID_CAR_THEN_ARRIVALS = (
+    "t=0 kind=arrival vehicle=v1 length_mm=4200 phone=+97455500001\n"
+    "t=60 kind=arrival vehicle=v2 length_mm=4200 phone=+97455500002\n"
+    "t=200 kind=sms_in phone=+97455500002 body=out\n"
+    "t=300 kind=sms_in phone=+97455500001 body=out\n"
+    "t=400 kind=arrival vehicle=v3 length_mm=4200 phone=+97455500003\n"
+    "t=500 kind=arrival vehicle=v4 length_mm=4200 phone=+97455500004\n"
+)
+
+
+def test_an_unpaid_car_does_not_delay_parking_for_later_arrivals():
+    """The garage stays live while a customer has not paid: the retrieval
+    waiting behind the unpaid car holds nothing, so every later arrival
+    parks, and v3, parked into the cell v2 left, takes exactly as long as v2
+    took to park there in an idle garage."""
+    result = run_scenario(parse_scenario(UNPAID_CAR_THEN_ARRIVALS))
+    rows = {row.vehicle_id: row for row in result.report.rows}
+    assert {vehicle_id: row.status for vehicle_id, row in rows.items()} == {
+        "v1": "Retrieving",
+        "v2": "AwaitingPayment",
+        "v3": "Parked",
+        "v4": "Parked",
+    }
+    tickets = result.session.garage.tickets
+    assert tickets[3].slot == tickets[2].slot
+    assert rows["v3"].parking_latency_ms == rows["v2"].parking_latency_ms
+    assert result.session.controller.claims == {EXIT_BELT: 2}
 
 
 # -- plans ---------------------------------------------------------------------
@@ -775,6 +808,7 @@ class OracleStep:
     bay: str | None = None
     platform: bool = False
     done: object = None  # what the motion's end does to the ticket
+    stages: BeltId | None = None  # a belt claimed ahead of the lock, for the car to come
 
 
 def oracle_parking_steps(slot: SlotAddress) -> list[OracleStep]:
@@ -795,8 +829,10 @@ def oracle_parking_steps(slot: SlotAddress) -> list[OracleStep]:
 
 
 def oracle_retrieval_steps(slot: SlotAddress) -> list[OracleStep]:
+    # The exit belt is staged before the platform is taken, so a retrieval
+    # waiting for it holds nothing (the exit-staging wedge).
     return [
-        OracleStep(Kind.ELEVATE, target=slot.floor, platform=True),
+        OracleStep(Kind.ELEVATE, target=slot.floor, stages=EXIT_BELT, platform=True),
         OracleStep(Kind.ROTATE, target=slot.slot, platform=True),
         OracleStep(
             Kind.TRANSFER_FROM_SLOT,
@@ -850,8 +886,9 @@ def oracle_motion(step: OracleStep) -> tuple[str, tuple]:
 
 
 def oracle_claims(steps: list[OracleStep]) -> list[tuple[tuple, tuple]]:
-    """Each step's (claims, frees). The step claims its bay or the platform,
-    the belt its car moves onto, the belt it rides and the belt it leaves;
+    """Each step's (claims, frees). The step claims the belt it stages, its
+    bay or the platform, the belt its car moves onto, the belt it rides and
+    the belt it leaves;
     it frees the belt its car leaves, and its lock if it is the last step
     under it. So the retrieval's exit belt, which no retrieval step leaves,
     is kept for the exit program."""
@@ -860,7 +897,7 @@ def oracle_claims(steps: list[OracleStep]) -> list[tuple[tuple, tuple]]:
     for i, step in enumerate(steps):
         lock = step.bay or ("platform" if step.platform else None)
         rides = step.belt if step.car_rides else None
-        named = (lock, step.car_onto, rides, step.car_off)
+        named = (step.stages, lock, step.car_onto, rides, step.car_off)
         claims = tuple(dict.fromkeys(claim for claim in named if claim is not None))
         frees = tuple(
             claim

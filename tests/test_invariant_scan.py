@@ -30,7 +30,8 @@ only the dicts can hold (a key in both, a key off the grid or not an int)
 are pinned against the scan alone, in ``DICT_CORRUPTIONS``.
 
 Run as a script, it steps a wider seed range with both scans after every
-event and prints how many scans it made:
+event, checks that no car is left Parking once each run is idle, and prints
+how many scans it made:
 ``PYTHONPATH=src python tests/test_invariant_scan.py --seeds 0-999``.
 """
 
@@ -184,7 +185,8 @@ def scan_both(seed: int) -> int:
     """Step ``random_scenario(seed, 18)`` with the oracle and the scan after
     every event, and return the number of scans. The fast path must accept
     every state on its own, without falling back to the visit of the held
-    cells.
+    cells. Once the run is idle no car may still be Parking: an unpaid car
+    on the exit belt must not strand a later arrival on its way in.
     """
     scenario = random_scenario(seed, MAX_VEHICLES)
     session = GarageSession(scenario.config, scenario.settings, check=False)
@@ -202,6 +204,9 @@ def scan_both(seed: int) -> int:
         session.schedule(event)
     session.run_until_idle()
     assert scans >= len(scenario.events)
+    active = session.garage.active.values()
+    parking = [ticket.ticket_id for ticket in active if ticket.phase is TicketPhase.PARKING]
+    assert parking == [], f"seed {seed}: tickets {parking} still Parking at idle"
     return scans
 
 
@@ -217,10 +222,13 @@ def _vehicle(i: int) -> Vehicle:
 def busy_session() -> GarageSession:
     """A garage with a ticket in every live phase, the platform at rest.
 
-    At 640 s on the 3x6 garage: ticket 1 Closed (its slot 0/0 reused by
+    At 670 s on the 3x6 garage: ticket 1 Closed (its slot 0/0 reused by
     ticket 7), 2 AwaitingPayment with no cell, 3 Retrieving still in 0/2,
-    4-6 Parked in 0/3-0/5, 7 Parking in 0/0 with its car on the entrance
-    belt; car 2 waits on the exit belt; two motors are powered.
+    4-6 Parked in 0/3-0/5, 7 Parking in 0/0 with its car on the platform
+    moving into the cell, 8 Parking in 0/1 (ticket 2's old cell) with its
+    car on the entrance belt. Car 2 waits unpaid on the exit belt, so
+    ticket 3's retrieval waits to stage onto it and holds nothing; two
+    motors are powered, the entrance belt and slot 0's belt.
     """
     session = GarageSession()
     for i in range(1, 7):
@@ -228,8 +236,9 @@ def busy_session() -> GarageSession:
     for i in range(1, 4):
         session.sim.schedule(399_000 + i * 1000, InboundSms(_vehicle(i).phone, "car please"))
     session.sim.schedule(600_000, PaymentConfirmed(1))
-    session.sim.schedule(635_000, Arrival(_vehicle(7)))
-    session.run_until(640_000)
+    session.sim.schedule(650_000, Arrival(_vehicle(7)))
+    session.sim.schedule(660_000, Arrival(_vehicle(8)))
+    session.run_until(670_000)
     return session
 
 
@@ -244,23 +253,28 @@ def test_busy_session_has_every_live_phase():
         5: TicketPhase.PARKED,
         6: TicketPhase.PARKED,
         7: TicketPhase.PARKING,
+        8: TicketPhase.PARKING,
     }
     assert session.garage.slots.ticket_at(SlotAddress(0, 2)) == 3
     assert session.garage.slots.ticket_at(SlotAddress(0, 0)) == 7
+    assert session.garage.slots.ticket_at(SlotAddress(0, 1)) == 8
+    assert session.controller.claims[EXIT_BELT] == 2
+    assert 3 not in session.controller.claims.values()
     assert session.fleet.platform not in session.fleet.active
-    assert len(session.fleet.relays.powered) == 2
+    assert session.fleet.relays.powered == {"belt:entrance", "belt:slot:0"}
     oracle_check_invariants(session.controller)
     check_invariants(session.controller)
     assert _claimed_counts(session.garage)
 
 
 def test_cell_left_by_retrieving_car_may_be_reserved_again():
-    """Car 3 has left 0/2 for the platform and waits behind unpaid car 2, still
+    """Car 2 pays and leaves, so car 3's retrieval stages onto the exit belt
+    and takes the platform. Car 3 has left 0/2 on the platform, still
     Retrieving, while new ticket 9 has reserved that cell."""
     session = busy_session()
-    session.sim.schedule(700_000, Arrival(_vehicle(8)))
-    session.sim.schedule(701_000, Arrival(_vehicle(9)))
-    session.run_until(710_000)
+    session.sim.schedule(700_000, PaymentConfirmed(2))
+    session.sim.schedule(730_000, Arrival(_vehicle(9)))
+    session.run_until(735_000)
     tickets = session.garage.tickets
     assert tickets[3].phase is TicketPhase.RETRIEVING
     assert tickets[9].phase is TicketPhase.PARKING
@@ -401,8 +415,8 @@ def _belts_share_car(session: GarageSession) -> None:
 
 
 def _action_takes_motors_of_other(session: GarageSession) -> None:
-    """The two running conveyors (belt:slot:2 and belt:entrance) both claim
-    belt:entrance's motor; the relay bank still powers the same two."""
+    """The two running conveyors (belt:entrance and belt:slot:0) both claim
+    belt:slot:0's motor; the relay bank still powers the same two."""
     active = session.fleet.active
     (first_device, first), (_, second) = active.items()
     active[first_device] = first._replace(motors=second.motors)
@@ -574,22 +588,22 @@ MUTATIONS = {
     ),
     "relay_drops_running_motor": (
         lambda session: session.fleet.relays.powered.remove("belt:entrance"),
-        "powered ['belt:slot:2'] != active ['belt:entrance', 'belt:slot:2']",
+        "powered ['belt:slot:0'] != active ['belt:entrance', 'belt:slot:0']",
     ),
     "two_actions_one_motor": (_action_takes_motors_of_other, "a motor is held by two actions"),
     "motion_filed_under_other_device": (
         _refile_entrance_motion,
-        "action 74 on belt:entrance is filed under another device",
+        "action 75 on belt:entrance is filed under another device",
     ),
     "gate_motion_filed_under_both_gates": (
         _file_gate_motion_under_both_gates,
-        "action 75 on gate:exit is filed under another device",
+        "action 79 on gate:exit is filed under another device",
     ),
     "motion_dropped_with_motors_powered": (
         _drop_entrance_motion,
-        "powered ['belt:entrance', 'belt:slot:2'] != active ['belt:slot:2']",
+        "powered ['belt:entrance', 'belt:slot:0'] != active ['belt:slot:0']",
     ),
-    "two_belts_one_car": (_belts_share_car, "a ticket's car sits on two belts: [7, 7]"),
+    "two_belts_one_car": (_belts_share_car, "a ticket's car sits on two belts: [8, 8]"),
     "platform_floor_out_of_range": (
         _set_platform(floor_pos=3),
         "platform floor 3 out of range",
@@ -673,7 +687,7 @@ INDEX_CORRUPTIONS = {
     ),
     "phone_missing_from_index": (
         lambda session: session.garage.active_by_phone.pop(_vehicle(2).phone),
-        "6 active tickets but 5 active phones",
+        "7 active tickets but 6 active phones",
     ),
 }
 
@@ -754,7 +768,10 @@ def test_corrupt_index_fails_scan(name):
 # motions became the one record of them, and those of the pairs with a dict
 # fault, which were recorded when the grid came to store only its held
 # cells. That change also deleted the occupied count, and with it the pairs
-# on either side of its step.
+# on either side of its step. The messages that name a running motion, the
+# cars on belts or the count of active tickets were recorded again when
+# ``busy_session`` was rebuilt for the retrieval that stages onto the exit
+# belt first.
 FAULT_PAIRS = {
     ("ticket_written_dead", "phone_missing_from_index"): "cell 0/3 held by dead ticket 404",
     ("clock_stopped_on_parked_ticket", "phone_missing_from_index"): (
@@ -763,20 +780,20 @@ FAULT_PAIRS = {
     ("set_cell_dead_ticket", "clock_running_on_retrieving_ticket"): (
         "cell 0/3 held by dead ticket 404"
     ),
-    ("phone_missing_from_index", "relay_powers_idle_motor"): "6 active tickets but 5 active phones",
+    ("phone_missing_from_index", "relay_powers_idle_motor"): "7 active tickets but 6 active phones",
     ("relay_powers_idle_motor", "two_actions_one_motor"): "relay budget exceeded",
     ("two_actions_one_motor", "relay_drops_running_motor"): "a motor is held by two actions",
     ("two_actions_one_motor", "motion_filed_under_other_device"): (
         "a motor is held by two actions"
     ),
     ("relay_drops_running_motor", "motion_filed_under_other_device"): (
-        "powered ['belt:slot:2'] != active ['belt:entrance', 'belt:slot:2']"
+        "powered ['belt:slot:0'] != active ['belt:entrance', 'belt:slot:0']"
     ),
     ("motion_filed_under_other_device", "two_belts_one_car"): (
-        "action 74 on belt:entrance is filed under another device"
+        "action 75 on belt:entrance is filed under another device"
     ),
     ("two_belts_one_car", "platform_floor_out_of_range"): (
-        "a ticket's car sits on two belts: [7, 7]"
+        "a ticket's car sits on two belts: [8, 8]"
     ),
     ("platform_floor_out_of_range", "platform_face_fractional"): "platform floor 3 out of range",
     ("platform_face_fractional", "cell_key_off_grid"): "cell key 18 is not on the 3x6 grid",
@@ -979,4 +996,7 @@ if __name__ == "__main__":
     )
     args = parser.parse_args()
     scans = sum(scan_both(seed) for seed in args.seeds)
-    print(f"seeds {args.seeds.start}-{args.seeds.stop - 1}: {scans} scans, all passed")
+    print(
+        f"seeds {args.seeds.start}-{args.seeds.stop - 1}: {scans} scans, all passed,"
+        " no car Parking at idle"
+    )

@@ -14,6 +14,9 @@ What holds for every such day:
   no motion meets a busy device;
 - a fault on a belt the garage lacks is refused when it is scheduled;
 - ``run_until_idle`` ends;
+- once the day is idle with no fault, before any bill is paid, every
+  accepted car is Parked or further along: no customer's unpaid bill
+  strands another car on its way in;
 - the trace's dispatch records rebuild the inputs, in dispatch order;
 - a file run of those inputs makes the same trace once ``seq=`` is
   stripped, also where an input falls on the millisecond of a motion's
@@ -151,6 +154,9 @@ class GarageDay(RuleBasedStateMachine):
         last_ms = max([event.t_ms for event in self.inputs], default=0)
         self._schedule(max(1, last_ms + 1 - session.sim.clock_ms), FaultCleared())
         session.run_until_idle()
+        assert not session.fleet.faulted
+        assert _in_phase(session, TicketPhase.AWAITING_ENTRY) == []
+        assert _in_phase(session, TicketPhase.PARKING) == []
         for _ in range(self.cars):  # each round closes at least one ticket
             bills = _in_phase(session, AWAITING_PAYMENT)
             if not bills:
