@@ -53,6 +53,7 @@ from autopark.scenario import (
     run_scenario,
 )
 from test_golden_digests import paid_day
+from test_invariant_scan import _CountingCells
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -208,26 +209,6 @@ def test_allocation_reuses_vacated_cells_first_free(data):
         assert (slots.state_at(vacant[0]), slots.ticket_at(vacant[0])) == (
             SlotState.RESERVED, ticket_id
         )
-
-
-class _CountingCells(dict):
-    """A grid dict that counts every read allocation can make of it."""
-
-    reads = 0
-
-
-def _counted(name: str):
-    method = getattr(dict, name)
-
-    def read(self, *args):
-        _CountingCells.reads += 1
-        return method(self, *args)
-
-    return read
-
-
-for _name in ("__getitem__", "get", "__len__", "__contains__", "__iter__", "keys", "items"):
-    setattr(_CountingCells, _name, _counted(_name))
 
 
 def _counting_grid(floors: int, slots_per_floor: int):
@@ -888,9 +869,8 @@ def oracle_motion(step: OracleStep) -> tuple[str, tuple]:
 def oracle_claims(steps: list[OracleStep]) -> list[tuple[tuple, tuple]]:
     """Each step's (claims, frees). The step claims the belt it stages, its
     bay or the platform, the belt its car moves onto, the belt it rides and
-    the belt it leaves;
-    it frees the belt its car leaves, and its lock if it is the last step
-    under it. So the retrieval's exit belt, which no retrieval step leaves,
+    the belt it leaves; it frees the belt its car leaves, and its lock if it
+    is the last step under it. So the retrieval's exit belt, which no retrieval step leaves,
     is kept for the exit program."""
     _, bay_last, platform_last = oracle_lock_scan(steps)
     expected = []

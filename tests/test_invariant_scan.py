@@ -286,7 +286,7 @@ def test_cell_left_by_retrieving_car_may_be_reserved_again():
 
 
 class _CountingCells(dict):
-    """A grid dict that counts every read the scan can make of it."""
+    """A grid dict that counts every read the scan or allocation can make of it."""
 
     reads = 0
 
@@ -504,8 +504,8 @@ MUTATIONS = {
         "cell 0/3 names ticket None, not an int",
     ),
     "ticket_written_on_vacant_cell": (
-        _put_entry("_reserved", SlotAddress(0, 1), 4),
-        "ticket 4 holds 0/1 but its slot is 0/3",
+        _put_entry("_reserved", SlotAddress(1, 1), 4),
+        "ticket 4 holds 1/1 but its slot is 0/3",
     ),
     "retrieving_cell_written_to_parked_owner": (
         _put_entry("_occupied", RETRIEVING_CELL, 5),
