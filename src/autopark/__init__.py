@@ -13,7 +13,7 @@ from .controller import (
     check_invariants,
     compute_bill,
 )
-from .devices import DeviceFleet, RelayBank, read_length_sensors
+from .devices import DeviceFleet, read_length_sensors
 from .engine import SimEvent, Simulation
 from .model import (
     GarageConfig,
@@ -50,7 +50,6 @@ __all__ = [
     "KinematicsConfig",
     "ParkingTicket",
     "PowerSystem",
-    "RelayBank",
     "RunReport",
     "Scenario",
     "SimEvent",

@@ -13,9 +13,11 @@ fleet starter that drives it, the device it names in the trace, the claims
 its ticket must hold and those it frees when it ends, and what its end does
 to the ticket (park it, empty its cell, bill it). A program runs a plan of
 steps. The controller reads no device state but the platform's position,
-which decides whether to home it: the fleet refuses a motion its relays
-cannot power, and the program retries once a motor frees. A device moves
-only under the claim covering it, so no session reaches a busy error.
+which decides whether to home it: the fleet refuses a motion that would
+power more motors than its budget allows, and the program retries once a
+motor frees. The fleet's ``active`` table is the one record of the running
+motions and so of the powered motors. A device moves only under the claim
+covering it, so no session reaches a busy error.
 Contention is resolved by a FIFO wait queue. A belt fault halts the issuing
 of new motions garage-wide until the fault is cleared; motions already in
 flight run to completion. The fleet's ``faulted`` set is the one record of
@@ -35,6 +37,7 @@ from .devices import (
     ELEVATOR_MOTOR,
     EXIT_BELT,
     ENTRANCE_BELT,
+    MOTOR_BUDGET,
     PLATFORM_BELT,
     ROTATOR,
     BeltId,
@@ -382,8 +385,8 @@ class GarageController:
         for claim in step.claims:
             if claims.setdefault(claim, holder) != holder:
                 return False
-        # The fleet alone knows what a motion draws: it refuses one its
-        # relays cannot power, and the program waits for a motor to free.
+        # The fleet alone knows what a motion draws: it refuses one past its
+        # motor budget, and the program waits for a motor to free.
         try:
             action = getattr(self.fleet, step.start)(*step.args, now_ms, program)
         except PowerBudgetExceededError:
@@ -458,21 +461,23 @@ def check_invariants(controller: GarageController) -> None:
     """Structural scan run after every event dispatch.
 
     Verifies the ticket/slot bijection, each live ticket's billing clock
-    (running exactly until the car is asked back), the relay budget, that
-    each running motion alone powers its motors and is filed under the
-    device it names, that no ticket's car sits on two belts, and that the
-    platform is on a floor and faces a slot. Closed tickets are frozen and
-    not rescanned, so a long day does not slow it down.
+    (running exactly until the car is asked back), that the running motions
+    power no more than ``MOTOR_BUDGET`` motors and no motor twice, that
+    each is filed under the device it names, that no ticket's car sits on
+    two belts, and that the platform is on a floor and faces a slot. Closed
+    tickets are frozen and not rescanned, so a long day does not slow it
+    down.
 
     Per event the Python-level work is one pass over the live tickets, each
     reading its own cell (``_claimed_counts``), and plain loops over the few
     running motions (at most about five) and the claims; no loop walks the
     cells or the devices, since the slot grid stores only its held cells and
-    ``fleet.active`` is the one record of which devices are busy. A passing
-    call builds two small sets, the running motors and the cars on belts,
-    and no list, and calls no Python function but ``_claimed_counts``. The
-    visit of the held cells (``_scan_cells``) runs only to name a grid fault;
-    it is the authority, and if it finds no fault the state stands.
+    ``fleet.active`` is the one record of which devices are busy and which
+    motors are powered. A passing call builds two small sets, the running
+    motors and the cars on belts, and no list, and calls no Python function
+    but ``_claimed_counts``. The visit of the held cells (``_scan_cells``)
+    runs only to name a grid fault; it is the authority, and if it finds no
+    fault the state stands.
     """
     garage = controller.garage
     fleet = controller.fleet
@@ -484,17 +489,14 @@ def check_invariants(controller: GarageController) -> None:
             f"{len(garage.active)} active tickets but {len(garage.active_by_phone)} active phones"
         )
 
-    powered = fleet.relays.powered
-    if len(powered) > fleet.relays.budget:
-        raise InvariantViolationError("relay budget exceeded")
     motors, held = set(), 0  # held counts the actions' motors with repeats
     for action in fleet.active.values():
         motors.update(action.motors)
         held += len(action.motors)
+    if len(motors) > MOTOR_BUDGET:
+        raise InvariantViolationError("relay budget exceeded")
     if held != len(motors):
         raise InvariantViolationError("a motor is held by two actions")
-    if powered != motors:
-        raise InvariantViolationError(f"powered {sorted(powered)} != active {sorted(motors)}")
     named = fleet.by_name
     for device, action in fleet.active.items():
         if named.get(action.device_id) is not device:

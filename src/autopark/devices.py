@@ -1,15 +1,17 @@
 """Simulated hardware: conveyor belts, the lifting and rotating platform,
-the two gates, and the relay bank that limits how many motors may draw power
-at once.
+the two gates, and the relay budget that limits how many motors may draw
+power at once.
 
-Every motion is an Action with a fixed duration. The fleet hands each action
-it starts to a scheduler callback, so the event engine stays the single
-source of time and the action itself is the completion event: a motion makes
-one record, filed under the device it moves while it runs. The starters
-alone decide whether a motion can start: they refuse one the relays cannot
-power, and the controller retries it once a motor frees. No session reaches
-a busy error. Devices hold no policy: sequencing and queueing live in the
-controller.
+Every motion is an Action with a fixed duration and the motors it powers.
+The fleet hands each action it starts to a scheduler callback, so the event
+engine stays the single source of time and the action itself is the
+completion event: a motion makes one record, filed under the device it
+moves while it runs. That record, ``DeviceFleet.active``, is also the one
+record of the powered motors. The starters alone decide whether a motion
+can start: they refuse one that would power more than ``MOTOR_BUDGET``
+motors, and the controller retries it once a motor frees. No session
+reaches a busy error. Devices hold no policy: sequencing and queueing live
+in the controller.
 """
 
 from __future__ import annotations
@@ -97,43 +99,6 @@ def belt_roster(slots_per_floor: int) -> list[BeltId]:
     ]
 
 
-class RelayBank:
-    """Switches motor power and enforces the concurrent-motor budget.
-
-    ``powered`` is the set of motors switched on, each drawing ``MOTOR_LOAD_W``;
-    the power model reads their load and reports the high-water motor count.
-    ``request_power``'s refusal is the only device error a session meets:
-    the motion waits and is retried.
-    """
-
-    budget = 2  # motors that may draw power at once
-
-    def __init__(self):
-        self.powered: set[str] = set()
-        self.max_concurrent = 0
-
-    def request_power(self, *motor_ids: str) -> None:
-        """Power every motor named, or, if that would break the budget, none."""
-        for motor_id in motor_ids:
-            if motor_id in self.powered:
-                raise ValueError(f"motor {motor_id} is already powered")
-        if len(self.powered) + len(motor_ids) > self.budget:
-            raise PowerBudgetExceededError(
-                f"power budget {self.budget} in use: {sorted(self.powered)}"
-            )
-        self.powered.update(motor_ids)
-        self.max_concurrent = max(self.max_concurrent, len(self.powered))
-
-    def release_power(self, motor_id: str) -> None:
-        if motor_id not in self.powered:
-            raise ValueError(f"motor {motor_id} is not powered")
-        self.powered.remove(motor_id)
-
-    def total_load_w(self) -> float:
-        # Equal to the sum of the motors' loads: 10.0 * n is exact for n <= 3.
-        return MOTOR_LOAD_W * len(self.powered)
-
-
 class Belt:
     __slots__ = ("device_id",)
 
@@ -194,6 +159,7 @@ def _rotate_op(slot: int, direction: str, faces: int) -> str:
     return f"rotate slot={slot} dir={direction} faces={faces}"
 
 
+MOTOR_BUDGET = 2  # motors the relays may power at once
 MOTOR_LOAD_W = 10.0  # what every powered motor draws
 ELEVATOR_MOTOR = "elevator"
 ROTATOR = "rotator"
@@ -201,7 +167,7 @@ ROTATOR_MOTORS = ("rotator:a", "rotator:b")
 
 
 class DeviceFleet:
-    """All simulated hardware for one garage plus the relay bank.
+    """All simulated hardware for one garage and the motors it powers.
 
     The scheduler callback receives (done_at_ms, action) for every started
     action; the caller is expected to feed the completion back into
@@ -213,11 +179,14 @@ class DeviceFleet:
     ``active`` is the one record of what runs: each busy device and its one
     ``Action``, the platform one key for its lifts and its turns. ``by_name``
     finds a device by the name its motions go by in the trace (``elevator``
-    and ``rotator`` both name the platform). Starting a motion powers its
-    motors (zero-duration motions need no power) and files it in ``active``;
-    complete_action releases both. ``faulted`` is the one record of a belt
-    fault: the belts faulted since the last clearing, which refuse to start;
-    the garage is halted while it is non-empty.
+    and ``rotator`` both name the platform). ``active`` is also the one
+    record of the powered motors, those of its motions: a motion is filed
+    there only if its motors keep the running ones within ``MOTOR_BUDGET``
+    (a zero-duration motion powers none), complete_action removes it, and
+    ``max_concurrent`` is the most motors that ran at once. ``faulted`` is
+    the one record of a belt fault: the belts faulted since the last
+    clearing, which refuse to start; the garage is halted while it is
+    non-empty.
     """
 
     def __init__(
@@ -227,7 +196,6 @@ class DeviceFleet:
     ):
         self.config = config
         self.schedule_done = schedule_done
-        self.relays = RelayBank()
         self.belts: dict[BeltId, Belt] = {
             belt_id: Belt(belt_id) for belt_id in belt_roster(config.slots_per_floor)
         }
@@ -238,6 +206,7 @@ class DeviceFleet:
             self.by_name[device.device_id] = device
         self._next_action_id = 1
         self.active: dict[Device, Action] = {}
+        self.max_concurrent = 0
         self.faulted: set[Belt] = set()
 
     # -- internals ---------------------------------------------------------
@@ -254,7 +223,13 @@ class DeviceFleet:
         end_state: tuple[str, int] | None = None,
     ) -> Action:
         if duration_ms > 0:
-            self.relays.request_power(*motors)
+            running = [motor for action in self.active.values() for motor in action.motors]
+            in_use = len(running) + len(motors)
+            if in_use > MOTOR_BUDGET:
+                raise PowerBudgetExceededError(
+                    f"power budget {MOTOR_BUDGET} in use: {sorted(running)}"
+                )
+            self.max_concurrent = max(self.max_concurrent, in_use)
         else:
             motors = ()
         action_id = self._next_action_id
@@ -307,7 +282,7 @@ class DeviceFleet:
     def platform_rotate_to_slot(self, slot_index: int, now_ms: int, owner=None) -> Action:
         """Turn the platform to a slot face by the shortest arc, ties clockwise.
 
-        Rotation drives both ring motors, so it consumes two power grants.
+        Rotation drives both ring motors, so it counts twice against the budget.
         """
         slots = self.config.slots_per_floor
         if not 0 <= slot_index < slots:
@@ -338,7 +313,7 @@ class DeviceFleet:
     def gate_actuate(self, name: str, command: str, now_ms: int, owner=None) -> Action:
         """Swing a gate open or closed; a gate already there completes at once.
 
-        Gate motors run off the low-voltage control rail, not the relay bank.
+        Gate motors run off the low-voltage control rail, not the relays.
         """
         if command not in ("open", "close"):
             raise ValueError(f"unknown gate command: {command!r}")
@@ -356,15 +331,20 @@ class DeviceFleet:
     # -- completion --------------------------------------------------------------
 
     def complete_action(self, device_id: str, action_id: int) -> Action:
-        """Apply the end state of the named device's motion and release its
-        power grants; a KeyError if no such device runs that motion."""
+        """End the named device's motion, which frees its motors, and apply
+        its end state; a KeyError if no such device runs that motion."""
         device = self.by_name[device_id]
         action = self.active[device]
         if action.action_id != action_id:
             raise KeyError(action_id)
         del self.active[device]
-        for motor in action.motors:
-            self.relays.release_power(motor)
         if action.end_state is not None:
             setattr(device, *action.end_state)
         return action
+
+    # -- power -------------------------------------------------------------------
+
+    def load_w(self) -> float:
+        """What the running motors draw: ``MOTOR_LOAD_W`` each."""
+        # Equal to the sum of the motors' loads: 10.0 * n is exact for n <= 3.
+        return MOTOR_LOAD_W * sum([len(action.motors) for action in self.active.values()])

@@ -31,7 +31,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .controller import ArrivalRecord, GarageController, check_invariants
-from .devices import Action, DeviceFleet, RelayBank, belt_roster, parse_belt_id
+from .devices import Action, DeviceFleet, belt_roster, parse_belt_id
 from .engine import (
     Arrival,
     BeltFault,
@@ -299,9 +299,9 @@ def _handle(
         _HANDLERS[type(p)](controller, power, p, at_ms)
 
 
-def _advance(power: PowerSystem, relays: RelayBank, dt_ms: int) -> None:
+def _advance(power: PowerSystem, fleet: DeviceFleet, dt_ms: int) -> None:
     """The engine's advance hook: integrate the powered motors' load."""
-    power.advance(relays.total_load_w(), dt_ms / 1000)
+    power.advance(fleet.load_w(), dt_ms / 1000)
 
 
 def _completion_scheduler(sim: Simulation) -> Callable[[int, Action], None]:
@@ -331,7 +331,7 @@ class GarageSession:
     runs on every event boundary unless check=False.
 
     The session owns its parts as a tree. The engine's hooks hold the parts
-    they drive (controller, power system, relay bank), never the session; the
+    they drive (controller, power system, fleet), never the session; the
     handler adds each event's dispatch record and the controller its own
     records straight to the engine's ``Trace``;
     and the fleet reaches the engine through a weak proxy. So a dropped
@@ -363,7 +363,7 @@ class GarageSession:
             self.garage, self.fleet, self.gateway, trace=self.sim.trace.add
         )
         self.sim.handler = partial(_handle, self.controller, self.power, self.sim.trace.add)
-        self.sim.advance = partial(_advance, self.power, self.fleet.relays)
+        self.sim.advance = partial(_advance, self.power, self.fleet)
         self.sim.check = partial(check_invariants, self.controller) if check else None
 
     # -- driving ------------------------------------------------------------
@@ -399,7 +399,7 @@ class GarageSession:
             grid_wh=power.grid_wh,
             load_wh=power.load_wh,
             min_soc=power.min_soc,
-            max_concurrent_motors=self.fleet.relays.max_concurrent,
+            max_concurrent_motors=self.fleet.max_concurrent,
         )
         return RunReport(tuple(rows), aggregates)
 

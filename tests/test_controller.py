@@ -356,7 +356,7 @@ def test_payment_validation():
 def test_burst_of_arrivals_respects_motor_budget():
     events = [(i * 3000, Arrival(vehicle(i + 1))) for i in range(6)]
     session = drive(events)  # per-event invariant scan enforces the budget
-    assert session.fleet.relays.max_concurrent <= 2
+    assert session.fleet.max_concurrent <= 2
     for ticket in session.garage.tickets.values():
         assert ticket.phase is TicketPhase.PARKED
 
@@ -376,7 +376,7 @@ def test_mixed_traffic_drains_through_single_exit_bay():
         session.run_until_idle()
     for ticket_id in range(1, 6):
         assert session.garage.tickets[ticket_id].phase is TicketPhase.CLOSED
-    assert session.fleet.relays.max_concurrent == 2
+    assert session.fleet.max_concurrent == 2
 
 
 def test_exit_bay_stages_one_car_at_a_time():

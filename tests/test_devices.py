@@ -11,7 +11,6 @@ from autopark.devices import (
     GateBusyError,
     PlatformBusyError,
     PowerBudgetExceededError,
-    RelayBank,
     belt_roster,
     parse_belt_id,
     read_length_sensors,
@@ -25,6 +24,11 @@ def fleet():
     fleet = DeviceFleet(GarageConfig(), lambda at, action: done.append((at, action)))
     fleet.done = done
     return fleet
+
+
+def _powered(fleet: DeviceFleet) -> set[str]:
+    """The powered motors: those of the running motions."""
+    return {motor for action in fleet.active.values() for motor in action.motors}
 
 
 # -- entry sensors ------------------------------------------------------------
@@ -83,29 +87,42 @@ def test_equal_belt_ids_find_the_same_belt_and_keep_their_text():
     assert [gate.device_id for gate in fleet.gates.values()] == ["gate:entrance", "gate:exit"]
 
 
-# -- relay bank ---------------------------------------------------------------
+# -- relay budget -------------------------------------------------------------
 
 
-def test_relay_budget_is_two_motors():
-    bank = RelayBank()
-    bank.request_power("a")
-    bank.request_power("b")
-    assert bank.powered == {"a", "b"}
-    assert bank.total_load_w() == 20.0
-    with pytest.raises(PowerBudgetExceededError):
-        bank.request_power("c")
-    bank.release_power("a")
-    bank.request_power("c")
-    assert bank.max_concurrent == 2
+def test_relay_budget_is_two_motors(fleet):
+    first = fleet.belt_start_convey(ENTRANCE_BELT, 0)
+    fleet.belt_start_convey(EXIT_BELT, 0)
+    assert _powered(fleet) == {"belt:entrance", "belt:exit"}
+    assert fleet.load_w() == 20.0
+    refused = r"power budget 2 in use: \['belt:entrance', 'belt:exit'\]"
+    with pytest.raises(PowerBudgetExceededError, match=refused):
+        fleet.belt_start_convey(PLATFORM_BELT, 0)
+    fleet.complete_action(first.device_id, first.action_id)
+    assert fleet.load_w() == 10.0
+    fleet.belt_start_convey(PLATFORM_BELT, 10_000)
+    assert _powered(fleet) == {"belt:exit", "belt:platform"}
+    assert fleet.load_w() == 20.0
+    assert fleet.max_concurrent == 2
 
 
-def test_relay_rejects_double_grant_and_blind_release():
-    bank = RelayBank()
-    bank.request_power("a")
-    with pytest.raises(ValueError):
-        bank.request_power("a")
-    with pytest.raises(ValueError):
-        bank.release_power("zz")
+def test_zero_duration_motions_start_at_a_full_budget(fleet):
+    """A lift of no floors and a turn to the face already faced power no
+    motor, so they start while two motors run and leave the high-water mark
+    where it was."""
+    fleet.belt_start_convey(ENTRANCE_BELT, 0)
+    fleet.belt_start_convey(EXIT_BELT, 0)
+    assert fleet.max_concurrent == 2
+    for start in (
+        lambda: fleet.elevator_goto_floor(0, 0),
+        lambda: fleet.platform_rotate_to_slot(0, 0),
+    ):
+        action = start()
+        assert (action.duration_ms, action.motors) == (0, ())
+        assert _powered(fleet) == {"belt:entrance", "belt:exit"}
+        assert fleet.max_concurrent == 2
+        fleet.complete_action(action.device_id, action.action_id)
+    assert fleet.load_w() == 20.0
 
 
 # -- belts ---------------------------------------------------------------------
@@ -116,11 +133,11 @@ def test_convey_occupies_one_relay_for_transit_time(fleet):
     assert action.duration_ms == 10_000
     assert fleet.done == [(11_000, action)]
     assert fleet.done[0][1] is action
-    assert fleet.relays.powered == {"belt:entrance"}
+    assert _powered(fleet) == {"belt:entrance"}
     with pytest.raises(BeltBusyError):
         fleet.belt_start_convey(ENTRANCE_BELT, 1200)
     fleet.complete_action(action.device_id, action.action_id)
-    assert fleet.relays.powered == set()
+    assert _powered(fleet) == set()
     assert fleet.active == {}
 
 
@@ -155,7 +172,7 @@ def test_elevator_time_scales_with_floors(fleet):
 def test_elevator_same_floor_is_instant_and_unpowered(fleet):
     action = fleet.elevator_goto_floor(0, 500)
     assert action.duration_ms == 0
-    assert fleet.relays.powered == set()
+    assert _powered(fleet) == set()
     fleet.complete_action(action.device_id, action.action_id)
 
 
@@ -184,7 +201,7 @@ def test_rotation_tie_turns_clockwise(fleet):
 
 def test_rotation_uses_both_relay_channels(fleet):
     fleet.platform_rotate_to_slot(1, 0)
-    assert fleet.relays.powered == {"rotator:a", "rotator:b"}
+    assert _powered(fleet) == {"rotator:a", "rotator:b"}
     with pytest.raises(PowerBudgetExceededError):
         fleet.belt_start_convey(ENTRANCE_BELT, 0)
 
@@ -192,18 +209,18 @@ def test_rotation_uses_both_relay_channels(fleet):
 def test_refused_rotation_powers_no_motor(fleet):
     """A turn needs both ring motors; with one relay free it is refused whole."""
     fleet.belt_start_convey(ENTRANCE_BELT, 0)
-    powered, active = set(fleet.relays.powered), dict(fleet.active)
+    active = dict(fleet.active)
     refused = r"power budget 2 in use: \['belt:entrance'\]"
     with pytest.raises(PowerBudgetExceededError, match=refused):
         fleet.platform_rotate_to_slot(3, 0)
-    assert fleet.relays.powered == powered
     assert fleet.active == active
+    assert fleet.max_concurrent == 1
 
 
 def test_rotation_to_current_slot_is_instant(fleet):
     action = fleet.platform_rotate_to_slot(0, 0)
     assert action.duration_ms == 0
-    assert fleet.relays.powered == set()
+    assert _powered(fleet) == set()
 
 
 # -- gates -----------------------------------------------------------------------
@@ -240,7 +257,7 @@ def test_unknown_action_cannot_complete(fleet):
         with pytest.raises(KeyError):
             fleet.complete_action(device_id, action_id)
     assert fleet.active == {fleet.belts[ENTRANCE_BELT]: action}
-    assert fleet.relays.powered == {"belt:entrance"}
+    assert _powered(fleet) == {"belt:entrance"}
 
 
 # -- the running record ----------------------------------------------------------

@@ -2,17 +2,20 @@
 
 ``oracle_check_invariants`` is the earlier scan, kept as the reference: a
 pass over every cell built as ``SlotAddress`` objects and three passes over
-every ticket ever issued. It is copied unchanged except for six things.
+every ticket ever issued. It is copied unchanged except for seven things.
 ``not ticket.is_active``, since deleted from ``ParkingTicket``, is spelled out
 as ``ticket.phase is TicketPhase.CLOSED``. The per-cell timer grid it
 compared, since deleted, is replaced by the clock it mirrored: each ticket's
 ``exit_ms`` is None exactly while the ticket is AwaitingEntry, Parking or
 Parked, and a vacant cell names no ticket. It reads the running motions from
-``fleet.active``, which files each under the device it moves, and the
-powered motors as a set, the one record of each that is left; so where it
+``fleet.active``, which files each under the device it moves; so where it
 cross-checked each busy device's action against each action's device, it
 now checks by brute force, walking every device for the names its motions
 go by, that each running motion is filed under the device it names. It
+reads the powered motors off those motions, since ``fleet.active`` is the
+one record of them too: the relay bank's set of powered motors, which it
+compared with the motions' motors and counted against the budget, is
+deleted, so it counts the motions' distinct motors instead. It
 reads who sits on each belt from the controller's claim table, which holds
 ticket ids where the belts held vehicle ids, so its message names a
 ticket's car. Its alignment test, which took the platform's float angle to
@@ -45,6 +48,7 @@ from autopark import controller
 from autopark.controller import (
     GarageController,
     InvariantViolationError,
+    UnknownActionError,
     _claimed_counts,
     _scan_cells,
     check_invariants,
@@ -53,6 +57,7 @@ from autopark.devices import (
     ELEVATOR_MOTOR,
     ENTRANCE_BELT,
     EXIT_BELT,
+    MOTOR_BUDGET,
     ROTATOR,
     ROTATOR_MOTORS,
     BeltId,
@@ -142,15 +147,11 @@ def oracle_check_invariants(controller: GarageController) -> None:
     ):
         raise InvariantViolationError("vehicle count does not split into transit/parked/exited")
 
-    if len(fleet.relays.powered) > fleet.relays.budget:
-        raise InvariantViolationError("relay budget exceeded")
     active_motors = [m for a in fleet.active.values() for m in a.motors]
+    if len(set(active_motors)) > MOTOR_BUDGET:
+        raise InvariantViolationError("relay budget exceeded")
     if len(active_motors) != len(set(active_motors)):
         raise InvariantViolationError("a motor is held by two actions")
-    if fleet.relays.powered != set(active_motors):
-        raise InvariantViolationError(
-            f"powered {sorted(fleet.relays.powered)} != active {sorted(set(active_motors))}"
-        )
     for device, action in fleet.active.items():
         if action.device_id not in _device_names(fleet, device):
             raise InvariantViolationError(f"action {action.action_id} is misfiled")
@@ -261,7 +262,8 @@ def test_busy_session_has_every_live_phase():
     assert session.controller.claims[EXIT_BELT] == 2
     assert 3 not in session.controller.claims.values()
     assert session.fleet.platform not in session.fleet.active
-    assert session.fleet.relays.powered == {"belt:entrance", "belt:slot:0"}
+    powered = {m for action in session.fleet.active.values() for m in action.motors}
+    assert powered == {"belt:entrance", "belt:slot:0"}
     oracle_check_invariants(session.controller)
     check_invariants(session.controller)
     assert _claimed_counts(session.garage)
@@ -414,9 +416,23 @@ def _belts_share_car(session: GarageSession) -> None:
     claims[EXIT_BELT] = claims[ENTRANCE_BELT]
 
 
+def _give_running_motion_a_third_motor(session: GarageSession) -> None:
+    """Slot 0's conveying also powers the idle elevator motor, so three
+    motors run."""
+    active = session.fleet.active
+    belt = session.fleet.belts[BeltId("slot", 0)]
+    active[belt] = active[belt]._replace(motors=(*active[belt].motors, ELEVATOR_MOTOR))
+
+
+def _entrance_motion_names_its_motor_twice(session: GarageSession) -> None:
+    active = session.fleet.active
+    belt = session.fleet.belts[ENTRANCE_BELT]
+    active[belt] = active[belt]._replace(motors=active[belt].motors * 2)
+
+
 def _action_takes_motors_of_other(session: GarageSession) -> None:
     """The two running conveyors (belt:entrance and belt:slot:0) both claim
-    belt:slot:0's motor; the relay bank still powers the same two."""
+    belt:slot:0's motor."""
     active = session.fleet.active
     (first_device, first), (_, second) = active.items()
     active[first_device] = first._replace(motors=second.motors)
@@ -434,11 +450,6 @@ def _file_gate_motion_under_both_gates(session: GarageSession) -> None:
     fleet = session.fleet
     swing = fleet.gate_actuate("exit", "open", session.sim.clock_ms)
     fleet.active[fleet.gates["entrance"]] = swing
-
-
-def _drop_entrance_motion(session: GarageSession) -> None:
-    """The entrance belt's conveying leaves the table; its motor stays powered."""
-    session.fleet.active.pop(session.fleet.belts[ENTRANCE_BELT])
 
 
 def _set_platform(**values):
@@ -582,15 +593,12 @@ MUTATIONS = {
         _move_timed_ticket_off_grid,
         "ticket 2 (AwaitingEntry) does not hold its slot",
     ),
-    "relay_powers_idle_motor": (
-        lambda session: session.fleet.relays.powered.add(ELEVATOR_MOTOR),
-        "relay budget exceeded",
-    ),
-    "relay_drops_running_motor": (
-        lambda session: session.fleet.relays.powered.remove("belt:entrance"),
-        "powered ['belt:slot:0'] != active ['belt:entrance', 'belt:slot:0']",
-    ),
+    "relay_powers_idle_motor": (_give_running_motion_a_third_motor, "relay budget exceeded"),
     "two_actions_one_motor": (_action_takes_motors_of_other, "a motor is held by two actions"),
+    "one_action_one_motor_twice": (
+        _entrance_motion_names_its_motor_twice,
+        "a motor is held by two actions",
+    ),
     "motion_filed_under_other_device": (
         _refile_entrance_motion,
         "action 75 on belt:entrance is filed under another device",
@@ -598,10 +606,6 @@ MUTATIONS = {
     "gate_motion_filed_under_both_gates": (
         _file_gate_motion_under_both_gates,
         "action 79 on gate:exit is filed under another device",
-    ),
-    "motion_dropped_with_motors_powered": (
-        _drop_entrance_motion,
-        "powered ['belt:entrance', 'belt:slot:0'] != active ['belt:slot:0']",
     ),
     "two_belts_one_car": (_belts_share_car, "a ticket's car sits on two belts: [8, 8]"),
     "platform_floor_out_of_range": (
@@ -626,6 +630,25 @@ def test_corruption_fails_both_scans(name):
     with pytest.raises(InvariantViolationError) as err:
         check_invariants(session.controller)
     assert str(err.value) == message
+
+
+def test_a_dropped_motion_leaves_no_motor_powered_and_cannot_complete():
+    """The entrance belt's conveying leaves the table of running motions. Its
+    motor goes with it, as the table is the one record of the powered
+    motors, so both scans accept the state; the motion's completion, still
+    pending on the engine, then names an action no program owns and ends
+    the run."""
+    session = busy_session()
+    fleet = session.fleet
+    dropped = fleet.active.pop(fleet.belts[ENTRANCE_BELT])
+    assert [action.motors for action in fleet.active.values()] == [("belt:slot:0",)]
+    assert fleet.load_w() == 10.0
+    oracle_check_invariants(session.controller)
+    check_invariants(session.controller)
+    with pytest.raises(UnknownActionError) as err:
+        session.run_until_idle()
+    assert str(err.value) == f"no program owns action {dropped.action_id} (belt:entrance)"
+    assert dropped.action_id == 75
 
 
 @pytest.mark.parametrize("face", [6, -1, 1.5, 2.0])
@@ -759,11 +782,10 @@ def test_corrupt_index_fails_scan(name):
 
 # Two corruptions at once, by name, and the message that wins. The scan
 # raises for the first check it fails, in a fixed order: the grid and the
-# billing clocks, the phone index, the relay budget, a
-# motor held twice, the powered motors, the device each motion is filed
-# under, the cars on belts, the platform's floor, then its face. Each pair
-# straddles one step of that order; the messages were recorded from the scan
-# before its loops were rewritten, except those of the pairs with a
+# billing clocks, the phone index, the relay budget, a motor held twice, the
+# device each motion is filed under, the cars on belts, the platform's
+# floor, then its face. Each pair straddles one step of that order; the
+# messages were recorded from the scan before its loops were rewritten, except those of the pairs with a
 # misfiled motion, which were recorded when the fleet's table of running
 # motions became the one record of them, and those of the pairs with a dict
 # fault, which were recorded when the grid came to store only its held
@@ -771,7 +793,13 @@ def test_corrupt_index_fails_scan(name):
 # on either side of its step. The messages that name a running motion, the
 # cars on belts or the count of active tickets were recorded again when
 # ``busy_session`` was rebuilt for the retrieval that stages onto the exit
-# belt first.
+# belt first. When the running motions became the one record of the powered
+# motors, the check of the powered set was deleted with the pairs on either
+# side of its step. A running motion given a third motor then leaves two
+# distinct motors once the other motion takes its motors, so that pair was
+# re-pinned to the motor held twice, and the budget was paired instead with
+# a motion that names its one motor twice, which keeps three distinct
+# motors.
 FAULT_PAIRS = {
     ("ticket_written_dead", "phone_missing_from_index"): "cell 0/3 held by dead ticket 404",
     ("clock_stopped_on_parked_ticket", "phone_missing_from_index"): (
@@ -781,13 +809,10 @@ FAULT_PAIRS = {
         "cell 0/3 held by dead ticket 404"
     ),
     ("phone_missing_from_index", "relay_powers_idle_motor"): "7 active tickets but 6 active phones",
-    ("relay_powers_idle_motor", "two_actions_one_motor"): "relay budget exceeded",
-    ("two_actions_one_motor", "relay_drops_running_motor"): "a motor is held by two actions",
+    ("relay_powers_idle_motor", "two_actions_one_motor"): "a motor is held by two actions",
+    ("relay_powers_idle_motor", "one_action_one_motor_twice"): "relay budget exceeded",
     ("two_actions_one_motor", "motion_filed_under_other_device"): (
         "a motor is held by two actions"
-    ),
-    ("relay_drops_running_motor", "motion_filed_under_other_device"): (
-        "powered ['belt:slot:0'] != active ['belt:entrance', 'belt:slot:0']"
     ),
     ("motion_filed_under_other_device", "two_belts_one_car"): (
         "action 75 on belt:entrance is filed under another device"
@@ -912,21 +937,17 @@ def test_closed_ticket_reopened_by_direct_write_is_caught():
 
 
 def _motion_writes(session: GarageSession):
-    """Direct writes to the motion state: the relay bank's powered set, the
-    running motions and the devices they are filed under, and the claims on
-    the belts, drawn from the values the busy garage already holds plus a few
-    it must not."""
+    """Direct writes to the motion state: the running motions, with the
+    motors they power, and the devices they are filed under, and the claims
+    on the belts, drawn from the values the busy garage already holds plus a
+    few it must not."""
     fleet = session.fleet
     devices = [*fleet.belts.values(), fleet.platform, *fleet.gates.values()]
     running, actions = list(fleet.active), list(fleet.active.values())
     names = [*fleet.by_name, "belt:nowhere"]
-    motors = sorted({*fleet.relays.powered, ELEVATOR_MOTOR, *ROTATOR_MOTORS})
+    motors = sorted({*(m for a in actions for m in a.motors), ELEVATOR_MOTOR, *ROTATOR_MOTORS})
     claims = session.controller.claims
     cars = sorted({h for claim, h in claims.items() if isinstance(claim, BeltId)} | {4})
-
-    def power(motor, on):
-        change = fleet.relays.powered.add if on else fleet.relays.powered.discard
-        return lambda: change(motor), ("powered", motor, on)
 
     def rewrite(device, field, value):
         def apply():
@@ -953,7 +974,6 @@ def _motion_writes(session: GarageSession):
     motor_sets = st.lists(st.sampled_from(motors), max_size=3).map(tuple)
     busy, belts = st.sampled_from(running), list(fleet.belts)
     return st.one_of(
-        st.builds(power, st.sampled_from(motors), st.booleans()),
         st.builds(rewrite, busy, st.just("motors"), motor_sets),
         st.builds(rewrite, busy, st.just("device_id"), st.sampled_from(names)),
         st.builds(drop, busy),

@@ -534,6 +534,29 @@ def test_run_small_scenario_milestones():
     assert agg.max_concurrent_motors == 1
 
 
+def test_metered_load_is_ten_watts_for_each_running_motor():
+    """The power system meters what the fleet's running motions draw: 10 W a
+    motor for as long as its motion runs."""
+    session = GarageSession()
+    started = []
+    schedule_done = session.fleet.schedule_done
+
+    def record(at_ms, action):
+        started.append(action)
+        schedule_done(at_ms, action)
+
+    session.fleet.schedule_done = record
+    for i in range(2):
+        vehicle = Vehicle(f"v{i}", 4200, f"+9745550000{i}")
+        session.schedule(ScenarioEvent(i * 1000, Arrival(vehicle)))
+    session.run_until_idle()
+    motor_ms = sum(len(action.motors) * action.duration_ms for action in started)
+    assert motor_ms > 0
+    assert session.power.load_wh == pytest.approx(10.0 * motor_ms / 3_600_000, rel=1e-12)
+    assert session.fleet.max_concurrent == 2
+    assert session.fleet.load_w() == 0.0
+
+
 def test_rejected_arrival_reported_with_reason():
     text = (
         "config floors=3 slots_per_floor=6\n"

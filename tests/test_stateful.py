@@ -22,8 +22,10 @@ What holds for every such day:
   stripped, also where an input falls on the millisecond of a motion's
   completion, since the engine dispatches inputs first at one millisecond.
 
-Tier-1 draws the same 100 examples on every run. For a deeper pass:
-``PYTHONPATH=src python tests/test_stateful.py --examples 2000``.
+Tier-1 draws the same 100 examples on every run, and none of them reaches
+the exit-staging wedge (an unpaid car on the exit belt, then a second
+retrieval, then an arrival), so tier-1 also plays that day by hand. For a
+deeper pass: ``PYTHONPATH=src python tests/test_stateful.py --examples 2000``.
 """
 
 import argparse
@@ -39,7 +41,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from autopark.devices import Action, belt_roster
+from autopark.devices import EXIT_BELT, Action, belt_roster
 from autopark.engine import (
     Arrival,
     BeltFault,
@@ -184,6 +186,26 @@ def _settings(examples: int) -> settings:
 
 GarageDay.TestCase.settings = _settings(100)
 TestGarageDay = GarageDay.TestCase
+
+
+def test_a_day_that_reaches_the_exit_staging_wedge():
+    """The machine's rules, called by hand in the wedge's order: car 1 is
+    fetched and waits unpaid on the exit belt, then car 2 is fetched, then
+    car 3 arrives. Car 2's retrieval must wait holding nothing, so car 3
+    parks and the teardown finds no car on its way in."""
+    day = GarageDay()
+    garage, claims = day.session.garage, day.session.controller.claims
+    day.arrive(delay=1, phone=PHONES[0], length_mm=4_200)
+    day.arrive(delay=2, phone=PHONES[1], length_mm=4_200)
+    day.run_for(s=120, ms=0)
+    assert [ticket.phase for ticket in garage.active.values()] == [PARKED, PARKED]
+    day.fetch_the_first_parked_car(delay=1)
+    day.run_for(s=120, ms=0)
+    assert _in_phase(day.session, AWAITING_PAYMENT) == [1]
+    assert claims[EXIT_BELT] == 1
+    day.fetch_the_first_parked_car(delay=1)
+    day.arrive(delay=2, phone=PHONES[2], length_mm=4_200)
+    day.teardown()
 
 
 if __name__ == "__main__":
